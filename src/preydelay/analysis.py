@@ -17,7 +17,7 @@ import numpy as np
 from .delays import DelayFunction
 from .engine import (StepperConfig, Trajectory, default_stepper, integrate,
                      integrate_scalar_sdtd)
-from .equilibria import Equilibrium
+from .equilibria import Equilibrium, _bracketed_root
 from .model import (HistoryFunction, ModelSpec, consistent_history,
                     reproduction_number)
 from .responses import ResponseKind
@@ -72,7 +72,7 @@ class BracketNestingError(AnalysisError):
 
 
 class ScalarLimitMismatch(AnalysisError):
-    """Simulated tail disagrees with the bisection fixed point."""
+    """Simulated tail disagrees with the computed fixed point."""
 
 
 def _tail_grid(traj: Trajectory, tail_fraction: float, min_points: int = 512):
@@ -301,7 +301,7 @@ class ScalarLimitResult:
 
 def scalar_fixed_point(a1: float, a2: float, a3: float, dj: float,
                        delay: DelayFunction) -> tuple[float, bool]:
-    """Positive root of v = (a1 e^{-dj tau(v)} - a3) / (a2 a3), by bisection.
+    """Positive root of v = (a1 e^{-dj tau(v)} - a3) / (a2 a3).
 
     Returns (0, False) when a1 e^{-dj tau(0)} <= a3 (extinction regime: the
     gain cannot balance mortality at any state).
@@ -311,15 +311,9 @@ def scalar_fixed_point(a1: float, a2: float, a3: float, dj: float,
 
     if excess(0.0) <= 0.0:
         return 0.0, False
-    lo, hi = 0.0, excess(0.0)
-    # g(v) = v - excess(v) is increasing; g(lo) < 0 <= g(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid - excess(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), True
+    # g(v) = v - excess(v) is increasing; g(0) < 0 <= g(excess(0))
+    return _bracketed_root(lambda v: v - excess(v), 0.0, excess(0.0),
+                           xtol=1e-15, rtol=8.9e-16), True
 
 
 def scalar_limit(a1: float, a2: float, a3: float, dj: float,
@@ -329,7 +323,7 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
     """Long-run limit of v' = (1 - tau'(v) v') a1 e^{-dj tau(v)} v_lag / (1 + a2 v_lag) - a3 v.
 
     Integrates from each nonnegative history (v(0) > 0), estimates the limit
-    as the tail average, and checks it against the bisection fixed point to
+    as the tail average, and checks it against :func:`scalar_fixed_point` to
     ``rel_tol`` relative, raising :class:`ScalarLimitMismatch` on
     disagreement.  In the extinction regime the fixed point is 0 and no
     agreement is asserted.
@@ -412,6 +406,8 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
     if model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:
         raise ValueError("monotone bracketing is specific to the "
                          "Beddington-DeAngelis response")
+    if tau_hat not in ("equilibrium", "zero"):
+        raise ValueError("tau_hat must be 'equilibrium' or 'zero'")
     cond = check_global_conditions(model, eq)
     if not cond.overall:
         raise AnalysisError(
@@ -421,8 +417,6 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
     c = model.response.coefficients
     b, k1, k2 = c["b"], c["k1"], c["k2"]
     th = model.delay.tau(eq.y_star) if tau_hat == "equilibrium" else model.delay.tau(0.0)
-    if tau_hat not in ("equilibrium", "zero"):
-        raise ValueError("tau_hat must be 'equilibrium' or 'zero'")
     e = math.exp(-p.dj * th)
 
     def x_map(y_lo: float, sign: float) -> float:

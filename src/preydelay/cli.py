@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,9 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 
 from . import analysis
-from .engine import (IntegrationError, StepperConfig, default_stepper,
-                     export_csv, integrate, lag_times, yj_integral)
+from .engine import (IntegrationError, LagDomainError, StepperConfig,
+                     default_stepper, export_csv, integrate, lag_times,
+                     yj_integral)
 from .equilibria import (NoConvergenceError, boundary_equilibria,
                          solve_coexistence)
 from .model import (HistoryFunction, ModelSpec, consistent_history,
@@ -70,7 +72,6 @@ class Scenario:
     history: HistoryFunction
     stepper: StepperConfig
     outputs: Outputs
-    seed: int
     sweep: dict | None
 
 
@@ -119,14 +120,14 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
                          positivity_guard=bool(doc.get("positivity_guard", True)))
 
 
-def load_scenario(path, horizon: float | None = None,
-                  seed: int | None = None) -> Scenario:
+def load_scenario(path, horizon: float | None = None) -> Scenario:
     try:
         doc = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    # "seed" is accepted for schema 1 compatibility; nothing draws random numbers
     _check_keys(doc, "", {"schema", "model"},
                 {"history", "stepper", "outputs", "seed", "sweep"})
     if doc["schema"] != SCHEMA_VERSION:
@@ -147,9 +148,7 @@ def load_scenario(path, horizon: float | None = None,
         _check_keys(sweep, "sweep", set(),
                     {"k2", "d", "tau_m", "tau_M", "horizon"})
     return Scenario(model=model, history=history, stepper=stepper,
-                    outputs=outputs,
-                    seed=int(seed if seed is not None else doc.get("seed", 42)),
-                    sweep=sweep)
+                    outputs=outputs, sweep=sweep)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +336,9 @@ def _write_junit(path: Path, checks) -> None:
 def _write_checks_csv(path: Path, checks) -> None:
     lines = ["check,passed,detail,data"]
     for name, ok, detail, data in checks:
-        datum = ";".join(f"{k}={v!r}" for k, v in data.items())
+        datum = ";".join(
+            f"{k}={float(v) if isinstance(v, numbers.Real) else v!r}"
+            for k, v in data.items())
         detail_quoted = '"' + detail.replace('"', '""') + '"'
         lines.append(f"{name},{str(ok).lower()},{detail_quoted},{datum}")
     path.write_text("\n".join(lines) + "\n")
@@ -420,8 +421,6 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed override (default from config, 42)")
         p.add_argument("--horizon", type=float, default=None,
                        help="override stepper.t_end")
         if name == "sweep":
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        scn = load_scenario(args.config, horizon=args.horizon, seed=args.seed)
+        scn = load_scenario(args.config, horizon=args.horizon)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         with warnings.catch_warnings():
@@ -455,7 +454,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, NoConvergenceError, WindingError) as exc:
+    except (IntegrationError, LagDomainError, NoConvergenceError,
+            WindingError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import HistoryFunction, ModelSpec, warn_if_inconsistent
+from .model import (GL_NODES, GL_WEIGHTS, HistoryFunction, ModelSpec,
+                    warn_if_inconsistent)
 
 __all__ = [
     "State",
@@ -492,9 +493,6 @@ def lagged_lookup(model: ModelSpec, traj: Trajectory, t: float,
     return (vals[0], vals[1])
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
-
-
 def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     """Juvenile stock at t recomputed from the mature/prey channels alone.
 
@@ -533,7 +531,7 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)
             mid = 0.5 * (hi + lo)
-            for xi, wi in zip(_GL_NODES, _GL_WEIGHTS):
+            for xi, wi in zip(GL_NODES, GL_WEIGHTS):
                 s = mid + half * xi
                 xs, ys = traj.lookup(s)[:2]
                 if ys < 0.0:

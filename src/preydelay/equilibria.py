@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .model import ModelSpec, boundedness_limit, reproduction_number
 from .responses import ResponseKind
@@ -64,18 +64,83 @@ class Equilibrium:
         return (self.x_star, self.y_star, self.yj_star)
 
 
-def steady_state_residual(model: ModelSpec, x: float, y: float) -> float:
-    """Max absolute residual of the two steady-state equations at (x, y)."""
+def _balances(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
+    """(prey balance, predator balance) at x > 0, y >= 0; zero at a steady state."""
     p = model.params
     f = model.response.f(x, y)
-    if x > 0.0:
-        r1 = p.r * (1.0 - x / p.K) - f * y / x
-    else:
-        r1 = 0.0 if y == 0.0 else math.inf
-    r2 = p.n * math.exp(-p.dj * model.delay.tau(y)) * f - p.d
+    return (p.r * (1.0 - x / p.K) - f * y / x,
+            p.n * math.exp(-p.dj * model.delay.tau(y)) * f - p.d)
+
+
+def _balance_jacobian(model: ModelSpec, x: float, y: float):
+    """Analytic Jacobian of :func:`_balances` with respect to (x, y), row by row."""
+    p = model.params
+    resp = model.response
+    f, fx, fy = resp.f(x, y), resp.f_x(x, y), resp.f_y(x, y)
+    ne = p.n * math.exp(-p.dj * model.delay.tau(y))
+    return ((-p.r / p.K - (fx * y / x - f * y / (x * x)), -(fy * y + f) / x),
+            (ne * fx, ne * (fy - p.dj * model.delay.tau_prime(y) * f)))
+
+
+def steady_state_residual(model: ModelSpec, x: float, y: float) -> float:
+    """Max absolute residual of the two steady-state equations at (x, y)."""
+    if x <= 0.0:
+        return 0.0 if y == 0.0 else math.inf
+    r1, r2 = _balances(model, x, y)
     if y == 0.0:
         r2 = 0.0  # predator equation holds trivially on the boundary
     return max(abs(r1), abs(r2))
+
+
+def _bracketed_root(g: Callable[[float], float], lo: float, hi: float,
+                    xtol: float, rtol: float) -> float:
+    """Root of g in [lo, hi] by Brent's method; g(lo) and g(hi) must differ in sign.
+
+    Inverse quadratic or secant steps are taken while they shrink the
+    bracket fast enough, bisection otherwise (Brent 1973, ch. 4), so the
+    bracket always contains a sign change and the iteration stops once it is
+    narrower than xtol + rtol |root|.  Infinite values of g are tolerated;
+    they force bisection steps.
+    """
+    a, b = lo, hi
+    fa, fb = g(a), g(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
+        raise ValueError(f"g has the same sign at both ends of [{lo:.6g}, {hi:.6g}]")
+    c, fc = a, fa           # contrapoint: g(b) and g(c) differ in sign
+    step = prev_step = b - a
+    for _ in range(400):
+        if math.copysign(1.0, fb) == math.copysign(1.0, fc):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):   # keep b the best estimate
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * (xtol + rtol * abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0 or abs(half) < tol:
+            return b
+        bisect = True
+        if abs(prev_step) > tol and abs(fb) < abs(fa):
+            if a == c:          # secant
+                trial = -fb * (b - a) / (fb - fa)
+            else:               # inverse quadratic interpolation
+                da, dc = (fa - fb) / (a - b), (fc - fb) / (c - b)
+                trial = -fb * (fc * dc - fa * da) / (da * dc * (fc - fa))
+            if 2.0 * abs(trial) < min(abs(prev_step), 3.0 * abs(half) - tol):
+                prev_step, step = step, trial
+                bisect = False
+        if bisect:
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = g(b)
+    raise NoConvergenceError(
+        f"bracketed root search stalled at {b!r} after 400 steps",
+        (math.nan, math.nan), abs(fb))
 
 
 def boundary_equilibria(model: ModelSpec) -> list[Equilibrium]:
@@ -133,7 +198,7 @@ def _bd_candidate(model: ModelSpec, tau: float) -> tuple[float, float] | None:
 def _frozen_solve(model: ModelSpec, tau: float, y_hi: float) -> tuple[float, float] | None:
     """Solve the steady-state pair with the delay frozen at tau.
 
-    BD uses the quadratic candidate; other responses bisect on y, inverting
+    BD uses the quadratic candidate; other responses root-find on y, inverting
     the predator balance for x at each y (f is increasing in x and
     nonincreasing in y, so the inversion is monotone).
     """
@@ -155,7 +220,7 @@ def _frozen_solve(model: ModelSpec, tau: float, y_hi: float) -> tuple[float, flo
             return None
         if g(0.0) >= 0.0:
             return 0.0
-        return optimize.brentq(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
+        return _bracketed_root(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
 
     def prey_balance(y: float) -> float:
         x = x_of_y(y)
@@ -177,32 +242,51 @@ def _frozen_solve(model: ModelSpec, tau: float, y_hi: float) -> tuple[float, flo
         lo = float(yv)
     if hi is None:
         return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if prey_balance(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    y = 0.5 * (lo + hi)
+    y = _bracketed_root(prey_balance, lo, hi, xtol=1e-15, rtol=1e-15)
     x = x_of_y(y)
     if x is None or x <= 0.0:
         return None
     return (x, y)
 
 
+def _newton_polish(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
+    """Newton iteration on the full system (delay dependence included).
+
+    Stops when a step no longer lowers the steady-state residual or leaves
+    the positive quadrant, and returns the best positive iterate: the
+    starting point unless the polish improves on it.
+    """
+    best = (steady_state_residual(model, x, y), x, y)
+    for _ in range(20):
+        (a, b), (c, d) = _balance_jacobian(model, x, y)
+        r1, r2 = _balances(model, x, y)
+        det = a * d - b * c
+        if det == 0.0:
+            break
+        dx, dy = (r1 * d - b * r2) / det, (a * r2 - c * r1) / det
+        x, y = x - dx, y - dy
+        if not (x > 0.0 and y > 0.0):
+            break
+        res = steady_state_residual(model, x, y)
+        if not res <= best[0]:
+            break
+        best = (res, x, y)
+        if abs(dx) <= 1e-15 * x and abs(dy) <= 1e-15 * y:
+            break
+    return best[1], best[2]
+
+
 def solve_coexistence(model: ModelSpec, max_outer: int = 200) -> Equilibrium | None:
     """Coexistence equilibrium, or None when the reproduction number is <= 1.
 
     Outer damped fixed-point iteration on y* (the delay argument) around the
-    frozen-delay solve, with a bisection fallback, then a Newton polish of the
-    full system.  Raises :class:`NoConvergenceError` if the iteration stalls.
+    frozen-delay solve, with a bracketed-root fallback, then a Newton polish
+    of the full system.  Raises :class:`NoConvergenceError` if the iteration
+    stalls.
     """
     R = reproduction_number(model)
     if R <= 1.0:
         return None
-    p = model.params
     y_cap = boundedness_limit(model)
 
     def frozen(y: float) -> tuple[float, float] | None:
@@ -232,20 +316,13 @@ def solve_coexistence(model: ModelSpec, max_outer: int = 200) -> Equilibrium | N
                 break
             y = 0.5 * y + 0.5 * y_new
         if not converged:
-            # bisection fallback on g(y) = y - Y(tau(y))
+            # bracketed-root fallback on g(y) = y - Y(tau(y))
             def g(yv: float) -> float:
                 s = frozen(yv)
                 return yv - (s[1] if s is not None else 0.0)
 
-            lo, hi = 0.0, y_cap
-            if g(lo) < 0.0 <= g(hi):
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if g(mid) < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                y = 0.5 * (lo + hi)
+            if g(0.0) < 0.0 <= g(y_cap):
+                y = _bracketed_root(g, 0.0, y_cap, xtol=1e-15, rtol=8.9e-16)
                 s = frozen(y)
                 if s is not None:
                     x, y = s
@@ -255,20 +332,7 @@ def solve_coexistence(model: ModelSpec, max_outer: int = 200) -> Equilibrium | N
                 f"outer iteration on y* did not converge within {max_outer} steps",
                 (float("nan"), y), steady_state_residual(model, 0.0, y))
 
-    # Newton polish of the full system (delay dependence included)
-    def full(v):
-        xv, yv = v
-        fv = model.response.f(max(xv, 0.0), max(yv, 0.0))
-        e = math.exp(-p.dj * model.delay.tau(max(yv, 0.0)))
-        return [p.r * (1.0 - xv / p.K) - fv * yv / xv,
-                p.n * e * fv - p.d]
-
-    res = optimize.root(full, [x, y], tol=1e-14)
-    if res.x[0] > 0.0 and res.x[1] > 0.0:
-        r_polished = steady_state_residual(model, float(res.x[0]), float(res.x[1]))
-        if r_polished <= steady_state_residual(model, x, y):
-            x, y = float(res.x[0]), float(res.x[1])
-
+    x, y = _newton_polish(model, x, y)
     residual = steady_state_residual(model, x, y)
     if residual > _RESIDUAL_TOL:
         raise NoConvergenceError(

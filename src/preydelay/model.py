@@ -12,6 +12,7 @@ y'(t) appears on both sides, the system is resolved in closed form here
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import warnings
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .delays import DelayFunction, make_delay
 from .responses import FunctionalResponse, make_response
@@ -217,6 +217,67 @@ class HistoryFunction:
                 f"history values at 0 must be positive, got ({x0}, {yj0}, {y0})")
 
 
+# 7-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 13
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+
+
+def _gauss_legendre(fn: Callable[[float], float], a: float, b: float) -> float:
+    half, mid = 0.5 * (b - a), 0.5 * (b + a)
+    return half * sum(w * fn(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS))
+
+
+def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
+                             b: float, epsrel: float) -> float:
+    """Integral of fn over [a, b] to relative accuracy epsrel.
+
+    Each panel's error is estimated as the difference between its 7-point
+    rule and the sum of the rules on its two halves.  The panel with the
+    largest estimate is halved until the estimates sum to at most epsrel
+    times the integral; at 200 panels it stops with a RuntimeWarning.
+    Adaptivity (rather than a fixed composite rule) matters for
+    piecewise-linear histories, whose kinks only the panels around them need
+    resolve.
+    """
+    def panel(lo: float, hi: float, whole: float) -> tuple:
+        mid = 0.5 * (lo + hi)
+        left, right = _gauss_legendre(fn, lo, mid), _gauss_legendre(fn, mid, hi)
+        return (-abs(left + right - whole), lo, hi, left, right)
+
+    heap = [panel(a, b, _gauss_legendre(fn, a, b))]
+    while True:
+        error = -sum(pn[0] for pn in heap)
+        total = sum(pn[3] + pn[4] for pn in heap)
+        if error <= epsrel * abs(total):
+            return total
+        if len(heap) >= 200:
+            warnings.warn(
+                f"quadrature stopped at 200 panels with estimated error "
+                f"{error:.2g} on an integral of {total:.6g} (epsrel={epsrel:g})",
+                RuntimeWarning, stacklevel=2)
+            return total
+        _, lo, hi, left, right = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        heapq.heappush(heap, panel(lo, mid, left))
+        heapq.heappush(heap, panel(mid, hi, right))
+
+
+def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
+                            epsrel: float) -> float:
+    """Survival-discounted past recruitment implied by a history:
+
+        int_{-tau(phi3(0))}^{0} n f(phi1(s), phi3(s)) phi3(s) exp(dj s) ds.
+    """
+    p = model.params
+    f = model.response.f
+
+    def integrand(s: float) -> float:
+        y = history.phi3(s)
+        return p.n * f(history.phi1(s), y) * y * math.exp(p.dj * s)
+
+    tau0 = model.delay.tau(history.phi3(0.0))
+    return _adaptive_gauss_legendre(integrand, -tau0, 0.0, epsrel)
+
+
 class HistoryConsistencyWarning(UserWarning):
     """phi2(0) does not match the survival-discounted recruitment integral."""
 
@@ -224,17 +285,9 @@ class HistoryConsistencyWarning(UserWarning):
 def history_consistency_error(model: ModelSpec, history: HistoryFunction) -> float:
     """Relative mismatch between phi2(0) and the juvenile stock implied by history.
 
-    The implied stock is the adaptive quadrature of
-    n f(phi1(s), phi3(s)) phi3(s) exp(dj s) over s in [-tau(phi3(0)), 0].
+    The implied stock is the recruitment integral of :func:`_implied_juvenile_stock`.
     """
-    p = model.params
-    tau0 = model.delay.tau(history.phi3(0.0))
-
-    def integrand(s: float) -> float:
-        return (p.n * model.response.f(history.phi1(s), history.phi3(s))
-                * history.phi3(s) * math.exp(p.dj * s))
-
-    implied, _ = quad(integrand, -tau0, 0.0, epsabs=0.0, epsrel=1e-8, limit=200)
+    implied = _implied_juvenile_stock(model, history, epsrel=1e-8)
     scale = max(abs(implied), abs(history.phi2(0.0)), 1e-300)
     return abs(history.phi2(0.0) - implied) / scale
 
@@ -302,14 +355,7 @@ def consistent_history(model: ModelSpec, x0: float, y0: float,
         base = constant_history(x0, y0, 1.0)
     else:
         base = constant_plus_sine_history(x0, y0, 1.0, amp=amp, omega=omega, phase=phase)
-    p = model.params
-    tau0 = model.delay.tau(base.phi3(0.0))
-
-    def integrand(s: float) -> float:
-        return (p.n * model.response.f(base.phi1(s), base.phi3(s))
-                * base.phi3(s) * math.exp(p.dj * s))
-
-    yj0, _ = quad(integrand, -tau0, 0.0, epsabs=0.0, epsrel=1e-10, limit=200)
+    yj0 = _implied_juvenile_stock(model, base, epsrel=1e-10)
     return HistoryFunction(
         phi1=base.phi1, phi2=lambda t: yj0, phi3=base.phi3,
         label=label or f"consistent({x0:g},{y0:g};a={amp:g})")

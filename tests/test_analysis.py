@@ -283,6 +283,16 @@ def test_bracket_requires_attraction_conditions():
         monotone_bounds(m, eq, epsilon=1e-3)
 
 
+def test_bracket_validates_tau_hat_before_conditions(bd_model):
+    # with k2 = 0.05 the attraction conditions fail; a bad tau_hat must still
+    # be reported as a bad argument, not as a failed condition
+    m = ModelSpec(bd_model.params, bd_model.delay,
+                  beddington_deangelis(b=1.0, k1=0.0, k2=0.05))
+    eq = solve_coexistence(m)
+    with pytest.raises(ValueError, match="tau_hat"):
+        monotone_bounds(m, eq, epsilon=1e-4, tau_hat="bogus")
+
+
 # --------------------------------------------------------------------------
 # global attraction
 

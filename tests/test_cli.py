@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from preydelay.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_OK, main
+from preydelay import cli
+from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
+                           EXIT_OK, main)
+from preydelay.engine import LagDomainError
 
 
 def write_config(path, *, b=1.0, k1=0.0, k2=10.0, d=0.45, t_end=60.0,
@@ -130,6 +137,7 @@ def test_verify_suite_passes_on_fixture(tmp_path):
     csv_lines = (tmp_path / "verify_checks.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "check,passed,detail,data"
     assert len(csv_lines) == int(suite.attrib["tests"]) + 1
+    assert "np." not in (tmp_path / "verify_checks.csv").read_text()
 
 
 def test_sweep_writes_mandated_header(tmp_path):
@@ -182,3 +190,24 @@ def test_verify_failure_exits_1(tmp_path):
                                 "yj": 5.0})
     assert main(["verify", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
+
+
+def test_lag_domain_error_exits_3(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise LagDomainError("lag before the history")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, preydelay; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

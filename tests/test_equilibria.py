@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from preydelay import (EquilibriumKind, ModelParams, ModelSpec,
                        beddington_deangelis, boundary_equilibria,
                        constant_delay, exp_delay, holling2, linear,
                        make_delay, reproduction_number, saturating_delay,
                        solve_coexistence, steady_state_residual, yj_star)
+from preydelay.equilibria import (_balance_jacobian, _balances,
+                                  _bracketed_root)
 from conftest import BD_TAUSTAR, BD_XSTAR, BD_YJSTAR, BD_YSTAR
 
 from oracles import steady_recruitment_integral
@@ -80,6 +83,44 @@ def test_general_solver_state_dependent_linear():
     eq = solve_coexistence(m)
     assert eq is not None and eq.residual <= 1e-10
     assert eq.tau_star == pytest.approx(m.delay.tau(eq.y_star), rel=1e-14)
+
+
+@pytest.mark.parametrize("response", [holling2(b=2.0, h=0.5), linear(1.5)])
+def test_bracketed_root_matches_brentq_on_prey_inversion(response):
+    # the general solver's x_of_y: invert the predator balance f(x, y) = target
+    # on [0, 1e9 K] with K = 2
+    x_big = 2e9
+    for target in (0.3, 0.9, 1.7):
+        for y in (0.0, 0.4, 3.0):
+            g = lambda x: response.f(x, y) - target
+            if not g(0.0) < 0.0 < g(x_big):
+                continue
+            want = optimize.brentq(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
+            got = _bracketed_root(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
+            assert abs(got - want) <= 4e-15 * max(1.0, want), (target, y)
+
+
+def test_bracketed_root_survives_infinite_values_and_checks_bracket():
+    # -inf marks where the general solver's prey balance cannot be evaluated
+    g = lambda v: 0.3 - v if v < 0.7 else -math.inf
+    assert _bracketed_root(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == \
+        pytest.approx(0.3, abs=1e-15)
+    with pytest.raises(ValueError):
+        _bracketed_root(g, 0.0, 0.2, xtol=1e-15, rtol=8.9e-16)
+
+
+def test_balance_jacobian_matches_central_differences(bd_model):
+    linear_model = ModelSpec(ModelParams(1.0, 2.0, 1.0, 0.5, 1.0),
+                             saturating_delay(0.5, 1.5, 2.0), linear(1.5))
+    for m in (bd_model, linear_model):
+        eq = solve_coexistence(m)
+        x, y = eq.x_star, eq.y_star
+        J = np.array(_balance_jacobian(m, x, y))
+        for j, (hx, hy) in enumerate(((1e-6 * x, 0.0), (0.0, 1e-6 * y))):
+            plus = np.array(_balances(m, x + hx, y + hy))
+            minus = np.array(_balances(m, x - hx, y - hy))
+            fd = (plus - minus) / (2.0 * (hx + hy))
+            np.testing.assert_allclose(J[:, j], fd, rtol=1e-7, atol=1e-9)
 
 
 def test_yj_star_small_dj_limit():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from preydelay import (DelayFunction, ModelParams, ModelSpec, boundedness_limit,
                        consistent_history, constant_delay, constant_history,
@@ -10,7 +11,8 @@ from preydelay import (DelayFunction, ModelParams, ModelSpec, boundedness_limit,
                        holling2, linear, make_delay, power_law,
                        reproduction_number, saturating_delay,
                        tabulated_history, validate)
-from preydelay.model import HistoryConsistencyWarning, warn_if_inconsistent
+from preydelay.model import (HistoryConsistencyWarning, _implied_juvenile_stock,
+                             warn_if_inconsistent)
 
 from oracles import implicit_rate_solution
 
@@ -182,6 +184,36 @@ def test_history_consistency_identity():
     m = model(response=holling2(b=2.0, h=0.5))
     hist = consistent_history(m, x0=1.0, y0=0.6, amp=0.2, omega=2.0)
     assert history_consistency_error(m, hist) < 1e-9
+
+
+@pytest.mark.parametrize("epsrel", [1e-8, 1e-10])
+def test_recruitment_quadrature_matches_scipy_on_kinked_history(epsrel):
+    # piecewise-linear history with kinks inside the recruitment window
+    m = model(delay=saturating_delay(0.5, 1.5, 1.0),
+              response=holling2(b=2.0, h=0.5))
+    times = [-1.5, -1.1, -0.73, -0.4, -0.15, 0.0]
+    hist = tabulated_history(times, x=[1.0, 2.5, 0.8, 1.7, 0.3, 1.2],
+                             y=[0.2, 0.9, 0.4, 1.4, 0.6, 0.8],
+                             yj=[0.5] * 6)
+    p = m.params
+    tau0 = m.delay.tau(hist.phi3(0.0))
+    want, _ = quad(lambda s: (p.n * m.response.f(hist.phi1(s), hist.phi3(s))
+                              * hist.phi3(s) * math.exp(p.dj * s)),
+                   -tau0, 0.0, points=[t for t in times if t > -tau0],
+                   epsabs=0.0, epsrel=1e-13, limit=200)
+    got = _implied_juvenile_stock(m, hist, epsrel=epsrel)
+    assert abs(got - want) <= 1e-8 * abs(want)
+
+
+def test_recruitment_quadrature_warns_when_panels_run_out():
+    # a kink every 0.01 time units needs more than 200 panels at 1e-10
+    m = model(delay=saturating_delay(0.5, 1.5, 1.0),
+              response=holling2(b=2.0, h=0.5))
+    times = np.linspace(-1.5, 0.0, 151)
+    zigzag = 1.0 + 0.5 * (np.arange(151) % 2)
+    hist = tabulated_history(times, x=zigzag, y=zigzag, yj=zigzag)
+    with pytest.warns(RuntimeWarning, match="200 panels"):
+        _implied_juvenile_stock(m, hist, epsrel=1e-10)
 
 
 def test_inconsistent_history_warns():
