@@ -11,7 +11,6 @@ import json
 import math
 import numbers
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,9 +24,10 @@ from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      yj_integral)
 from .equilibria import (NoConvergenceError, boundary_equilibria,
                          solve_coexistence)
-from .model import (HistoryFunction, ModelSpec, consistent_history,
-                    constant_history, constant_plus_sine_history,
-                    reproduction_number, tabulated_history, validate)
+from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
+                    consistent_history, constant_history,
+                    constant_plus_sine_history, reproduction_number,
+                    tabulated_history, validate)
 from .responses import ResponseKind
 from .stability import WindingError, check_global_conditions, classify_equilibrium
 from .svg import Series, stacked_chart
@@ -40,21 +40,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _check_keys(doc: dict, path: str, required: set, optional: set = frozenset()):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'} must be an object")
-    for key in doc:
-        if key not in required and key not in optional:
-            raise ConfigError(f"unknown key {path + '.' if path else ''}{key}")
-    for key in required:
-        if key not in doc:
-            raise ConfigError(f"missing key {path + '.' if path else ''}{key}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +61,17 @@ class Scenario:
 
 
 def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
-    _check_keys(doc, "history", {"kind"},
+    check_keys(doc, "history", {"kind"},
                 {"x", "y", "yj", "amp", "omega", "phase", "times", "series"})
     kind = doc["kind"]
     if kind == "constant":
-        _check_keys(doc, "history", {"kind", "x", "y"}, {"yj"})
+        check_keys(doc, "history", {"kind", "x", "y"}, {"yj"})
         if "yj" in doc:
             return constant_history(float(doc["x"]), float(doc["y"]),
                                     float(doc["yj"]))
         return consistent_history(model, float(doc["x"]), float(doc["y"]))
     if kind == "constant_plus_sine":
-        _check_keys(doc, "history", {"kind", "x", "y", "amp", "omega"},
+        check_keys(doc, "history", {"kind", "x", "y", "amp", "omega"},
                     {"yj", "phase"})
         phase = float(doc.get("phase", 0.0))
         if "yj" in doc:
@@ -97,16 +82,16 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
                                   amp=float(doc["amp"]),
                                   omega=float(doc["omega"]), phase=phase)
     if kind == "tabulated":
-        _check_keys(doc, "history", {"kind", "times", "series"}, set())
+        check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
-        _check_keys(series, "history.series", {"x", "y", "yj"}, set())
+        check_keys(series, "history.series", {"x", "y", "yj"}, set())
         return tabulated_history(doc["times"], series["x"], series["y"],
                                  series["yj"])
     raise ConfigError(f"unknown key history.kind value {kind!r}")
 
 
 def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> StepperConfig:
-    _check_keys(doc, "stepper", {"t_end"},
+    check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = float(horizon if horizon is not None else doc["t_end"])
     base = default_stepper(model, t_end,
@@ -128,7 +113,7 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     # "seed" is accepted for schema 1 compatibility; nothing draws random numbers
-    _check_keys(doc, "", {"schema", "model"},
+    check_keys(doc, "", {"schema", "model"},
                 {"history", "stepper", "outputs", "seed", "sweep"})
     if doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {doc['schema']!r}")
@@ -140,12 +125,12 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
                                                  "y": model.params.K / 4}), model)
     stepper = _build_stepper(doc.get("stepper", {"t_end": 100.0}), model, horizon)
     odoc = doc.get("outputs", {})
-    _check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
+    check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
     outputs = Outputs(stride=float(odoc.get("stride", stepper.t_end / 200.0)),
                       csv=odoc.get("csv"), svg=odoc.get("svg"))
     sweep = doc.get("sweep")
     if sweep is not None:
-        _check_keys(sweep, "sweep", set(),
+        check_keys(sweep, "sweep", set(),
                     {"k2", "d", "tau_m", "tau_M", "horizon"})
     return Scenario(model=model, history=history, stepper=stepper,
                     outputs=outputs, sweep=sweep)
@@ -438,18 +423,16 @@ def main(argv=None) -> int:
         scn = load_scenario(args.config, horizon=args.horizon)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if args.command == "simulate":
-                return _cmd_simulate(scn, outdir)
-            if args.command == "equilibria":
-                return _cmd_equilibria(scn, outdir)
-            if args.command == "stability":
-                return _cmd_stability(scn, outdir)
-            if args.command == "verify":
-                return _cmd_verify(scn, outdir)
-            if args.command == "sweep":
-                return _cmd_sweep(scn, outdir, args.threads)
+        if args.command == "simulate":
+            return _cmd_simulate(scn, outdir)
+        if args.command == "equilibria":
+            return _cmd_equilibria(scn, outdir)
+        if args.command == "stability":
+            return _cmd_stability(scn, outdir)
+        if args.command == "verify":
+            return _cmd_verify(scn, outdir)
+        if args.command == "sweep":
+            return _cmd_sweep(scn, outdir, args.threads)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -142,12 +142,19 @@ _DP_A = (
 # fifth-order minus fourth-order weights, for the local error estimate
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
+# the same coefficients unpacked (Butcher numbering: stage i reads k_j through
+# a_ij) for the straight-line step; a_72 and e_2 are zero and never used
+_, _C2, _C3, _C4, _C5, _, _ = _DP_C
+((), (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+ (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76)) = _DP_A
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+
 _MAX_OVERLAP_ITERS = 5
 _OVERLAP_TOL = 1e-10
 
 
 def _hermite(t0: float, u0, f0, t1: float, u1, f1, s: float):
-    """Cubic Hermite value at s on [t0, t1] (tuple-valued)."""
+    """Cubic Hermite value at s on [t0, t1] of the lagged pair (x, y)."""
     h = t1 - t0
     th = (s - t0) / h
     th2 = th * th
@@ -156,12 +163,12 @@ def _hermite(t0: float, u0, f0, t1: float, u1, f1, s: float):
     b = (th3 - 2.0 * th2 + th) * h
     c = -2.0 * th3 + 3.0 * th2
     e = (th3 - th2) * h
-    return tuple(a * u0[i] + b * f0[i] + c * u1[i] + e * f1[i]
-                 for i in range(len(u0)))
+    return (a * u0[0] + b * f0[0] + c * u1[0] + e * f1[0],
+            a * u0[1] + b * f0[1] + c * u1[1] + e * f1[1])
 
 
 class _SolutionStore:
-    """Accepted nodes plus the initial history; serves lagged lookups."""
+    """Accepted nodes plus the initial history; serves the stepper's lagged lookups."""
 
     __slots__ = ("history", "tau_M", "ts", "us", "fs")
 
@@ -178,6 +185,7 @@ class _SolutionStore:
         self.fs.append(f)
 
     def eval_past(self, s: float) -> tuple:
+        """(x, y) at an already-covered time s (the history for s <= 0)."""
         if s <= 0.0:
             if s < -self.tau_M - 1e-9 * max(1.0, self.tau_M):
                 raise LagDomainError(
@@ -196,7 +204,7 @@ class Trajectory:
     """Dense piecewise-cubic solution record over [-tau_M, t_end].
 
     Values and derivatives at accepted nodes define one cubic Hermite segment
-    per step; lookups at s <= 0 fall through to the initial history.  The
+    per step; reads at s <= 0 fall through to the initial history.  The
     record is immutable once built and safe for concurrent reads.
     """
 
@@ -224,29 +232,48 @@ class Trajectory:
 
     def lookup(self, s: float) -> tuple:
         """Solution value at any s in [-tau_M, t_end]."""
-        if s <= 0.0:
-            if s < -self.tau_M - 1e-9 * max(1.0, self.tau_M):
-                raise LagDomainError(
-                    f"time {s:.6g} precedes the history interval")
-            return tuple(float(v) for v in
-                         self._history(max(s, -self.tau_M)))
-        if s > self.t_end + 1e-9 * max(1.0, self.t_end):
-            raise LagDomainError(
-                f"time {s:.6g} exceeds the integrated horizon {self.t_end:.6g}")
-        ts = self.ts
-        i = int(np.searchsorted(ts, s, side="right")) - 1
-        if i >= len(ts) - 1:
-            i = len(ts) - 2
-        return _hermite(ts[i], self.us[i], self.fs[i],
-                        ts[i + 1], self.us[i + 1], self.fs[i + 1],
-                        min(s, self.t_end))
+        return tuple(self.sample((s,))[0].tolist())
 
     def sample(self, times: Sequence[float]) -> np.ndarray:
-        """Vectorized lookup; returns an array of shape (len(times), dim)."""
-        times = np.asarray(times, dtype=float)
-        out = np.empty((times.size, self.dim))
-        for i, s in enumerate(times.ravel()):
-            out[i] = self.lookup(float(s))
+        """Solution values at ``times``, an array of shape (len(times), dim).
+
+        Every time must lie in [-tau_M, t_end] (up to a relative 1e-9), or
+        :class:`LagDomainError` is raised.  Times s <= 0 read the history;
+        the others are read off the Hermite segment that contains them, all
+        at once.
+        """
+        s = np.asarray(times, dtype=float).ravel()
+        ts, t_end, tau_M = self.ts, self.t_end, self.tau_M
+        below = s < -tau_M - 1e-9 * max(1.0, tau_M)
+        above = s > t_end + 1e-9 * max(1.0, t_end)
+        bad = np.flatnonzero(below | above)
+        if bad.size:
+            v = s[bad[0]]
+            if below[bad[0]]:
+                raise LagDomainError(f"time {v:.6g} precedes the history interval")
+            raise LagDomainError(
+                f"time {v:.6g} exceeds the integrated horizon {t_end:.6g}")
+        out = np.empty((s.size, self.dim))
+        past = s <= 0.0
+        for k in np.flatnonzero(past):
+            out[k] = self._history(max(float(s[k]), -tau_M))
+        k = np.flatnonzero(~past)
+        if k.size:
+            sk = s[k]
+            i = np.searchsorted(ts, sk, side="right") - 1
+            np.minimum(i, len(ts) - 2, out=i)
+            t0 = ts[i]
+            h = ts[i + 1] - t0
+            th = (np.minimum(sk, t_end) - t0) / h
+            th2 = th * th
+            th3 = th2 * th
+            a = 2.0 * th3 - 3.0 * th2 + 1.0
+            b = (th3 - 2.0 * th2 + th) * h
+            c = -2.0 * th3 + 3.0 * th2
+            e = (th3 - th2) * h
+            us, fs = self.us, self.fs
+            out[k] = (a[:, None] * us[i] + b[:, None] * fs[i]
+                      + c[:, None] * us[i + 1] + e[:, None] * fs[i + 1])
         return out
 
     def state_at(self, t: float) -> State:
@@ -298,26 +325,27 @@ def rhs(model: ModelSpec, now: State,
     The delayed-derivative term is already resolved, so the returned
     derivatives are explicit.
     """
-    core = _make_rhs(model)
-
-    def full_lookup(s: float) -> tuple:
-        xl, yl = lookup(s)
-        return (xl, yl, 0.0)
-
-    return core(now.t, now.as_tuple(), full_lookup)
+    return _make_rhs(model)(now.t, now.as_tuple(), lookup)
 
 
 # --------------------------------------------------------------------------
-# generic adaptive method-of-steps core
+# adaptive method-of-steps core (three components; scalar equations are padded)
 
 
 def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
                     tau_m: float, tau_M: float, names: tuple[str, ...]) -> Trajectory:
-    dim = len(u0)
+    """Integrate a three-component state whose first len(names) components are live.
+
+    Padded components must stay exactly zero; they take no part in the
+    error norm or the positivity guard, and the returned trajectory holds
+    the live components only.
+    """
+    live = len(names)
     store = _SolutionStore(history_eval, tau_M)
     t_end = cfg.t_end
-    atols, rtol = cfg.atol_vector(dim), cfg.rtol
+    atols, rtol = cfg.atol_vector(live), cfg.rtol
     allow_overlap = tau_m <= 0.0
+    isfinite, sqrt = math.isfinite, math.sqrt
 
     f0 = rhs_core(0.0, u0, store.eval_past)
     store.append(0.0, u0, f0)
@@ -327,9 +355,13 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
     nsteps = 0
     last_reject_positivity = False
 
+    def trajectory():
+        return Trajectory(store.ts, np.asarray(store.us)[:, :live],
+                          np.asarray(store.fs)[:, :live], history_eval, tau_M,
+                          names)
+
     def fail(exc_cls, message):
-        traj = Trajectory(store.ts, store.us, store.fs, history_eval, tau_M, names)
-        raise exc_cls(message, trajectory=traj)
+        raise exc_cls(message, trajectory=trajectory())
 
     while t_end - t > 1e-13 * max(1.0, t_end):
         h = min(h, t_end - t)
@@ -342,23 +374,22 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
         if nsteps > cfg.max_steps:
             fail(IntegrationError, f"exceeded {cfg.max_steps} steps")
 
-        u1, f1, err = _attempt_step(rhs_core, store, t, u, f, h, dim,
-                                    allow_overlap)
+        # looked up through the module so that callers can wrap it
+        u1, f1, err = _attempt_step(rhs_core, store, t, u, f, h, allow_overlap)
 
-        # weighted rms local-error norm
+        # weighted rms local-error norm over the live components
         acc = 0.0
-        finite = True
-        for i in range(dim):
-            if not (math.isfinite(u1[i]) and math.isfinite(err[i])):
-                finite = False
+        for atol, v0, v1, e in zip(atols, u, u1, err):
+            if not (isfinite(v1) and isfinite(e)):
+                acc = math.inf
                 break
-            sc = atols[i] + rtol * max(abs(u[i]), abs(u1[i]))
-            acc += (err[i] / sc) ** 2
-        enorm = math.sqrt(acc / dim) if finite else math.inf
+            sc = atol + rtol * max(abs(v0), abs(v1))
+            acc += (e / sc) ** 2
+        enorm = sqrt(acc / live)
 
         if enorm <= 1.0:
             if cfg.positivity_guard and min(u1) < 0.0:
-                if any(u1[i] < -atols[i] for i in range(dim)):
+                if any(v < -atol for atol, v in zip(atols, u1)):
                     last_reject_positivity = True
                     h *= 0.5
                     continue
@@ -375,59 +406,90 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
             last_reject_positivity = False
             h *= max(0.1, min(0.5, 0.9 * enorm ** -0.2))
 
-    return Trajectory(store.ts, store.us, store.fs, history_eval, tau_M, names)
+    return trajectory()
 
 
 def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
-                  f0: tuple, h: float, dim: int, allow_overlap: bool):
+                  f0: tuple, h: float, allow_overlap: bool):
     """One trial Dormand-Prince step; returns (u1, f1, error_estimate).
 
-    When the lag can land inside the current step (vanishing minimum delay),
-    lookups beyond t0 are served by a provisional Hermite segment that is
-    fixed-point iterated until the step result stabilizes.
+    Straight-line code for the three-component state.  When the lag can land
+    inside the current step (vanishing minimum delay), lookups beyond t0 are
+    served by a provisional segment (the Euler line, then the Hermite
+    segment of the previous iterate) that is fixed-point iterated until the
+    step result stabilizes.
     """
-    prov: tuple | None = None
-    u1 = f1 = None
+    x0, y0, z0 = u0
+    k1x, k1y, k1z = f0
+    t1 = t0 + h
+    b21 = h * _A21
+    b31, b32 = h * _A31, h * _A32
+    b41, b42, b43 = h * _A41, h * _A42, h * _A43
+    b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
+    b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
+    eval_past = store.eval_past
+    prov = None
+    overlapped = False
+
+    def lookup(s):
+        nonlocal overlapped
+        if s <= t0:
+            return eval_past(s)
+        overlapped = True
+        if prov is None:
+            return (x0 + (s - t0) * k1x, y0 + (s - t0) * k1y)
+        return _hermite(t0, u0, f0, t1, prov[0], prov[1], s)
+
     for _ in range(_MAX_OVERLAP_ITERS if allow_overlap else 1):
-        overlapped = [False]
+        overlapped = False
+        k2x, k2y, k2z = rhs_core(
+            t0 + _C2 * h,
+            (x0 + b21 * k1x, y0 + b21 * k1y, z0 + b21 * k1z), lookup)
+        k3x, k3y, k3z = rhs_core(
+            t0 + _C3 * h,
+            (x0 + b31 * k1x + b32 * k2x,
+             y0 + b31 * k1y + b32 * k2y,
+             z0 + b31 * k1z + b32 * k2z), lookup)
+        k4x, k4y, k4z = rhs_core(
+            t0 + _C4 * h,
+            (x0 + b41 * k1x + b42 * k2x + b43 * k3x,
+             y0 + b41 * k1y + b42 * k2y + b43 * k3y,
+             z0 + b41 * k1z + b42 * k2z + b43 * k3z), lookup)
+        k5x, k5y, k5z = rhs_core(
+            t0 + _C5 * h,
+            (x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x,
+             y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y,
+             z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z), lookup)
+        k6x, k6y, k6z = rhs_core(
+            t1,
+            (x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x,
+             y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y,
+             z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z),
+            lookup)
+        u1 = (x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x,
+              y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y,
+              z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z)
+        f1 = rhs_core(t1, u1, lookup)
 
-        def lookup(s, _prov=prov):
-            if s <= t0:
-                return store.eval_past(s)
-            overlapped[0] = True
-            if _prov is None:
-                return tuple(u0[i] + (s - t0) * f0[i] for i in range(dim))
-            return _hermite(t0, u0, f0, t0 + h, _prov[0], _prov[1], s)
-
-        k = [f0]
-        u1 = None
-        for i in range(1, 7):
-            acc = list(u0)
-            for j, a in enumerate(_DP_A[i]):
-                if a != 0.0:
-                    ha = h * a
-                    kj = k[j]
-                    for m in range(dim):
-                        acc[m] += ha * kj[m]
-            if i == 6:
-                u1 = tuple(acc)
-                k.append(rhs_core(t0 + h, u1, lookup))
-            else:
-                k.append(rhs_core(t0 + _DP_C[i] * h, tuple(acc), lookup))
-        f1 = k[6]
-
-        if not overlapped[0]:
+        if not overlapped:
             break
         if prov is not None:
-            delta = max(abs(u1[i] - prov[0][i]) / max(1.0, abs(u1[i]))
-                        for i in range(dim))
+            delta = max(abs(v - w) / max(1.0, abs(v))
+                        for v, w in zip(u1, prov[0]))
             prov = (u1, f1)
             if delta <= _OVERLAP_TOL:
                 break
         else:
             prov = (u1, f1)
 
-    err = tuple(h * sum(_DP_E[j] * k[j][m] for j in range(7)) for m in range(dim))
+    k7x, k7y, k7z = f1
+    err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
+                + _E7 * k7x),
+           h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
+                + _E7 * k7y),
+           h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
+                + _E7 * k7z))
     return u1, f1, err
 
 
@@ -467,18 +529,19 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
     """Integrate a scalar equation v'(t) = rhs(t, v, lookup) with lagged lookups.
 
     ``rhs_scalar(t, v, lookup)`` receives a scalar lookup s -> v(s).  Used by
-    the analysis probes for single-population delay equations.
+    the analysis probes for single-population delay equations.  The stepper
+    carries v as the state (v, 0, 0); the zero components never mix into v.
     """
 
     def rhs_core(t, u, lookup):
-        return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]),)
+        return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]), 0.0, 0.0)
 
     def history_eval(s: float) -> tuple:
         return (float(history_fn(s)),)
 
     v0 = float(history_fn(0.0))
-    return _integrate_core(rhs_core, history_eval, (v0,), cfg, tau_m, tau_M,
-                           names=("v",))
+    return _integrate_core(rhs_core, history_eval, (v0, 0.0, 0.0), cfg, tau_m,
+                           tau_M, names=("v",))
 
 
 # --------------------------------------------------------------------------
@@ -516,30 +579,33 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     if s_lo >= t:
         return 0.0
 
-    cuts = [s_lo]
-    for tn in traj.ts:
-        if s_lo < tn < t:
-            cuts.append(float(tn))
-    cuts.append(t)
+    # segment joins strictly inside the window
+    ts = traj.ts
+    cuts = [s_lo, *ts[np.searchsorted(ts, s_lo, side="right"):
+                     np.searchsorted(ts, t, side="left")].tolist(), t]
     w_max = min(0.25, max(traj.tau_M, 1e-3) / 8.0)
 
-    total = 0.0
-    f = model.response.f
+    nodes, weights = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
         npan = max(1, int(math.ceil((b - a) / w_max)))
         edges = np.linspace(a, b, npan + 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            mid = 0.5 * (hi + lo)
-            for xi, wi in zip(GL_NODES, GL_WEIGHTS):
-                s = mid + half * xi
-                xs, ys = traj.lookup(s)[:2]
-                if ys < 0.0:
-                    ys = 0.0
-                if xs < 0.0:
-                    xs = 0.0
-                total += wi * half * (p.n * f(xs, ys) * ys
-                                      * math.exp(-p.dj * (t - s)))
+        half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
+        mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
+        nodes.append((mid + half * GL_NODES).ravel())
+        weights.append((GL_WEIGHTS * half).ravel())
+    nodes = np.concatenate(nodes)
+    vals = traj.sample(nodes)
+
+    # summed node by node, in window order, like the panel-by-panel rule
+    total = 0.0
+    f, n, dj, exp = model.response.f, p.n, p.dj, math.exp
+    for w, s, xs, ys in zip(np.concatenate(weights).tolist(), nodes.tolist(),
+                            vals[:, 0].tolist(), vals[:, 1].tolist()):
+        if ys < 0.0:
+            ys = 0.0
+        if xs < 0.0:
+            xs = 0.0
+        total += w * (n * f(xs, ys) * ys * exp(-dj * (t - s)))
     return total
 
 
@@ -563,16 +629,18 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     times = [i * stride for i in range(n_rows)]
     if times[-1] < traj.t_end - 1e-9 * max(1.0, traj.t_end):
         times.append(traj.t_end)
+    tau, tau_prime, f = model.delay.tau, model.delay.tau_prime, model.response.f
+    now = traj.sample(times).tolist()
+    taus = [tau(max(y, 0.0)) for _, y, _ in now]
+    lags = [t - tau_t for t, tau_t in zip(times, taus)]
+    lagged = traj.sample(lags)[:, :2].tolist()
     lines = ["t,x,y,yj,tau,lag_s,correction"]
-    for t in times:
-        x, y, yj = traj.lookup(t)
+    for t, (x, y, yj), tau_t, s, (x_lag, y_lag) in zip(times, now, taus, lags,
+                                                      lagged):
         yc = max(y, 0.0)
-        tau_t = model.delay.tau(yc)
-        s = t - tau_t
-        x_lag, y_lag = traj.lookup(s)[:2]
         N = (p.n * math.exp(-p.dj * tau_t)
-             * model.response.f(max(x_lag, 0.0), max(y_lag, 0.0)) * max(y_lag, 0.0))
-        tp = model.delay.tau_prime(yc)
+             * f(max(x_lag, 0.0), max(y_lag, 0.0)) * max(y_lag, 0.0))
+        tp = tau_prime(yc)
         corr = (1.0 + tp * p.d * yc) / (1.0 + tp * N)
         lines.append(",".join(repr(float(v)) for v in (t, x, y, yj, tau_t, s, corr)))
     with open(path, "w") as fh:

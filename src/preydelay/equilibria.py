@@ -42,7 +42,10 @@ class EquilibriumKind:
 
 
 class NoConvergenceError(RuntimeError):
-    """The coexistence solve stalled; carries the last iterate and residual."""
+    """A steady-state solve stalled, or its point is too inexact to use.
+
+    Carries the last iterate (x, y) and its residual.
+    """
 
     def __init__(self, message: str, last_iterate: tuple[float, float],
                  residual: float):

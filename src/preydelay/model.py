@@ -103,16 +103,16 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "ModelSpec":
-        _require_keys(doc, {"params", "delay", "response"}, "model")
+        check_keys(doc, "model", {"params", "delay", "response"})
         pdoc = doc["params"]
-        _require_keys(pdoc, {"r", "K", "n", "dj", "d"}, "model.params")
+        check_keys(pdoc, "model.params", {"r", "K", "n", "dj", "d"})
         params = ModelParams(**{k: float(pdoc[k]) for k in ("r", "K", "n", "dj", "d")})
         ddoc = doc["delay"]
-        _require_keys(ddoc, {"kind", "coefficients", "tau_m", "tau_M"}, "model.delay")
+        check_keys(ddoc, "model.delay", {"kind", "coefficients", "tau_m", "tau_M"})
         delay = make_delay(ddoc["kind"], float(ddoc["tau_m"]), float(ddoc["tau_M"]),
                            **{k: float(v) for k, v in ddoc["coefficients"].items()})
         rdoc = doc["response"]
-        _require_keys(rdoc, {"kind", "coefficients"}, "model.response")
+        check_keys(rdoc, "model.response", {"kind", "coefficients"})
         response = make_response(rdoc["kind"],
                                  **{k: float(v) for k, v in rdoc["coefficients"].items()})
         return ModelSpec(params, delay, response)
@@ -122,15 +122,26 @@ class ModelSpec:
         return ModelSpec.from_dict(json.loads(text))
 
 
-def _require_keys(doc: Mapping, expected: set, path: str) -> None:
-    unknown = set(doc) - expected
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ValueError(f"unknown key {path}.{key}")
-    missing = expected - set(doc)
-    if missing:
-        key = sorted(missing)[0]
-        raise ValueError(f"missing key {path}.{key}")
+class ConfigError(ValueError):
+    """A configuration document has an unknown or missing key or a bad value."""
+
+
+def check_keys(doc: Mapping, path: str, required: set,
+               optional: set = frozenset()) -> None:
+    """Reject a config object with a key outside required | optional, or one missing.
+
+    ``path`` is the object's dotted location in the document, named in the
+    message ("" for the top level).
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{path or 'config'} must be an object")
+    prefix = f"{path}." if path else ""
+    for key in doc:
+        if key not in required and key not in optional:
+            raise ConfigError(f"unknown key {prefix}{key}")
+    for key in sorted(required):
+        if key not in doc:
+            raise ConfigError(f"missing key {prefix}{key}")
 
 
 # --------------------------------------------------------------------------
@@ -191,13 +202,16 @@ class HistoryFunction:
     All three must be nonnegative with positive values at 0.  phi2 influences
     only the juvenile channel's starting value phi2(0); for that value to be
     dynamically consistent it should equal the survival-discounted integral of
-    past recruitment (see :func:`history_consistency_error`).
+    past recruitment (see :func:`history_consistency_error`).  ``knots``
+    lists the times where the functions may have a kink (a tabulated
+    history's sample times); quadratures over the history split there.
     """
 
     phi1: Callable[[float], float] = field(repr=False)
     phi2: Callable[[float], float] = field(repr=False)
     phi3: Callable[[float], float] = field(repr=False)
     label: str = ""
+    knots: tuple[float, ...] = field(default=(), repr=False)
 
     def state0(self) -> tuple[float, float, float]:
         """(x, y, yj) at t = 0."""
@@ -265,7 +279,9 @@ def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
                             epsrel: float) -> float:
     """Survival-discounted past recruitment implied by a history:
 
-        int_{-tau(phi3(0))}^{0} n f(phi1(s), phi3(s)) phi3(s) exp(dj s) ds.
+        int_{-tau(phi3(0))}^{0} n f(phi1(s), phi3(s)) phi3(s) exp(dj s) ds,
+
+    split at the history's knots inside the window, each piece to epsrel.
     """
     p = model.params
     f = model.response.f
@@ -275,7 +291,9 @@ def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
         return p.n * f(history.phi1(s), y) * y * math.exp(p.dj * s)
 
     tau0 = model.delay.tau(history.phi3(0.0))
-    return _adaptive_gauss_legendre(integrand, -tau0, 0.0, epsrel)
+    cuts = [-tau0, *(k for k in history.knots if -tau0 < k < 0.0), 0.0]
+    return sum(_adaptive_gauss_legendre(integrand, a, b, epsrel)
+               for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 class HistoryConsistencyWarning(UserWarning):
@@ -339,7 +357,7 @@ def tabulated_history(times: Sequence[float], x: Sequence[float],
         return lambda s: float(np.interp(s, t, vals))
 
     return HistoryFunction(phi1=interp(xa), phi2=interp(yja), phi3=interp(ya),
-                           label=label)
+                           label=label, knots=tuple(t.tolist()))
 
 
 def consistent_history(model: ModelSpec, x0: float, y0: float,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind
+from .equilibria import Equilibrium, EquilibriumKind, NoConvergenceError
 from .model import ModelSpec, reproduction_number
 from .responses import ResponseKind
 
@@ -79,9 +79,15 @@ class QuasiPolynomial:
 
 
 def linearize_at(model: ModelSpec, eq: Equilibrium) -> LinearizationCoeffs:
-    """Linearization coefficients at a steady state with residual <= 1e-10."""
+    """Linearization coefficients at a steady state with residual <= 1e-10.
+
+    Raises :class:`NoConvergenceError` for a larger residual: the point was
+    not solved accurately enough to linearize at.
+    """
     if eq.residual > 1e-10:
-        raise ValueError(f"equilibrium residual {eq.residual:.3g} too large")
+        raise NoConvergenceError(
+            f"equilibrium residual {eq.residual:.3g} too large to linearize at",
+            (eq.x_star, eq.y_star), eq.residual)
     p = model.params
     x, y = eq.x_star, eq.y_star
     f = model.response.f(x, y)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -201,6 +202,32 @@ def test_lag_domain_error_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_inexact_equilibrium_exits_3(tmp_path, monkeypatch, capsys):
+    solve = cli.solve_coexistence
+    monkeypatch.setattr(cli, "solve_coexistence", lambda model: dataclasses.replace(
+        solve(model), residual=1e-6))
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["stability", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical failure: equilibrium residual" in capsys.readouterr().err
+
+
+def test_simulate_reports_inconsistent_history_on_stderr(tmp_path):
+    # a fresh interpreter, so that the test runner's warning capture is not
+    # what shows the warning
+    cfg = write_config(tmp_path / "cfg.json", t_end=5.0,
+                       history={"kind": "constant", "x": 2.0, "y": 0.4,
+                                "yj": 5.0})
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-m", "preydelay", "simulate",
+                          "--config", str(cfg), "--out", str(tmp_path)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK
+    assert "HistoryConsistencyWarning" in run.stderr
+    assert "deviates from the implied juvenile stock" in run.stderr
 
 
 def test_import_loads_no_scipy():

@@ -4,12 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from preydelay import (IntegrationError, ModelParams, ModelSpec, State,
-                       StepperConfig, beddington_deangelis, constant_delay,
-                       consistent_history, constant_history, default_stepper,
-                       exp_delay, export_csv, integrate, lag_times,
-                       lagged_lookup, linear, rhs, saturating_delay,
-                       yj_integral)
+from preydelay import (IntegrationError, LagDomainError, ModelParams,
+                       ModelSpec, State, StepperConfig, beddington_deangelis,
+                       constant_delay, consistent_history, constant_history,
+                       default_stepper, exp_delay, export_csv, integrate,
+                       integrate_scalar_sdtd, lag_times, lagged_lookup,
+                       linear, rhs, saturating_delay, yj_integral)
+from preydelay import engine
 from preydelay.model import HistoryConsistencyWarning
 
 from oracles import RK4StepsOracle, implicit_rate_solution
@@ -211,6 +212,93 @@ def test_lagged_lookup_outside_history_raises(const_delay_model):
     traj = integrate(m, hist, default_stepper(m, 3.0))
     with pytest.raises(ValueError):
         traj.lookup(-1.5)
+
+
+def _hermite_reference(traj, s):
+    """One point of the dense output, written out per segment as a scalar loop."""
+    ts, us, fs = traj.ts, traj.us, traj.fs
+    i = min(int(np.searchsorted(ts, s, side="right")) - 1, len(ts) - 2)
+    h = ts[i + 1] - ts[i]
+    th = (min(s, traj.t_end) - ts[i]) / h
+    th2 = th * th
+    th3 = th2 * th
+    a = 2.0 * th3 - 3.0 * th2 + 1.0
+    b = (th3 - 2.0 * th2 + th) * h
+    c = -2.0 * th3 + 3.0 * th2
+    e = (th3 - th2) * h
+    return [a * us[i, m] + b * fs[i, m] + c * us[i + 1, m] + e * fs[i + 1, m]
+            for m in range(traj.dim)]
+
+
+def test_sample_at_accepted_nodes_returns_node_values(bd_traj):
+    assert np.array_equal(bd_traj.sample(bd_traj.ts), bd_traj.us)
+
+
+def test_sample_matches_history_and_per_point_hermite(bd_model):
+    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    traj = integrate(bd_model, hist, default_stepper(bd_model, 6.0))
+    grid = np.concatenate([np.linspace(-traj.tau_M, 0.0, 9),
+                           np.linspace(0.0, traj.t_end, 97)[1:],
+                           [traj.t_end * (1.0 + 1e-12)]])
+    got = traj.sample(grid)
+    for s, row in zip(grid, got):
+        if s <= 0.0:
+            want = [hist.phi1(s), hist.phi3(s), hist.phi2(s)]
+        else:
+            want = _hermite_reference(traj, s)
+        assert row.tolist() == want, s
+        assert traj.lookup(float(s)) == tuple(row.tolist())
+
+
+def test_sample_rejects_times_outside_the_record(bd_traj):
+    for s in (-bd_traj.tau_M * 1.01, bd_traj.t_end * 1.01):
+        with pytest.raises(LagDomainError):
+            bd_traj.sample([0.5, s])
+        with pytest.raises(LagDomainError):
+            bd_traj.lookup(s)
+
+
+def test_scalar_equation_with_vanishing_minimum_delay(monkeypatch):
+    # tau(0) = 0 and a small v: the lag lands inside the step, so the scalar
+    # run goes through the provisional-segment iteration too
+    delay = exp_delay(0.0, 0.8, 1.5)
+    calls = {"rhs": 0, "attempts": 0}
+
+    def rhs_scalar(t, v, lookup):
+        calls["rhs"] += 1
+        vc = v if v > 0.0 else 0.0
+        tau = delay.tau(vc)
+        vlag = max(lookup(t - tau), 0.0)
+        G = 2.0 * math.exp(-0.3 * tau) * vlag / (1.0 + vlag)
+        return (G - 0.5 * v) / (1.0 + delay.tau_prime(vc) * G)
+
+    def history(s):
+        return 0.02 * (1.0 + 0.1 * math.sin(3.0 * s))
+
+    def run(h_max, rtol=1e-9, atol=1e-11):
+        cfg = StepperConfig(t_end=6.0, rtol=rtol, atol=atol,
+                            h_init=h_max / 4, h_max=h_max)
+        return integrate_scalar_sdtd(rhs_scalar, history, cfg,
+                                     delay.tau_m, delay.tau_M)
+
+    grid = np.linspace(0.5, 6.0, 12)
+    ref = run(0.001, rtol=1e-12, atol=1e-14).sample(grid)[:, 0]
+    attempt_step = engine._attempt_step
+
+    def counting_attempt_step(*args):
+        calls["attempts"] += 1
+        return attempt_step(*args)
+
+    monkeypatch.setattr(engine, "_attempt_step", counting_attempt_step)
+    calls["rhs"] = 0
+    roomy = run(0.05)
+    # FSAL: 6 new stages per pass, more than one pass on overlapping steps
+    assert calls["rhs"] > 1 + 6 * calls["attempts"]
+    assert delay.tau(roomy.us[0, 0]) < 0.05
+    assert roomy.dim == 1
+    for traj in (roomy, run(0.008)):
+        v = traj.sample(grid)[:, 0]
+        assert np.max(np.abs(v - ref) / ref) < 1e-6
 
 
 def test_yj_integral_matches_initial_juvenile_stock(bd_model):

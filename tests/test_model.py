@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,30 +190,39 @@ def test_history_consistency_identity():
 
 @pytest.mark.parametrize("epsrel", [1e-8, 1e-10])
 def test_recruitment_quadrature_matches_scipy_on_kinked_history(epsrel):
-    # piecewise-linear history with kinks inside the recruitment window
+    # piecewise-linear histories with kinks inside the recruitment window:
+    # a few far apart, and 160 samples, which exhaust the panel limit unless
+    # the integral is split at the knots
     m = model(delay=saturating_delay(0.5, 1.5, 1.0),
               response=holling2(b=2.0, h=0.5))
-    times = [-1.5, -1.1, -0.73, -0.4, -0.15, 0.0]
-    hist = tabulated_history(times, x=[1.0, 2.5, 0.8, 1.7, 0.3, 1.2],
-                             y=[0.2, 0.9, 0.4, 1.4, 0.6, 0.8],
-                             yj=[0.5] * 6)
     p = m.params
-    tau0 = m.delay.tau(hist.phi3(0.0))
-    want, _ = quad(lambda s: (p.n * m.response.f(hist.phi1(s), hist.phi3(s))
-                              * hist.phi3(s) * math.exp(p.dj * s)),
-                   -tau0, 0.0, points=[t for t in times if t > -tau0],
-                   epsabs=0.0, epsrel=1e-13, limit=200)
-    got = _implied_juvenile_stock(m, hist, epsrel=epsrel)
-    assert abs(got - want) <= 1e-8 * abs(want)
+    zigzag = np.random.default_rng(3).uniform(0.5, 2.0, 160)
+    for times, x, y in (
+            ([-1.5, -1.1, -0.73, -0.4, -0.15, 0.0],
+             [1.0, 2.5, 0.8, 1.7, 0.3, 1.2], [0.2, 0.9, 0.4, 1.4, 0.6, 0.8]),
+            (np.linspace(-1.5, 0.0, 160), zigzag, zigzag[::-1])):
+        hist = tabulated_history(times, x=x, y=y, yj=[0.5] * len(times))
+        tau0 = m.delay.tau(hist.phi3(0.0))
+        cuts = [-tau0, *(t for t in times if -tau0 < t < 0.0), 0.0]
+        want = sum(quad(lambda s: (p.n * m.response.f(hist.phi1(s), hist.phi3(s))
+                                   * hist.phi3(s) * math.exp(p.dj * s)),
+                        a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in zip(cuts[:-1], cuts[1:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _implied_juvenile_stock(m, hist, epsrel=epsrel)
+        assert abs(got - want) <= 1e-8 * abs(want)
 
 
 def test_recruitment_quadrature_warns_when_panels_run_out():
-    # a kink every 0.01 time units needs more than 200 panels at 1e-10
+    # a kink every 0.01 time units needs more than 200 panels at 1e-10 when
+    # the history does not declare its knots
     m = model(delay=saturating_delay(0.5, 1.5, 1.0),
               response=holling2(b=2.0, h=0.5))
     times = np.linspace(-1.5, 0.0, 151)
     zigzag = 1.0 + 0.5 * (np.arange(151) % 2)
-    hist = tabulated_history(times, x=zigzag, y=zigzag, yj=zigzag)
+    hist = dataclasses.replace(
+        tabulated_history(times, x=zigzag, y=zigzag, yj=zigzag), knots=())
     with pytest.warns(RuntimeWarning, match="200 panels"):
         _implied_juvenile_stock(m, hist, epsrel=1e-10)
 

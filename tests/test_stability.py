@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from preydelay import (ModelParams, ModelSpec, QuasiPolynomial, Verdict,
+from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
+                       QuasiPolynomial, Verdict,
                        beddington_deangelis, boundary_equilibria,
                        characteristic_eval, check_global_conditions,
                        classify_equilibrium, constant_delay, holling2,
@@ -40,6 +42,14 @@ def test_linearization_at_predator_extinction(bd_model):
     assert co.C == 0.0 and co.eta == 0.0
     assert co.D == pytest.approx(
         p.n * math.exp(-p.dj * bd_model.delay.tau(0.0)) * fK0, rel=1e-15)
+
+
+def test_inexact_equilibrium_is_a_numerical_failure(bd_model):
+    eq = dataclasses.replace(solve_coexistence(bd_model), residual=1e-6)
+    with pytest.raises(NoConvergenceError, match="residual") as exc_info:
+        classify_equilibrium(bd_model, eq)
+    assert exc_info.value.residual == 1e-6
+    assert exc_info.value.last_iterate == (eq.x_star, eq.y_star)
 
 
 def test_constant_delay_coexistence_has_zero_eta():
