@@ -8,29 +8,26 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from . import analysis
 from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      default_stepper, export_csv, integrate, lag_times,
                      yj_integral)
-from .equilibria import (NoConvergenceError, boundary_equilibria,
-                         solve_coexistence)
+from .equilibria import (NoConvergenceError, WindingError,
+                         boundary_equilibria, solve_coexistence)
 from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
                     consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
                     tabulated_history, validate)
 from .responses import ResponseKind
-from .stability import WindingError, check_global_conditions, classify_equilibrium
-from .svg import Series, stacked_chart
+
+# Start-up rule: a module that only some subcommands run (stability,
+# analysis, svg) is imported inside those subcommands.
 
 __all__ = ["main", "Scenario", "load_scenario", "ConfigError"]
 
@@ -146,6 +143,8 @@ def _cmd_simulate(scn: Scenario, outdir: Path) -> int:
     export_csv(scn.model, traj, csv_path, scn.outputs.stride)
     print(f"wrote {csv_path} ({traj.n_steps} steps to t={traj.t_end:g})")
     if scn.outputs.svg:
+        from .svg import Series, stacked_chart
+
         ts = np.arange(0.0, traj.t_end + scn.outputs.stride / 2, scn.outputs.stride)
         vals = traj.sample(ts)
         taus = [scn.model.delay.tau(max(v, 0.0)) for v in vals[:, 1]]
@@ -188,6 +187,8 @@ def _cmd_equilibria(scn: Scenario, outdir: Path) -> int:
 
 
 def _cmd_stability(scn: Scenario, outdir: Path) -> int:
+    from .stability import classify_equilibrium
+
     model = scn.model
     eqs = boundary_equilibria(model)
     coex = solve_coexistence(model)
@@ -218,6 +219,9 @@ def _cmd_stability(scn: Scenario, outdir: Path) -> int:
 
 
 def _cmd_verify(scn: Scenario, outdir: Path) -> int:
+    from . import analysis
+    from .stability import check_global_conditions, classify_equilibrium
+
     model = scn.model
     checks: list[tuple[str, bool, str, dict]] = []
 
@@ -302,6 +306,20 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
 
 
+def quoteattr(text: str) -> str:
+    """``xml.sax.saxutils.quoteattr`` without its import of ``urllib`` and
+    ``http``: escape ``& < >`` and newline, return and tab, then quote with
+    ``"`` unless the text holds ``"`` and no ``'``."""
+    for char, entity in (("&", "&amp;"), (">", "&gt;"), ("<", "&lt;"),
+                         ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#9;")):
+        text = text.replace(char, entity)
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
+
+
 def _write_junit(path: Path, checks) -> None:
     n_fail = sum(1 for _, ok, _, _ in checks if not ok)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
@@ -330,7 +348,11 @@ def _write_checks_csv(path: Path, checks) -> None:
 
 
 def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
-                 tau_M: float) -> str:
+                 tau_M: float):
+    """One grid point's CSV fields up to ``thm8_pass`` and the verdict whose
+    spectral abscissa completes the row (computed by :func:`_sweep_rows`)."""
+    from .stability import check_global_conditions, classify_equilibrium
+
     base = model.to_dict()
     base["params"]["d"] = d
     base["response"]["coefficients"]["k2"] = k2
@@ -342,7 +364,6 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
     R = reproduction_number(point)
     coexists = False
     thm7 = thm8 = False
-    rightmost = math.nan
     try:
         coex = solve_coexistence(point)
     except NoConvergenceError:
@@ -351,19 +372,44 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
         coexists = True
         cond = check_global_conditions(point, coex)
         thm7, thm8 = cond.local_ok, cond.global_ok
-        verdict = classify_equilibrium(point, coex)
-        rightmost = verdict.rightmost if verdict.rightmost is not None else math.nan
+        eq = coex
     else:
-        e1 = boundary_equilibria(point)[1]
-        verdict = classify_equilibrium(point, e1)
-        rightmost = verdict.rightmost if verdict.rightmost is not None else math.nan
+        eq = boundary_equilibria(point)[1]
+    verdict = classify_equilibrium(point, eq, compute_rightmost=False)
     return ",".join([repr(float(k2)), repr(float(d)), repr(float(tau_m)),
                      repr(float(tau_M)), repr(float(R)),
                      str(coexists).lower(), str(thm7).lower(),
-                     str(thm8).lower(), repr(float(rightmost))])
+                     str(thm8).lower()]), verdict
 
 
-def _cmd_sweep(scn: Scenario, outdir: Path, threads: int) -> int:
+def _sweep_rows(model: ModelSpec, points) -> list[str]:
+    """CSV rows of the grid points, whose spectral searches run side by side.
+
+    The first point, in grid order, that fails raises its error.
+    """
+    from .stability import _classification_box, rightmost_abscissae
+
+    heads, qps, boxes = [], [], []
+    for point in points:
+        try:
+            head, verdict = _sweep_point(model, *point)
+        except Exception as exc:  # an earlier point's search may fail first
+            heads.append(exc)
+            continue
+        heads.append(head)
+        qps.append(verdict.qp)
+        boxes.append(_classification_box(point[1], verdict.coeffs))
+    found = iter(rightmost_abscissae(qps, boxes))
+    rows = []
+    for head in heads:
+        result = head if isinstance(head, Exception) else next(found)
+        if isinstance(result, Exception):
+            raise result
+        rows.append(f"{head},{float(result[0])!r}")
+    return rows
+
+
+def _cmd_sweep(scn: Scenario, outdir: Path) -> int:
     if scn.sweep is None:
         raise ConfigError("missing key sweep (required by the sweep subcommand)")
     if scn.model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:
@@ -377,9 +423,7 @@ def _cmd_sweep(scn: Scenario, outdir: Path, threads: int) -> int:
     tMs = [float(v) for v in scn.sweep.get("tau_M", [delay.tau_M])]
     points = [(k2, d, tm, tM) for k2 in k2s for d in ds for tm in tms
               for tM in tMs if tm <= tM]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        rows = list(pool.map(
-            lambda p: _sweep_point(scn.model, *p), points))
+    rows = _sweep_rows(scn.model, points)
     csv_path = outdir / "sweep.csv"
     header = "k2,d,tau_m,tau_M,R,coexists,thm7_pass,thm8_pass,rightmost_re"
     csv_path.write_text("\n".join([header] + rows) + "\n")
@@ -410,7 +454,8 @@ def _parser() -> argparse.ArgumentParser:
                        help="override stepper.t_end")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for grid points")
+                           help="accepted for compatibility; the grid's "
+                           "points are searched side by side in one thread")
     return ap
 
 
@@ -432,7 +477,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(scn, outdir)
         if args.command == "sweep":
-            return _cmd_sweep(scn, outdir, args.threads)
+            return _cmd_sweep(scn, outdir)
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,6 +26,7 @@ __all__ = [
     "Equilibrium",
     "EquilibriumKind",
     "NoConvergenceError",
+    "WindingError",
     "boundary_equilibria",
     "solve_coexistence",
     "yj_star",
@@ -52,6 +53,15 @@ class NoConvergenceError(RuntimeError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
+
+
+class WindingError(RuntimeError):
+    """The contour count stayed unstable after repeated perturbations.
+
+    Raised by :func:`preydelay.stability.rightmost_abscissa`; it lives here,
+    next to :class:`NoConvergenceError`, so that callers can catch it without
+    importing the stability module.
+    """
 
 
 @dataclass(frozen=True)

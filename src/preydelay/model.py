@@ -231,8 +231,16 @@ class HistoryFunction:
                 f"history values at 0 must be positive, got ({x0}, {yj0}, {y0})")
 
 
-# 7-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 13
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(7)
+# 7-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 13:
+# the values of numpy.polynomial.legendre.leggauss(7), written out because
+# importing numpy.polynomial costs more than every use of the rule in a CLI call
+GL_NODES = np.array([-0.9491079123427586, -0.7415311855993945,
+                     -0.4058451513773972, 0.0, 0.4058451513773972,
+                     0.7415311855993945, 0.9491079123427586])
+GL_WEIGHTS = np.array([0.12948496616886973, 0.27970539148927687,
+                       0.3818300505051187, 0.4179591836734693,
+                       0.3818300505051187, 0.27970539148927687,
+                       0.12948496616886973])
 
 
 def _gauss_legendre(fn: Callable[[float], float], a: float, b: float) -> float:
@@ -312,12 +320,17 @@ def history_consistency_error(model: ModelSpec, history: HistoryFunction) -> flo
 
 def warn_if_inconsistent(model: ModelSpec, history: HistoryFunction,
                          rel_tol: float = 1e-6) -> float:
+    """Warn when the history's juvenile stock is off by more than rel_tol.
+
+    ``engine.integrate`` checks on its caller's behalf, so the warning names
+    the line that called ``integrate`` (two frames up), not the library.
+    """
     err = history_consistency_error(model, history)
     if err > rel_tol:
         warnings.warn(
             f"history phi2(0) deviates from the implied juvenile stock by a "
             f"relative {err:.3g}; the juvenile channel will start inconsistently",
-            HistoryConsistencyWarning, stacklevel=2)
+            HistoryConsistencyWarning, stacklevel=3)
     return err
 
 

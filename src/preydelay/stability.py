@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import Equilibrium, EquilibriumKind, NoConvergenceError
+from .equilibria import (Equilibrium, EquilibriumKind, NoConvergenceError,
+                         WindingError)
 from .model import ModelSpec, reproduction_number
 from .responses import ResponseKind
 
@@ -38,14 +39,11 @@ __all__ = [
     "characteristic_eval",
     "characteristic_derivative",
     "rightmost_abscissa",
+    "rightmost_abscissae",
     "quartic_classify",
     "classify_equilibrium",
     "check_global_conditions",
 ]
-
-
-class WindingError(RuntimeError):
-    """The contour count stayed unstable after repeated perturbations."""
 
 
 class Verdict:
@@ -260,81 +258,108 @@ def _default_box(qp: QuasiPolynomial) -> tuple[float, float, float, float]:
     return (re_min, re_max, -1e-3, im_max)
 
 
-class _ContourTrouble(Exception):
-    pass
+def _windings(qps, rects, n0: int) -> list[int | None]:
+    """Winding number of G around each rectangle, None where it is unreliable.
 
-
-def _edge_arg_sum(qp: QuasiPolynomial, z0: complex, z1: complex,
-                  n0: int) -> tuple[float, float]:
-    """Total argument variation of G along the segment z0 -> z1.
-
-    Samples are refined until consecutive phase increments stay below one
-    radian, which rules out aliasing of full turns.
+    ``qps[i]`` is the quasi-polynomial for ``rects[i]``.  Each edge starts
+    from max(n0, 8) equispaced samples; an interval whose phase increment
+    exceeds one radian is bisected, round by round, which rules out aliasing
+    of full turns.  A count is unreliable when G is non-finite or nearly
+    zero on the contour, when an edge would need more than 40000 samples or
+    26 rounds, or when the total is not near an integer.  Every round treats
+    all edges of all rectangles as one array.
     """
-    ts = np.linspace(0.0, 1.0, max(n0, 8))
-    for _ in range(26):
-        zs = z0 + (z1 - z0) * ts
-        vals = _eval_array(qp, zs)
-        if not np.all(np.isfinite(vals)):
-            raise _ContourTrouble("non-finite contour value")
-        dph = np.angle(vals[1:] / vals[:-1])
-        bad = np.nonzero(np.abs(dph) > 1.0)[0]
-        if bad.size == 0:
-            return float(np.sum(dph)), float(np.min(np.abs(vals)))
-        if ts.size > 40000:
-            raise _ContourTrouble("contour refinement exploded")
-        mids = 0.5 * (ts[bad] + ts[bad + 1])
-        ts = np.sort(np.concatenate([ts, mids]))
-    raise _ContourTrouble("argument variation would not settle")
+    nr = len(rects)
+    # H1, H2, N1, N2, tau of each edge's quasi-polynomial, one row per edge
+    coef = np.repeat([(q.H1, q.H2, q.N1, q.N2, q.tau) for q in qps], 4, axis=0)
+    origin, ends = [], []
+    for re0, re1, im0, im1 in rects:
+        c = (complex(re0, im0), complex(re1, im0),
+             complex(re1, im1), complex(re0, im1))
+        origin += c
+        ends += c[1:] + c[:1]
+    origin = np.array(origin)
+    span = np.array(ends) - origin
+    n = max(n0, 8)
+    t = np.linspace(0.0, 1.0, n)
+
+    vals = _eval_array(origin[:, None] + span[:, None] * t, *coef.T[:, :, None])
+    finite = np.isfinite(vals)
+    failed = ~finite.reshape(nr, -1).all(axis=1)
+    if failed.any():
+        vals = np.where(finite, vals, 1.0)
+    least = np.abs(vals).reshape(nr, -1).min(axis=1)
+    dph = np.angle(vals[:, 1:] / vals[:, :-1])
+    jump = np.abs(dph) > 1.0
+    total = np.where(jump, 0.0, dph).reshape(nr, -1).sum(axis=1)
+    # Intervals still to bisect: edge e, ends ta < tb, values va, vb.  An
+    # interval's halves depend on its end values only, so bisecting interval
+    # by interval gives an edge the samples that refining the whole edge
+    # round by round would, while evaluating only the new midpoints.
+    e, k = np.nonzero(jump)
+    ta, tb, va, vb = t[k], t[k + 1], vals[e, k], vals[e, k + 1]
+    count = np.full(origin.size, n)  # samples per edge
+    for _ in range(25):
+        keep = ~failed[e // 4]
+        keep[keep] = count[e[keep]] <= 40000
+        failed[e[~keep] // 4] = True
+        e, ta, tb, va, vb = e[keep], ta[keep], tb[keep], va[keep], vb[keep]
+        if e.size == 0:
+            break
+        count += np.bincount(e, minlength=origin.size)
+        tm = 0.5 * (ta + tb)
+        vm = _eval_array(origin[e] + span[e] * tm, *coef[e].T)
+        finite = np.isfinite(vm)
+        if not finite.all():
+            failed[e[~finite] // 4] = True
+            vm = np.where(finite, vm, 1.0)
+        np.minimum.at(least, e // 4, np.abs(vm))
+        left = np.angle(vm / va)
+        right = np.angle(vb / vm)
+        jl = np.abs(left) > 1.0
+        jr = np.abs(right) > 1.0
+        total += np.bincount(e // 4, weights=(np.where(jl, 0.0, left)
+                                              + np.where(jr, 0.0, right)),
+                             minlength=nr)
+        e = np.concatenate([e[jl], e[jr]])
+        ta, tb = np.concatenate([ta[jl], tm[jr]]), np.concatenate([tm[jl], tb[jr]])
+        va, vb = np.concatenate([va[jl], vm[jr]]), np.concatenate([vm[jl], vb[jr]])
+    failed[e // 4] = True
+
+    floor = 1e-9 * (1.0 + np.abs(coef[::4, 1]) + np.abs(coef[::4, 3]))
+    out: list[int | None] = []
+    for bad, turns, m, lo in zip(failed, total / (2.0 * math.pi), least, floor):
+        wi = None if bad or m < lo else round(float(turns))
+        out.append(None if wi is None or abs(turns - wi) > 0.25 else wi)
+    return out
 
 
-def _eval_array(qp: QuasiPolynomial, zs: np.ndarray) -> np.ndarray:
-    return (zs * zs + qp.H1 * zs + qp.H2
-            + (qp.N1 * zs + qp.N2) * np.exp(-qp.tau * zs))
+def _eval_array(zs: np.ndarray, H1, H2, N1, N2, tau) -> np.ndarray:
+    """G at the points ``zs``; the coefficients broadcast against them.
 
-
-def _winding(qp: QuasiPolynomial, rect: tuple[float, float, float, float],
-             n0: int) -> int:
-    re0, re1, im0, im1 = rect
-    corners = [complex(re0, im0), complex(re1, im0),
-               complex(re1, im1), complex(re0, im1), complex(re0, im0)]
-    total = 0.0
-    min_abs = math.inf
-    for a, b in zip(corners[:-1], corners[1:]):
-        s, m = _edge_arg_sum(qp, a, b, n0)
-        total += s
-        min_abs = min(min_abs, m)
-    scale = 1.0 + abs(qp.H2) + abs(qp.N2)
-    if min_abs < 1e-9 * scale:
-        raise _ContourTrouble("near-zero on contour")
-    w = total / (2.0 * math.pi)
-    wi = round(w)
-    if abs(w - wi) > 0.25:
-        raise _ContourTrouble(f"non-integer winding {w:.3f}")
-    return int(wi)
-
-
-def _winding_robust(qp: QuasiPolynomial, rect, n0: int) -> tuple[int, tuple]:
-    """Winding count with the contour nudged outward on instability."""
-    re0, re1, im0, im1 = rect
-    for attempt in range(6):
-        try:
-            return _winding(qp, (re0, re1, im0, im1), n0), (re0, re1, im0, im1)
-        except _ContourTrouble:
-            pad = 1e-6 * (1.0 + attempt) * max(re1 - re0, im1 - im0, 1.0)
-            re0 -= pad
-            re1 += pad
-            im0 -= pad
-            im1 += pad
-    raise WindingError(
-        f"winding count unstable on [{re0:.4g},{re1:.4g}]x[{im0:.4g},{im1:.4g}]")
+    In place, but with the operations of ``characteristic_eval`` in its
+    order, so each value is the same to the last bit.
+    """
+    g = zs * zs
+    g += H1 * zs
+    g += H2
+    lag = -tau * zs
+    np.exp(lag, out=lag)
+    delayed = N1 * zs
+    delayed += N2
+    delayed *= lag
+    g += delayed
+    return g
 
 
 def _newton_root(qp: QuasiPolynomial, z0: complex) -> complex | None:
+    # characteristic_eval and characteristic_derivative, sharing one exp
+    H1, H2, N1, N2, tau = qp.H1, qp.H2, qp.N1, qp.N2, qp.tau
     z = z0
     for _ in range(80):
-        g = characteristic_eval(qp, z)
-        gp = characteristic_derivative(qp, z)
+        e = cmath.exp(-z * tau)
+        g = z * z + H1 * z + H2 + (N1 * z + N2) * e
+        gp = 2.0 * z + H1 + (N1 - tau * (N1 * z + N2)) * e
         if gp == 0.0:
             return None
         step = g / gp
@@ -346,19 +371,34 @@ def _newton_root(qp: QuasiPolynomial, z0: complex) -> complex | None:
     return None
 
 
-def rightmost_abscissa(qp: QuasiPolynomial,
-                       box: tuple[float, float, float, float] | None = None,
-                       ngrid: int = 64) -> tuple[float, list[complex]]:
-    """Largest real part over characteristic roots inside the search box.
+def _counted(rect):
+    """Winding count of ``rect``, the contour nudged outward while unreliable.
 
-    Roots are isolated by winding counts on recursively subdivided rectangles
-    and polished by Newton iteration to ~1e-12 relative.  The default box
-    exploits conjugate symmetry (lower edge just below the real axis) and an
-    a-priori modulus bound for roots with real part above the left edge.
-    Returns (-inf, []) when the box contains no root.
+    A generator step of a root search: it yields ``[rect]`` and receives the
+    count (None if unreliable); returns (count, rectangle counted on).
     """
-    if box is None:
-        box = _default_box(qp)
+    re0, re1, im0, im1 = rect
+    for attempt in range(6):
+        (w,) = yield [(re0, re1, im0, im1)]
+        if w is not None:
+            return w, (re0, re1, im0, im1)
+        pad = 1e-6 * (1.0 + attempt) * max(re1 - re0, im1 - im0, 1.0)
+        re0 -= pad
+        re1 += pad
+        im0 -= pad
+        im1 += pad
+    raise WindingError(
+        f"winding count unstable on [{re0:.4g},{re1:.4g}]x[{im0:.4g},{im1:.4g}]")
+
+
+def _root_search(qp: QuasiPolynomial, box):
+    """The search behind :func:`rightmost_abscissa`, as a generator.
+
+    It yields the lists of rectangles whose winding counts it needs, receives
+    their counts (None where unreliable) and returns (abscissa, roots), so
+    that :func:`rightmost_abscissae` can count the rectangles of many
+    searches in one batch.
+    """
     re0, re1, im0, im1 = (float(v) for v in box)
     scale = max(1.0, abs(re0), abs(re1), abs(im1))
     roots: list[complex] = []
@@ -371,10 +411,13 @@ def rightmost_abscissa(qp: QuasiPolynomial,
                 and im0 - 1e-6 * scale <= z.imag <= im1 + 1e-6 * scale):
             roots.append(z)
 
-    stack = [(re0, re1, im0, im1)]
+    # each entry carries its rectangle's winding count, None until counted
+    # reliably; the two halves of a split are counted in one batch
+    stack: list[tuple[tuple, int | None]] = [((re0, re1, im0, im1), None)]
     while stack:
-        rect = stack.pop()
-        w, rect = _winding_robust(qp, rect, ngrid)
+        rect, w = stack.pop()
+        if w is None:
+            w, rect = yield from _counted(rect)
         if w == 0:
             continue
         width = rect[1] - rect[0]
@@ -404,17 +447,76 @@ def rightmost_abscissa(qp: QuasiPolynomial,
             # not every enclosed root captured: keep subdividing
         if width >= height:
             mid = 0.5 * (rect[0] + rect[1])
-            stack.append((rect[0], mid, rect[2], rect[3]))
-            stack.append((mid, rect[1], rect[2], rect[3]))
+            halves = [(rect[0], mid, rect[2], rect[3]),
+                      (mid, rect[1], rect[2], rect[3])]
         else:
             mid = 0.5 * (rect[2] + rect[3])
-            stack.append((rect[0], rect[1], rect[2], mid))
-            stack.append((rect[0], rect[1], mid, rect[3]))
+            halves = [(rect[0], rect[1], rect[2], mid),
+                      (rect[0], rect[1], mid, rect[3])]
+        counts = yield halves
+        stack.extend(zip(halves, counts))
 
     if not roots:
         return (-math.inf, [])
     roots.sort(key=lambda z: -z.real)
     return (roots[0].real, roots)
+
+
+def rightmost_abscissa(qp: QuasiPolynomial,
+                       box: tuple[float, float, float, float] | None = None,
+                       ngrid: int = 64) -> tuple[float, list[complex]]:
+    """Largest real part over characteristic roots inside the search box.
+
+    Roots are isolated by winding counts on recursively subdivided rectangles
+    and polished by Newton iteration to ~1e-12 relative.  The default box
+    exploits conjugate symmetry (lower edge just below the real axis) and an
+    a-priori modulus bound for roots with real part above the left edge.
+    Returns (-inf, []) when the box contains no root.
+    """
+    (result,) = rightmost_abscissae([qp], [box], ngrid)
+    if isinstance(result, WindingError):
+        raise result
+    return result
+
+
+def rightmost_abscissae(qps, boxes=None, ngrid: int = 64) -> list:
+    """:func:`rightmost_abscissa` of many quasi-polynomials at once.
+
+    ``boxes`` holds one search box (or None for the default) per
+    quasi-polynomial.  Entry i of the result is what
+    ``rightmost_abscissa(qps[i], boxes[i], ngrid)`` returns, or the
+    :class:`WindingError` it would raise.  The searches run side by side:
+    each round counts the rectangles all of them ask for in one batch.
+    """
+    qps = list(qps)
+    boxes = [None] * len(qps) if boxes is None else list(boxes)
+    searches = [_root_search(qp, _default_box(qp) if box is None else box)
+                for qp, box in zip(qps, boxes)]
+    results: list = [None] * len(searches)
+    asks: dict[int, list] = {}
+
+    def advance(i: int, counts) -> None:
+        try:
+            asks[i] = searches[i].send(counts)
+        except StopIteration as done:
+            asks.pop(i, None)
+            results[i] = done.value
+        except WindingError as exc:
+            asks.pop(i, None)
+            results[i] = exc
+
+    for i in range(len(searches)):
+        advance(i, None)
+    while asks:
+        order = list(asks)
+        counts = _windings([qps[i] for i in order for _ in asks[i]],
+                           [r for i in order for r in asks[i]], ngrid)
+        at = 0
+        for i in order:
+            size = len(asks[i])
+            advance(i, counts[at:at + size])
+            at += size
+    return results
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,40 @@ def test_sweep_writes_mandated_header(tmp_path):
     assert row[5] in ("true", "false")
 
 
+def test_sweep_rows_match_one_point_at_a_time(tmp_path):
+    from preydelay import (ModelSpec, boundary_equilibria,
+                           classify_equilibrium, solve_coexistence)
+
+    cfg = write_config(tmp_path / "cfg.json",
+                       sweep={"k2": [1.0, 10.0], "d": [0.3, 0.45, 5.0],
+                              "tau_m": [0.25, 0.75], "tau_M": [0.5, 1.0]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    base = cli.load_scenario(cfg).model.to_dict()
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 2 * 3 * 3
+    for row in rows:
+        k2, d, tau_m, tau_M = map(float, row.split(",")[:4])
+        base["params"]["d"] = d
+        base["response"]["coefficients"]["k2"] = k2
+        base["delay"]["tau_m"], base["delay"]["tau_M"] = tau_m, tau_M
+        point = ModelSpec.from_dict(base)
+        eq = solve_coexistence(point) or boundary_equilibria(point)[1]
+        want = classify_equilibrium(point, eq).rightmost
+        assert row.split(",")[-1] == repr(float(want))
+
+
+def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       sweep={"tau_m": [1.0, 0.5], "tau_M": [1.0]})
+    doc = json.loads(cfg.read_text())
+    doc["model"]["delay"] = {"kind": "constant", "coefficients": {},
+                             "tau_m": 1.0, "tau_M": 1.0}
+    cfg.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "constant delay cannot sweep" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", extra={"bogus": 1})
     assert main(["simulate", "--config", str(cfg),

@@ -167,6 +167,13 @@ def test_h_max_must_stay_below_minimum_delay(bd_model):
         integrate(bd_model, hist, cfg)
 
 
+def test_inconsistent_history_warning_names_the_caller(bd_model):
+    hist = constant_history(2.0, 0.4, 5.0)  # juvenile stock far too large
+    with pytest.warns(HistoryConsistencyWarning) as record:
+        integrate(bd_model, hist, default_stepper(bd_model, 1.0))
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_step_budget_failure_carries_partial_trajectory(bd_model):
     hist = consistent_history(bd_model, 2.0, 0.5)
     cfg = StepperConfig(t_end=50.0, h_init=0.01, h_max=0.2, max_steps=10)

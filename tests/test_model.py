@@ -5,16 +5,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from preydelay import (DelayFunction, ModelParams, ModelSpec, boundedness_limit,
                        consistent_history, constant_delay, constant_history,
                        correction_factor, exp_delay, history_consistency_error,
-                       holling2, linear, make_delay, power_law,
+                       holling2, linear, make_delay, make_response, power_law,
                        reproduction_number, saturating_delay,
                        tabulated_history, validate)
-from preydelay.model import (HistoryConsistencyWarning, _implied_juvenile_stock,
-                             warn_if_inconsistent)
+from preydelay.delays import DELAY_KINDS
+from preydelay.model import (GL_NODES, GL_WEIGHTS, HistoryConsistencyWarning,
+                             _implied_juvenile_stock, warn_if_inconsistent)
+from preydelay.responses import RESPONSE_KINDS
 
 from oracles import implicit_rate_solution
 
@@ -227,6 +230,13 @@ def test_recruitment_quadrature_warns_when_panels_run_out():
         _implied_juvenile_stock(m, hist, epsrel=1e-10)
 
 
+def test_gauss_legendre_literals_match_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    for got, want in ((GL_NODES, nodes), (GL_WEIGHTS, weights)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 def test_inconsistent_history_warns():
     m = model()
     hist = constant_history(1.0, 0.5, 10.0)  # juvenile stock far too large
@@ -270,3 +280,40 @@ def test_json_unknown_key_is_rejected_with_path():
     doc["params"]["extra"] = 1.0
     with pytest.raises(ValueError, match="params.extra"):
         ModelSpec.from_dict(doc)
+
+
+RESPONSE_COEFFICIENTS = {
+    "Linear": ("b",), "PowerLaw": ("b", "k"), "HollingI": ("a", "b"),
+    "HollingII": ("b", "h"), "HollingIII": ("b", "h"),
+    "Saturation": ("b", "h", "k"), "Ivlev": ("b", "c"),
+    "BeddingtonDeAngelis": ("b", "k1", "k2"),
+    "CrowleyMartin": ("b", "k1", "k2"),
+}
+DELAY_COEFFICIENTS = {"constant": (), "saturating": ("theta",), "exp": ("lam",)}
+positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def model_specs(draw):
+    params = ModelParams(*(draw(positive) for _ in range(5)))
+    delay_kind = draw(st.sampled_from(sorted(DELAY_COEFFICIENTS)))
+    tau_m = draw(st.floats(min_value=0.0, max_value=10.0))
+    tau_M = tau_m if delay_kind == "constant" else tau_m + draw(positive)
+    delay = make_delay(delay_kind, tau_m, tau_M,
+                       **{c: draw(positive) for c in DELAY_COEFFICIENTS[delay_kind]})
+    response_kind = draw(st.sampled_from(sorted(RESPONSE_COEFFICIENTS)))
+    response = make_response(
+        response_kind,
+        **{c: draw(positive) for c in RESPONSE_COEFFICIENTS[response_kind]})
+    return ModelSpec(params, delay, response)
+
+
+def test_round_trip_strategy_covers_every_kind():
+    assert set(RESPONSE_COEFFICIENTS) == set(RESPONSE_KINDS)
+    assert set(DELAY_COEFFICIENTS) == set(DELAY_KINDS)
+
+
+@given(model_specs())
+def test_json_round_trip_property(m):
+    doc = m.to_dict()
+    assert ModelSpec.from_dict(json.loads(json.dumps(doc))).to_dict() == doc

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 
 from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
-                       QuasiPolynomial, Verdict,
+                       QuasiPolynomial, Verdict, WindingError,
                        beddington_deangelis, boundary_equilibria,
                        characteristic_eval, check_global_conditions,
                        classify_equilibrium, constant_delay, holling2,
                        linearize_at, quartic_classify, quasi_polynomial,
                        reproduction_number, rightmost_abscissa,
                        saturating_delay, solve_coexistence)
-from preydelay.stability import imaginary_crossing_quartic
+from preydelay.stability import (_windings, imaginary_crossing_quartic,
+                                 rightmost_abscissae)
 
 from oracles import cheb_collocation_abscissa, quartic_has_positive_root
 
@@ -210,6 +211,112 @@ def test_rightmost_matches_chebyshev_at_extinction_point(const_delay_model):
     want = cheb_collocation_abscissa(co.A, co.B, co.C, co.D, co.eta,
                                      const_delay_model.params.d, co.tau_star)
     assert ab == pytest.approx(want, abs=1e-6)
+
+
+def test_winding_counts_roots_of_a_quadratic():
+    # tau = 0 and N = 0 leave lambda^2 + 2 lambda + 5, roots -1 +- 2i
+    qp = QuasiPolynomial(H1=2.0, H2=5.0, N1=0.0, N2=0.0, tau=0.0)
+    rects = [(-2.0, 0.0, 1.0, 3.0), (-2.0, 0.0, -3.0, 3.0),
+             (0.5, 2.0, -3.0, 3.0), (-1.0, 0.0, 1.0, 3.0)]
+    # the last rectangle's left edge passes through -1 + 2i, a sample point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert _windings([qp] * 4, rects, 64) == [1, 2, 0, None]
+
+
+def edge_by_edge_winding(qp, rect, n0=64):
+    """Reference count: each edge refined on its own, None where unreliable."""
+    re0, re1, im0, im1 = rect
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1),
+               complex(re0, im1), complex(re0, im0)]
+    total, least = 0.0, math.inf
+    for z0, z1 in zip(corners[:-1], corners[1:]):
+        ts = np.linspace(0.0, 1.0, max(n0, 8))
+        for _ in range(26):
+            zs = z0 + (z1 - z0) * ts
+            vals = (zs * zs + qp.H1 * zs + qp.H2
+                    + (qp.N1 * zs + qp.N2) * np.exp(-qp.tau * zs))
+            if not np.all(np.isfinite(vals)):
+                return None
+            dph = np.angle(vals[1:] / vals[:-1])
+            bad = np.nonzero(np.abs(dph) > 1.0)[0]
+            if bad.size == 0:
+                break
+            if ts.size > 40000:
+                return None
+            ts = np.sort(np.concatenate([ts, 0.5 * (ts[bad] + ts[bad + 1])]))
+        else:
+            return None
+        total += float(np.sum(dph))
+        least = min(least, float(np.min(np.abs(vals))))
+    if least < 1e-9 * (1.0 + abs(qp.H2) + abs(qp.N2)):
+        return None
+    w = total / (2.0 * math.pi)
+    return None if abs(w - round(w)) > 0.25 else round(w)
+
+
+def test_windings_match_the_edge_by_edge_reference():
+    rng = np.random.default_rng(5)
+    qps, rects = [], []
+    for tau in (0.0, 0.5, 2.0, 6.0):
+        for _ in range(15):
+            qps.append(QuasiPolynomial(*rng.uniform(-3.0, 3.0, 4), tau=tau))
+            re0, im0 = rng.uniform(-6.0, 1.0), rng.uniform(-1.0, 20.0)
+            rects.append((re0, re0 + rng.uniform(0.1, 6.0),
+                          im0, im0 + rng.uniform(0.1, 30.0)))
+    want = [edge_by_edge_winding(qp, rect) for qp, rect in zip(qps, rects)]
+    assert _windings(qps, rects, 64) == want
+    assert any(w and w > 1 for w in want)
+
+
+def test_rightmost_abscissae_equal_one_search_at_a_time():
+    rng = np.random.default_rng(11)
+    qps = [QuasiPolynomial(*rng.uniform(-3.0, 3.0, 4), tau=tau)
+           for tau in (0.0, 0.3, 1.0, 2.5, 4.0) for _ in range(4)]
+    boxes = [None, (-4.0, 2.0, -1e-3, 30.0)] * 10
+    singles = [rightmost_abscissa(qp, box=box) for qp, box in zip(qps, boxes)]
+    assert repr(rightmost_abscissae(qps, boxes)) == repr(singles)
+
+
+def test_rightmost_abscissae_return_a_winding_error_in_its_place():
+    # exp(-tau z) overflows on the left edge of every nudged contour
+    bad = QuasiPolynomial(H1=1.0, H2=1.0, N1=0.5, N2=0.3, tau=10.0)
+    good = scalar_factor_qp(1.0, 0.8, c=0.72, tau=1.0)
+    box = (-100.0, 1.0, -1e-3, 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = rightmost_abscissae([bad, good], [box, None])
+        with pytest.raises(WindingError):
+            rightmost_abscissa(bad, box=box)
+    assert isinstance(first, WindingError)
+    assert repr(second) == repr(rightmost_abscissa(good))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "rightmost_abscissa counts Newton starts that land in a rectangle, not "
+    "distinct roots: all five starts in this winding-2 box converge to one "
+    "root, so the rightmost real root is missed"))
+def test_rightmost_finds_every_root_of_a_winding_two_box():
+    # the coexistence point of the benchmark sweep's grid point
+    # (k2=10, d=0.45, tau_m=0.25, tau_M=1.0)
+    qp = QuasiPolynomial(H1=1.371367154288762, H2=0.41835039235976823,
+                         N1=-0.05987312732033777, N2=-0.0494917424674335,
+                         tau=0.5458919393321702)
+    box = (-2.4231782667248574, 1.9731782667248572, -0.001, 115.09943368766848)
+    ab, roots = rightmost_abscissa(qp, box=box)
+
+    # independent bisection of the real G on [-0.6, -0.2], where it changes sign
+    def g(v):
+        return v * v + qp.H1 * v + qp.H2 + (qp.N1 * v + qp.N2) * math.exp(-v * qp.tau)
+
+    lo, hi = -0.6, -0.2
+    assert g(lo) < 0.0 < g(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    assert ab == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+    assert len(roots) == 2
 
 
 # --------------------------------------------------------------------------
