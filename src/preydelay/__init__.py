@@ -16,10 +16,9 @@ from importlib import import_module as _import_module
 
 from .delays import DelayFunction, constant_delay, exp_delay, make_delay, saturating_delay
 from .engine import (IntegrationError, LagDomainError, PositivityViolation,
-                     State, StepperConfig, StepSizeUnderflow, Trajectory,
+                     StepperConfig, StepSizeUnderflow, Trajectory,
                      default_stepper, export_csv, integrate,
-                     integrate_scalar_sdtd, lag_times, lagged_lookup, rhs,
-                     yj_integral)
+                     integrate_scalar_sdtd, lag_times, yj_integral)
 from .equilibria import (Equilibrium, EquilibriumKind, NoConvergenceError,
                          WindingError, boundary_equilibria, solve_coexistence,
                          steady_state_residual, yj_star)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delays import DelayFunction
-from .engine import (StepperConfig, Trajectory, default_stepper, integrate,
-                     integrate_scalar_sdtd)
+from .engine import (StepperConfig, Trajectory, _capped_stepper,
+                     default_stepper, integrate, integrate_scalar_sdtd)
 from .equilibria import Equilibrium, _bracketed_root
-from .model import (HistoryFunction, ModelSpec, consistent_history,
-                    reproduction_number)
+from .model import (HistoryFunction, ModelSpec, _dissipation,
+                    consistent_history, reproduction_number)
 from .responses import ResponseKind
 from .stability import check_global_conditions
 
@@ -120,8 +120,7 @@ def boundedness_certificate(model: ModelSpec, traj: Trajectory,
         raise HorizonError(
             f"tail window {traj.t_end * tail_fraction:.3g} shorter than "
             f"10 tau_M = {10.0 * traj.tau_M:.3g}")
-    m = min(p.dj, p.d)
-    M_bound = p.n * p.K * (m + p.r) ** 2 / (4.0 * p.r)
+    m, M_bound = _dissipation(model)
     ts = _tail_grid(traj, tail_fraction)
     vals = traj.sample(ts)
     V = p.n * vals[:, 0] + vals[:, 1] + vals[:, 2]
@@ -264,10 +263,8 @@ def comparison_probe(dj: float, d: float, delay: DelayFunction, forcing,
             return (G - d * v - s) / (1.0 + delay.tau_prime(vc) * G)
         return rhs
 
-    cfg = StepperConfig(t_end=horizon, rtol=rtol, atol=atol,
-                        h_init=min(0.01, 0.45 * max(delay.tau_m, 0.02)),
-                        h_max=0.45 * delay.tau_m if delay.tau_m > 0 else 0.05,
-                        positivity_guard=False)
+    cfg = _capped_stepper(delay.tau_m, horizon, rtol, atol,
+                          positivity_guard=False)
     outcomes = []
     for i, (hist_hi, hist_lo) in enumerate(pairs):
         traj_hi = integrate_scalar_sdtd(make_rhs(False), hist_hi, cfg,
@@ -339,9 +336,7 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
         G = a1 * math.exp(-dj * tau) * vlag / (1.0 + a2 * vlag)
         return (G - a3 * v) / (1.0 + delay.tau_prime(vc) * G)
 
-    cfg = StepperConfig(t_end=horizon, rtol=rtol, atol=atol,
-                        h_init=min(0.01, 0.45 * max(delay.tau_m, 0.02)),
-                        h_max=0.45 * delay.tau_m if delay.tau_m > 0 else 0.05)
+    cfg = _capped_stepper(delay.tau_m, horizon, rtol, atol)
     tails, errors = [], []
     for hist in histories:
         if hist(0.0) <= 0.0:
@@ -417,7 +412,7 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
     c = model.response.coefficients
     b, k1, k2 = c["b"], c["k1"], c["k2"]
     th = model.delay.tau(eq.y_star) if tau_hat == "equilibrium" else model.delay.tau(0.0)
-    e = math.exp(-p.dj * th)
+    e = model.survival(th)
 
     def x_map(y_lo: float, sign: float) -> float:
         return p.K * (1.0 - b * y_lo / (p.r * (1.0 + k2 * y_lo))) + sign * epsilon
@@ -535,17 +530,13 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
     for hist in histories:
         traj = integrate(model, hist, cfg)
         x, y, yj = traj.lookup(traj.t_end)
-        rec = AttractionRecord(
-            label=hist.label,
-            err_x=abs(x - eq.x_star) / abs(eq.x_star),
-            err_y=abs(y - eq.y_star) / abs(eq.y_star),
-            err_yj=abs(yj - eq.yj_star) / abs(eq.yj_star),
-            converged=False)
-        rec = AttractionRecord(
-            rec.label, rec.err_x, rec.err_y, rec.err_yj,
-            converged=(max(rec.err_x, rec.err_y) <= rel_tol_xy
-                       and rec.err_yj <= rel_tol_yj))
-        records.append(rec)
+        err_x = abs(x - eq.x_star) / abs(eq.x_star)
+        err_y = abs(y - eq.y_star) / abs(eq.y_star)
+        err_yj = abs(yj - eq.yj_star) / abs(eq.yj_star)
+        records.append(AttractionRecord(
+            hist.label, err_x, err_y, err_yj,
+            converged=(max(err_x, err_y) <= rel_tol_xy
+                       and err_yj <= rel_tol_yj)))
     worst = max(records, key=lambda r: max(r.err_x, r.err_y, r.err_yj),
                 default=None)
     return ConvergenceReport(all(r.converged for r in records),

@@ -7,6 +7,7 @@ failure, 2 usage or configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import numbers
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      default_stepper, export_csv, integrate, lag_times,
                      yj_integral)
-from .equilibria import (NoConvergenceError, WindingError,
+from .equilibria import (Equilibrium, NoConvergenceError, WindingError,
                          boundary_equilibria, solve_coexistence)
 from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
                     consistent_history, constant_history,
@@ -163,17 +164,20 @@ def _cmd_simulate(scn: Scenario, outdir: Path) -> int:
     return EXIT_OK
 
 
-def _equilibria_doc(model: ModelSpec) -> dict:
+def _equilibria(model: ModelSpec) -> list[Equilibrium]:
+    """The two boundary equilibria, then the coexistence point if it exists."""
     eqs = boundary_equilibria(model)
     coex = solve_coexistence(model)
-    if coex is not None:
-        eqs.append(coex)
+    return eqs if coex is None else eqs + [coex]
+
+
+def _equilibria_doc(model: ModelSpec) -> dict:
     return {
         "R": reproduction_number(model),
         "equilibria": [
             {"kind": e.kind, "x": e.x_star, "y": e.y_star, "yj": e.yj_star,
              "tau": e.tau_star, "residual": e.residual}
-            for e in eqs
+            for e in _equilibria(model)
         ],
     }
 
@@ -190,12 +194,8 @@ def _cmd_stability(scn: Scenario, outdir: Path) -> int:
     from .stability import classify_equilibrium
 
     model = scn.model
-    eqs = boundary_equilibria(model)
-    coex = solve_coexistence(model)
-    if coex is not None:
-        eqs.append(coex)
     reports = []
-    for eq in eqs:
+    for eq in _equilibria(model):
         verdict = classify_equilibrium(model, eq)
         cond = verdict.conditions
         reports.append({
@@ -233,8 +233,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
         "; ".join(str(c) for c in report.failures))
 
     R = reproduction_number(model)
-    eqs = boundary_equilibria(model)
-    coex = solve_coexistence(model)
+    eqs = _equilibria(model)
+    coex = eqs[2] if len(eqs) > 2 else None
     add("threshold_consistency", (coex is not None) == (R > 1.0),
         f"R={R:.6g}, coexistence {'found' if coex else 'absent'}", R=R)
     if coex is not None:
@@ -242,10 +242,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
             f"residual={coex.residual:.3g}", residual=coex.residual)
 
     horizon = max(scn.stepper.t_end, 41.0 * model.delay.tau_M)
-    cfg = StepperConfig(t_end=horizon, rtol=scn.stepper.rtol,
-                        atol=scn.stepper.atol, h_init=scn.stepper.h_init,
-                        h_max=scn.stepper.h_max,
-                        positivity_guard=scn.stepper.positivity_guard)
+    cfg = dataclasses.replace(scn.stepper, t_end=horizon)
     traj = integrate(model, scn.history, cfg)
 
     cert = analysis.boundedness_certificate(model, traj)
@@ -267,7 +264,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
     add("lag_monotonic", bool(np.all(np.diff(lags) > 0.0)),
         "s(t) = t - tau(y(t)) strictly increasing", min_step=float(np.min(np.diff(lags))))
 
-    positive = all(eq.residual <= 1e-10 for eq in eqs)
+    positive = all(eq.residual <= 1e-10 for eq in eqs[:2])
     add("boundary_residuals", positive, "")
 
     if (coex is not None

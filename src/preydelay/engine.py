@@ -23,20 +23,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .model import (GL_NODES, GL_WEIGHTS, HistoryFunction, ModelSpec,
-                    warn_if_inconsistent)
+                    correction_factor, warn_if_inconsistent)
 
 __all__ = [
-    "State",
     "StepperConfig",
     "Trajectory",
     "IntegrationError",
     "StepSizeUnderflow",
     "PositivityViolation",
     "LagDomainError",
-    "rhs",
     "integrate",
     "integrate_scalar_sdtd",
-    "lagged_lookup",
     "yj_integral",
     "export_csv",
     "default_stepper",
@@ -64,19 +61,6 @@ class PositivityViolation(IntegrationError):
 
 class LagDomainError(ValueError):
     """A lagged evaluation fell outside the covered interval."""
-
-
-@dataclass(frozen=True)
-class State:
-    """Instantaneous state: prey x, mature predator y, juvenile predator yj."""
-
-    t: float
-    x: float
-    y: float
-    yj: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.yj)
 
 
 @dataclass(frozen=True)
@@ -120,7 +104,12 @@ class StepperConfig:
 def default_stepper(model: ModelSpec, t_end: float, rtol: float = 1e-8,
                     atol: float = 1e-10, **kwargs) -> StepperConfig:
     """Config with a step cap compatible with the model's minimum delay."""
-    tau_m = model.delay.tau_m
+    return _capped_stepper(model.delay.tau_m, t_end, rtol, atol, **kwargs)
+
+
+def _capped_stepper(tau_m: float, t_end: float, rtol: float,
+                    atol: float | tuple[float, ...], **kwargs) -> StepperConfig:
+    """Config whose step cap stays below a minimum delay tau_m (if positive)."""
     h_max = 0.45 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
     return StepperConfig(t_end=t_end, rtol=rtol, atol=atol,
                          h_init=min(h_max, 0.01), h_max=h_max, **kwargs)
@@ -276,12 +265,6 @@ class Trajectory:
                       + c[:, None] * us[i + 1] + e[:, None] * fs[i + 1])
         return out
 
-    def state_at(self, t: float) -> State:
-        if self.dim != 3:
-            raise ValueError("state_at is defined for 3-component trajectories")
-        x, y, yj = self.lookup(t)
-        return State(t=float(t), x=x, y=y, yj=yj)
-
 
 # --------------------------------------------------------------------------
 # right-hand side
@@ -295,6 +278,9 @@ def _make_rhs(model: ModelSpec):
     tau_prime = model.delay.tau_prime
     exp = math.exp
 
+    # N is ModelSpec.maturation_gain(tv, x_lag, y_lag) * y_lag and yjp's
+    # terms are birth_flux and correction_factor, written inline: calling
+    # them costs about 5% of integrate.  A test pins the two to equality.
     def rhs_core(t: float, u: tuple, lookup) -> tuple:
         x, y, yj = u
         # stages may overshoot slightly negative; clamp for the rate laws,
@@ -315,17 +301,6 @@ def _make_rhs(model: ModelSpec):
         return (xp, yp, yjp)
 
     return rhs_core
-
-
-def rhs(model: ModelSpec, now: State,
-        lookup: Callable[[float], tuple[float, float]]) -> tuple[float, float, float]:
-    """Time derivatives (x', y', yj') at ``now``.
-
-    ``lookup`` must resolve the pair (x, y) at the lagged time t - tau(y).
-    The delayed-derivative term is already resolved, so the returned
-    derivatives are explicit.
-    """
-    return _make_rhs(model)(now.t, now.as_tuple(), lookup)
 
 
 # --------------------------------------------------------------------------
@@ -548,20 +523,12 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
 # trajectory-derived quantities
 
 
-def lagged_lookup(model: ModelSpec, traj: Trajectory, t: float,
-                  y_now: float) -> tuple[float, float]:
-    """(x, y) at the lagged time t - tau(y_now)."""
-    s = t - model.delay.tau(y_now)
-    vals = traj.lookup(s)
-    return (vals[0], vals[1])
-
-
 def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     """Juvenile stock at t recomputed from the mature/prey channels alone.
 
     Evaluates the survival-discounted recruitment integral
 
-        int_{t - tau(y(t))}^{t}  n f(x(s), y(s)) y(s) exp(-dj (t - s)) ds
+        int_{t - tau(y(t))}^{t}  birth_flux(x(s), y(s)) survival(t - s) ds
 
     by composite Gauss-Legendre quadrature over the dense output, splitting at
     segment joins.  Serves as an independent consistency check of the juvenile
@@ -569,7 +536,6 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     """
     if t < 0.0 or t > traj.t_end + 1e-9 * max(1.0, traj.t_end):
         raise LagDomainError(f"t={t:.6g} outside the integrated interval")
-    p = model.params
     y_t = traj.lookup(t)[1]
     tau_t = model.delay.tau(max(y_t, 0.0))
     s_lo = t - tau_t
@@ -598,14 +564,14 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
 
     # summed node by node, in window order, like the panel-by-panel rule
     total = 0.0
-    f, n, dj, exp = model.response.f, p.n, p.dj, math.exp
+    birth_flux, survival = model.birth_flux, model.survival
     for w, s, xs, ys in zip(np.concatenate(weights).tolist(), nodes.tolist(),
                             vals[:, 0].tolist(), vals[:, 1].tolist()):
         if ys < 0.0:
             ys = 0.0
         if xs < 0.0:
             xs = 0.0
-        total += w * (n * f(xs, ys) * ys * exp(-dj * (t - s)))
+        total += w * (birth_flux(xs, ys) * survival(t - s))
     return total
 
 
@@ -624,12 +590,11 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     """
     if stride <= 0.0:
         raise ValueError("stride must be positive")
-    p = model.params
     n_rows = int(math.floor(traj.t_end / stride + 1e-9)) + 1
     times = [i * stride for i in range(n_rows)]
     if times[-1] < traj.t_end - 1e-9 * max(1.0, traj.t_end):
         times.append(traj.t_end)
-    tau, tau_prime, f = model.delay.tau, model.delay.tau_prime, model.response.f
+    tau = model.delay.tau
     now = traj.sample(times).tolist()
     taus = [tau(max(y, 0.0)) for _, y, _ in now]
     lags = [t - tau_t for t, tau_t in zip(times, taus)]
@@ -637,11 +602,9 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     lines = ["t,x,y,yj,tau,lag_s,correction"]
     for t, (x, y, yj), tau_t, s, (x_lag, y_lag) in zip(times, now, taus, lags,
                                                       lagged):
-        yc = max(y, 0.0)
-        N = (p.n * math.exp(-p.dj * tau_t)
-             * f(max(x_lag, 0.0), max(y_lag, 0.0)) * max(y_lag, 0.0))
-        tp = tau_prime(yc)
-        corr = (1.0 + tp * p.d * yc) / (1.0 + tp * N)
+        y_lag = max(y_lag, 0.0)
+        N = model.maturation_gain(tau_t, max(x_lag, 0.0), y_lag) * y_lag
+        corr = correction_factor(model, max(y, 0.0), N)
         lines.append(",".join(repr(float(v)) for v in (t, x, y, yj, tau_t, s, corr)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

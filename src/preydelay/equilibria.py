@@ -82,7 +82,7 @@ def _balances(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
     p = model.params
     f = model.response.f(x, y)
     return (p.r * (1.0 - x / p.K) - f * y / x,
-            p.n * math.exp(-p.dj * model.delay.tau(y)) * f - p.d)
+            model.maturation_gain(model.delay.tau(y), x, y) - p.d)
 
 
 def _balance_jacobian(model: ModelSpec, x: float, y: float):
@@ -90,7 +90,7 @@ def _balance_jacobian(model: ModelSpec, x: float, y: float):
     p = model.params
     resp = model.response
     f, fx, fy = resp.f(x, y), resp.f_x(x, y), resp.f_y(x, y)
-    ne = p.n * math.exp(-p.dj * model.delay.tau(y))
+    ne = p.n * model.survival(model.delay.tau(y))
     return ((-p.r / p.K - (fx * y / x - f * y / (x * x)), -(fy * y + f) / x),
             (ne * fx, ne * (fy - p.dj * model.delay.tau_prime(y) * f)))
 
@@ -175,7 +175,7 @@ def yj_star(model: ModelSpec, x_star: float, y_star: float) -> float:
     """
     p = model.params
     tau = model.delay.tau(y_star)
-    recruit = p.n * model.response.f(x_star, y_star) * y_star
+    recruit = model.birth_flux(x_star, y_star)
     a = p.dj * tau
     if a < 1e-12:
         return recruit * tau
@@ -197,7 +197,7 @@ def _bd_candidate(model: ModelSpec, tau: float) -> tuple[float, float] | None:
     b, k1, k2 = c["b"], c["k1"], c["k2"]
     if k2 <= 0.0:
         return None
-    e = math.exp(-p.dj * tau)
+    e = model.survival(tau)
     denom = p.r * p.n * e * k2
     alpha = p.K * (p.n * b * e - p.d * k1) / denom - p.K
     beta = p.K * p.d / denom
@@ -221,7 +221,7 @@ def _frozen_solve(model: ModelSpec, tau: float, y_hi: float) -> tuple[float, flo
             return cand
     p = model.params
     f = model.response.f
-    target = p.d / (p.n * math.exp(-p.dj * tau))
+    target = p.d / (p.n * model.survival(tau))
     if f(p.K, 0.0) <= target:
         return None
 

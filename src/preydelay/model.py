@@ -74,11 +74,23 @@ class ModelSpec:
     delay: DelayFunction
     response: FunctionalResponse
 
-    # -- derived scalars -------------------------------------------------
+    # -- the maturation law -----------------------------------------------
+    # Every caller goes through these methods and correction_factor, except
+    # engine's rhs_core, which writes them out for speed; a test pins the two
+    # to equality.
 
     def survival(self, tau: float) -> float:
         """Probability of surviving the juvenile stage of length tau."""
         return math.exp(-self.params.dj * tau)
+
+    def maturation_gain(self, tau: float, x: float, y: float) -> float:
+        """n exp(-dj tau) f(x, y): per mature predator, the rate at which
+        juveniles born at prey x and predator y mature after a stage of tau."""
+        return self.params.n * self.survival(tau) * self.response.f(x, y)
+
+    def birth_flux(self, x: float, y: float) -> float:
+        """n f(x, y) y: the rate at which juveniles are born."""
+        return self.params.n * self.response.f(x, y) * y
 
     # -- serialization ---------------------------------------------------
 
@@ -156,15 +168,14 @@ def reproduction_number(model: ModelSpec) -> float:
     to existence of the coexistence equilibrium.
     """
     p = model.params
-    tau0 = model.delay.tau(0.0)
-    return p.n * math.exp(-p.dj * tau0) * model.response.f(p.K, 0.0) / p.d
+    return model.maturation_gain(model.delay.tau(0.0), p.K, 0.0) / p.d
 
 
 def correction_factor(model: ModelSpec, y: float, lagged_recruitment: float) -> float:
     """The maturation-flux factor 1 - tau'(y) y'(t), resolved in closed form.
 
-    With N the lagged recruitment rate n exp(-dj tau(y)) f(x_lag, y_lag) y_lag,
-    substituting y' = (N - d y) / (1 + tau'(y) N) gives
+    With N = maturation_gain(tau(y), x_lag, y_lag) y_lag the lagged
+    recruitment rate, substituting y' = (N - d y) / (1 + tau'(y) N) gives
 
         1 - tau'(y) y' = (1 + tau'(y) d y) / (1 + tau'(y) N),
 
@@ -179,15 +190,20 @@ def correction_factor(model: ModelSpec, y: float, lagged_recruitment: float) -> 
     return (1.0 + tp * model.params.d * y) / (1.0 + tp * lagged_recruitment)
 
 
-def boundedness_limit(model: ModelSpec) -> float:
-    """Eventual upper bound for V = n x + y + yj.
+def _dissipation(model: ModelSpec) -> tuple[float, float]:
+    """(m, M) with V' <= -m V + M along solutions, for V = n x + y + yj.
 
-    V' <= -min(dj, d) V + M with M the maximum of the concave quadratic
-    n (min(dj,d)+r) x - (n r / K) x^2, so limsup V <= M / min(dj, d).
+    m = min(dj, d), and M is the maximum of the concave quadratic
+    n (m + r) x - (n r / K) x^2.
     """
     p = model.params
     m = min(p.dj, p.d)
-    M = p.n * p.K * (m + p.r) ** 2 / (4.0 * p.r)
+    return m, p.n * p.K * (m + p.r) ** 2 / (4.0 * p.r)
+
+
+def boundedness_limit(model: ModelSpec) -> float:
+    """Eventual upper bound M / m for V = n x + y + yj (see :func:`_dissipation`)."""
+    m, M = _dissipation(model)
     return M / m
 
 
@@ -291,12 +307,9 @@ def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
 
     split at the history's knots inside the window, each piece to epsrel.
     """
-    p = model.params
-    f = model.response.f
-
     def integrand(s: float) -> float:
         y = history.phi3(s)
-        return p.n * f(history.phi1(s), y) * y * math.exp(p.dj * s)
+        return model.birth_flux(history.phi1(s), y) * model.survival(-s)
 
     tau0 = model.delay.tau(history.phi3(0.0))
     cuts = [-tau0, *(k for k in history.knots if -tau0 < k < 0.0), 0.0]

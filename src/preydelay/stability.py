@@ -37,7 +37,6 @@ __all__ = [
     "linearize_at",
     "quasi_polynomial",
     "characteristic_eval",
-    "characteristic_derivative",
     "rightmost_abscissa",
     "rightmost_abscissae",
     "quartic_classify",
@@ -93,13 +92,13 @@ def linearize_at(model: ModelSpec, eq: Equilibrium) -> LinearizationCoeffs:
     fy = model.response.f_y(x, y)
     tau = model.delay.tau(y)
     tp = model.delay.tau_prime(y)
-    surv = math.exp(-p.dj * tau)
+    ne = p.n * model.survival(tau)
     return LinearizationCoeffs(
         A=p.r - 2.0 * p.r * x / p.K - fx * y,
         B=f + fy * y,
-        C=p.n * surv * fx * y,
-        D=p.n * surv * (f + fy * y),
-        eta=p.n * surv * tp * f * y * (p.d - p.dj),
+        C=ne * fx * y,
+        D=ne * (f + fy * y),
+        eta=ne * tp * f * y * (p.d - p.dj),
         tau_star=tau,
     )
 
@@ -118,12 +117,6 @@ def quasi_polynomial(model: ModelSpec, coeffs: LinearizationCoeffs) -> QuasiPoly
 def characteristic_eval(qp: QuasiPolynomial, lam: complex) -> complex:
     return (lam * lam + qp.H1 * lam + qp.H2
             + (qp.N1 * lam + qp.N2) * cmath.exp(-lam * qp.tau))
-
-
-def characteristic_derivative(qp: QuasiPolynomial, lam: complex) -> complex:
-    e = cmath.exp(-lam * qp.tau)
-    return (2.0 * lam + qp.H1
-            + (qp.N1 - qp.tau * (qp.N1 * lam + qp.N2)) * e)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +346,7 @@ def _eval_array(zs: np.ndarray, H1, H2, N1, N2, tau) -> np.ndarray:
 
 
 def _newton_root(qp: QuasiPolynomial, z0: complex) -> complex | None:
-    # characteristic_eval and characteristic_derivative, sharing one exp
+    # G (as characteristic_eval) and its derivative G', sharing one exp
     H1, H2, N1, N2, tau = qp.H1, qp.H2, qp.N1, qp.N2, qp.tau
     z = z0
     for _ in range(80):
@@ -577,8 +570,8 @@ def check_global_conditions(model: ModelSpec, eq: Equilibrium) -> ConditionRepor
     p = model.params
     c = model.response.coefficients
     b, k1, k2 = c["b"], c["k1"], c["k2"]
-    e0 = math.exp(-p.dj * model.delay.tau(0.0))
-    es = math.exp(-p.dj * model.delay.tau(eq.y_star))
+    e0 = model.survival(model.delay.tau(0.0))
+    es = model.survival(model.delay.tau(eq.y_star))
 
     R = reproduction_number(model)
     permanent = R > 1.0
@@ -660,7 +653,7 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium,
             rightmost=p.r, rightmost_root=complex(p.r, 0.0))
 
     if eq.kind == EquilibriumKind.PREDATOR_EXTINCTION:
-        gain = p.n * math.exp(-p.dj * model.delay.tau(0.0)) * model.response.f(p.K, 0.0)
+        gain = model.maturation_gain(model.delay.tau(0.0), p.K, 0.0)
         tol = 1e-12 * max(gain, p.d)
         if gain > p.d + tol:
             verdict, reason = Verdict.UNSTABLE, (

@@ -159,6 +159,17 @@ def test_identical_data_stay_identical():
     assert rep.pairs[0].max_violation < 1e-9
 
 
+def test_comparison_probe_runs_at_a_small_minimum_delay():
+    # the step cap 0.45 tau_m = 0.0045 lies below the usual 0.01 first step
+    delay = saturating_delay(0.01, 0.5, 1.0)
+    hist = lambda t: 0.8 + 0.1 * math.sin(2.0 * t)
+    rep = comparison_probe(dj=0.3, d=1.0, delay=delay,
+                           forcing=lambda s: 1.0 + 0.3 * math.sin(s),
+                           pairs=[(hist, hist)], horizon=5.0)
+    assert rep.held_all
+    assert rep.pairs[0].max_violation < 1e-9
+
+
 def test_constant_delay_preserves_order():
     delay = constant_delay(0.7)
     pairs = []
@@ -208,6 +219,14 @@ def test_saturating_delay_limit_matches_simulation():
     delay = saturating_delay(0.5, 1.2, 1.0)
     res = scalar_limit(2.5, 1.2, 0.9, 0.4, delay,
                        [lambda t: 0.3, lambda t: 2.5], horizon=300.0)
+    assert res.viable
+    assert max(res.rel_errors) < 1e-4
+
+
+def test_scalar_limit_runs_at_a_small_minimum_delay():
+    delay = saturating_delay(0.01, 0.5, 1.0)
+    res = scalar_limit(2.5, 1.2, 0.9, 0.4, delay,
+                       [lambda t: 0.3, lambda t: 2.5], horizon=30.0)
     assert res.viable
     assert max(res.rel_errors) < 1e-4
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from preydelay import (IntegrationError, LagDomainError, ModelParams,
-                       ModelSpec, State, StepperConfig, beddington_deangelis,
+                       ModelSpec, StepperConfig, beddington_deangelis,
                        constant_delay, consistent_history, constant_history,
-                       default_stepper, exp_delay, export_csv, integrate,
-                       integrate_scalar_sdtd, lag_times, lagged_lookup,
-                       linear, rhs, saturating_delay, yj_integral)
+                       correction_factor, crowley_martin, default_stepper,
+                       exp_delay, export_csv, integrate, integrate_scalar_sdtd,
+                       lag_times, linear, saturating_delay, yj_integral)
 from preydelay import engine
 from preydelay.model import HistoryConsistencyWarning
 
@@ -46,9 +46,9 @@ def test_rhs_decoupled_prey_is_logistic(const_delay_model):
 
 def test_rhs_constant_delay_has_no_correction(const_delay_model):
     m = const_delay_model
-    state = State(t=0.0, x=1.2, y=0.7, yj=0.4)
     x_lag, y_lag = 0.9, 0.5
-    xp, yp, yjp = rhs(m, state, lambda s: (x_lag, y_lag))
+    xp, yp, yjp = engine._make_rhs(m)(0.0, (1.2, 0.7, 0.4),
+                                      lambda s: (x_lag, y_lag))
     p = m.params
     N = p.n * math.exp(-p.dj * 1.0) * m.response.f(x_lag, y_lag) * y_lag
     assert yp == pytest.approx(N - p.d * 0.7, rel=1e-15)
@@ -69,16 +69,41 @@ def test_rhs_matches_implicit_newton_solution():
             beddington_deangelis(b=rng.uniform(0.3, 2.0),
                                  k1=rng.uniform(0.0, 0.5),
                                  k2=rng.uniform(0.0, 2.0)))
-        state = State(t=1.0, x=rng.uniform(0.0, 3.0), y=rng.uniform(0.0, 3.0),
-                      yj=rng.uniform(0.0, 3.0))
+        x, y, yj = (rng.uniform(0.0, 3.0) for _ in range(3))
         lag = (rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0))
-        _, yp, _ = rhs(m, state, lambda s: lag)
+        _, yp, _ = engine._make_rhs(m)(1.0, (x, y, yj), lambda s: lag)
         p = m.params
-        tau = m.delay.tau(state.y)
+        tau = m.delay.tau(y)
         N = p.n * math.exp(-p.dj * tau) * m.response.f(*lag) * lag[1]
-        yp_newton = implicit_rate_solution(m.delay.tau_prime(state.y),
-                                           p.d, state.y, N)
+        yp_newton = implicit_rate_solution(m.delay.tau_prime(y), p.d, y, N)
         assert yp == pytest.approx(yp_newton, rel=1e-12, abs=1e-12)
+
+
+def test_rhs_core_inlines_the_model_maturation_law():
+    # rhs_core writes N, the birth flux and the correction factor out for
+    # speed; they must equal ModelSpec's maturation law to the last bit
+    rng = np.random.default_rng(7)
+    for i in range(200):
+        tau_m = rng.uniform(0.2, 0.8)
+        tau_M = tau_m + rng.uniform(0.1, 1.0)
+        p = ModelParams(*rng.uniform(0.3, 2.0, 5))
+        if i % 4:
+            m = ModelSpec(p, saturating_delay(tau_m, tau_M, rng.uniform(0.5, 2.0)),
+                          beddington_deangelis(b=rng.uniform(0.3, 2.0),
+                                               k1=rng.uniform(0.0, 0.5),
+                                               k2=rng.uniform(0.0, 2.0)))
+        else:
+            m = ModelSpec(p, exp_delay(tau_m, tau_M, rng.uniform(0.5, 2.0)),
+                          crowley_martin(b=rng.uniform(0.3, 2.0),
+                                         k1=rng.uniform(0.0, 0.5),
+                                         k2=rng.uniform(0.0, 2.0)))
+        x, y, yj = (rng.uniform(0.01, 3.0) for _ in range(3))
+        lag = (rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
+        _, yp, yjp = engine._make_rhs(m)(1.0, (x, y, yj), lambda s: lag)
+        N = m.maturation_gain(m.delay.tau(y), *lag) * lag[1]
+        assert yp == (N - p.d * y) / (1.0 + m.delay.tau_prime(y) * N)
+        assert yjp == (m.birth_flux(x, y) - p.dj * yj
+                       - correction_factor(m, y, N) * N)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +233,7 @@ def test_lagged_lookup_reads_history(const_delay_model):
     m = const_delay_model
     hist = consistent_history(m, 1.0, 0.3, amp=0.2, omega=2.0)
     traj = integrate(m, hist, default_stepper(m, 3.0))
-    x_lag, y_lag = lagged_lookup(m, traj, 0.5, y_now=1.0)
+    x_lag, y_lag, _ = traj.lookup(0.5 - m.delay.tau(1.0))
     assert x_lag == pytest.approx(hist.phi1(-0.5), rel=1e-12)
     assert y_lag == pytest.approx(hist.phi3(-0.5), rel=1e-12)
 

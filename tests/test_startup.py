@@ -23,7 +23,7 @@ ConvergenceReport DelayFunction DichotomyVerdict Equilibrium EquilibriumKind
 FunctionalResponse HistoryConsistencyWarning HistoryFunction InconclusiveError
 IntegrationError LagDomainError LinearizationCoeffs ModelParams ModelSpec
 NoConvergenceError PositivityViolation QuarticReport QuasiPolynomial
-ResponseKind ScalarLimitResult StabilityVerdict State StepSizeUnderflow
+ResponseKind ScalarLimitResult StabilityVerdict StepSizeUnderflow
 StepperConfig Trajectory ValidationReport Verdict WindingError analysis
 beddington_deangelis boundary_equilibria boundedness_certificate
 boundedness_limit characteristic_eval check_global_conditions
@@ -32,9 +32,9 @@ constant_history constant_plus_sine_history correction_factor crowley_martin
 default_stepper delays engine equilibria eval_response exp_delay export_csv
 extrapolated_limits global_attraction_probe history_consistency_error holling1
 holling2 holling3 integrate integrate_scalar_sdtd ivlev lag_times
-lagged_lookup linear linearize_at make_delay make_response model
+linear linearize_at make_delay make_response model
 monotone_bounds permanence_probe power_law quartic_classify quasi_polynomial
-reproduction_number responses rhs rightmost_abscissa saturating_delay
+reproduction_number responses rightmost_abscissa saturating_delay
 saturation scalar_fixed_point scalar_limit solve_coexistence spread_histories
 stability steady_state_residual tabulated_history validate yj_integral yj_star
 """.split())
