@@ -363,8 +363,15 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
         enorm = sqrt(acc / live)
 
         if enorm <= 1.0:
-            if cfg.positivity_guard and min(u1) < 0.0:
-                if any(v < -atol for atol, v in zip(atols, u1)):
+            # the exact x and y stay strictly positive from positive data, so
+            # a step that takes either to 0 or below is halved, not clamped:
+            # x = 0 (or y = 0) is invariant and a clamp there would absorb a
+            # deep crash.  The juvenile channel and components already at 0
+            # keep the clamp.  (The padded components of a scalar state are
+            # exactly 0, so only v is held positive there.)
+            if cfg.positivity_guard and min(u1) <= 0.0:
+                if (u[0] > 0.0 >= u1[0] or u[1] > 0.0 >= u1[1]
+                        or any(v < -atol for atol, v in zip(atols, u1))):
                     last_reject_positivity = True
                     h *= 0.5
                     continue

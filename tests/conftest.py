@@ -47,3 +47,19 @@ def linear_family_model(R_target: float) -> ModelSpec:
     b = R_target * d / (n * math.exp(-dj * tau_m) * K)
     return ModelSpec(ModelParams(r, K, n, dj, d),
                      saturating_delay(tau_m, 1.0, 1.0), linear(b))
+
+
+# An R > 1 draw (linear response, R = 12.46) whose largest probe history
+# (spread_histories(n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0)[-1])
+# drives the prey down to about 5e-41 before it recovers.  A positivity clamp
+# that set the crashed prey to exactly 0 made its extinction permanent.
+DEFECT_MODEL = {
+    "params": {"r": 1.0364350927391828, "K": 3.4359253239092973,
+               "n": 1.1185953810840852, "dj": 0.3348125184798465,
+               "d": 0.507241017052369},
+    "delay": {"kind": "saturating", "coefficients": {"theta": 0.908203577540972},
+              "tau_m": 0.500848797884172, "tau_M": 0.6302702267258389},
+    "response": {"kind": "Linear", "coefficients": {"b": 1.9448246476596909}}}
+DEFECT_HISTORY_SEED = 1385176604
+# the probe settings under which the clamp absorbed that crash
+DEFECT_ATOL = (1e-30, 1e-30, 1e-8)

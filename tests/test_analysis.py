@@ -1,22 +1,26 @@
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from preydelay import (BracketSequences, InconclusiveError, ModelParams,
-                       ModelSpec, beddington_deangelis, boundedness_limit,
-                       comparison_probe, constant_delay, consistent_history,
-                       constant_history, default_stepper, exp_delay,
-                       extrapolated_limits, global_attraction_probe,
+from preydelay import (BracketSequences, InconclusiveError, IntegrationError,
+                       ModelParams, ModelSpec, beddington_deangelis,
+                       boundedness_limit, comparison_probe, constant_delay,
+                       consistent_history, constant_history, default_stepper,
+                       exp_delay, extrapolated_limits, global_attraction_probe,
                        integrate, linear, monotone_bounds, permanence_probe,
                        reproduction_number, saturating_delay,
                        scalar_fixed_point, scalar_limit, solve_coexistence,
                        spread_histories, boundedness_certificate)
+from preydelay import analysis
 from preydelay.analysis import AnalysisError, BracketNestingError, HorizonError
 from preydelay.model import HistoryConsistencyWarning
 
-from conftest import linear_family_model
+from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
+                      linear_family_model)
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +138,18 @@ def test_exact_threshold_lands_on_extinction_branch():
                                horizon=250.0, extinction_tol=1e-2)
     assert verdict.verdict == "extinction"
     assert verdict.boundary_case
+
+
+def test_deep_prey_crash_stays_permanent():
+    # R = 12.46; one history crashes the prey to ~5e-41 under a 1e-30 floor
+    m = ModelSpec.from_dict(DEFECT_MODEL)
+    horizon = 200.0 / m.params.d
+    verdict = permanence_probe(
+        m, spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0),
+        horizon=horizon,
+        cfg=default_stepper(m, horizon, rtol=1e-6, atol=DEFECT_ATOL))
+    assert verdict.verdict == "permanent"
+    assert all(rec.liminf_xy > 1e-6 for rec in verdict.records)
 
 
 def test_mixed_outcomes_raise_inconclusive():
@@ -344,3 +360,140 @@ def test_probe_requires_conditions_by_default():
     rep = global_attraction_probe(m, eq, n_histories=2, horizon=50.0,
                                   require_conditions=False)
     assert len(rep.records) == 2
+
+
+# --------------------------------------------------------------------------
+# histories run side by side
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Make every probe fork one child per history share; count the forks."""
+    count = [0]
+    fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
+    return count
+
+
+def serially(monkeypatch, run):
+    with monkeypatch.context() as m:
+        m.setattr(analysis, "_usable_cpus", lambda: 1)
+        return run()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_forked_permanence_records_equal_serial(forks, monkeypatch):
+    m = linear_family_model(2.0)
+    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
+    run = lambda: permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+    verdict = run()
+    assert forks[0] == 1
+    assert verdict == serially(monkeypatch, run)
+    assert forks[0] == 1
+    assert_no_child_left()
+
+
+def test_forked_attraction_records_equal_serial(forks, monkeypatch, bd_model):
+    eq = solve_coexistence(bd_model)
+    run = lambda: global_attraction_probe(bd_model, eq, n_histories=5,
+                                          horizon=30.0, seed=9)
+    report = run()
+    assert forks[0] == 1
+    assert report == serially(monkeypatch, run)
+    assert_no_child_left()
+
+
+def test_child_warning_reaches_the_caller(forks):
+    m = linear_family_model(2.0)
+    hists = spread_histories(m, n=2, seed=1)
+    hists[1] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
+    with pytest.warns(HistoryConsistencyWarning, match="juvenile") as caught:
+        permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+    assert forks[0] == 1
+    assert sum(w.category is HistoryConsistencyWarning for w in caught) == 1
+    assert_no_child_left()
+
+
+def test_child_warning_repeats_show_once_like_serial(forks):
+    m = linear_family_model(2.0)
+    hists = spread_histories(m, n=2, seed=1)
+    hists[1] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+    assert forks[0] == 2
+    # (Python 3.12 adds its own DeprecationWarning for the fork)
+    shown = [w for w in caught if w.category is HistoryConsistencyWarning]
+    assert len(shown) == 1
+    assert shown[0].filename == analysis.__file__
+    assert_no_child_left()
+
+
+def test_child_integration_error_surfaces_like_a_serial_run(forks,
+                                                            monkeypatch):
+    # only the deep-crash history (the last, run by the child) needs more
+    # than 150 steps to reach t = 20
+    m = ModelSpec.from_dict(DEFECT_MODEL)
+    hists = spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0)
+    cfg = default_stepper(m, 20.0, rtol=1e-6, atol=DEFECT_ATOL, max_steps=150)
+    run = lambda: permanence_probe(m, hists, horizon=20.0, cfg=cfg)
+    with pytest.raises(IntegrationError) as forked:
+        run()
+    assert forks[0] == 1
+    assert_no_child_left()
+    with pytest.raises(IntegrationError) as serial:
+        serially(monkeypatch, run)
+    assert type(forked.value) is type(serial.value)
+    assert str(forked.value) == str(serial.value)
+    got, want = forked.value.trajectory, serial.value.trajectory
+    assert np.array_equal(got.ts, want.ts) and np.array_equal(got.us, want.us)
+
+
+def test_parent_failure_stops_the_children(forks):
+    m = linear_family_model(2.0)
+    cfg = default_stepper(m, 40.0, max_steps=20)
+    with pytest.raises(IntegrationError, match="exceeded 20 steps"):
+        permanence_probe(m, spread_histories(m, n=4, seed=1), horizon=40.0,
+                         cfg=cfg)
+    assert forks[0] == 1
+    assert_no_child_left()
+
+
+def test_probe_with_a_live_thread_does_not_fork(forks):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30.0,))
+    thread.start()
+    try:
+        m = linear_family_model(2.0)
+        permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0,
+                         eps_floor=0.0)
+    finally:
+        release.set()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert forks[0] == 0
+
+
+def test_one_usable_cpu_runs_serially(monkeypatch):
+    def no_fork():
+        raise AssertionError("a probe forked with one usable CPU")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
+    m = linear_family_model(2.0)
+    permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0,
+                     eps_floor=0.0)

@@ -3,16 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from preydelay import (IntegrationError, LagDomainError, ModelParams,
                        ModelSpec, StepperConfig, beddington_deangelis,
                        constant_delay, consistent_history, constant_history,
                        correction_factor, crowley_martin, default_stepper,
                        exp_delay, export_csv, integrate, integrate_scalar_sdtd,
-                       lag_times, linear, saturating_delay, yj_integral)
+                       lag_times, linear, saturating_delay, spread_histories,
+                       yj_integral)
 from preydelay import engine
 from preydelay.model import HistoryConsistencyWarning
 
+from conftest import DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL
 from oracles import RK4StepsOracle, implicit_rate_solution
 
 
@@ -132,6 +135,35 @@ def test_positivity_and_decay_floor(bd_model, bd_traj):
     d = bd_model.params.d
     for t, y in zip(bd_traj.ts, bd_traj.us[:, 1]):
         assert y >= y0 * math.exp(-d * t) * (1.0 - 1e-7)
+
+
+def test_crashed_prey_is_not_absorbed_at_zero():
+    m = ModelSpec.from_dict(DEFECT_MODEL)
+    hist = spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1,
+                            hi=3.0)[-1]
+    traj = integrate(m, hist, default_stepper(m, 20.0, rtol=1e-6,
+                                              atol=DEFECT_ATOL))
+    assert np.min(traj.us[:, 0]) < 1e-30      # the crash is still resolved
+    assert np.all(traj.us[:, 0] > 0.0)
+    assert np.all(traj.us[:, 1] > 0.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(b=st.floats(0.5, 3.0), level=st.floats(0.1, 10.0),
+       omega=st.floats(1.0, 3.0), phase=st.floats(0.0, 2.0 * math.pi))
+# the DEFECT_MODEL history that the clamp used to absorb
+@example(b=1.9448246476596909, level=3.0, omega=2.0540566346964573,
+         phase=1.9404891379190397)
+def test_positive_histories_keep_x_and_y_positive(b, level, omega, phase):
+    doc = dict(DEFECT_MODEL, response={"kind": "Linear",
+                                       "coefficients": {"b": b}})
+    m = ModelSpec.from_dict(doc)
+    x_ref, y_ref = m.params.K / 2.0, m.params.K / 4.0
+    hist = consistent_history(m, x_ref * level, y_ref * level, amp=0.2,
+                              omega=omega, phase=phase)
+    traj = integrate(m, hist, default_stepper(m, 20.0, rtol=1e-6,
+                                              atol=DEFECT_ATOL))
+    assert np.all(traj.us[:, :2] > 0.0)
 
 
 def test_lag_time_strictly_increasing(bd_model, bd_traj):
