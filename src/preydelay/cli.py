@@ -346,9 +346,11 @@ def _write_checks_csv(path: Path, checks) -> None:
 
 def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
                  tau_M: float):
-    """One grid point's CSV fields up to ``thm8_pass`` and the verdict whose
-    spectral abscissa completes the row (computed by :func:`_sweep_rows`)."""
-    from .stability import check_global_conditions, classify_equilibrium
+    """One grid point's CSV fields up to ``thm8_pass``, with the
+    linearization whose spectral abscissa completes the row (computed by
+    :func:`_sweep_rows`): (head, quasi-polynomial, coefficients)."""
+    from .stability import (check_global_conditions, linearize_at,
+                            quasi_polynomial)
 
     base = model.to_dict()
     base["params"]["d"] = d
@@ -361,10 +363,7 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
     R = reproduction_number(point)
     coexists = False
     thm7 = thm8 = False
-    try:
-        coex = solve_coexistence(point)
-    except NoConvergenceError:
-        coex = None
+    coex = solve_coexistence(point)
     if coex is not None:
         coexists = True
         cond = check_global_conditions(point, coex)
@@ -372,11 +371,12 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
         eq = coex
     else:
         eq = boundary_equilibria(point)[1]
-    verdict = classify_equilibrium(point, eq, compute_rightmost=False)
-    return ",".join([repr(float(k2)), repr(float(d)), repr(float(tau_m)),
+    head = ",".join([repr(float(k2)), repr(float(d)), repr(float(tau_m)),
                      repr(float(tau_M)), repr(float(R)),
                      str(coexists).lower(), str(thm7).lower(),
-                     str(thm8).lower()]), verdict
+                     str(thm8).lower()])
+    coeffs = linearize_at(point, eq)
+    return head, quasi_polynomial(point, coeffs), coeffs
 
 
 def _sweep_rows(model: ModelSpec, points) -> list[str]:
@@ -389,13 +389,13 @@ def _sweep_rows(model: ModelSpec, points) -> list[str]:
     heads, qps, boxes = [], [], []
     for point in points:
         try:
-            head, verdict = _sweep_point(model, *point)
+            head, qp, coeffs = _sweep_point(model, *point)
         except Exception as exc:  # an earlier point's search may fail first
             heads.append(exc)
             continue
         heads.append(head)
-        qps.append(verdict.qp)
-        boxes.append(_classification_box(point[1], verdict.coeffs))
+        qps.append(qp)
+        boxes.append(_classification_box(point[1], coeffs))
     found = iter(rightmost_abscissae(qps, boxes))
     rows = []
     for head in heads:

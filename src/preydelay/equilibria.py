@@ -5,11 +5,12 @@ The coexistence equilibrium solves
     r (1 - x*/K) = f(x*, y*) y* / x*          (prey balance)
     n exp(-dj tau(y*)) f(x*, y*) = d          (predator balance)
 
-with the delay entering transcendentally through tau(y*).  For the
-Beddington-DeAngelis response the frozen-delay problem reduces to a quadratic
-in x*, used as a candidate generator; every returned equilibrium is verified
-against the residuals and polished by a Newton solve of the full system.
-Existence is equivalent to the reproduction number exceeding one.
+with the delay entering transcendentally through tau(y*).  One algorithm
+serves every response and delay law: the predator balance is inverted for x
+along the nullcline x(y), which leaves the prey balance a scalar function of
+y; its first sign change on a scan is bracketed and solved, and the point is
+polished by a Newton solve of the full system and checked against the
+residuals.  Existence is equivalent to the reproduction number exceeding one.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .model import ModelSpec, boundedness_limit, reproduction_number
-from .responses import ResponseKind
 
 __all__ = [
     "Equilibrium",
@@ -182,86 +182,6 @@ def yj_star(model: ModelSpec, x_star: float, y_star: float) -> float:
     return recruit * (-math.expm1(-a)) / p.dj
 
 
-def _bd_candidate(model: ModelSpec, tau: float) -> tuple[float, float] | None:
-    """Frozen-delay closed form for the Beddington-DeAngelis response.
-
-    Eliminating y* turns the prey balance into x^2 + alpha x - beta = 0 with
-
-        alpha = K (n b e - d k1) / (r n e k2) - K,   beta = K d / (n r k2 e),
-
-    e = exp(-dj tau).  Returns None when no admissible root exists (k2 = 0
-    falls back to the general solver).
-    """
-    p = model.params
-    c = model.response.coefficients
-    b, k1, k2 = c["b"], c["k1"], c["k2"]
-    if k2 <= 0.0:
-        return None
-    e = model.survival(tau)
-    denom = p.r * p.n * e * k2
-    alpha = p.K * (p.n * b * e - p.d * k1) / denom - p.K
-    beta = p.K * p.d / denom
-    x = 0.5 * (-alpha + math.sqrt(alpha * alpha + 4.0 * beta))
-    y = ((p.n * b * e - p.d * k1) * x - p.d) / (p.d * k2)
-    if not (0.0 < x < p.K and y > 0.0):
-        return None
-    return (x, y)
-
-
-def _frozen_solve(model: ModelSpec, tau: float, y_hi: float) -> tuple[float, float] | None:
-    """Solve the steady-state pair with the delay frozen at tau.
-
-    BD uses the quadratic candidate; other responses root-find on y, inverting
-    the predator balance for x at each y (f is increasing in x and
-    nonincreasing in y, so the inversion is monotone).
-    """
-    if model.response.kind == ResponseKind.BEDDINGTON_DEANGELIS:
-        cand = _bd_candidate(model, tau)
-        if cand is not None:
-            return cand
-    p = model.params
-    f = model.response.f
-    target = p.d / (p.n * model.survival(tau))
-    if f(p.K, 0.0) <= target:
-        return None
-
-    x_big = 1e9 * p.K
-
-    def x_of_y(y: float) -> float | None:
-        g = lambda x: f(x, y) - target
-        if g(x_big) <= 0.0:
-            return None
-        if g(0.0) >= 0.0:
-            return 0.0
-        return _bracketed_root(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
-
-    def prey_balance(y: float) -> float:
-        x = x_of_y(y)
-        if x is None:
-            return -math.inf  # predation cannot balance: treat as overshoot
-        return p.r * x * (1.0 - x / p.K) - target * y
-
-    # prey production caps at r K / 4, so y <= r K / (4 target) at any root
-    y_top = max(y_hi, p.r * p.K / (4.0 * target) + 1.0)
-    lo, hi = 0.0, None
-    if prey_balance(0.0) <= 0.0:
-        return None
-    # expand/scan for a sign change
-    ys = np.linspace(0.0, y_top, 65)
-    for yv in ys[1:]:
-        if prey_balance(float(yv)) <= 0.0:
-            hi = float(yv)
-            break
-        lo = float(yv)
-    if hi is None:
-        return None
-    y = _bracketed_root(prey_balance, lo, hi, xtol=1e-15, rtol=1e-15)
-    x = x_of_y(y)
-    if x is None or x <= 0.0:
-        return None
-    return (x, y)
-
-
 def _newton_polish(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
     """Newton iteration on the full system (delay dependence included).
 
@@ -289,63 +209,56 @@ def _newton_polish(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
     return best[1], best[2]
 
 
-def solve_coexistence(model: ModelSpec, max_outer: int = 200) -> Equilibrium | None:
+def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     """Coexistence equilibrium, or None when the reproduction number is <= 1.
 
-    Outer damped fixed-point iteration on y* (the delay argument) around the
-    frozen-delay solve, with a bracketed-root fallback, then a Newton polish
-    of the full system.  Raises :class:`NoConvergenceError` if the iteration
-    stalls.
+    For each y, the predator balance maturation_gain(tau(y), x, y) = d is
+    inverted for x, which traces the nullcline x(y).  Along it the prey
+    balance P(y) = r x (1 - x/K) - f(x, y) y is a function of y alone, and
+    -inf where the nullcline ends.  R > 1 makes P(0) > 0.  At a root,
+    f = d / (n exp(-dj tau(y))) is at least its value at y = 0, so
+    y <= r K / (4 f) bounds the scan.  The first sign change of P on 65
+    points of [0, y_top] is bracketed and solved, and a Newton solve of the
+    full system polishes the point.
+
+    Raises :class:`NoConvergenceError` when P(0) <= 0 or the scan finds no
+    sign change (only for a response or delay outside the model's
+    hypotheses), or when the polished residual exceeds 1e-10.
     """
     R = reproduction_number(model)
     if R <= 1.0:
         return None
-    y_cap = boundedness_limit(model)
+    p = model.params
+    x_big = 1e9 * p.K
 
-    def frozen(y: float) -> tuple[float, float] | None:
-        return _frozen_solve(model, model.delay.tau(max(y, 0.0)), y_cap)
+    def nullcline(y: float) -> float | None:
+        tau = model.delay.tau(y)
+        g = lambda x: model.maturation_gain(tau, x, y) - p.d
+        if g(x_big) <= 0.0:
+            return None
+        return _bracketed_root(g, 0.0, x_big, xtol=1e-15, rtol=8.9e-16)
 
-    sol = frozen(0.0)
-    if sol is None:
-        # R > 1 guarantees the frozen problem at tau(0) is solvable; reaching
-        # here means numerical failure of the inner solve
-        raise NoConvergenceError("inner frozen-delay solve failed at tau(0)",
-                                 (math.nan, math.nan), math.inf)
-    y = sol[1]
-    converged = False
-    if model.delay.is_constant:
-        x, y = sol
-        converged = True
-    else:
-        for _ in range(max_outer):
-            nxt = frozen(y)
-            if nxt is None:
-                y *= 0.5
-                continue
-            x, y_new = nxt
-            if abs(y_new - y) <= 1e-13 * max(1.0, abs(y_new)):
-                y = y_new
-                converged = True
+    def prey_balance(y: float) -> float:
+        x = nullcline(y)
+        if x is None:
+            return -math.inf
+        return p.r * x * (1.0 - x / p.K) - model.response.f(x, y) * y
+
+    f_min = p.d / (p.n * model.survival(model.delay.tau(0.0)))
+    y_top = max(boundedness_limit(model), p.r * p.K / (4.0 * f_min) + 1.0)
+    lo, hi = 0.0, None
+    if prey_balance(0.0) > 0.0:
+        for yv in np.linspace(0.0, y_top, 65)[1:]:
+            if prey_balance(float(yv)) <= 0.0:
+                hi = float(yv)
                 break
-            y = 0.5 * y + 0.5 * y_new
-        if not converged:
-            # bracketed-root fallback on g(y) = y - Y(tau(y))
-            def g(yv: float) -> float:
-                s = frozen(yv)
-                return yv - (s[1] if s is not None else 0.0)
-
-            if g(0.0) < 0.0 <= g(y_cap):
-                y = _bracketed_root(g, 0.0, y_cap, xtol=1e-15, rtol=8.9e-16)
-                s = frozen(y)
-                if s is not None:
-                    x, y = s
-                    converged = True
-        if not converged:
-            raise NoConvergenceError(
-                f"outer iteration on y* did not converge within {max_outer} steps",
-                (float("nan"), y), steady_state_residual(model, 0.0, y))
-
-    x, y = _newton_polish(model, x, y)
+            lo = float(yv)
+    if hi is None:
+        raise NoConvergenceError(
+            f"prey balance along the predator nullcline has no sign change on "
+            f"[0, {y_top:.6g}] (R = {R:.6g})", (math.nan, lo), math.inf)
+    y = _bracketed_root(prey_balance, lo, hi, xtol=1e-15, rtol=1e-15)
+    x, y = _newton_polish(model, nullcline(y), y)
     residual = steady_state_residual(model, x, y)
     if residual > _RESIDUAL_TOL:
         raise NoConvergenceError(

@@ -627,8 +627,7 @@ class StabilityVerdict:
     conditions: ConditionReport | None = None
 
 
-def classify_equilibrium(model: ModelSpec, eq: Equilibrium,
-                         compute_rightmost: bool = True) -> StabilityVerdict:
+def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
     """Stability verdict for a steady state.
 
     The origin is always unstable (the prey growth mode).  The predator-free
@@ -664,17 +663,13 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium,
         else:
             verdict, reason = Verdict.NEUTRALLY_STABLE, (
                 "recruitment gain equals mortality: simple zero root")
-        rm, roots = (None, [])
-        if compute_rightmost:
-            rm, roots = rightmost_abscissa(qp, box=box)
+        rm, roots = rightmost_abscissa(qp, box=box)
         return StabilityVerdict(verdict, eq, coeffs, reason, qp=qp,
                                 rightmost=rm,
                                 rightmost_root=roots[0] if roots else None)
 
     # coexistence
-    rm, roots = (None, [])
-    if compute_rightmost:
-        rm, roots = rightmost_abscissa(qp, box=box)
+    rm, roots = rightmost_abscissa(qp, box=box)
     root0 = roots[0] if roots else None
 
     if model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:
@@ -700,19 +695,16 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium,
         verdict = Verdict.STABLE
         reason = ("no imaginary-axis crossing for any delay, zero is not a "
                   "root, and the delay-free quadratic is stable")
-    elif rm is not None and rm > 1e-8:
+    elif rm > 1e-8:
         verdict = Verdict.UNSTABLE
         reason = f"numerical spectral abscissa {rm:.3g} > 0"
-    elif rm is not None and rm < -1e-8:
+    elif rm < -1e-8:
         verdict = Verdict.STABLE
         reason = (f"numerical spectral abscissa {rm:.3g} < 0 (algebraic "
                   "route inconclusive)")
-    elif rm is not None:
+    else:
         verdict = Verdict.NEUTRALLY_STABLE
         reason = f"numerical spectral abscissa {rm:.3g} within 1e-8 of zero"
-    else:
-        verdict = Verdict.UNSUPPORTED
-        reason = "algebraic route inconclusive and no numerical abscissa requested"
     return StabilityVerdict(verdict, eq, coeffs, reason, qp=qp,
                             quartic=quartic, rightmost=rm,
                             rightmost_root=root0, conditions=conditions)

@@ -40,29 +40,34 @@ def quartic_has_positive_root(Q1: float, Q2: float, Q3: float,
                     for z in roots))
 
 
-def bd_equilibrium_2d(r, K, n, dj, d, b, k1, k2, tau):
-    """Frozen-delay coexistence point by grid scan plus Newton (hybr)."""
+def coexistence_point(f, tau, r, K, n, dj, d):
+    """Coexistence point of the full steady-state system, delay included.
 
-    def f(x, y):
-        return b * x / (1.0 + k1 * x + k2 * y)
-
-    e = math.exp(-dj * tau)
+    Solves r (1 - x/K) = f(x, y) y / x and n exp(-dj tau(y)) f(x, y) = d in
+    the variables (log x, log y), which keep both densities positive, by
+    scipy's hybrid Powell method from the best point of a grid scan.  The
+    scan covers 0 < x < K and 0 < y <= r K n / (4 d): the predator balance
+    forces f >= d / n, and the prey balance then caps y at (r K / 4) / f.
+    """
 
     def eqs(v):
-        x, y = v
-        return [r * (1.0 - x / K) - f(x, y) * y / x,
-                n * e * f(x, y) - d]
+        x, y = math.exp(v[0]), math.exp(v[1])
+        fv = f(x, y)
+        return [r * (1.0 - x / K) - fv * y / x,
+                n * math.exp(-dj * tau(y)) * fv - d]
 
-    best = None
-    for x0 in np.linspace(0.05 * K, 0.999 * K, 30):
-        for y0 in np.geomspace(1e-3, 10.0 * K, 30):
-            m = max(abs(v) for v in eqs([x0, y0]))
-            if best is None or m < best[0]:
-                best = (m, x0, y0)
-    sol = optimize.root(eqs, [best[1], best[2]], tol=1e-14)
+    def scaled(v):
+        e1, e2 = eqs(v)
+        return max(abs(e1) / r, abs(e2) / d)
+
+    y_top = r * K * n / (4.0 * d)
+    starts = [(math.log(x0), math.log(y0))
+              for x0 in K * np.linspace(0.005, 0.999, 40)
+              for y0 in np.geomspace(1e-6 * y_top, y_top, 40)]
+    sol = optimize.root(eqs, min(starts, key=scaled), tol=1e-14)
     resid = max(abs(v) for v in eqs(sol.x))
     assert resid < 1e-12, f"oracle residual {resid}"
-    return float(sol.x[0]), float(sol.x[1])
+    return math.exp(sol.x[0]), math.exp(sol.x[1])
 
 
 def steady_recruitment_integral(n, dj, f_star, y_star, tau):

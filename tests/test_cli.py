@@ -13,6 +13,7 @@ from preydelay import cli
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
 from preydelay.engine import LagDomainError
+from preydelay.equilibria import NoConvergenceError
 
 
 def write_config(path, *, b=1.0, k1=0.0, k2=10.0, d=0.45, t_end=60.0,
@@ -184,6 +185,20 @@ def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
     cfg.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     assert "constant delay cannot sweep" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_failed_solve_exits_3_not_no_coexistence(tmp_path, monkeypatch,
+                                                       capsys):
+    # a solver failure is not evidence that no coexistence point exists
+    def fail(model):
+        raise NoConvergenceError("stalled", (math.nan, math.nan), math.inf)
+
+    monkeypatch.setattr(cli, "solve_coexistence", fail)
+    cfg = write_config(tmp_path / "cfg.json", sweep={"k2": [1.0, 10.0]})
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical failure: stalled" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 

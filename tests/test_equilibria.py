@@ -5,15 +5,16 @@ import pytest
 from scipy import optimize
 
 from preydelay import (EquilibriumKind, ModelParams, ModelSpec,
-                       beddington_deangelis, boundary_equilibria,
-                       constant_delay, exp_delay, holling2, linear,
-                       make_delay, reproduction_number, saturating_delay,
+                       NoConvergenceError, beddington_deangelis,
+                       boundary_equilibria, constant_delay, exp_delay,
+                       holling2, linear, make_delay, make_response,
+                       reproduction_number, saturating_delay,
                        solve_coexistence, steady_state_residual, yj_star)
 from preydelay.equilibria import (_balance_jacobian, _balances,
                                   _bracketed_root)
 from conftest import BD_TAUSTAR, BD_XSTAR, BD_YJSTAR, BD_YSTAR
 
-from oracles import steady_recruitment_integral
+from oracles import coexistence_point, steady_recruitment_integral
 
 # frozen from the independent 2-D grid-scan + Newton oracle (residual < 1e-12)
 EXAMPLE_XSTAR = 2.64318779748522
@@ -87,7 +88,7 @@ def test_general_solver_state_dependent_linear():
 
 @pytest.mark.parametrize("response", [holling2(b=2.0, h=0.5), linear(1.5)])
 def test_bracketed_root_matches_brentq_on_prey_inversion(response):
-    # the general solver's x_of_y: invert the predator balance f(x, y) = target
+    # the solver's nullcline: invert the predator balance f(x, y) = target
     # on [0, 1e9 K] with K = 2
     x_big = 2e9
     for target in (0.3, 0.9, 1.7):
@@ -101,7 +102,7 @@ def test_bracketed_root_matches_brentq_on_prey_inversion(response):
 
 
 def test_bracketed_root_survives_infinite_values_and_checks_bracket():
-    # -inf marks where the general solver's prey balance cannot be evaluated
+    # -inf marks where the prey balance along the nullcline cannot be evaluated
     g = lambda v: 0.3 - v if v < 0.7 else -math.inf
     assert _bracketed_root(g, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == \
         pytest.approx(0.3, abs=1e-15)
@@ -172,3 +173,82 @@ def test_threshold_equivalence_random_bd_specs():
             assert eq.residual <= 1e-10
             assert steady_state_residual(m, eq.x_star, eq.y_star) <= 1e-10
     assert checked >= 30
+
+
+# coefficient draws per catalog response; HollingI's plateau is left out
+# (see test_holling1_plateau_equilibrium_is_found)
+ORACLE_RESPONSES = {
+    "Linear": lambda rng: {"b": rng.uniform(0.05, 2.5)},
+    "HollingII": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                              "h": rng.uniform(0.05, 2.0)},
+    "HollingIII": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                               "h": rng.uniform(0.05, 2.0)},
+    "Saturation": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                               "h": rng.uniform(0.05, 2.0),
+                               "k": rng.uniform(1.05, 3.0)},
+    "Ivlev": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                          "c": rng.uniform(0.1, 2.0)},
+    "PowerLaw": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                             "k": rng.uniform(1.05, 3.0)},
+    "BeddingtonDeAngelis": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                                        "k1": rng.uniform(0.0, 0.5),
+                                        "k2": rng.uniform(0.0, 2.0)},
+    "CrowleyMartin": lambda rng: {"b": rng.uniform(0.05, 2.5),
+                                  "k1": rng.uniform(0.0, 0.5),
+                                  "k2": rng.uniform(0.0, 2.0)},
+}
+
+
+def test_coexistence_matches_full_system_oracle_across_catalog():
+    # five R > 1 draws for every response and delay law: 120 specs, each
+    # solved by the library and by the independent 2-D oracle
+    rng = np.random.default_rng(20261018)
+    for kind, coefficients in ORACLE_RESPONSES.items():
+        for delay_kind in ("constant", "saturating", "exp"):
+            found = 0
+            while found < 5:
+                tau_m = rng.uniform(0.1, 1.2)
+                tau_M = (tau_m if delay_kind == "constant"
+                         else tau_m + rng.uniform(0.05, 1.5))
+                coef = ({} if delay_kind == "constant"
+                        else {"theta": rng.uniform(0.3, 3.0)}
+                        if delay_kind == "saturating"
+                        else {"lam": rng.uniform(0.2, 3.0)})
+                p = ModelParams(r=rng.uniform(0.3, 2.5), K=rng.uniform(1.0, 15.0),
+                                n=rng.uniform(0.3, 2.5), dj=rng.uniform(0.05, 1.0),
+                                d=rng.uniform(0.05, 1.5))
+                m = ModelSpec(p, make_delay(delay_kind, tau_m, tau_M, **coef),
+                              make_response(kind, **coefficients(rng)))
+                if reproduction_number(m) <= 1.0:
+                    continue
+                found += 1
+                eq = solve_coexistence(m)
+                x, y = coexistence_point(m.response.f, m.delay.tau,
+                                         p.r, p.K, p.n, p.dj, p.d)
+                assert eq.x_star == pytest.approx(x, rel=1e-9), m.to_dict()
+                assert eq.y_star == pytest.approx(y, rel=1e-9), m.to_dict()
+
+
+# R = 1.64; the equilibrium (8.473966674361732, 0.4993573048078408), residual
+# 1.4e-16, lies on the plateau f = a b, where f(., y) = target has no unique
+# inverse, so the nullcline search cannot reach it
+HOLLING1_PLATEAU_MODEL = {
+    "params": {"r": 0.8757792476175272, "K": 8.783068682786663,
+               "n": 1.0041944526896878, "dj": 0.930725176148031,
+               "d": 0.1729582148500795},
+    "delay": {"kind": "exp", "coefficients": {"lam": 0.9780437176319199},
+              "tau_m": 0.6618444104834585, "tau_M": 2.0376708960997134},
+    "response": {"kind": "HollingI",
+                 "coefficients": {"a": 0.5960989039810386,
+                                  "b": 0.8774193728588086}}}
+
+
+@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
+                   reason="coexistence point on the Holling I plateau")
+def test_holling1_plateau_equilibrium_is_found():
+    m = ModelSpec.from_dict(HOLLING1_PLATEAU_MODEL)
+    assert reproduction_number(m) == pytest.approx(1.64, abs=5e-3)
+    assert steady_state_residual(m, 8.473966674361732, 0.4993573048078408) <= 1e-15
+    eq = solve_coexistence(m)
+    assert eq.x_star == pytest.approx(8.473966674361732, rel=1e-9)
+    assert eq.y_star == pytest.approx(0.4993573048078408, rel=1e-9)

@@ -326,7 +326,7 @@ def test_rightmost_finds_every_root_of_a_winding_two_box():
 def test_origin_always_unstable(bd_model, const_delay_model):
     for m in (bd_model, const_delay_model):
         e0 = boundary_equilibria(m)[0]
-        v = classify_equilibrium(m, e0, compute_rightmost=False)
+        v = classify_equilibrium(m, e0)
         assert v.verdict == Verdict.UNSTABLE
 
 
