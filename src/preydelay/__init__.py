@@ -8,8 +8,10 @@ of each equilibrium, and global attraction of the coexistence state under
 explicit interference conditions.
 
 The names of :mod:`preydelay.stability` and :mod:`preydelay.analysis` load on
-first access, so that ``import preydelay`` (and every CLI call that needs
-neither) does not pay for importing them.
+first access, and NumPy loads inside the functions that make or read arrays
+(trajectories, sampling, validation grids), so that ``import preydelay``, and
+every CLI call that needs none of them (``equilibria``), does not pay for
+importing them.
 """
 
 from importlib import import_module as _import_module

@@ -14,8 +14,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      default_stepper, export_csv, integrate, lag_times,
                      yj_integral)
@@ -27,7 +25,7 @@ from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
                     tabulated_history, validate)
 from .responses import ResponseKind
 
-# Start-up rule: a module that only some subcommands run (stability,
+# Start-up rule: a module that only some subcommands run (NumPy, stability,
 # analysis, svg) is imported inside those subcommands.
 
 __all__ = ["main", "Scenario", "load_scenario", "ConfigError"]
@@ -139,6 +137,8 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
 
 
 def _cmd_simulate(scn: Scenario, outdir: Path) -> int:
+    import numpy as np
+
     traj = integrate(scn.model, scn.history, scn.stepper)
     csv_path = outdir / (scn.outputs.csv or "trajectory.csv")
     export_csv(scn.model, traj, csv_path, scn.outputs.stride)
@@ -219,6 +219,8 @@ def _cmd_stability(scn: Scenario, outdir: Path) -> int:
 
 
 def _cmd_verify(scn: Scenario, outdir: Path) -> int:
+    import numpy as np
+
     from . import analysis
     from .stability import check_global_conditions, classify_equilibrium
 

@@ -20,8 +20,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .model import (GL_NODES, GL_WEIGHTS, HistoryFunction, ModelSpec,
                     correction_factor, warn_if_inconsistent)
 
@@ -200,6 +198,8 @@ class Trajectory:
     def __init__(self, ts: Sequence[float], us: Sequence[tuple],
                  fs: Sequence[tuple], history: Callable[[float], tuple],
                  tau_M: float, names: tuple[str, ...]):
+        import numpy as np
+
         self.ts = np.asarray(ts, dtype=float)
         self.us = np.asarray(us, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
@@ -231,6 +231,8 @@ class Trajectory:
         the others are read off the Hermite segment that contains them, all
         at once.
         """
+        import numpy as np
+
         s = np.asarray(times, dtype=float).ravel()
         ts, t_end, tau_M = self.ts, self.t_end, self.tau_M
         below = s < -tau_M - 1e-9 * max(1.0, tau_M)
@@ -331,6 +333,8 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
     last_reject_positivity = False
 
     def trajectory():
+        import numpy as np
+
         return Trajectory(store.ts, np.asarray(store.us)[:, :live],
                           np.asarray(store.fs)[:, :live], history_eval, tau_M,
                           names)
@@ -366,12 +370,12 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
             # the exact x and y stay strictly positive from positive data, so
             # a step that takes either to 0 or below is halved, not clamped:
             # x = 0 (or y = 0) is invariant and a clamp there would absorb a
-            # deep crash.  The juvenile channel and components already at 0
-            # keep the clamp.  (The padded components of a scalar state are
-            # exactly 0, so only v is held positive there.)
+            # deep crash.  Every other negative component is clamped to 0:
+            # x' and y' never read yj, and the exact yj is nonnegative, so
+            # the clamp moves yj toward it.  (The padded components of a
+            # scalar state are exactly 0, so only v is held positive there.)
             if cfg.positivity_guard and min(u1) <= 0.0:
-                if (u[0] > 0.0 >= u1[0] or u[1] > 0.0 >= u1[1]
-                        or any(v < -atol for atol, v in zip(atols, u1))):
+                if u[0] > 0.0 >= u1[0] or u[1] > 0.0 >= u1[1]:
                     last_reject_positivity = True
                     h *= 0.5
                     continue
@@ -541,6 +545,8 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     segment joins.  Serves as an independent consistency check of the juvenile
     ODE channel.
     """
+    import numpy as np
+
     if t < 0.0 or t > traj.t_end + 1e-9 * max(1.0, traj.t_end):
         raise LagDomainError(f"t={t:.6g} outside the integrated interval")
     y_t = traj.lookup(t)[1]
@@ -557,6 +563,7 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
     cuts = [s_lo, *ts[np.searchsorted(ts, s_lo, side="right"):
                      np.searchsorted(ts, t, side="left")].tolist(), t]
     w_max = min(0.25, max(traj.tau_M, 1e-3) / 8.0)
+    gl_nodes, gl_weights = np.array(GL_NODES), np.array(GL_WEIGHTS)
 
     nodes, weights = [], []
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -564,8 +571,8 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
         edges = np.linspace(a, b, npan + 1)
         half = (0.5 * (edges[1:] - edges[:-1]))[:, None]
         mid = (0.5 * (edges[1:] + edges[:-1]))[:, None]
-        nodes.append((mid + half * GL_NODES).ravel())
-        weights.append((GL_WEIGHTS * half).ravel())
+        nodes.append((mid + half * gl_nodes).ravel())
+        weights.append((gl_weights * half).ravel())
     nodes = np.concatenate(nodes)
     vals = traj.sample(nodes)
 
@@ -584,6 +591,8 @@ def yj_integral(model: ModelSpec, traj: Trajectory, t: float) -> float:
 
 def lag_times(model: ModelSpec, traj: Trajectory) -> np.ndarray:
     """s(t) = t - tau(y(t)) at every accepted node (strictly increasing)."""
+    import numpy as np
+
     y = np.clip(traj.us[:, 1], 0.0, None)
     taus = np.array([model.delay.tau(v) for v in y])
     return traj.ts - taus

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .model import ModelSpec, boundedness_limit, reproduction_number
 
 __all__ = [
@@ -209,6 +207,35 @@ def _newton_polish(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
     return best[1], best[2]
 
 
+def _plateau_point(model: ModelSpec, lo: float, hi: float,
+                   x_big: float) -> tuple[float, float] | None:
+    """Candidate coexistence point where the predator nullcline ends in (lo, hi].
+
+    The nullcline ends at the y_p where the predator balance's target meets
+    f(x_big, y_p), the most f(., y_p) can give.  If f is flat at that level
+    for large x (Holling I: f = a b for x >= b), each such x balances the
+    predator, and the prey balance r x (1 - x/K) = f y_p fixes x at the
+    larger root of that quadratic; it lies on the plateau when the prey
+    balance is still positive where the plateau starts.  None when the
+    quadratic has no real root.  The caller's residual check rejects the
+    candidate when f has no plateau there.
+    """
+    p = model.params
+    y = _bracketed_root(
+        lambda yv: model.maturation_gain(model.delay.tau(yv), x_big, yv) - p.d,
+        lo, hi, xtol=1e-15, rtol=8.9e-16)
+    disc = 1.0 - 4.0 * model.response.f(x_big, y) * y / (p.r * p.K)
+    if disc < 0.0:
+        return None
+    return 0.5 * p.K * (1.0 + math.sqrt(disc)), y
+
+
+def _scan_points(y_top: float) -> list[float]:
+    """The 64 nonzero points of a uniform 65-point grid on [0, y_top]: the
+    values of ``numpy.linspace(0, y_top, 65)[1:]``, without numpy."""
+    return [i * (y_top / 64) for i in range(1, 64)] + [y_top]
+
+
 def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     """Coexistence equilibrium, or None when the reproduction number is <= 1.
 
@@ -219,7 +246,10 @@ def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     f = d / (n exp(-dj tau(y))) is at least its value at y = 0, so
     y <= r K / (4 f) bounds the scan.  The first sign change of P on 65
     points of [0, y_top] is bracketed and solved, and a Newton solve of the
-    full system polishes the point.
+    full system polishes the point.  When that point misses the residual
+    bound because the nullcline ends inside the bracket with P still
+    positive, the point on the plateau of f where it ends is taken instead
+    (see :func:`_plateau_point`).
 
     Raises :class:`NoConvergenceError` when P(0) <= 0 or the scan finds no
     sign change (only for a response or delay outside the model's
@@ -248,11 +278,11 @@ def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     y_top = max(boundedness_limit(model), p.r * p.K / (4.0 * f_min) + 1.0)
     lo, hi = 0.0, None
     if prey_balance(0.0) > 0.0:
-        for yv in np.linspace(0.0, y_top, 65)[1:]:
-            if prey_balance(float(yv)) <= 0.0:
-                hi = float(yv)
+        for yv in _scan_points(y_top):
+            if prey_balance(yv) <= 0.0:
+                hi = yv
                 break
-            lo = float(yv)
+            lo = yv
     if hi is None:
         raise NoConvergenceError(
             f"prey balance along the predator nullcline has no sign change on "
@@ -260,6 +290,11 @@ def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     y = _bracketed_root(prey_balance, lo, hi, xtol=1e-15, rtol=1e-15)
     x, y = _newton_polish(model, nullcline(y), y)
     residual = steady_state_residual(model, x, y)
+    if residual > _RESIDUAL_TOL and nullcline(hi) is None:
+        plateau = _plateau_point(model, lo, hi, x_big)
+        if plateau is not None:
+            x, y = _newton_polish(model, *plateau)
+            residual = steady_state_residual(model, x, y)
     if residual > _RESIDUAL_TOL:
         raise NoConvergenceError(
             f"coexistence residual {residual:.3g} above {_RESIDUAL_TOL:g}",

@@ -19,8 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .delays import DelayFunction, make_delay
 from .responses import FunctionalResponse, make_response
 
@@ -234,6 +232,8 @@ class HistoryFunction:
         return (float(self.phi1(0.0)), float(self.phi3(0.0)), float(self.phi2(0.0)))
 
     def check_nonnegative(self, tau_M: float, samples: int = 64) -> None:
+        import numpy as np
+
         thetas = np.linspace(-tau_M, 0.0, samples)
         for name, fn in (("phi1", self.phi1), ("phi2", self.phi2), ("phi3", self.phi3)):
             vals = np.array([fn(t) for t in thetas], dtype=float)
@@ -248,20 +248,28 @@ class HistoryFunction:
 
 
 # 7-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 13:
-# the values of numpy.polynomial.legendre.leggauss(7), written out because
-# importing numpy.polynomial costs more than every use of the rule in a CLI call
-GL_NODES = np.array([-0.9491079123427586, -0.7415311855993945,
-                     -0.4058451513773972, 0.0, 0.4058451513773972,
-                     0.7415311855993945, 0.9491079123427586])
-GL_WEIGHTS = np.array([0.12948496616886973, 0.27970539148927687,
-                       0.3818300505051187, 0.4179591836734693,
-                       0.3818300505051187, 0.27970539148927687,
-                       0.12948496616886973])
+# the values of numpy.polynomial.legendre.leggauss(7), written out as floats so
+# that the rule needs no numpy import
+GL_NODES = (-0.9491079123427586, -0.7415311855993945, -0.4058451513773972,
+            0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586)
+GL_WEIGHTS = (0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+              0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+              0.12948496616886973)
+
+
+def _plain_sum(terms) -> float:
+    """Left-to-right sum, unlike ``sum()``, which compensates exact floats
+    from Python 3.12 on; rules and panels add their terms in this order."""
+    total = 0.0
+    for v in terms:
+        total += v
+    return total
 
 
 def _gauss_legendre(fn: Callable[[float], float], a: float, b: float) -> float:
     half, mid = 0.5 * (b - a), 0.5 * (b + a)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(GL_NODES, GL_WEIGHTS))
+    return half * _plain_sum(w * fn(mid + half * x)
+                             for x, w in zip(GL_NODES, GL_WEIGHTS))
 
 
 def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
@@ -283,8 +291,8 @@ def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
 
     heap = [panel(a, b, _gauss_legendre(fn, a, b))]
     while True:
-        error = -sum(pn[0] for pn in heap)
-        total = sum(pn[3] + pn[4] for pn in heap)
+        error = -_plain_sum(pn[0] for pn in heap)
+        total = _plain_sum(pn[3] + pn[4] for pn in heap)
         if error <= epsrel * abs(total):
             return total
         if len(heap) >= 200:
@@ -313,8 +321,8 @@ def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
 
     tau0 = model.delay.tau(history.phi3(0.0))
     cuts = [-tau0, *(k for k in history.knots if -tau0 < k < 0.0), 0.0]
-    return sum(_adaptive_gauss_legendre(integrand, a, b, epsrel)
-               for a, b in zip(cuts[:-1], cuts[1:]))
+    return _plain_sum(_adaptive_gauss_legendre(integrand, a, b, epsrel)
+                      for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 class HistoryConsistencyWarning(UserWarning):
@@ -374,6 +382,8 @@ def tabulated_history(times: Sequence[float], x: Sequence[float],
                       y: Sequence[float], yj: Sequence[float],
                       label: str = "tabulated") -> HistoryFunction:
     """Piecewise-linear history through sample points (times must cover [-tau_M, 0])."""
+    import numpy as np
+
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing with at least 2 points")
@@ -448,6 +458,8 @@ def validate(model: ModelSpec, grid: int = 64, y_cap: float | None = None) -> Va
     the eventual bound for V = n x + y + yj so the grid covers the reachable
     region.
     """
+    import numpy as np
+
     if grid < 16:
         raise ValueError("grid must be at least 16 points per axis")
     checks: list[CheckResult] = []

@@ -1,24 +1,40 @@
 """Report which deferred modules a CLI start-up loaded.
 
-    python tests/startup_imports.py
-        checks after ``import preydelay.cli``
-    python tests/startup_imports.py equilibria --config CFG --out DIR
-        checks after running ``python -m preydelay equilibria ...``
+    python tests/startup_imports.py [preydelay | preydelay.cli]
+        checks after importing the module (``preydelay.cli`` by default)
+    python tests/startup_imports.py SUBCOMMAND --config CFG --out DIR
+        checks after running ``python -m preydelay SUBCOMMAND ...``
 
-The modules in DEFERRED are used only by some subcommands (or, for SciPy, only
-by the tests), so start-up and the subcommands that do not run them must not
-import them.  Prints the ones that are loaded and exits 1 if there are any.
-Run it with ``src`` on ``PYTHONPATH`` or with the package installed.
+DEFERRED names, for each case, the modules that only other subcommands use
+(or, for SciPy, only the tests), so that case must not import them.  Prints
+the ones that are loaded and exits 1 if there are any.  Run it with ``src``
+on ``PYTHONPATH`` or with the package installed.
 """
 import runpy
 import sys
 
-DEFERRED = ("preydelay.analysis", "preydelay.stability", "preydelay.svg",
-            "xml.sax", "concurrent.futures", "numpy.polynomial", "scipy")
+_NEVER = ("preydelay.analysis", "preydelay.svg", "xml.sax",
+          "concurrent.futures", "numpy.polynomial", "scipy")
+_AT_START = ("numpy", "preydelay.stability", *_NEVER)
+
+DEFERRED = {
+    "preydelay": _AT_START,
+    "preydelay.cli": _AT_START,
+    "equilibria": _AT_START,
+    "stability": _NEVER,
+    "sweep": _NEVER,
+}
 
 
 def main(argv: list[str]) -> int:
-    if argv:
+    case = argv[0] if argv else "preydelay.cli"
+    if case not in DEFERRED:
+        print(f"no deferred set for {case!r}; cases: {', '.join(DEFERRED)}",
+              file=sys.stderr)
+        return 2
+    if case.startswith("preydelay"):
+        __import__(case)
+    else:
         sys.argv = ["preydelay", *argv]
         try:
             runpy.run_module("preydelay", run_name="__main__", alter_sys=True)
@@ -27,9 +43,7 @@ def main(argv: list[str]) -> int:
                 print(f"preydelay {' '.join(argv)} exited {exc.code}",
                       file=sys.stderr)
                 return 2
-    else:
-        import preydelay.cli  # noqa: F401
-    loaded = [name for name in DEFERRED if name in sys.modules]
+    loaded = [name for name in DEFERRED[case] if name in sys.modules]
     print(" ".join(loaded))
     return 1 if loaded else 0
 

@@ -15,7 +15,8 @@ from preydelay import (IntegrationError, LagDomainError, ModelParams,
 from preydelay import engine
 from preydelay.model import HistoryConsistencyWarning
 
-from conftest import DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL
+from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
+                      linear_family_model)
 from oracles import RK4StepsOracle, implicit_rate_solution
 
 
@@ -109,6 +110,27 @@ def test_rhs_core_inlines_the_model_maturation_law():
                        - correction_factor(m, y, N) * N)
 
 
+def test_rhs_core_prey_and_mature_rates_do_not_read_yj():
+    # the positivity guard clamps a negative yj instead of rejecting the
+    # step, which is safe only because x' and y' do not depend on yj
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        tau_m = rng.uniform(0.2, 0.8)
+        m = ModelSpec(
+            ModelParams(*rng.uniform(0.3, 2.0, 5)),
+            saturating_delay(tau_m, tau_m + rng.uniform(0.1, 1.0),
+                             rng.uniform(0.5, 2.0)),
+            beddington_deangelis(b=rng.uniform(0.3, 2.0),
+                                 k1=rng.uniform(0.0, 0.5),
+                                 k2=rng.uniform(0.0, 2.0)))
+        rhs = engine._make_rhs(m)
+        x, y = rng.uniform(0.0, 3.0, 2)
+        lag = tuple(rng.uniform(0.0, 3.0, 2))
+        rates = {rhs(1.0, (x, y, yj), lambda s: lag)[:2]
+                 for yj in (-1e-6, 0.0, *rng.uniform(0.0, 5.0, 3))}
+        assert len(rates) == 1
+
+
 # --------------------------------------------------------------------------
 # integration
 
@@ -146,6 +168,18 @@ def test_crashed_prey_is_not_absorbed_at_zero():
     assert np.min(traj.us[:, 0]) < 1e-30      # the crash is still resolved
     assert np.all(traj.us[:, 0] > 0.0)
     assert np.all(traj.us[:, 1] > 0.0)
+
+
+def test_negative_juvenile_overshoot_is_clamped_not_throttled():
+    # yj's ODE channel dips below -atol where the exact stock is tiny; a
+    # guard that rejected those steps held h near atol / |yj'| for 15 755
+    # steps on this run
+    m = linear_family_model(2.0)
+    hist = spread_histories(m, n=5, seed=1)[-1]
+    traj = integrate(m, hist, default_stepper(m, 10.0,
+                                              atol=(1e-30, 1e-30, 1e-10)))
+    assert traj.n_steps <= 550           # 500 on x86-64 Linux
+    assert np.all(traj.us >= 0.0)
 
 
 @settings(max_examples=30, deadline=None)

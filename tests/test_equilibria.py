@@ -11,7 +11,7 @@ from preydelay import (EquilibriumKind, ModelParams, ModelSpec,
                        reproduction_number, saturating_delay,
                        solve_coexistence, steady_state_residual, yj_star)
 from preydelay.equilibria import (_balance_jacobian, _balances,
-                                  _bracketed_root)
+                                  _bracketed_root, _scan_points)
 from conftest import BD_TAUSTAR, BD_XSTAR, BD_YJSTAR, BD_YSTAR
 
 from oracles import coexistence_point, steady_recruitment_integral
@@ -175,8 +175,17 @@ def test_threshold_equivalence_random_bd_specs():
     assert checked >= 30
 
 
-# coefficient draws per catalog response; HollingI's plateau is left out
-# (see test_holling1_plateau_equilibrium_is_found)
+def test_scan_points_are_the_linspace_values():
+    # the solver scans these without numpy; they must be linspace's values
+    # to the bit, or every solve's bracket and root could move
+    rng = np.random.default_rng(3)
+    y_tops = [1.0, 3.0, 0.1, 7.3, 64.0, 1e-9, 123456.789, 2.0 ** 60 / 3.0,
+              *rng.uniform(0.0, 50.0, 50), *np.exp(rng.uniform(-20, 20, 50))]
+    for y_top in map(float, y_tops):
+        assert _scan_points(y_top) == np.linspace(0.0, y_top, 65)[1:].tolist()
+
+
+# coefficient draws per catalog response
 ORACLE_RESPONSES = {
     "Linear": lambda rng: {"b": rng.uniform(0.05, 2.5)},
     "HollingII": lambda rng: {"b": rng.uniform(0.05, 2.5),
@@ -196,11 +205,15 @@ ORACLE_RESPONSES = {
     "CrowleyMartin": lambda rng: {"b": rng.uniform(0.05, 2.5),
                                   "k1": rng.uniform(0.0, 0.5),
                                   "k2": rng.uniform(0.0, 2.0)},
+    # a break b well inside (0, K) puts two of the fifteen points on the
+    # plateau f = a b
+    "HollingI": lambda rng: {"a": rng.uniform(0.05, 2.5),
+                             "b": rng.uniform(0.1, 3.0)},
 }
 
 
 def test_coexistence_matches_full_system_oracle_across_catalog():
-    # five R > 1 draws for every response and delay law: 120 specs, each
+    # five R > 1 draws for every response and delay law: 135 specs, each
     # solved by the library and by the independent 2-D oracle
     rng = np.random.default_rng(20261018)
     for kind, coefficients in ORACLE_RESPONSES.items():
@@ -231,7 +244,7 @@ def test_coexistence_matches_full_system_oracle_across_catalog():
 
 # R = 1.64; the equilibrium (8.473966674361732, 0.4993573048078408), residual
 # 1.4e-16, lies on the plateau f = a b, where f(., y) = target has no unique
-# inverse, so the nullcline search cannot reach it
+# inverse, so the nullcline ends before the prey balance changes sign
 HOLLING1_PLATEAU_MODEL = {
     "params": {"r": 0.8757792476175272, "K": 8.783068682786663,
                "n": 1.0041944526896878, "dj": 0.930725176148031,
@@ -243,8 +256,6 @@ HOLLING1_PLATEAU_MODEL = {
                                   "b": 0.8774193728588086}}}
 
 
-@pytest.mark.xfail(strict=True, raises=NoConvergenceError,
-                   reason="coexistence point on the Holling I plateau")
 def test_holling1_plateau_equilibrium_is_found():
     m = ModelSpec.from_dict(HOLLING1_PLATEAU_MODEL)
     assert reproduction_number(m) == pytest.approx(1.64, abs=5e-3)

@@ -233,8 +233,9 @@ def test_recruitment_quadrature_warns_when_panels_run_out():
 def test_gauss_legendre_literals_match_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(7)
     for got, want in ((GL_NODES, nodes), (GL_WEIGHTS, weights)):
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+        assert isinstance(got, tuple) and all(type(v) is float for v in got)
+        assert len(got) == len(want)
+        assert np.all(np.abs(np.array(got) - want) <= np.spacing(np.abs(want)))
 
 
 def test_inconsistent_history_warns():

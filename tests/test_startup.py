@@ -10,6 +10,7 @@ import pytest
 
 import preydelay
 from preydelay import cli
+from startup_imports import DEFERRED
 
 HERE = Path(__file__).resolve().parent
 SRC = Path(preydelay.__file__).resolve().parents[1]
@@ -54,11 +55,35 @@ def test_import_cli_defers_subcommand_modules():
     assert run.returncode == 0, f"loaded at import: {run.stdout}{run.stderr}"
 
 
+def test_import_preydelay_defers_numpy_and_subcommand_modules():
+    run = run_startup_check("preydelay")
+    assert run.returncode == 0, f"loaded at import: {run.stdout}{run.stderr}"
+
+
 def test_equilibria_subcommand_defers_other_subcommands_modules(tmp_path):
     run = run_startup_check("equilibria", "--config", DEMO_CONFIG,
                             "--out", tmp_path)
     assert run.returncode == 0, f"loaded by the call: {run.stdout}{run.stderr}"
     assert (tmp_path / "equilibria.json").is_file()
+
+
+SPECTRAL_REPORTS = {"stability": "stability.json", "sweep": "sweep.csv"}
+
+
+@pytest.mark.parametrize("command", sorted(SPECTRAL_REPORTS))
+def test_spectral_subcommand_defers_analysis_and_svg(command, tmp_path):
+    run = run_startup_check(command, "--config", DEMO_CONFIG, "--out", tmp_path)
+    assert run.returncode == 0, f"loaded by the call: {run.stdout}{run.stderr}"
+    assert (tmp_path / SPECTRAL_REPORTS[command]).is_file()
+
+
+def test_every_startup_case_is_checked():
+    checked = {"preydelay", "preydelay.cli", "equilibria", *SPECTRAL_REPORTS}
+    assert set(DEFERRED) == checked
+    for case in ("preydelay", "preydelay.cli", "equilibria"):
+        assert "numpy" in DEFERRED[case]
+    for case in SPECTRAL_REPORTS:
+        assert {"preydelay.analysis", "preydelay.svg", "xml.sax"} <= set(DEFERRED[case])
 
 
 def test_package_exposes_every_public_name():
