@@ -222,7 +222,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
     import numpy as np
 
     from . import analysis
-    from .stability import check_global_conditions, classify_equilibrium
+    from .stability import classify_equilibrium
 
     model = scn.model
     checks: list[tuple[str, bool, str, dict]] = []
@@ -271,8 +271,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
 
     if (coex is not None
             and model.response.kind == ResponseKind.BEDDINGTON_DEANGELIS):
-        cond = check_global_conditions(model, coex)
         verdict = classify_equilibrium(model, coex)
+        cond = verdict.conditions
         if verdict.verdict == "locally_asymptotically_stable":
             add("spectral_consistency",
                 verdict.rightmost is not None and verdict.rightmost < -1e-8,

@@ -39,10 +39,6 @@ class DelayFunction:
     def __call__(self, y: float) -> float:
         return self.tau(y)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.tau_m == self.tau_M
-
 
 def constant_delay(value: float) -> DelayFunction:
     """tau(y) = value for all y."""

@@ -350,7 +350,10 @@ def _newton_root(qp: QuasiPolynomial, z0: complex) -> complex | None:
     H1, H2, N1, N2, tau = qp.H1, qp.H2, qp.N1, qp.N2, qp.tau
     z = z0
     for _ in range(80):
-        e = cmath.exp(-z * tau)
+        try:
+            e = cmath.exp(-z * tau)
+        except OverflowError:  # an iterate far into the left half plane
+            return None
         g = z * z + H1 * z + H2 + (N1 * z + N2) * e
         gp = 2.0 * z + H1 + (N1 - tau * (N1 * z + N2)) * e
         if gp == 0.0:
@@ -364,100 +367,31 @@ def _newton_root(qp: QuasiPolynomial, z0: complex) -> complex | None:
     return None
 
 
-def _counted(rect):
-    """Winding count of ``rect``, the contour nudged outward while unreliable.
-
-    A generator step of a root search: it yields ``[rect]`` and receives the
-    count (None if unreliable); returns (count, rectangle counted on).
-    """
-    re0, re1, im0, im1 = rect
-    for attempt in range(6):
-        (w,) = yield [(re0, re1, im0, im1)]
-        if w is not None:
-            return w, (re0, re1, im0, im1)
-        pad = 1e-6 * (1.0 + attempt) * max(re1 - re0, im1 - im0, 1.0)
-        re0 -= pad
-        re1 += pad
-        im0 -= pad
-        im1 += pad
-    raise WindingError(
-        f"winding count unstable on [{re0:.4g},{re1:.4g}]x[{im0:.4g},{im1:.4g}]")
-
-
-def _root_search(qp: QuasiPolynomial, box):
-    """The search behind :func:`rightmost_abscissa`, as a generator.
-
-    It yields the lists of rectangles whose winding counts it needs, receives
-    their counts (None where unreliable) and returns (abscissa, roots), so
-    that :func:`rightmost_abscissae` can count the rectangles of many
-    searches in one batch.
-    """
-    re0, re1, im0, im1 = (float(v) for v in box)
-    scale = max(1.0, abs(re0), abs(re1), abs(im1))
-    roots: list[complex] = []
-
-    def add_root(z: complex) -> None:
-        for r in roots:
-            if abs(r - z) <= 1e-7 * scale:
-                return
-        if (re0 - 1e-6 * scale <= z.real <= re1 + 1e-6 * scale
-                and im0 - 1e-6 * scale <= z.imag <= im1 + 1e-6 * scale):
-            roots.append(z)
-
-    # each entry carries its rectangle's winding count, None until counted
-    # reliably; the two halves of a split are counted in one batch
-    stack: list[tuple[tuple, int | None]] = [((re0, re1, im0, im1), None)]
-    while stack:
-        rect, w = stack.pop()
-        if w is None:
-            w, rect = yield from _counted(rect)
-        if w == 0:
+def _newton_roots(qp: QuasiPolynomial, rect, w: int) -> list[complex]:
+    """Roots that Newton reaches from the centre of ``rect``, and for w > 1
+    from four points 0.3 of its width or height off the centre."""
+    width = rect[1] - rect[0]
+    height = rect[3] - rect[2]
+    centre = complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
+    starts = [centre]
+    if w > 1:
+        starts += [centre + complex(0.3 * width, 0.0),
+                   centre - complex(0.3 * width, 0.0),
+                   centre + complex(0.0, 0.3 * height),
+                   centre - complex(0.0, 0.3 * height)]
+    tol = 1e-8 * (1.0 + abs(qp.H2) + abs(qp.N2))
+    roots = []
+    for s in starts:
+        z = _newton_root(qp, s)
+        if z is None or abs(characteristic_eval(qp, z)) > tol:
             continue
-        width = rect[1] - rect[0]
-        height = rect[3] - rect[2]
-        small = max(width, height) <= 2e-2 * scale
-        if w == 1 or small:
-            centre = complex(0.5 * (rect[0] + rect[1]), 0.5 * (rect[2] + rect[3]))
-            starts = [centre]
-            if w > 1:
-                starts += [centre + complex(0.3 * width, 0.0),
-                           centre - complex(0.3 * width, 0.0),
-                           centre + complex(0.0, 0.3 * height),
-                           centre - complex(0.0, 0.3 * height)]
-            pad = 1e-5 * scale
-            captured = 0
-            for s in starts:
-                z = _newton_root(qp, s)
-                if z is None or abs(characteristic_eval(qp, z)) > 1e-8 * (
-                        1.0 + abs(qp.H2) + abs(qp.N2)):
-                    continue
-                add_root(z)
-                if (rect[0] - pad <= z.real <= rect[1] + pad
-                        and rect[2] - pad <= z.imag <= rect[3] + pad):
-                    captured += 1
-            if captured >= w or max(width, height) <= 1e-8 * scale:
-                continue
-            # not every enclosed root captured: keep subdividing
-        if width >= height:
-            mid = 0.5 * (rect[0] + rect[1])
-            halves = [(rect[0], mid, rect[2], rect[3]),
-                      (mid, rect[1], rect[2], rect[3])]
-        else:
-            mid = 0.5 * (rect[2] + rect[3])
-            halves = [(rect[0], rect[1], rect[2], mid),
-                      (rect[0], rect[1], mid, rect[3])]
-        counts = yield halves
-        stack.extend(zip(halves, counts))
-
-    if not roots:
-        return (-math.inf, [])
-    roots.sort(key=lambda z: -z.real)
-    return (roots[0].real, roots)
+        roots.append(z)
+    return roots
 
 
 def rightmost_abscissa(qp: QuasiPolynomial,
-                       box: tuple[float, float, float, float] | None = None,
-                       ngrid: int = 64) -> tuple[float, list[complex]]:
+                       box: tuple[float, float, float, float] | None = None
+                       ) -> tuple[float, list[complex]]:
     """Largest real part over characteristic roots inside the search box.
 
     Roots are isolated by winding counts on recursively subdivided rectangles
@@ -466,49 +400,90 @@ def rightmost_abscissa(qp: QuasiPolynomial,
     a-priori modulus bound for roots with real part above the left edge.
     Returns (-inf, []) when the box contains no root.
     """
-    (result,) = rightmost_abscissae([qp], [box], ngrid)
+    (result,) = rightmost_abscissae([qp], [box])
     if isinstance(result, WindingError):
         raise result
     return result
 
 
-def rightmost_abscissae(qps, boxes=None, ngrid: int = 64) -> list:
+def rightmost_abscissae(qps, boxes=None) -> list:
     """:func:`rightmost_abscissa` of many quasi-polynomials at once.
 
     ``boxes`` holds one search box (or None for the default) per
     quasi-polynomial.  Entry i of the result is what
-    ``rightmost_abscissa(qps[i], boxes[i], ngrid)`` returns, or the
-    :class:`WindingError` it would raise.  The searches run side by side:
-    each round counts the rectangles all of them ask for in one batch.
+    ``rightmost_abscissa(qps[i], boxes[i])`` returns, or the
+    :class:`WindingError` it would raise.
+
+    One loop runs every search, level by level: each round counts the
+    pending rectangles of all searches in one batch.  An unreliable count
+    nudges its contour outward, at most five times before the search fails;
+    a rectangle with no root is dropped; one with one root, or a small one,
+    gets Newton starts and is done once they capture its count; the rest are
+    halved across their longer side.  Each rectangle carries a path key, the
+    halves taken from its box (0 for the upper or right one), so sorted keys
+    give the depth-first order; roots are deduplicated in that order, and
+    every result equals the one-at-a-time depth-first search's, bit for bit.
     """
     qps = list(qps)
     boxes = [None] * len(qps) if boxes is None else list(boxes)
-    searches = [_root_search(qp, _default_box(qp) if box is None else box)
-                for qp, box in zip(qps, boxes)]
-    results: list = [None] * len(searches)
-    asks: dict[int, list] = {}
+    boxes = [tuple(float(v) for v in (_default_box(qp) if box is None else box))
+             for qp, box in zip(qps, boxes)]
+    scales = [max(1.0, abs(b[0]), abs(b[1]), abs(b[3])) for b in boxes]
+    found: list[list] = [[] for _ in qps]  # (path key, root) per search
+    results: list = [None] * len(qps)  # a WindingError once a search fails
+    # pending rectangles: (search, path key, rectangle, nudges so far)
+    frontier = [(i, (), box, 0) for i, box in enumerate(boxes)]
+    while frontier:
+        counts = _windings([qps[i] for i, _, _, _ in frontier],
+                           [rect for _, _, rect, _ in frontier], 64)
+        pending = []
+        for (i, key, rect, nudges), w in zip(frontier, counts):
+            re0, re1, im0, im1 = rect
+            if w is None:
+                if nudges < 5:
+                    pad = 1e-6 * (1.0 + nudges) * max(re1 - re0, im1 - im0, 1.0)
+                    pending.append((i, key, (re0 - pad, re1 + pad, im0 - pad,
+                                             im1 + pad), nudges + 1))
+                elif results[i] is None:
+                    results[i] = WindingError(
+                        f"winding count unstable on "
+                        f"[{re0:.4g},{re1:.4g}]x[{im0:.4g},{im1:.4g}]")
+                continue
+            if w == 0:
+                continue
+            scale = scales[i]
+            size = max(re1 - re0, im1 - im0)
+            if w == 1 or size <= 2e-2 * scale:
+                roots = _newton_roots(qps[i], rect, w)
+                found[i] += [(key, z) for z in roots]
+                pad = 1e-5 * scale
+                captured = sum(re0 - pad <= z.real <= re1 + pad
+                               and im0 - pad <= z.imag <= im1 + pad
+                               for z in roots)
+                if captured >= w or size <= 1e-8 * scale:
+                    continue
+                # not every enclosed root captured: keep subdividing
+            if re1 - re0 >= im1 - im0:
+                mid = 0.5 * (re0 + re1)
+                low, high = (re0, mid, im0, im1), (mid, re1, im0, im1)
+            else:
+                mid = 0.5 * (im0 + im1)
+                low, high = (re0, re1, im0, mid), (re0, re1, mid, im1)
+            pending += [(i, key + (1,), low, 0), (i, key + (0,), high, 0)]
+        frontier = [e for e in pending if results[e[0]] is None]
 
-    def advance(i: int, counts) -> None:
-        try:
-            asks[i] = searches[i].send(counts)
-        except StopIteration as done:
-            asks.pop(i, None)
-            results[i] = done.value
-        except WindingError as exc:
-            asks.pop(i, None)
-            results[i] = exc
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while asks:
-        order = list(asks)
-        counts = _windings([qps[i] for i in order for _ in asks[i]],
-                           [r for i in order for r in asks[i]], ngrid)
-        at = 0
-        for i in order:
-            size = len(asks[i])
-            advance(i, counts[at:at + size])
-            at += size
+    for i, (box, scale, hits) in enumerate(zip(boxes, scales, found)):
+        if results[i] is not None:
+            continue
+        re0, re1, im0, im1 = box
+        roots: list[complex] = []
+        for _, z in sorted(hits, key=lambda hit: hit[0]):
+            if (all(abs(r - z) > 1e-7 * scale for r in roots)
+                    and re0 - 1e-6 * scale <= z.real <= re1 + 1e-6 * scale
+                    and im0 - 1e-6 * scale <= z.imag <= im1 + 1e-6 * scale):
+                roots.append(z)
+        roots.sort(key=lambda z: -z.real)
+        results[i] = (roots[0].real, roots) if roots else (-math.inf, [])
     return results
 
 

@@ -8,13 +8,14 @@
 DEFERRED names, for each case, the modules that only other subcommands use
 (or, for SciPy, only the tests), so that case must not import them.  Prints
 the ones that are loaded and exits 1 if there are any.  Run it with ``src``
-on ``PYTHONPATH`` or with the package installed.
+on ``PYTHONPATH`` or with the package installed.  There is a case for each
+of the five subcommands.
 """
 import runpy
 import sys
 
-_NEVER = ("preydelay.analysis", "preydelay.svg", "xml.sax",
-          "concurrent.futures", "numpy.polynomial", "scipy")
+_ANY = ("xml.sax", "concurrent.futures", "numpy.polynomial", "scipy")
+_NEVER = ("preydelay.analysis", "preydelay.svg", *_ANY)
 _AT_START = ("numpy", "preydelay.stability", *_NEVER)
 
 DEFERRED = {
@@ -23,6 +24,9 @@ DEFERRED = {
     "equilibria": _AT_START,
     "stability": _NEVER,
     "sweep": _NEVER,
+    # the SVG chart is drawn when the config asks for one
+    "simulate": ("preydelay.stability", "preydelay.analysis", *_ANY),
+    "verify": ("preydelay.svg", *_ANY),
 }
 
 

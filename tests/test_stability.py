@@ -11,7 +11,7 @@ from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
                        classify_equilibrium, constant_delay, holling2,
                        linearize_at, quartic_classify, quasi_polynomial,
                        reproduction_number, rightmost_abscissa,
-                       saturating_delay, solve_coexistence)
+                       saturating_delay, solve_coexistence, stability)
 from preydelay.stability import (_windings, imaginary_crossing_quartic,
                                  rightmost_abscissae)
 
@@ -288,6 +288,56 @@ def test_rightmost_abscissae_return_a_winding_error_in_its_place():
             rightmost_abscissa(bad, box=box)
     assert isinstance(first, WindingError)
     assert repr(second) == repr(rightmost_abscissa(good))
+
+
+def counted_contours(monkeypatch):
+    """Record every rectangle the spectral search counts."""
+    counted = []
+
+    def spy(qps, rects, n0):
+        counted.extend(rects)
+        return _windings(qps, rects, n0)
+
+    monkeypatch.setattr(stability, "_windings", spy)
+    return counted
+
+
+def test_nudge_past_a_root_on_the_box_edge(monkeypatch):
+    # lambda^2 + 2 lambda + 5 has the roots -1 +- 2i; -1 + 2i is on the left edge
+    qp = QuasiPolynomial(H1=2.0, H2=5.0, N1=0.0, N2=0.0, tau=0.0)
+    box = (-1.0, 0.0, 1.0, 3.0)
+    counted = counted_contours(monkeypatch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert rightmost_abscissa(qp, box=box) == (-1.0, [complex(-1.0, 2.0)])
+    nudged = counted[1]
+    assert counted[0] == box
+    assert nudged[0] < -1.0 and nudged[1] > 0.0 and nudged[2] < 1.0 < 3.0 < nudged[3]
+
+
+def test_nudge_both_halves_past_a_root_on_the_split_line(monkeypatch):
+    # the box is split at Im = 2, through the root -1 + 2i
+    qp = QuasiPolynomial(H1=2.0, H2=5.0, N1=0.0, N2=0.0, tau=0.0)
+    box = (-3.0, 1.0, -2.5, 6.5)
+    counted = counted_contours(monkeypatch)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert rightmost_abscissa(qp, box=box) == (
+            -1.0, [complex(-1.0, 2.0), complex(-1.0, -2.0)])
+    assert counted[:3] == [box, (-3.0, 1.0, -2.5, 2.0), (-3.0, 1.0, 2.0, 6.5)]
+    assert any(2.0 < r[3] < 2.001 for r in counted[3:])  # the lower half
+    assert any(1.999 < r[2] < 2.0 for r in counted[3:])  # the upper half
+
+
+def test_newton_start_that_overflows_is_a_failed_start():
+    # from one of its starts, Newton runs far enough left for exp(-z tau) to
+    # overflow
+    qp = QuasiPolynomial(H1=-0.3663818731343875, H2=1.3180822268809624,
+                         N1=1.6706811862089985, N2=-2.898069241798604, tau=3.0)
+    ab, roots = rightmost_abscissa(qp)
+    assert roots and ab == roots[0].real
+    for z in roots:
+        assert abs(characteristic_eval(qp, z)) <= 1e-8
+    re0, re1, im0, im1 = stability._default_box(qp)
+    assert _windings([qp], [(ab + 1e-6, re1, im0, im1)], 64) == [0]
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -77,13 +77,29 @@ def test_spectral_subcommand_defers_analysis_and_svg(command, tmp_path):
     assert (tmp_path / SPECTRAL_REPORTS[command]).is_file()
 
 
+OTHER_REPORTS = {"simulate": "trajectory.csv", "verify": "verify.xml"}
+
+
+@pytest.mark.parametrize("command", sorted(OTHER_REPORTS))
+def test_simulate_and_verify_defer_other_subcommands_modules(command, tmp_path):
+    run = run_startup_check(command, "--config", DEMO_CONFIG, "--out", tmp_path)
+    assert run.returncode == 0, f"loaded by the call: {run.stdout}{run.stderr}"
+    assert (tmp_path / OTHER_REPORTS[command]).is_file()
+
+
 def test_every_startup_case_is_checked():
-    checked = {"preydelay", "preydelay.cli", "equilibria", *SPECTRAL_REPORTS}
+    checked = {"preydelay", "preydelay.cli", "equilibria", *SPECTRAL_REPORTS,
+               *OTHER_REPORTS}
     assert set(DEFERRED) == checked
     for case in ("preydelay", "preydelay.cli", "equilibria"):
         assert "numpy" in DEFERRED[case]
     for case in SPECTRAL_REPORTS:
         assert {"preydelay.analysis", "preydelay.svg", "xml.sax"} <= set(DEFERRED[case])
+    assert {"preydelay.stability", "preydelay.analysis", "xml.sax",
+            "concurrent.futures", "numpy.polynomial",
+            "scipy"} == set(DEFERRED["simulate"])
+    assert {"preydelay.svg", "xml.sax", "concurrent.futures",
+            "numpy.polynomial", "scipy"} == set(DEFERRED["verify"])
 
 
 def test_package_exposes_every_public_name():
