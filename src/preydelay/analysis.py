@@ -91,7 +91,9 @@ def _tail_grid(traj: Trajectory, tail_fraction: float, min_points: int = 512):
     t_lo = traj.t_end * (1.0 - tail_fraction)
     grid = np.linspace(t_lo, traj.t_end, min_points)
     nodes = traj.ts[(traj.ts >= t_lo) & (traj.ts <= traj.t_end)]
-    return np.unique(np.concatenate([grid, nodes]))
+    # np.unique would import numpy.ma on every verify call
+    ts = np.sort(np.concatenate([grid, nodes]))
+    return ts[np.concatenate([[True], ts[1:] != ts[:-1]])]
 
 
 # --------------------------------------------------------------------------

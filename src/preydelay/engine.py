@@ -7,17 +7,24 @@ N for the lagged recruitment rate, the mature-predator equation
 
 and the juvenile equation reuses the same resolution through the positive
 correction factor (1 + tau'(y) d y) / (1 + tau'(y) N).  Steps are taken with
-the Dormand-Prince 5(4) embedded pair (FSAL); dense output is the cubic
-Hermite interpolant on accepted (value, derivative) nodes, which also serves
-every lagged lookup.  Keeping the step below tau(0) guarantees lags land in
-already-accepted segments; with a vanishing minimum delay the stage lookups
-are fixed-point iterated against a provisional segment instead.
+the Dormand-Prince 5(4) embedded pair (FSAL); dense output is its own
+fourth-order continuous extension, which costs no extra RHS call and serves
+every lagged lookup as well as every read of the finished trajectory.  A
+dense output of order q gives a delay method of order min(5, q + 1), so the
+lags no longer cost the step its fifth order, as a cubic Hermite did.
+Keeping the step below tau(0) guarantees lags land in already-accepted
+segments: :func:`default_stepper` caps it at 0.6 tau(0), which bounds the
+juvenile-conservation error of the lag reads with margin (the cap, not the
+tolerance, sets most probe steps).  With a vanishing minimum delay the stage
+lookups are fixed-point iterated against a provisional segment instead.
 """
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 from .model import (GL_NODES, GL_WEIGHTS, HistoryFunction, ModelSpec,
@@ -108,7 +115,7 @@ def default_stepper(model: ModelSpec, t_end: float, rtol: float = 1e-8,
 def _capped_stepper(tau_m: float, t_end: float, rtol: float,
                     atol: float | tuple[float, ...], **kwargs) -> StepperConfig:
     """Config whose step cap stays below a minimum delay tau_m (if positive)."""
-    h_max = 0.45 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
+    h_max = 0.6 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
     return StepperConfig(t_end=t_end, rtol=rtol, atol=atol,
                          h_init=min(h_max, 0.01), h_max=h_max, **kwargs)
 
@@ -136,28 +143,56 @@ _, _C2, _C3, _C4, _C5, _, _ = _DP_C
  (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76)) = _DP_A
 _E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
 
+# DOPRI5's continuous extension: the step's dense output is the cubic Hermite
+# on (u0, h f0, u1, h f1) plus theta^2 (1 - theta)^2 d with d = h sum D_i k_i
+# (Hairer, Norsett & Wanner, Solving ODEs I, section II.6); D_2 is zero
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
+
 _MAX_OVERLAP_ITERS = 5
 _OVERLAP_TOL = 1e-10
 
 
-def _hermite(t0: float, u0, f0, t1: float, u1, f1, s: float):
-    """Cubic Hermite value at s on [t0, t1] of the lagged pair (x, y)."""
-    h = t1 - t0
+def _segment(t0: float, h: float, u0, f0, u1, f1, d) -> tuple:
+    """(t0, h, c0..c4 of x, c0..c4 of y): the lagged pair's quartic in theta.
+
+    The value at s is c0 + theta (c1 + theta (c2 + theta (c3 + theta c4)))
+    with theta = (s - t0) / h; :meth:`Trajectory.sample` does the same
+    arithmetic on arrays.
+    """
+    seg = [t0, h]
+    for m in (0, 1):
+        a, b, du, dm = h * f0[m], h * f1[m], u1[m] - u0[m], d[m]
+        seg += (u0[m], a, 3.0 * du - 2.0 * a - b + dm,
+                a + b - 2.0 * du - 2.0 * dm, dm)
+    return tuple(seg)
+
+
+_START = itemgetter(0)  # a segment tuple's start time
+
+
+def _quartic(seg: tuple, s: float) -> tuple:
+    """(x, y) at s off a :func:`_segment` tuple."""
+    t0, h, x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = seg
     th = (s - t0) / h
-    th2 = th * th
-    th3 = th2 * th
-    a = 2.0 * th3 - 3.0 * th2 + 1.0
-    b = (th3 - 2.0 * th2 + th) * h
-    c = -2.0 * th3 + 3.0 * th2
-    e = (th3 - th2) * h
-    return (a * u0[0] + b * f0[0] + c * u1[0] + e * f1[0],
-            a * u0[1] + b * f0[1] + c * u1[1] + e * f1[1])
+    return (x0 + th * (x1 + th * (x2 + th * (x3 + th * x4))),
+            y0 + th * (y1 + th * (y2 + th * (y3 + th * y4))))
 
 
 class _SolutionStore:
-    """Accepted nodes plus the initial history; serves the stepper's lagged lookups."""
+    """Accepted nodes plus the initial history; serves the stepper's lagged lookups.
 
-    __slots__ = ("history", "tau_M", "ts", "us", "fs")
+    ``ts``, ``us``, ``fs`` and ``ds`` (each step's d, three floats a step)
+    keep every step for the trajectory.  The lagged pair's quartic
+    coefficients are kept only for the segments a lag can still reach, those
+    ending after t - tau_M, and are read through a forward cursor that falls
+    back to a bisection.
+    """
+
+    __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "_segs", "_cur",
+                 "_trim_at")
 
     def __init__(self, history: Callable[[float], tuple], tau_M: float):
         self.history = history
@@ -165,11 +200,32 @@ class _SolutionStore:
         self.ts: list[float] = []
         self.us: list[tuple] = []
         self.fs: list[tuple] = []
+        self.ds = array("d")  # flat: three entries per segment
+        self._segs: list[tuple] = []
+        self._cur = 0
+        self._trim_at = 64
 
-    def append(self, t: float, u: tuple, f: tuple) -> None:
+    def append(self, t: float, u: tuple, f: tuple, d: tuple | None = None) -> None:
+        """Add the node (t, u, f); d is the step's d (None for the first node)."""
+        if d is not None:
+            t0 = self.ts[-1]
+            self._segs.append(_segment(t0, t - t0, self.us[-1], self.fs[-1],
+                                       u, f, d))
+            self.ds.extend(d)
+            if len(self._segs) >= self._trim_at:
+                self._trim(t)
         self.ts.append(t)
         self.us.append(u)
         self.fs.append(f)
+
+    def _trim(self, t: float) -> None:
+        # drop the segments that end before t - tau_M, keeping one spare for
+        # a delay that rounds above tau_M; amortized O(1) per append
+        k = bisect_right(self._segs, t - self.tau_M, key=_START) - 2
+        if k > 0:
+            del self._segs[:k]
+            self._cur = max(self._cur - k, 0)
+        self._trim_at = max(64, 2 * len(self._segs))
 
     def eval_past(self, s: float) -> tuple:
         """(x, y) at an already-covered time s (the history for s <= 0)."""
@@ -179,30 +235,42 @@ class _SolutionStore:
                     f"lagged time {s:.6g} precedes the history interval "
                     f"[-{self.tau_M:.6g}, 0]")
             return self.history(s if s >= -self.tau_M else -self.tau_M)
-        ts = self.ts
-        i = bisect_right(ts, s) - 1
-        if i >= len(ts) - 1:
-            i = len(ts) - 2
-        return _hermite(ts[i], self.us[i], self.fs[i],
-                        ts[i + 1], self.us[i + 1], self.fs[i + 1], s)
+        segs = self._segs
+        i = self._cur
+        if s < segs[i][0]:
+            i = bisect_right(segs, s, key=_START) - 1
+            if i < 0:
+                raise LagDomainError(
+                    f"lagged time {s:.6g} precedes the retained window")
+        else:
+            last = len(segs) - 1
+            while i < last and s >= segs[i + 1][0]:
+                i += 1
+            if i == last and s >= self.ts[-1]:
+                return self.us[-1][:2]
+        self._cur = i
+        return _quartic(segs[i], s)
 
 
 class Trajectory:
-    """Dense piecewise-cubic solution record over [-tau_M, t_end].
+    """Dense piecewise-quartic solution record over [-tau_M, t_end].
 
-    Values and derivatives at accepted nodes define one cubic Hermite segment
-    per step; reads at s <= 0 fall through to the initial history.  The
-    record is immutable once built and safe for concurrent reads.
+    Values and derivatives at accepted nodes, and each step's d, define the
+    step's DOPRI5 continuous extension (see :func:`_segment`); reads at
+    s <= 0 fall through to the initial history.  The record is immutable
+    once built and safe for concurrent reads.
     """
 
     def __init__(self, ts: Sequence[float], us: Sequence[tuple],
-                 fs: Sequence[tuple], history: Callable[[float], tuple],
-                 tau_M: float, names: tuple[str, ...]):
+                 fs: Sequence[tuple], ds: Sequence[tuple],
+                 history: Callable[[float], tuple], tau_M: float,
+                 names: tuple[str, ...]):
         import numpy as np
 
         self.ts = np.asarray(ts, dtype=float)
         self.us = np.asarray(us, dtype=float)
         self.fs = np.asarray(fs, dtype=float)
+        self.ds = np.asarray(ds, dtype=float)
         self._history = history
         self.tau_M = float(tau_M)
         self.names = names
@@ -228,8 +296,8 @@ class Trajectory:
 
         Every time must lie in [-tau_M, t_end] (up to a relative 1e-9), or
         :class:`LagDomainError` is raised.  Times s <= 0 read the history;
-        the others are read off the Hermite segment that contains them, all
-        at once.
+        the others are read off the quartic segment that contains them, all
+        at once, and node times return the node values exactly.
         """
         import numpy as np
 
@@ -248,23 +316,22 @@ class Trajectory:
         past = s <= 0.0
         for k in np.flatnonzero(past):
             out[k] = self._history(max(float(s[k]), -tau_M))
-        k = np.flatnonzero(~past)
+        end = s >= t_end
+        out[end & ~past] = self.us[-1]
+        k = np.flatnonzero(~(past | end))
         if k.size:
             sk = s[k]
             i = np.searchsorted(ts, sk, side="right") - 1
-            np.minimum(i, len(ts) - 2, out=i)
             t0 = ts[i]
             h = ts[i + 1] - t0
-            th = (np.minimum(sk, t_end) - t0) / h
-            th2 = th * th
-            th3 = th2 * th
-            a = 2.0 * th3 - 3.0 * th2 + 1.0
-            b = (th3 - 2.0 * th2 + th) * h
-            c = -2.0 * th3 + 3.0 * th2
-            e = (th3 - th2) * h
-            us, fs = self.us, self.fs
-            out[k] = (a[:, None] * us[i] + b[:, None] * fs[i]
-                      + c[:, None] * us[i + 1] + e[:, None] * fs[i + 1])
+            th = (sk - t0) / h
+            us, fs, ds = self.us, self.fs, self.ds
+            for m in range(self.dim):
+                u0, d = us[i, m], ds[i, m]
+                a, b, du = h * fs[i, m], h * fs[i + 1, m], us[i + 1, m] - u0
+                c2 = 3.0 * du - 2.0 * a - b + d
+                c3 = a + b - 2.0 * du - 2.0 * d
+                out[k, m] = u0 + th * (a + th * (c2 + th * (c3 + th * d)))
         return out
 
 
@@ -336,8 +403,9 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
         import numpy as np
 
         return Trajectory(store.ts, np.asarray(store.us)[:, :live],
-                          np.asarray(store.fs)[:, :live], history_eval, tau_M,
-                          names)
+                          np.asarray(store.fs)[:, :live],
+                          np.array(store.ds).reshape(-1, 3)[:, :live],
+                          history_eval, tau_M, names)
 
     def fail(exc_cls, message):
         raise exc_cls(message, trajectory=trajectory())
@@ -354,7 +422,8 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
             fail(IntegrationError, f"exceeded {cfg.max_steps} steps")
 
         # looked up through the module so that callers can wrap it
-        u1, f1, err = _attempt_step(rhs_core, store, t, u, f, h, allow_overlap)
+        u1, f1, err, d = _attempt_step(rhs_core, store, t, u, f, h,
+                                       allow_overlap)
 
         # weighted rms local-error norm over the live components
         acc = 0.0
@@ -384,7 +453,7 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
             t1 = t + h
             if t_end - t1 <= 1e-13 * max(1.0, t_end):
                 t1 = t_end
-            store.append(t1, u1, f1)
+            store.append(t1, u1, f1, d)
             t, u, f = t1, u1, f1
             factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
             h = min(h * factor, cfg.h_max)
@@ -397,11 +466,12 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
 
 def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
                   f0: tuple, h: float, allow_overlap: bool):
-    """One trial Dormand-Prince step; returns (u1, f1, error_estimate).
+    """One trial Dormand-Prince step; returns (u1, f1, error_estimate, d).
 
+    d is the step's dense-output correction (see :func:`_segment`).
     Straight-line code for the three-component state.  When the lag can land
     inside the current step (vanishing minimum delay), lookups beyond t0 are
-    served by a provisional segment (the Euler line, then the Hermite
+    served by a provisional segment (the Euler line, then the quartic
     segment of the previous iterate) that is fixed-point iterated until the
     step result stabilizes.
     """
@@ -425,7 +495,7 @@ def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
         overlapped = True
         if prov is None:
             return (x0 + (s - t0) * k1x, y0 + (s - t0) * k1y)
-        return _hermite(t0, u0, f0, t1, prov[0], prov[1], s)
+        return _quartic(prov, s)
 
     for _ in range(_MAX_OVERLAP_ITERS if allow_overlap else 1):
         overlapped = False
@@ -457,26 +527,28 @@ def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
               y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y,
               z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z)
         f1 = rhs_core(t1, u1, lookup)
+        k7x, k7y, k7z = f1
+        d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
+                  + _D7 * k7x),
+             h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
+                  + _D7 * k7y),
+             h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
+                  + _D7 * k7z))
 
         if not overlapped:
             break
-        if prov is not None:
-            delta = max(abs(v - w) / max(1.0, abs(v))
-                        for v, w in zip(u1, prov[0]))
-            prov = (u1, f1)
-            if delta <= _OVERLAP_TOL:
-                break
-        else:
-            prov = (u1, f1)
+        if prov is not None and max(abs(v - w) / max(1.0, abs(v))
+                                    for v, w in zip(u1, prev)) <= _OVERLAP_TOL:
+            break
+        prev, prov = u1, _segment(t0, h, u0, f0, u1, f1, d)
 
-    k7x, k7y, k7z = f1
     err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
                 + _E7 * k7x),
            h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
                 + _E7 * k7y),
            h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
                 + _E7 * k7z))
-    return u1, f1, err
+    return u1, f1, err, d
 
 
 # --------------------------------------------------------------------------
@@ -621,6 +693,6 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
         y_lag = max(y_lag, 0.0)
         N = model.maturation_gain(tau_t, max(x_lag, 0.0), y_lag) * y_lag
         corr = correction_factor(model, max(y, 0.0), N)
-        lines.append(",".join(repr(float(v)) for v in (t, x, y, yj, tau_t, s, corr)))
+        lines.append(",".join(map(repr, (t, x, y, yj, tau_t, s, corr))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

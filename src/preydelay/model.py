@@ -127,10 +127,6 @@ class ModelSpec:
                                  **{k: float(v) for k, v in rdoc["coefficients"].items()})
         return ModelSpec(params, delay, response)
 
-    @staticmethod
-    def from_json(text: str) -> "ModelSpec":
-        return ModelSpec.from_dict(json.loads(text))
-
 
 class ConfigError(ValueError):
     """A configuration document has an unknown or missing key or a bad value."""

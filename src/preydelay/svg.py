@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Series", "line_chart", "stacked_chart"]
+__all__ = ["Series", "stacked_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -94,11 +94,6 @@ def _panel(series: list[Series], x0: float, y0: float, w: float, h: float,
         parts.append(f'<text x="{_fmt(lx + 22)}" y="{_fmt(ly)}" '
                      f'font-size="10">{s.label}</text>')
     return parts
-
-
-def line_chart(series: list[Series], path, title: str = "",
-               xlabel: str = "t", ylabel: str = "") -> None:
-    stacked_chart([(series, title, xlabel, ylabel)], path)
 
 
 def stacked_chart(panels, path, width: int = 720, panel_height: int = 260) -> None:

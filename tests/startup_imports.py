@@ -14,7 +14,8 @@ of the five subcommands.
 import runpy
 import sys
 
-_ANY = ("xml.sax", "concurrent.futures", "numpy.polynomial", "scipy")
+_ANY = ("xml.sax", "concurrent.futures", "numpy.polynomial", "numpy.ma",
+        "scipy")
 _NEVER = ("preydelay.analysis", "preydelay.svg", *_ANY)
 _AT_START = ("numpy", "preydelay.stability", *_NEVER)
 

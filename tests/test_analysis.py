@@ -176,7 +176,7 @@ def test_identical_data_stay_identical():
 
 
 def test_comparison_probe_runs_at_a_small_minimum_delay():
-    # the step cap 0.45 tau_m = 0.0045 lies below the usual 0.01 first step
+    # the step cap 0.6 tau_m = 0.006 lies below the usual 0.01 first step
     delay = saturating_delay(0.01, 0.5, 1.0)
     hist = lambda t: 0.8 + 0.1 * math.sin(2.0 * t)
     rep = comparison_probe(dj=0.3, d=1.0, delay=delay,

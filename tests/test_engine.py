@@ -213,7 +213,7 @@ def test_dense_output_continuous_at_joins(bd_traj):
 
 
 def test_interior_lookup_refines_at_local_error_order(bd_model):
-    # mid-step dense output is cubic Hermite: accurate to local-error order,
+    # mid-step dense output is DOPRI5's fourth-order continuous extension,
     # and a half-step re-integration must shrink the interior deviation
     hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
     ref = integrate(bd_model, hist,
@@ -232,6 +232,23 @@ def test_interior_lookup_refines_at_local_error_order(bd_model):
         devs.append(worst)
     assert devs[0] < 3e-5
     assert devs[1] < devs[0] / 3.0  # fourth-order interpolant: ~16x per halving
+
+
+def test_midpoint_error_stays_at_the_nodal_error(bd_model):
+    # a dense output of order q gives a delay method of order min(5, q + 1):
+    # between nodes the fourth-order extension is as accurate as the nodes
+    # themselves, where a cubic Hermite read several times worse
+    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    ref = integrate(bd_model, hist,
+                    default_stepper(bd_model, 40.0, rtol=1e-13, atol=1e-15))
+    for rtol in (1e-6, 1e-8):
+        traj = integrate(bd_model, hist,
+                         default_stepper(bd_model, 40.0, rtol=rtol))
+        nodes = traj.ts[traj.ts >= 5.0]
+        mids = 0.5 * (nodes[:-1] + nodes[1:])
+        node_err, mid_err = (np.max(np.abs(traj.sample(t) - ref.sample(t)))
+                             for t in (nodes, mids))
+        assert mid_err <= 2.0 * node_err, (rtol, mid_err, node_err)
 
 
 def test_convergence_order_at_least_four(const_delay_model):
@@ -312,27 +329,29 @@ def test_lagged_lookup_outside_history_raises(const_delay_model):
         traj.lookup(-1.5)
 
 
-def _hermite_reference(traj, s):
+def _quartic_reference(traj, s):
     """One point of the dense output, written out per segment as a scalar loop."""
-    ts, us, fs = traj.ts, traj.us, traj.fs
-    i = min(int(np.searchsorted(ts, s, side="right")) - 1, len(ts) - 2)
+    ts, us, fs, ds = traj.ts, traj.us, traj.fs, traj.ds
+    if s >= traj.t_end:
+        return us[-1].tolist()
+    i = int(np.searchsorted(ts, s, side="right")) - 1
     h = ts[i + 1] - ts[i]
-    th = (min(s, traj.t_end) - ts[i]) / h
-    th2 = th * th
-    th3 = th2 * th
-    a = 2.0 * th3 - 3.0 * th2 + 1.0
-    b = (th3 - 2.0 * th2 + th) * h
-    c = -2.0 * th3 + 3.0 * th2
-    e = (th3 - th2) * h
-    return [a * us[i, m] + b * fs[i, m] + c * us[i + 1, m] + e * fs[i + 1, m]
-            for m in range(traj.dim)]
+    th = (s - ts[i]) / h
+    row = []
+    for m in range(traj.dim):
+        a, b, d = h * fs[i, m], h * fs[i + 1, m], ds[i, m]
+        du = us[i + 1, m] - us[i, m]
+        c2 = 3.0 * du - 2.0 * a - b + d
+        c3 = a + b - 2.0 * du - 2.0 * d
+        row.append(us[i, m] + th * (a + th * (c2 + th * (c3 + th * d))))
+    return row
 
 
 def test_sample_at_accepted_nodes_returns_node_values(bd_traj):
     assert np.array_equal(bd_traj.sample(bd_traj.ts), bd_traj.us)
 
 
-def test_sample_matches_history_and_per_point_hermite(bd_model):
+def test_sample_matches_history_and_per_point_quartic(bd_model):
     hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
     traj = integrate(bd_model, hist, default_stepper(bd_model, 6.0))
     grid = np.concatenate([np.linspace(-traj.tau_M, 0.0, 9),
@@ -343,9 +362,29 @@ def test_sample_matches_history_and_per_point_hermite(bd_model):
         if s <= 0.0:
             want = [hist.phi1(s), hist.phi3(s), hist.phi2(s)]
         else:
-            want = _hermite_reference(traj, s)
+            want = _quartic_reference(traj, s)
         assert row.tolist() == want, s
         assert traj.lookup(float(s)) == tuple(row.tolist())
+
+
+def test_lag_cursor_reads_out_of_order_like_sample(bd_traj):
+    # the stepper's store, fed the trajectory's steps, reads every point of
+    # its retained window, in any order, bit for bit like Trajectory.sample
+    traj = bd_traj
+    store = engine._SolutionStore(None, traj.tau_M)
+    store.append(0.0, tuple(traj.us[0]), tuple(traj.fs[0]))
+    rng = np.random.default_rng(7)
+    for k in range(1, len(traj.ts)):
+        t = float(traj.ts[k])
+        store.append(t, tuple(traj.us[k]), tuple(traj.fs[k]),
+                     tuple(traj.ds[k - 1]))
+        lo = max(t - traj.tau_M, 1e-9)
+        grid = np.concatenate([rng.uniform(lo, t, 5),
+                               traj.ts[(traj.ts >= lo) & (traj.ts <= t)]])
+        rng.shuffle(grid)
+        for s in grid.tolist():
+            assert store.eval_past(s) == tuple(traj.sample([s])[0, :2]), (t, s)
+    assert store._segs[0][0] > 0.0  # the early segments were dropped
 
 
 def test_sample_rejects_times_outside_the_record(bd_traj):

@@ -96,10 +96,10 @@ def test_every_startup_case_is_checked():
     for case in SPECTRAL_REPORTS:
         assert {"preydelay.analysis", "preydelay.svg", "xml.sax"} <= set(DEFERRED[case])
     assert {"preydelay.stability", "preydelay.analysis", "xml.sax",
-            "concurrent.futures", "numpy.polynomial",
+            "concurrent.futures", "numpy.polynomial", "numpy.ma",
             "scipy"} == set(DEFERRED["simulate"])
     assert {"preydelay.svg", "xml.sax", "concurrent.futures",
-            "numpy.polynomial", "scipy"} == set(DEFERRED["verify"])
+            "numpy.polynomial", "numpy.ma", "scipy"} == set(DEFERRED["verify"])
 
 
 def test_package_exposes_every_public_name():
