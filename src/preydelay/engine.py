@@ -184,23 +184,27 @@ def _quartic(seg: tuple, s: float) -> tuple:
 class _SolutionStore:
     """Accepted nodes plus the initial history; serves the stepper's lagged lookups.
 
-    ``ts``, ``us``, ``fs`` and ``ds`` (each step's d, three floats a step)
-    keep every step for the trajectory.  The lagged pair's quartic
-    coefficients are kept only for the segments a lag can still reach, those
-    ending after t - tau_M, and are read through a forward cursor that falls
-    back to a bisection.
+    ``ts``, ``us``, ``fs`` and ``ds`` keep every step for the trajectory as
+    flat ``array('d')`` buffers: one float a node in ``ts``, three in ``us``
+    and ``fs``, three a step in ``ds`` (each step's d), 80 bytes a step in
+    all.  ``u_last`` and ``f_last`` are the last node's u and f.  The lagged
+    pair's quartic coefficients are kept only for the segments a lag can
+    still reach, those ending after t - tau_M, and are read through a
+    forward cursor that falls back to a bisection.
     """
 
-    __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "_segs", "_cur",
-                 "_trim_at")
+    __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "u_last",
+                 "f_last", "_segs", "_cur", "_trim_at")
 
     def __init__(self, history: Callable[[float], tuple], tau_M: float):
         self.history = history
         self.tau_M = tau_M
-        self.ts: list[float] = []
-        self.us: list[tuple] = []
-        self.fs: list[tuple] = []
-        self.ds = array("d")  # flat: three entries per segment
+        self.ts = array("d")
+        self.us = array("d")
+        self.fs = array("d")
+        self.ds = array("d")
+        self.u_last: tuple = ()
+        self.f_last: tuple = ()
         self._segs: list[tuple] = []
         self._cur = 0
         self._trim_at = 64
@@ -209,14 +213,15 @@ class _SolutionStore:
         """Add the node (t, u, f); d is the step's d (None for the first node)."""
         if d is not None:
             t0 = self.ts[-1]
-            self._segs.append(_segment(t0, t - t0, self.us[-1], self.fs[-1],
+            self._segs.append(_segment(t0, t - t0, self.u_last, self.f_last,
                                        u, f, d))
             self.ds.extend(d)
             if len(self._segs) >= self._trim_at:
                 self._trim(t)
         self.ts.append(t)
-        self.us.append(u)
-        self.fs.append(f)
+        self.us.extend(u)
+        self.fs.extend(f)
+        self.u_last, self.f_last = u, f
 
     def _trim(self, t: float) -> None:
         # drop the segments that end before t - tau_M, keeping one spare for
@@ -247,7 +252,7 @@ class _SolutionStore:
             while i < last and s >= segs[i + 1][0]:
                 i += 1
             if i == last and s >= self.ts[-1]:
-                return self.us[-1][:2]
+                return self.u_last[:2]
         self._cur = i
         return _quartic(segs[i], s)
 
@@ -402,10 +407,13 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
     def trajectory():
         import numpy as np
 
-        return Trajectory(store.ts, np.asarray(store.us)[:, :live],
-                          np.asarray(store.fs)[:, :live],
-                          np.array(store.ds).reshape(-1, 3)[:, :live],
-                          history_eval, tau_M, names)
+        # views on the store's buffers, which nothing appends to afterwards
+        def nodes(buf):
+            return np.frombuffer(buf).reshape(-1, 3)[:, :live]
+
+        return Trajectory(np.frombuffer(store.ts), nodes(store.us),
+                          nodes(store.fs), nodes(store.ds), history_eval,
+                          tau_M, names)
 
     def fail(exc_cls, message):
         raise exc_cls(message, trajectory=trajectory())
@@ -555,6 +563,14 @@ def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
 # public integrators
 
 
+def _check_step_cap(cfg: StepperConfig, tau_m: float) -> None:
+    # a step that reaches tau_m would read its own lags off the Euler line
+    if tau_m > 0.0 and not cfg.h_max < tau_m:
+        raise ValueError(
+            f"h_max={cfg.h_max:g} must be below tau(0)={tau_m:g}; "
+            f"use default_stepper() for a compliant config")
+
+
 def integrate(model: ModelSpec, history: HistoryFunction,
               cfg: StepperConfig) -> Trajectory:
     """Integrate the three-component system from its history up to cfg.t_end.
@@ -564,10 +580,7 @@ def integrate(model: ModelSpec, history: HistoryFunction,
     partial trajectory attached if the stepper cannot proceed.
     """
     tau_m, tau_M = model.delay.tau_m, model.delay.tau_M
-    if tau_m > 0.0 and not cfg.h_max < tau_m:
-        raise ValueError(
-            f"h_max={cfg.h_max:g} must be below tau(0)={tau_m:g}; "
-            f"use default_stepper() for a compliant config")
+    _check_step_cap(cfg, tau_m)
     history.check_nonnegative(tau_M)
     warn_if_inconsistent(model, history)
 
@@ -589,7 +602,9 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
     ``rhs_scalar(t, v, lookup)`` receives a scalar lookup s -> v(s).  Used by
     the analysis probes for single-population delay equations.  The stepper
     carries v as the state (v, 0, 0); the zero components never mix into v.
+    Requires cfg.h_max < tau_m whenever tau_m > 0, as :func:`integrate` does.
     """
+    _check_step_cap(cfg, tau_m)
 
     def rhs_core(t, u, lookup):
         return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]), 0.0, 0.0)
@@ -670,29 +685,39 @@ def lag_times(model: ModelSpec, traj: Trajectory) -> np.ndarray:
     return traj.ts - taus
 
 
+# rows that export_csv builds and writes at a time
+_CSV_BLOCK = 1024
+
+
 def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     """Write t,x,y,yj,tau,lag_s,correction at the given output stride.
 
     Floats are written in full round-trip precision so identical runs produce
-    byte-identical files.
+    byte-identical files.  Rows are built and written in blocks of
+    ``_CSV_BLOCK``, so the memory used does not grow with the horizon.
     """
     if stride <= 0.0:
         raise ValueError("stride must be positive")
     n_rows = int(math.floor(traj.t_end / stride + 1e-9)) + 1
-    times = [i * stride for i in range(n_rows)]
-    if times[-1] < traj.t_end - 1e-9 * max(1.0, traj.t_end):
-        times.append(traj.t_end)
+    # the last row falls short of t_end: add a row at t_end itself
+    short = (n_rows - 1) * stride < traj.t_end - 1e-9 * max(1.0, traj.t_end)
     tau = model.delay.tau
-    now = traj.sample(times).tolist()
-    taus = [tau(max(y, 0.0)) for _, y, _ in now]
-    lags = [t - tau_t for t, tau_t in zip(times, taus)]
-    lagged = traj.sample(lags)[:, :2].tolist()
-    lines = ["t,x,y,yj,tau,lag_s,correction"]
-    for t, (x, y, yj), tau_t, s, (x_lag, y_lag) in zip(times, now, taus, lags,
-                                                      lagged):
-        y_lag = max(y_lag, 0.0)
-        N = model.maturation_gain(tau_t, max(x_lag, 0.0), y_lag) * y_lag
-        corr = correction_factor(model, max(y, 0.0), N)
-        lines.append(",".join(map(repr, (t, x, y, yj, tau_t, s, corr))))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("t,x,y,yj,tau,lag_s,correction\n")
+        for start in range(0, n_rows, _CSV_BLOCK):
+            stop = min(start + _CSV_BLOCK, n_rows)
+            times = [i * stride for i in range(start, stop)]
+            if short and stop == n_rows:
+                times.append(traj.t_end)
+            now = traj.sample(times).tolist()
+            taus = [tau(max(y, 0.0)) for _, y, _ in now]
+            lags = [t - tau_t for t, tau_t in zip(times, taus)]
+            lagged = traj.sample(lags)[:, :2].tolist()
+            lines = []
+            for t, (x, y, yj), tau_t, s, (x_lag, y_lag) in zip(
+                    times, now, taus, lags, lagged):
+                y_lag = max(y_lag, 0.0)
+                N = model.maturation_gain(tau_t, max(x_lag, 0.0), y_lag) * y_lag
+                corr = correction_factor(model, max(y, 0.0), N)
+                lines.append(",".join(map(repr, (t, x, y, yj, tau_t, s, corr))))
+            fh.write("\n".join(lines) + "\n")

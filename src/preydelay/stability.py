@@ -251,15 +251,26 @@ def _default_box(qp: QuasiPolynomial) -> tuple[float, float, float, float]:
     return (re_min, re_max, -1e-3, im_max)
 
 
+# rectangles counted in one _windings call: the arrays of a call grow with
+# its rectangles, so a round's frontier is counted in chunks of this many
+_WINDING_CHUNK = 128
+
+
 def _windings(qps, rects, n0: int) -> list[int | None]:
     """Winding number of G around each rectangle, None where it is unreliable.
 
     ``qps[i]`` is the quasi-polynomial for ``rects[i]``.  Each edge starts
     from max(n0, 8) equispaced samples; an interval whose phase increment
-    exceeds one radian is bisected, round by round, which rules out aliasing
-    of full turns.  A count is unreliable when G is non-finite or nearly
-    zero on the contour, when an edge would need more than 40000 samples or
-    26 rounds, or when the total is not near an integer.  Every round treats
+    exceeds one radian is bisected, round by round, so every increment that
+    is summed lies within one radian.  That reads each interval's change of
+    phase correctly only if the true change is below pi: the samples see
+    G's values, not the path between them.  The rule does not rule out
+    aliasing of full turns: where the phase turns by nearly 2 pi between two
+    samples, as next to a close pair of roots near the contour, the increment
+    reads as small, the interval is not bisected and the count can be off by
+    whole turns.  A count is unreliable when G is non-finite or nearly zero
+    on the contour, when an edge would need more than 40000 samples or 26
+    rounds, or when the total is not near an integer.  Every round treats
     all edges of all rectangles as one array.
     """
     nr = len(rects)
@@ -415,14 +426,15 @@ def rightmost_abscissae(qps, boxes=None) -> list:
     :class:`WindingError` it would raise.
 
     One loop runs every search, level by level: each round counts the
-    pending rectangles of all searches in one batch.  An unreliable count
-    nudges its contour outward, at most five times before the search fails;
-    a rectangle with no root is dropped; one with one root, or a small one,
-    gets Newton starts and is done once they capture its count; the rest are
-    halved across their longer side.  Each rectangle carries a path key, the
-    halves taken from its box (0 for the upper or right one), so sorted keys
-    give the depth-first order; roots are deduplicated in that order, and
-    every result equals the one-at-a-time depth-first search's, bit for bit.
+    pending rectangles of all searches, ``_WINDING_CHUNK`` to a batch.  An
+    unreliable count nudges its contour outward, at most five times before
+    the search fails; a rectangle with no root is dropped; one with one
+    root, or a small one, gets Newton starts and is done once they capture
+    its count; the rest are halved across their longer side.  Each rectangle
+    carries a path key, the halves taken from its box (0 for the upper or
+    right one), so sorted keys give the depth-first order; roots are
+    deduplicated in that order, and every result equals the one-at-a-time
+    depth-first search's, bit for bit.
     """
     qps = list(qps)
     boxes = [None] * len(qps) if boxes is None else list(boxes)
@@ -434,8 +446,11 @@ def rightmost_abscissae(qps, boxes=None) -> list:
     # pending rectangles: (search, path key, rectangle, nudges so far)
     frontier = [(i, (), box, 0) for i, box in enumerate(boxes)]
     while frontier:
-        counts = _windings([qps[i] for i, _, _, _ in frontier],
-                           [rect for _, _, rect, _ in frontier], 64)
+        counts = []
+        for k in range(0, len(frontier), _WINDING_CHUNK):
+            chunk = frontier[k:k + _WINDING_CHUNK]
+            counts += _windings([qps[i] for i, _, _, _ in chunk],
+                                [rect for _, _, rect, _ in chunk], 64)
         pending = []
         for (i, key, rect, nudges), w in zip(frontier, counts):
             re0, re1, im0, im1 = rect

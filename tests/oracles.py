@@ -40,7 +40,7 @@ def quartic_has_positive_root(Q1: float, Q2: float, Q3: float,
                     for z in roots))
 
 
-def coexistence_point(f, tau, r, K, n, dj, d):
+def coexistence_point(f, tau, r, K, n, dj, d, pieces=None):
     """Coexistence point of the full steady-state system, delay included.
 
     Solves r (1 - x/K) = f(x, y) y / x and n exp(-dj tau(y)) f(x, y) = d in
@@ -48,26 +48,50 @@ def coexistence_point(f, tau, r, K, n, dj, d):
     scipy's hybrid Powell method from the best point of a grid scan.  The
     scan covers 0 < x < K and 0 < y <= r K n / (4 d): the predator balance
     forces f >= d / n, and the prey balance then caps y at (r K / 4) / f.
+
+    A response with kinks in x, where Powell's finite-difference Jacobian
+    does not converge, is passed as ``pieces``: (g, lo, hi) triples with g
+    smooth and equal to f for lo <= x <= hi.  Each piece is solved with g in
+    place of f, and the root that lies in its own piece is returned.
     """
-
-    def eqs(v):
-        x, y = math.exp(v[0]), math.exp(v[1])
-        fv = f(x, y)
-        return [r * (1.0 - x / K) - fv * y / x,
-                n * math.exp(-dj * tau(y)) * fv - d]
-
-    def scaled(v):
-        e1, e2 = eqs(v)
-        return max(abs(e1) / r, abs(e2) / d)
-
     y_top = r * K * n / (4.0 * d)
     starts = [(math.log(x0), math.log(y0))
               for x0 in K * np.linspace(0.005, 0.999, 40)
               for y0 in np.geomspace(1e-6 * y_top, y_top, 40)]
-    sol = optimize.root(eqs, min(starts, key=scaled), tol=1e-14)
-    resid = max(abs(v) for v in eqs(sol.x))
+
+    def balances(g):
+        def eqs(v):
+            x, y = math.exp(v[0]), math.exp(v[1])
+            gv = g(x, y)
+            return [r * (1.0 - x / K) - gv * y / x,
+                    n * math.exp(-dj * tau(y)) * gv - d]
+        return eqs
+
+    def solve(g, lo, hi):
+        # Powell from the best scan point inside the piece; None when it has
+        # no scan point, or Powell leaves the range of the floats
+        eqs = balances(g)
+        inside = [v for v in starts if lo <= math.exp(v[0]) <= hi]
+        if not inside:
+            return None
+        start = min(inside, key=lambda v: max(abs(e) / s for e, s in
+                                              zip(eqs(v), (r, d))))
+        try:
+            return optimize.root(eqs, start, tol=1e-14).x
+        except ArithmeticError:
+            return None
+
+    roots = []
+    for g, lo, hi in pieces or [(f, 0.0, math.inf)]:
+        v = solve(g, lo, hi)
+        if v is not None and lo <= math.exp(v[0]) <= hi:
+            roots.append(v)
+    assert roots, "no piece holds its own root"
+    eqs = balances(f)
+    v = min(roots, key=lambda v: max(abs(e) for e in eqs(v)))
+    resid = max(abs(e) for e in eqs(v))
     assert resid < 1e-12, f"oracle residual {resid}"
-    return math.exp(sol.x[0]), math.exp(sol.x[1])
+    return math.exp(v[0]), math.exp(v[1])
 
 
 def steady_recruitment_integral(n, dj, f_star, y_star, tau):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -275,6 +276,35 @@ def test_h_max_must_stay_below_minimum_delay(bd_model):
         integrate(bd_model, hist, cfg)
 
 
+def test_scalar_h_max_must_stay_below_minimum_delay():
+    # v' = 1.5 v (1 - v(t - 0.5)): with h_max = 5 the lags would land inside
+    # the step and read the one-pass Euler line
+    cfg = StepperConfig(t_end=20.0, rtol=1e-8, h_init=0.01, h_max=5.0)
+    with pytest.raises(ValueError, match="tau"):
+        integrate_scalar_sdtd(lambda t, v, lookup: 1.5 * v * (1.0 - lookup(t - 0.5)),
+                              lambda s: 0.5, cfg, 0.5, 0.5)
+
+
+def _traced_peak(fn, *args):
+    """(fn(*args), the peak of the memory it allocated, in bytes)."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stored_solution_costs_under_120_bytes_a_step(bd_model):
+    # t, u, f and d of a step are ten floats; the growth of the peak between
+    # two horizons leaves out what every run allocates once
+    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    (short, peak0), (long, peak1) = (
+        _traced_peak(integrate, bd_model, hist, default_stepper(bd_model, t_end))
+        for t_end in (30.0, 120.0))
+    assert long.n_steps > 3 * short.n_steps
+    assert (peak1 - peak0) / (long.n_steps - short.n_steps) <= 120.0
+
+
 def test_inconsistent_history_warning_names_the_caller(bd_model):
     hist = constant_history(2.0, 0.4, 5.0)  # juvenile stock far too large
     with pytest.warns(HistoryConsistencyWarning) as record:
@@ -479,3 +509,44 @@ def test_csv_export_deterministic_and_well_formed(bd_model, tmp_path):
     assert row[6] > 0.0
     # round trip: every float survives parse/format exactly
     assert repr(row[6]) in lines[1]
+
+
+def _csv_row_by_row(model, traj, stride):
+    """export_csv's text, built one row and one lookup at a time."""
+    n_rows = int(math.floor(traj.t_end / stride + 1e-9)) + 1
+    times = [i * stride for i in range(n_rows)]
+    if times[-1] < traj.t_end - 1e-9 * max(1.0, traj.t_end):
+        times.append(traj.t_end)
+    lines = ["t,x,y,yj,tau,lag_s,correction"]
+    for t in times:
+        x, y, yj = traj.lookup(t)
+        tau = model.delay.tau(max(y, 0.0))
+        x_lag, y_lag = traj.lookup(t - tau)[:2]
+        y_lag = max(y_lag, 0.0)
+        N = model.maturation_gain(tau, max(x_lag, 0.0), y_lag) * y_lag
+        corr = correction_factor(model, max(y, 0.0), N)
+        lines.append(",".join(repr(v) for v in (t, x, y, yj, tau, t - tau, corr)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("stride, block", [
+    (0.0291, None),        # three blocks of the default size, t_end off the grid
+    (0.5, 16),             # t_end on the grid
+    (60.0 / 47.5, 16),     # 48 rows, three full blocks, then the t_end row
+])
+def test_csv_blocks_write_the_row_by_row_bytes(bd_model, bd_traj, stride,
+                                               block, tmp_path, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(engine, "_CSV_BLOCK", block)
+    n_rows = int(math.floor(bd_traj.t_end / stride + 1e-9)) + 1
+    assert n_rows > 2 * engine._CSV_BLOCK
+    path = tmp_path / "t.csv"
+    export_csv(bd_model, bd_traj, path, stride)
+    assert path.read_bytes() == _csv_row_by_row(bd_model, bd_traj,
+                                                stride).encode()
+
+
+def test_csv_export_memory_does_not_grow_with_rows(bd_model, bd_traj, tmp_path):
+    peaks = [_traced_peak(export_csv, bd_model, bd_traj, tmp_path / "t.csv",
+                          bd_traj.t_end / rows)[1] for rows in (3000, 12000)]
+    assert peaks[1] <= 1.1 * peaks[0], peaks

@@ -185,6 +185,14 @@ def test_scan_points_are_the_linspace_values():
         assert _scan_points(y_top) == np.linspace(0.0, y_top, 65)[1:].tolist()
 
 
+def oracle_pieces(kind, coefficients):
+    """The smooth pieces of a response with a kink, for the oracle; else None."""
+    if kind != "HollingI":
+        return None
+    a, b = coefficients["a"], coefficients["b"]
+    return [(lambda x, y: a * x, 0.0, b), (lambda x, y: a * b, b, math.inf)]
+
+
 # coefficient draws per catalog response
 ORACLE_RESPONSES = {
     "Linear": lambda rng: {"b": rng.uniform(0.05, 2.5)},
@@ -205,10 +213,12 @@ ORACLE_RESPONSES = {
     "CrowleyMartin": lambda rng: {"b": rng.uniform(0.05, 2.5),
                                   "k1": rng.uniform(0.0, 0.5),
                                   "k2": rng.uniform(0.0, 2.0)},
-    # a break b well inside (0, K) puts two of the fifteen points on the
-    # plateau f = a b
+    # the oracle solves each piece of f = min(a x, a b) on its own: one of
+    # the fifteen points lies just below the break (x* = 2.0254, b = 2.2145),
+    # where Powell on f itself stalls at the kink; the plateau is covered by
+    # test_holling1_plateau_equilibrium_is_found
     "HollingI": lambda rng: {"a": rng.uniform(0.05, 2.5),
-                             "b": rng.uniform(0.1, 3.0)},
+                             "b": rng.uniform(0.2, 5.0)},
 }
 
 
@@ -230,14 +240,16 @@ def test_coexistence_matches_full_system_oracle_across_catalog():
                 p = ModelParams(r=rng.uniform(0.3, 2.5), K=rng.uniform(1.0, 15.0),
                                 n=rng.uniform(0.3, 2.5), dj=rng.uniform(0.05, 1.0),
                                 d=rng.uniform(0.05, 1.5))
+                drawn = coefficients(rng)
                 m = ModelSpec(p, make_delay(delay_kind, tau_m, tau_M, **coef),
-                              make_response(kind, **coefficients(rng)))
+                              make_response(kind, **drawn))
                 if reproduction_number(m) <= 1.0:
                     continue
                 found += 1
                 eq = solve_coexistence(m)
                 x, y = coexistence_point(m.response.f, m.delay.tau,
-                                         p.r, p.K, p.n, p.dj, p.d)
+                                         p.r, p.K, p.n, p.dj, p.d,
+                                         oracle_pieces(kind, drawn))
                 assert eq.x_star == pytest.approx(x, rel=1e-9), m.to_dict()
                 assert eq.y_star == pytest.approx(y, rel=1e-9), m.to_dict()
 
@@ -263,3 +275,8 @@ def test_holling1_plateau_equilibrium_is_found():
     eq = solve_coexistence(m)
     assert eq.x_star == pytest.approx(8.473966674361732, rel=1e-9)
     assert eq.y_star == pytest.approx(0.4993573048078408, rel=1e-9)
+    p = m.params
+    x, y = coexistence_point(m.response.f, m.delay.tau, p.r, p.K, p.n, p.dj,
+                             p.d, oracle_pieces("HollingI",
+                                                m.response.coefficients))
+    assert (eq.x_star, eq.y_star) == pytest.approx((x, y), rel=1e-9)
