@@ -8,20 +8,15 @@ equation to its fixed point, and the monotone over/under bracketing scheme
 that pins the coexistence equilibrium.
 
 The two probes that run many histories of one model, :func:`permanence_probe`
-and :func:`global_attraction_probe`, run them side by side in ``os.fork()``
-children on POSIX when more than one CPU is usable.  Their records are
-bit-identical to a serial run; restricting the CPU affinity to one CPU (for
+and :func:`global_attraction_probe`, deal them round-robin to ``os.fork()``
+children on POSIX when more than one CPU is usable, through
+:func:`preydelay._forkmap.fork_map`.  Their records, warnings and exceptions
+are those of a serial run; restricting the CPU affinity to one CPU (for
 example ``taskset -c 0``) forces the serial path.
 """
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,113 +101,17 @@ def _tail_grid(traj: Trajectory, tail_fraction: float, min_points: int = 512):
 _FORK_MIN_STEPS = 200
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where the platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def _map_histories(fn, histories: list, cfg: StepperConfig) -> list:
-    """``[fn(h) for h in histories]``, spread over the usable CPUs.
+    """``[fn(h) for h in histories]``: the same records or exception.
 
-    The histories are cut into contiguous shares, one per usable CPU (at most
-    one per history).  The parent runs the first share; every other share
-    runs in an ``os.fork()`` child, which sends back through a pipe its
-    pickled results and the warnings it caught, and the parent re-emits those
-    warnings in history order.  If a child fails, the parent runs its share
-    again, so the caller gets exactly the exception a serial run raises (an
-    ``IntegrationError`` with its partial trajectory).  Every integration is
-    unchanged, so the results are bit-identical to the serial loop.  That
-    loop runs instead when ``os.fork`` is missing, when one CPU is usable
-    (``taskset -c 0`` forces this), when other Python threads are alive, or
-    when ``cfg`` asks each history for fewer than ``_FORK_MIN_STEPS`` steps.
+    The histories go through :func:`preydelay._forkmap.fork_map` only when
+    ``cfg`` asks each of them for at least ``_FORK_MIN_STEPS`` steps.
     """
-    workers = min(_usable_cpus(), len(histories))
-    if (workers < 2 or not hasattr(os, "fork")
-            or threading.active_count() > 1
-            or cfg.t_end / cfg.h_max < _FORK_MIN_STEPS):
+    if cfg.t_end / cfg.h_max < _FORK_MIN_STEPS:
         return [fn(h) for h in histories]
-    cuts = [-(-len(histories) * k // workers) for k in range(workers + 1)]
-    shares = [histories[a:b] for a, b in zip(cuts, cuts[1:])]
-    children = [_fork_share(fn, share) for share in shares[1:]]
-    try:
-        results = [fn(h) for h in shares[0]]
-        for k, share in enumerate(shares[1:]):
-            payload = _reap(children[k])
-            children[k] = None
-            if payload is None:
-                results += [fn(h) for h in share]
-                continue
-            out, caught = pickle.loads(payload)
-            for warning in caught:
-                _reemit(*warning)
-            results += out
-        return results
-    finally:
-        for child in children:
-            if child is not None:
-                os.kill(child[0], signal.SIGKILL)
-                _reap(child)
+    from ._forkmap import fork_map
 
-
-def _fork_share(fn, share: list) -> tuple[int, int] | None:
-    """Start a child that runs ``fn`` over ``share``: (pid, read end) or None."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    try:
-        # from Python 3.12 this warns (DeprecationWarning) whenever the
-        # process has another OS thread, as NumPy's BLAS pool is; the
-        # histories' integration calls no BLAS routine
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid:
-        os.close(write_fd)
-        return pid, read_fd
-    status = 1
-    try:
-        os.close(read_fd)
-        with warnings.catch_warnings(record=True) as caught:
-            out = [fn(h) for h in share]
-        payload = pickle.dumps((out, [(w.message, w.category, w.filename,
-                                       w.lineno) for w in caught]))
-        with os.fdopen(write_fd, "wb") as pipe:
-            pipe.write(payload)
-        status = 0
-    finally:
-        # the child never returns into the caller's stack
-        os._exit(status)
-
-
-def _reemit(message, category, filename: str, lineno: int) -> None:
-    """Warn again as ``warnings.warn`` did in the child: under the module
-    name that filters match and with the registry that shows a repeat once."""
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    if module is None:
-        warnings.warn_explicit(message, category, filename, lineno)
-    else:
-        warnings.warn_explicit(
-            message, category, filename, lineno, module=module.__name__,
-            registry=vars(module).setdefault("__warningregistry__", {}))
-
-
-def _reap(child: tuple[int, int] | None) -> bytes | None:
-    """Read a child's pipe to its end and reap it: the payload, or None if
-    the child failed (or never started)."""
-    if child is None:
-        return None
-    pid, read_fd = child
-    with os.fdopen(read_fd, "rb") as pipe:
-        payload = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return payload if status == 0 else None
+    return list(fork_map(fn, histories))
 
 
 # --------------------------------------------------------------------------

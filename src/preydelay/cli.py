@@ -17,8 +17,8 @@ from pathlib import Path
 from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      default_stepper, export_csv, integrate, lag_times,
                      yj_integral)
-from .equilibria import (Equilibrium, NoConvergenceError, WindingError,
-                         boundary_equilibria, solve_coexistence)
+from .equilibria import (CrossCheckError, Equilibrium, NoConvergenceError,
+                         WindingError, boundary_equilibria, solve_coexistence)
 from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
                     consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
@@ -482,7 +482,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, LagDomainError, NoConvergenceError,
-            WindingError) as exc:
+            WindingError, CrossCheckError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -25,6 +25,7 @@ __all__ = [
     "EquilibriumKind",
     "NoConvergenceError",
     "WindingError",
+    "CrossCheckError",
     "boundary_equilibria",
     "solve_coexistence",
     "yj_star",
@@ -59,6 +60,16 @@ class WindingError(RuntimeError):
     Raised by :func:`preydelay.stability.rightmost_abscissa`; it lives here,
     next to :class:`NoConvergenceError`, so that callers can catch it without
     importing the stability module.
+    """
+
+
+class CrossCheckError(RuntimeError):
+    """The algebraic stability verdict and the numerical abscissa disagree.
+
+    Raised by :func:`preydelay.stability.classify_equilibrium` when the
+    algebraic route calls a coexistence point stable but the spectral search
+    finds a root right of 1e-8; it lives here for the same reason as
+    :class:`WindingError`.
     """
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import (Equilibrium, EquilibriumKind, NoConvergenceError,
-                         WindingError)
+from .equilibria import (CrossCheckError, Equilibrium, EquilibriumKind,
+                         NoConvergenceError, WindingError)
 from .model import ModelSpec, reproduction_number
 from .responses import ResponseKind
 
@@ -34,6 +34,7 @@ __all__ = [
     "ConditionReport",
     "Verdict",
     "WindingError",
+    "CrossCheckError",
     "linearize_at",
     "quasi_polynomial",
     "characteristic_eval",
@@ -626,9 +627,10 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
     roots in the closed left half plane).  A coexistence point is classified
     for the Beddington-DeAngelis response by the algebraic route (no zero
     root, no imaginary-axis crossing for any delay, delay-free quadratic
-    stable) and cross-checked against the numerical spectral abscissa; other
-    responses and the d > dj regime return an "unsupported" verdict carrying
-    the numerical abscissa only.
+    stable) and cross-checked against the numerical spectral abscissa: an
+    algebraic "stable" with an abscissa above 1e-8 raises
+    :class:`CrossCheckError`.  Other responses and the d > dj regime return
+    an "unsupported" verdict carrying the numerical abscissa only.
     """
     p = model.params
     coeffs = linearize_at(model, eq)
@@ -682,6 +684,11 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
     zero_excluded = qp.H2 + qp.N2 > 0.0
     delay_free_stable = (qp.H1 + qp.N1 > 0.0) and zero_excluded
     if (not quartic.has_positive_root) and delay_free_stable:
+        if rm > 1e-8:
+            raise CrossCheckError(
+                f"the algebraic route finds {eq.kind} point ({eq.x_star:.6g}, "
+                f"{eq.y_star:.6g}) stable, but the numerical spectral "
+                f"abscissa is {rm:.3g} > 0")
         verdict = Verdict.STABLE
         reason = ("no imaginary-axis crossing for any delay, zero is not a "
                   "root, and the delay-free quadratic is stable")

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from preydelay import (ModelParams, ModelSpec, beddington_deangelis,
-                       constant_delay, linear, saturating_delay)
+                       consistent_history, constant_delay, default_stepper,
+                       integrate, linear, saturating_delay)
 
 # Pinned acceptance model: Beddington-DeAngelis with pure predator
 # interference (k1 = 0) and a saturating delay.  Independently solved
@@ -18,11 +20,35 @@ BD_YJSTAR = 0.223943145096475
 BD_TAUSTAR = 0.68678561861552
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Make every fork map and probe fork as on two CPUs; count the forks."""
+    from preydelay import _forkmap, analysis
+
+    count = [0]
+    fork = os.fork
+
+    def counting_fork():
+        count[0] += 1
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(_forkmap, "_usable_cpus", lambda: 2)
+    return count
+
+
 @pytest.fixture(scope="session")
 def bd_model():
     return ModelSpec(ModelParams(r=1.0, K=5.0, n=1.0, dj=0.55, d=0.45),
                      saturating_delay(0.5, 1.0, 1.0),
                      beddington_deangelis(b=1.0, k1=0.0, k2=10.0))
+
+
+@pytest.fixture(scope="session")
+def bd_traj(bd_model):
+    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    return integrate(bd_model, hist, default_stepper(bd_model, 60.0))
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,8 @@ from preydelay import (BracketSequences, InconclusiveError, IntegrationError,
                        ModelParams, ModelSpec, beddington_deangelis,
                        boundedness_limit, comparison_probe, constant_delay,
                        consistent_history, constant_history, default_stepper,
-                       exp_delay, extrapolated_limits, global_attraction_probe,
+                       exp_delay, export_csv, extrapolated_limits,
+                       global_attraction_probe,
                        integrate, linear, monotone_bounds, permanence_probe,
                        reproduction_number, saturating_delay,
                        scalar_fixed_point, scalar_limit, solve_coexistence,
@@ -21,6 +22,7 @@ from preydelay.model import HistoryConsistencyWarning
 
 from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
                       linear_family_model)
+from forking import assert_no_child_left, serially
 
 
 # --------------------------------------------------------------------------
@@ -366,33 +368,6 @@ def test_probe_requires_conditions_by_default():
 # histories run side by side
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Make every probe fork one child per history share; count the forks."""
-    count = [0]
-    fork = os.fork
-
-    def counting_fork():
-        count[0] += 1
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
-    monkeypatch.setattr(analysis, "_usable_cpus", lambda: 2)
-    return count
-
-
-def serially(monkeypatch, run):
-    with monkeypatch.context() as m:
-        m.setattr(analysis, "_usable_cpus", lambda: 1)
-        return run()
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_forked_permanence_records_equal_serial(forks, monkeypatch):
     m = linear_family_model(2.0)
     hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
@@ -443,10 +418,11 @@ def test_child_warning_repeats_show_once_like_serial(forks):
 
 def test_child_integration_error_surfaces_like_a_serial_run(forks,
                                                             monkeypatch):
-    # only the deep-crash history (the last, run by the child) needs more
-    # than 150 steps to reach t = 20
+    # only the deep-crash history (the last level) needs more than 150 steps
+    # to reach t = 20; at index 3 it is the child's second item
     m = ModelSpec.from_dict(DEFECT_MODEL)
     hists = spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0)
+    hists[3], hists[4] = hists[4], hists[3]
     cfg = default_stepper(m, 20.0, rtol=1e-6, atol=DEFECT_ATOL, max_steps=150)
     run = lambda: permanence_probe(m, hists, horizon=20.0, cfg=cfg)
     with pytest.raises(IntegrationError) as forked:
@@ -486,9 +462,9 @@ def test_probe_with_a_live_thread_does_not_fork(forks):
     assert forks[0] == 0
 
 
-def test_one_usable_cpu_runs_serially(monkeypatch):
+def test_one_usable_cpu_runs_serially(monkeypatch, tmp_path):
     def no_fork():
-        raise AssertionError("a probe forked with one usable CPU")
+        raise AssertionError("a probe or export forked with one usable CPU")
 
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -497,3 +473,7 @@ def test_one_usable_cpu_runs_serially(monkeypatch):
     m = linear_family_model(2.0)
     permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0,
                      eps_floor=0.0)
+    # 3 001 rows: three blocks, enough to fork on two CPUs
+    traj = integrate(m, spread_histories(m, n=1, seed=1)[0],
+                     default_stepper(m, 10.0))
+    export_csv(m, traj, tmp_path / "t.csv", 10.0 / 3000)

@@ -263,6 +263,17 @@ def test_inexact_equilibrium_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure: equilibrium residual" in capsys.readouterr().err
 
 
+def test_cross_check_disagreement_exits_3(tmp_path, monkeypatch, capsys):
+    from preydelay import stability
+
+    monkeypatch.setattr(stability, "rightmost_abscissa",
+                        lambda qp, box=None: (0.25, [complex(0.25, 1.0)]))
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["stability", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "numerical failure: the algebraic route" in capsys.readouterr().err
+
+
 def test_simulate_reports_inconsistent_history_on_stderr(tmp_path):
     # a fresh interpreter, so that the test runner's warning capture is not
     # what shows the warning

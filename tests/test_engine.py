@@ -1,13 +1,15 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from preydelay import (IntegrationError, LagDomainError, ModelParams,
-                       ModelSpec, StepperConfig, beddington_deangelis,
+from preydelay import (DelayFunction, IntegrationError, LagDomainError,
+                       ModelParams, ModelSpec, StepperConfig,
+                       StepSizeUnderflow, beddington_deangelis,
                        constant_delay, consistent_history, constant_history,
                        correction_factor, crowley_martin, default_stepper,
                        exp_delay, export_csv, integrate, integrate_scalar_sdtd,
@@ -25,12 +27,6 @@ def quiet_integrate(model, hist, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HistoryConsistencyWarning)
         return integrate(model, hist, cfg)
-
-
-@pytest.fixture(scope="module")
-def bd_traj(bd_model):
-    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
-    return integrate(bd_model, hist, default_stepper(bd_model, 60.0))
 
 
 # --------------------------------------------------------------------------
@@ -336,6 +332,58 @@ def test_vanishing_minimum_delay_stage_iteration():
     for t in np.linspace(0.5, 6.0, 12):
         va, vb = np.array(a.lookup(float(t))), np.array(b.lookup(float(t)))
         assert np.max(np.abs(va - vb) / np.maximum(np.abs(vb), 1e-9)) < 1e-5
+
+
+def test_integrate_returns_the_stored_arrays(bd_traj):
+    # bd_traj's ts, us, fs and ds as integrate returned them at commit
+    # 547a046, before the lag reads were inlined and the step's per-call
+    # lookup closure dropped: the leaner step moves no bit
+    want = np.load(Path(__file__).parent / "data" / "bd_model_t60.npz")
+    for name in ("ts", "us", "fs", "ds"):
+        assert np.array_equal(getattr(bd_traj, name), want[name]), name
+
+
+@pytest.mark.parametrize("where, k, bad", [
+    ("u1", 0, math.nan), ("u1", 2, math.inf),
+    ("err", 1, math.nan), ("err", 2, -math.inf)])
+def test_non_finite_step_is_cut_tenfold_until_underflow(bd_model, monkeypatch,
+                                                        where, k, bad):
+    attempt_step = engine._attempt_step
+    spoiled_hs = []
+
+    def spoiled_attempt_step(rhs_core, store, t0, u0, f0, h, allow_overlap):
+        u1, f1, err, d = attempt_step(rhs_core, store, t0, u0, f0, h,
+                                      allow_overlap)
+        if t0 >= 1.0:
+            spoiled_hs.append(h)
+            if where == "u1":
+                u1 = u1[:k] + (bad,) + u1[k + 1:]
+            else:
+                err = err[:k] + (bad,) + err[k + 1:]
+        return u1, f1, err, d
+
+    monkeypatch.setattr(engine, "_attempt_step", spoiled_attempt_step)
+    hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    with pytest.raises(StepSizeUnderflow) as exc_info:
+        integrate(bd_model, hist, default_stepper(bd_model, 5.0))
+    partial = exc_info.value.trajectory
+    assert partial.t_end >= 1.0 and np.isfinite(partial.us).all()
+    # the error norm reads inf, which cuts the step tenfold each time (a
+    # NaN norm would halve it, a finite one could accept the step)
+    assert len(spoiled_hs) > 5
+    assert all(b == a * 0.1 for a, b in zip(spoiled_hs, spoiled_hs[1:]))
+
+
+def test_delay_below_its_minimum_raises_lag_domain_error():
+    # tau(0) = 1 sets the step cap, but this law falls to 0.02 at y = 0.5,
+    # so a lag reaches past the last accepted node
+    falling = DelayFunction(tau=lambda y: 1.0 / (1.0 + 100.0 * y),
+                            tau_prime=lambda y: -100.0 / (1.0 + 100.0 * y) ** 2,
+                            tau_m=1.0, tau_M=1.0)
+    m = ModelSpec(ModelParams(1.0, 2.0, 1.0, 0.4, 0.9), falling, linear(1.2))
+    with pytest.raises(LagDomainError, match="past the last accepted node"):
+        quiet_integrate(m, constant_history(1.0, 0.5, 0.1),
+                        default_stepper(m, 5.0))
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
                        linearize_at, quartic_classify, quasi_polynomial,
                        reproduction_number, rightmost_abscissa,
                        saturating_delay, solve_coexistence, stability)
-from preydelay.stability import (_windings, imaginary_crossing_quartic,
+from preydelay.stability import (CrossCheckError, _windings,
+                                 imaginary_crossing_quartic,
                                  rightmost_abscissae)
 
 from oracles import cheb_collocation_abscissa, quartic_has_positive_root
@@ -405,6 +406,22 @@ def test_coexistence_classification_on_fixture(bd_model):
     assert v.rightmost < -1e-8
     assert not v.quartic.has_positive_root
     assert v.conditions.local_ok and v.conditions.global_ok
+
+
+@pytest.mark.parametrize("rm, raises", [(0.25, True), (2e-8, True),
+                                        (5e-9, False)])
+def test_algebraic_stable_against_a_right_abscissa_raises(bd_model,
+                                                          monkeypatch, rm,
+                                                          raises):
+    # a spectral search that disagrees with the algebraic route, crafted
+    eq = solve_coexistence(bd_model)
+    monkeypatch.setattr(stability, "rightmost_abscissa",
+                        lambda qp, box=None: (rm, [complex(rm, 1.0)]))
+    if raises:
+        with pytest.raises(CrossCheckError, match="algebraic route"):
+            classify_equilibrium(bd_model, eq)
+    else:
+        assert classify_equilibrium(bd_model, eq).verdict == Verdict.STABLE
 
 
 def test_non_bd_coexistence_is_unsupported_with_abscissa():
