@@ -3,16 +3,16 @@
 A logistic prey is coupled to a two-stage predator whose maturation time
 tau(y) lengthens as the mature stock grows.  We build a model with a
 Beddington-DeAngelis response, integrate it by the method of steps, and dump
-the dense solution to CSV plus a small SVG chart.
+the dense solution to CSV plus a small SVG chart: prey x, mature y and
+juvenile yj, then the delay tau(y), sampled evenly over the whole run
+(at the CSV's stride, at most 1 260 points).
 """
 import pathlib
-
-import numpy as np
 
 from preydelay import (ModelParams, ModelSpec, beddington_deangelis,
                        consistent_history, default_stepper, export_csv,
                        integrate, saturating_delay, validate, yj_integral)
-from preydelay.svg import Series, stacked_chart
+from preydelay.svg import trajectory_chart
 
 out = pathlib.Path(__file__).parent / "output"
 out.mkdir(exist_ok=True)
@@ -45,16 +45,5 @@ for t in (5.0, 20.0, 60.0):
     print(f"t = {t:5.1f}:  yj-ode = {ode:.8f}   yj-integral = {quad:.8f}")
 
 export_csv(model, traj, out / "trajectory.csv", stride=0.25)
-
-ts = np.arange(0.0, traj.t_end + 0.125, 0.25)
-vals = traj.sample(ts)
-taus = [model.delay.tau(max(v, 0.0)) for v in vals[:, 1]]
-stacked_chart(
-    [([Series("prey x", list(ts), list(vals[:, 0])),
-       Series("mature y", list(ts), list(vals[:, 1])),
-       Series("juvenile yj", list(ts), list(vals[:, 2]))],
-      "population densities", "t", "density"),
-     ([Series("tau(y)", list(ts), taus)],
-      "maturation delay along the run", "t", "tau")],
-    out / "trajectory.svg")
+trajectory_chart(model, traj, out / "trajectory.svg", stride=0.25)
 print(f"wrote {out / 'trajectory.csv'} and {out / 'trajectory.svg'}")

@@ -137,27 +137,15 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
 
 
 def _cmd_simulate(scn: Scenario, outdir: Path) -> int:
-    import numpy as np
-
     traj = integrate(scn.model, scn.history, scn.stepper)
     csv_path = outdir / (scn.outputs.csv or "trajectory.csv")
     export_csv(scn.model, traj, csv_path, scn.outputs.stride)
     print(f"wrote {csv_path} ({traj.n_steps} steps to t={traj.t_end:g})")
     if scn.outputs.svg:
-        from .svg import Series, stacked_chart
+        from .svg import trajectory_chart
 
-        ts = np.arange(0.0, traj.t_end + scn.outputs.stride / 2, scn.outputs.stride)
-        vals = traj.sample(ts)
-        taus = [scn.model.delay.tau(max(v, 0.0)) for v in vals[:, 1]]
         svg_path = outdir / scn.outputs.svg
-        stacked_chart(
-            [([Series("x", list(ts), list(vals[:, 0])),
-               Series("y", list(ts), list(vals[:, 1])),
-               Series("yj", list(ts), list(vals[:, 2]))],
-              "population densities", "t", "density"),
-             ([Series("tau(y)", list(ts), taus)],
-              "maturation delay along the run", "t", "tau")],
-            svg_path)
+        trajectory_chart(scn.model, traj, svg_path, scn.outputs.stride)
         print(f"wrote {svg_path}")
     x, y, yj = traj.lookup(traj.t_end)
     print(f"final state: x={x:.6g} y={y:.6g} yj={yj:.6g}")

@@ -289,8 +289,7 @@ class Trajectory:
 
     def __init__(self, ts: Sequence[float], us: Sequence[tuple],
                  fs: Sequence[tuple], ds: Sequence[tuple],
-                 history: Callable[[float], tuple], tau_M: float,
-                 names: tuple[str, ...]):
+                 history: Callable[[float], tuple], tau_M: float):
         import numpy as np
 
         self.ts = np.asarray(ts, dtype=float)
@@ -299,7 +298,6 @@ class Trajectory:
         self.ds = np.asarray(ds, dtype=float)
         self._history = history
         self.tau_M = float(tau_M)
-        self.names = names
 
     @property
     def t_end(self) -> float:
@@ -403,14 +401,13 @@ def _make_rhs(model: ModelSpec):
 
 
 def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
-                    tau_m: float, tau_M: float, names: tuple[str, ...]) -> Trajectory:
-    """Integrate a three-component state whose first len(names) components are live.
+                    tau_m: float, tau_M: float, live: int) -> Trajectory:
+    """Integrate a three-component state whose first ``live`` components are live.
 
     Padded components must stay exactly zero; they take no part in the
     error norm or the positivity guard, and the returned trajectory holds
     the live components only.
     """
-    live = len(names)
     store = _SolutionStore(history_eval, tau_M)
     t_end, h_max, max_steps = cfg.t_end, cfg.h_max, cfg.max_steps
     guard = cfg.positivity_guard
@@ -440,7 +437,7 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
 
         return Trajectory(np.frombuffer(store.ts), nodes(store.us),
                           nodes(store.fs), nodes(store.ds), history_eval,
-                          tau_M, names)
+                          tau_M)
 
     def fail(exc_cls, message):
         raise exc_cls(message, trajectory=trajectory())
@@ -627,7 +624,7 @@ def integrate(model: ModelSpec, history: HistoryFunction,
     u0 = history.state0()
     rhs_core = _make_rhs(model)
     return _integrate_core(rhs_core, history_eval, u0, cfg, tau_m, tau_M,
-                           names=("x", "y", "yj"))
+                           live=3)
 
 
 def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
@@ -649,7 +646,7 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
 
     v0 = float(history_fn(0.0))
     return _integrate_core(rhs_core, history_eval, (v0, 0.0, 0.0), cfg, tau_m,
-                           tau_M, names=("v",))
+                           tau_M, live=1)
 
 
 # --------------------------------------------------------------------------

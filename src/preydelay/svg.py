@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Series", "stacked_chart"]
+__all__ = ["Series", "stacked_chart", "trajectory_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -49,6 +49,8 @@ def _panel(series: list[Series], x0: float, y0: float, w: float, h: float,
     ys_all = [y for s in series for y in s.ys]
     xmin, xmax = min(xs_all), max(xs_all)
     ymin, ymax = min(ys_all), max(ys_all)
+    if xmax <= xmin:
+        xmax = xmin + 1.0
     if ymax <= ymin:
         ymax = ymin + 1.0
     pad = 0.05 * (ymax - ymin)
@@ -114,3 +116,34 @@ def stacked_chart(panels, path, width: int = 720, panel_height: int = 260) -> No
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
+
+
+# two points per pixel column of the plot area of stacked_chart's default
+# width: 720 px less its 70 and 20 px margins
+_TRAJECTORY_POINTS = 2 * (720 - 70 - 20)
+
+
+def trajectory_chart(model, traj, path, stride: float) -> None:
+    """Write the chart of a trajectory: x, y and yj, then tau(y).
+
+    Samples the run at evenly spaced times over exactly [0, traj.t_end]:
+    as many as :func:`preydelay.engine.export_csv` writes rows at
+    ``stride`` (not counting its extra row at t_end), but at least 2 and
+    at most two per pixel column of the plot area, so the chart's size
+    does not grow with the horizon.
+    """
+    import numpy as np
+
+    if stride <= 0.0:
+        raise ValueError("stride must be positive")
+    n = min(max(int(traj.t_end / stride + 1e-9) + 1, 2), _TRAJECTORY_POINTS)
+    ts = np.linspace(0.0, traj.t_end, n)
+    x, y, yj = traj.sample(ts).T.tolist()
+    ts = ts.tolist()
+    taus = [model.delay.tau(max(v, 0.0)) for v in y]
+    stacked_chart(
+        [([Series("x", ts, x), Series("y", ts, y), Series("yj", ts, yj)],
+          "population densities", "t", "density"),
+         ([Series("tau(y)", ts, taus)],
+          "maturation delay along the run", "t", "tau")],
+        path)

@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +16,8 @@ from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
 from preydelay.engine import LagDomainError
 from preydelay.equilibria import NoConvergenceError
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
 def write_config(path, *, b=1.0, k1=0.0, k2=10.0, d=0.45, t_end=60.0,
@@ -84,6 +88,39 @@ def test_simulate_deterministic_output(tmp_path):
     assert (out1 / "traj.csv").read_bytes() == (out2 / "traj.csv").read_bytes()
     assert (out1 / "traj.svg").read_bytes() == (out2 / "traj.svg").read_bytes()
     assert (out1 / "traj.svg").read_text().startswith("<svg")
+
+
+def chart_polylines(path):
+    """The points of each polyline of an SVG chart, as (x, y) strings."""
+    return [[pt.split(",") for pt in pts.split()] for pts in
+            re.findall(r'<polyline points="([^"]*)"', path.read_text())]
+
+
+@pytest.mark.parametrize("horizon", ["80.3", "0.2"])
+def test_simulate_chart_spans_exactly_the_horizon(tmp_path, horizon):
+    # off the stride grid the chart once sampled past t_end (exit 3), and
+    # below one stride it drew a single point at nan with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(DEMO_CONFIG), "--out",
+                     str(tmp_path), "--horizon", horizon]) == EXIT_OK
+    assert (tmp_path / "trajectory.csv").is_file()
+    svg = tmp_path / "trajectory.svg"
+    assert "nan" not in svg.read_text()
+    lines = chart_polylines(svg)
+    assert len(lines) == 4
+    for points in lines:
+        # the plot area spans x = 70 to 700
+        assert points[0][0] == "70" and points[-1][0] == "700"
+
+
+def test_simulate_chart_keeps_two_points_per_pixel_column(tmp_path):
+    assert main(["simulate", "--config", str(DEMO_CONFIG), "--out",
+                 str(tmp_path), "--horizon", "10240"]) == EXIT_OK
+    with open(tmp_path / "trajectory.csv") as fh:
+        assert sum(1 for _ in fh) == 1 + 20481
+    lines = chart_polylines(tmp_path / "trajectory.svg")
+    assert [len(points) for points in lines] == [1260] * 4
 
 
 def test_equilibria_report_round_trips(tmp_path, capsys):
