@@ -4,12 +4,18 @@ The delay is a nondecreasing, continuously differentiable, bounded function of
 the mature predator density, supplied as a (tau, tau') pair plus its bounds
 tau_m = tau(0) and tau_M = tau(+inf).  Three built-in shapes cover the common
 cases; arbitrary user pairs are accepted as well.
+
+Each built-in tau and tau' is written once, as one expression text through
+:func:`preydelay._law.law`: the callable is built from that text, and the
+integration engine writes the text into its step in place of a call.  A user
+pair carries no text and is called.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+
+from ._law import law
 
 __all__ = [
     "DelayFunction",
@@ -43,8 +49,8 @@ class DelayFunction:
 def constant_delay(value: float) -> DelayFunction:
     """tau(y) = value for all y."""
     return DelayFunction(
-        tau=lambda y: value,
-        tau_prime=lambda y: 0.0,
+        tau=law("y", "value", value=value),
+        tau_prime=law("y", "0.0"),
         tau_m=value,
         tau_M=value,
         kind="constant",
@@ -56,8 +62,10 @@ def saturating_delay(tau_m: float, tau_M: float, theta: float) -> DelayFunction:
     """tau(y) = tau_m + (tau_M - tau_m) * y / (y + theta), half-saturation theta > 0."""
     span = tau_M - tau_m
     return DelayFunction(
-        tau=lambda y: tau_m + span * y / (y + theta),
-        tau_prime=lambda y: span * theta / (y + theta) ** 2,
+        tau=law("y", "tau_m + span * y / (y + theta)",
+                tau_m=tau_m, span=span, theta=theta),
+        tau_prime=law("y", "span * theta / (y + theta) ** 2",
+                      span=span, theta=theta),
         tau_m=tau_m,
         tau_M=tau_M,
         kind="saturating",
@@ -69,8 +77,10 @@ def exp_delay(tau_m: float, tau_M: float, lam: float) -> DelayFunction:
     """tau(y) = tau_M - (tau_M - tau_m) * exp(-lam * y), rate lam > 0."""
     span = tau_M - tau_m
     return DelayFunction(
-        tau=lambda y: tau_M - span * math.exp(-lam * y),
-        tau_prime=lambda y: span * lam * math.exp(-lam * y),
+        tau=law("y", "tau_M - span * math.exp(-lam * y)",
+                tau_M=tau_M, span=span, lam=lam),
+        tau_prime=law("y", "span * lam * math.exp(-lam * y)",
+                      span=span, lam=lam),
         tau_m=tau_m,
         tau_M=tau_M,
         kind="exp",

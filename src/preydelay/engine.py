@@ -21,13 +21,30 @@ that falls below tau(0)) raises :class:`LagDomainError`.  With a vanishing
 minimum delay the stage lookups are fixed-point iterated against a
 provisional segment instead.
 
+The step is generated, once per set of laws, from one template (``_STEP``).
+Each of its stage evaluations is a slot.  For a model, the slot holds the
+right-hand side itself (``_RHS``), with the model's parameters and its law
+constants bound as closure cells.  Where f, tau or tau' carries an expression
+text (every catalog law does, see :mod:`preydelay._law`), that text is written
+in place of the call; any other law, a user :class:`DelayFunction` or a
+callable swapped in by ``dataclasses.replace``, is called.  The lag is always
+read through the step's lookup.  A step without a model
+(:func:`integrate_scalar_sdtd`) calls its ``rhs_core`` in every slot.  The
+generated steps are cached by their law texts, so a process compiles each
+combination once (a few milliseconds) and a subcommand that does not integrate
+compiles none.  :func:`_attempt_step` stays the module-level function that the
+stepper looks up on each attempt and that callers may wrap; it runs the step
+attached to ``rhs_core``.
+
 :func:`export_csv` builds a long file's blocks on every usable CPU, in
 ``os.fork()`` children (see :mod:`preydelay._forkmap`), and writes the bytes
 of a serial run.
 """
 from __future__ import annotations
 
+import ast
 import math
+import re
 from array import array
 from bisect import bisect_right
 from contextlib import closing
@@ -35,6 +52,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
 
+from ._law import LawText
 from .model import (GL_NODES, GL_WEIGHTS, HistoryFunction, ModelSpec,
                     correction_factor, warn_if_inconsistent)
 
@@ -360,40 +378,249 @@ class Trajectory:
 
 
 # --------------------------------------------------------------------------
-# right-hand side
+# right-hand side and the generated step
+
+# The right-hand side, written once: the rates (xp, yp, yjp) at (t, x, y, yj)
+# of a model with laws f, tau, tau_prime and parameters r, K, n, dj, d, its
+# lag read through lookup.  Stages may overshoot slightly negative; the rate
+# laws, defined on nonnegative densities, read the clamped xc and yc.  N is
+# ModelSpec.maturation_gain(tv, x_lag, y_lag) * y_lag and yjp's terms are
+# birth_flux and correction_factor, written out: calling them costs about 5%
+# of integrate.  A test pins the two to equality.
+_RHS = """
+xc = x if x > 0.0 else 0.0
+yc = y if y > 0.0 else 0.0
+tv = tau(yc)
+lag = lookup(t - tv)
+x_lag = lag[0] if lag[0] > 0.0 else 0.0
+y_lag = lag[1] if lag[1] > 0.0 else 0.0
+N = n * exp(-dj * tv) * f(x_lag, y_lag) * y_lag
+tp = tau_prime(yc)
+denom = 1.0 + tp * N
+fxy = f(xc, yc)
+xp = r * x * (1.0 - x / K) - fxy * y
+yp = (N - d * y) / denom
+yjp = n * fxy * y - dj * yj - (1.0 + tp * d * yc) / denom * N
+"""
+_PARAMS = ("r", "K", "n", "dj", "d")
+# each law's name in _RHS and the prefix that renames its constants apart
+# from the step's locals (Holling II's h, say, from the step size h)
+_LAW_PREFIXES = (("f", "f_"), ("tau", "tau_"), ("tau_prime", "dtau_"))
+
+# The model's rhs_core and the trial Dormand-Prince step (see _attempt_step),
+# which _kernel wraps in a maker whose arguments become closure cells.  Each
+# ``kx, ky, kz = RHS(t, x, y, yj)`` line is a slot.  For a model it becomes
+# _RHS with its rates written to kx, ky, kz, the model's parameters and law
+# constants renamed to the maker's arguments and each law that has a text
+# written in place of its call (through the ast, see _Writer).  For a step
+# without a model it becomes the call rhs_core(t, (x, y, yj), lookup).
+_RHS_CORE = """
+def rhs_core(t, u, lookup):
+    x, y, yj = u
+    xp, yp, yjp = RHS(t, x, y, yj)
+    return (xp, yp, yjp)
+"""
+_STEP = """
+def step(rhs_core, store, t0, u0, f0, h, allow_overlap):
+    x0, y0, z0 = u0
+    k1x, k1y, k1z = f0
+    t1 = t0 + h
+    b21 = h * _A21
+    b31, b32 = h * _A31, h * _A32
+    b41, b42, b43 = h * _A41, h * _A42, h * _A43
+    b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
+    b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+    b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
+    # with h < tau(0) <= tau(y) every lag lands at or before t0
+    lookup = store.eval_past
+    if allow_overlap:
+        lookup = _Provisional(lookup, t0, x0, y0, k1x, k1y)
+    for _ in range(_MAX_OVERLAP_ITERS if allow_overlap else 1):
+        t = t0 + _C2 * h
+        x = x0 + b21 * k1x
+        y = y0 + b21 * k1y
+        yj = z0 + b21 * k1z
+        k2x, k2y, k2z = RHS(t, x, y, yj)
+        t = t0 + _C3 * h
+        x = x0 + b31 * k1x + b32 * k2x
+        y = y0 + b31 * k1y + b32 * k2y
+        yj = z0 + b31 * k1z + b32 * k2z
+        k3x, k3y, k3z = RHS(t, x, y, yj)
+        t = t0 + _C4 * h
+        x = x0 + b41 * k1x + b42 * k2x + b43 * k3x
+        y = y0 + b41 * k1y + b42 * k2y + b43 * k3y
+        yj = z0 + b41 * k1z + b42 * k2z + b43 * k3z
+        k4x, k4y, k4z = RHS(t, x, y, yj)
+        t = t0 + _C5 * h
+        x = x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x
+        y = y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y
+        yj = z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z
+        k5x, k5y, k5z = RHS(t, x, y, yj)
+        t = t1
+        x = x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x
+        y = y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y
+        yj = z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z
+        k6x, k6y, k6z = RHS(t, x, y, yj)
+        x = x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x
+        y = y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y
+        yj = z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z
+        k7x, k7y, k7z = RHS(t, x, y, yj)
+        u1 = (x, y, yj)
+        f1 = (k7x, k7y, k7z)
+        d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
+                  + _D7 * k7x),
+             h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
+                  + _D7 * k7y),
+             h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
+                  + _D7 * k7z))
+
+        if not (allow_overlap and lookup.overlapped):
+            break
+        if lookup.seg is not None and max(
+                abs(v - w) / max(1.0, abs(v))
+                for v, w in zip(u1, prev)) <= _OVERLAP_TOL:
+            break
+        prev = u1
+        lookup.seg = _segment(t0, h, u0, f0, u1, f1, d)
+        lookup.overlapped = False
+
+    err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
+                + _E7 * k7x),
+           h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
+                + _E7 * k7y),
+           h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
+                + _E7 * k7z))
+    return u1, f1, err, d
+"""
+_SLOT = re.compile(r"^( *)(\w+), (\w+), (\w+) = RHS\(t, x, y, yj\)$", re.M)
+
+
+class _Provisional:
+    """The lag lookup of a step whose lag can land inside the step itself.
+
+    A lag at or before t0 is read from the store; a later one, off the Euler
+    line from (t0, x0, y0) until the step sets ``seg`` to the quartic segment
+    of its previous iterate.  ``overlapped`` records such a read.  (A closure
+    in the step would make the step's own locals closure cells, which cost
+    the step about 4% when the lag never overlaps.)
+    """
+
+    __slots__ = ("eval_past", "t0", "x0", "y0", "k1x", "k1y", "seg",
+                 "overlapped")
+
+    def __init__(self, eval_past, t0, x0, y0, k1x, k1y):
+        self.eval_past = eval_past
+        self.t0, self.x0, self.y0, self.k1x, self.k1y = t0, x0, y0, k1x, k1y
+        self.seg = None
+        self.overlapped = False
+
+    def __call__(self, s: float) -> tuple:
+        t0 = self.t0
+        if s <= t0:
+            return self.eval_past(s)
+        self.overlapped = True
+        if self.seg is None:
+            return (self.x0 + (s - t0) * self.k1x, self.y0 + (s - t0) * self.k1y)
+        return _quartic(self.seg, s)
+
+# generated makers by law texts (None: the step that calls its rhs_core)
+_KERNELS: dict = {}
+
+
+class _Writer(ast.NodeTransformer):
+    """Renames names and writes each law that has a text in place of its call.
+
+    ``names`` maps old names to new; ``laws`` maps a called name to its
+    :class:`~preydelay._law.LawText` and the prefix of its constants.
+    """
+
+    def __init__(self, names: dict, laws: dict | None = None):
+        self.names, self.laws = names, laws or {}
+
+    def visit_Name(self, node):
+        node.id = self.names.get(node.id, node.id)
+        return node
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if not (isinstance(node.func, ast.Name) and node.func.id in self.laws):
+            return node
+        law, prefix = self.laws[node.func.id]
+        names = {c: prefix + c for c in law.constants}
+        names.update((a, v.id) for a, v in zip(law.args, node.args))
+        return _Writer(names).visit(ast.parse(law.text, mode="eval").body)
+
+
+def _kernel(laws):
+    """The compiled maker for ``laws``, cached by their texts.
+
+    ``laws`` holds the :class:`~preydelay._law.LawText` of f, tau and
+    tau_prime (None for a law without one); the maker takes the three laws,
+    the model parameters and the law constants and returns rhs_core with its
+    step attached.  With ``laws`` None, the maker takes nothing and returns
+    the step, which calls rhs_core in every slot.
+    """
+    key = laws and tuple(law and (law.args, law.text, tuple(law.constants))
+                         for law in laws)
+    kernel = _KERNELS.get(key)
+    if kernel is not None:
+        return kernel
+    if laws is None:
+        params, source, result = [], _STEP, "step"
+
+        def fill(slot):
+            indent, kx, ky, kz = slot.groups()
+            return f"{indent}{kx}, {ky}, {kz} = rhs_core(t, (x, y, yj), lookup)"
+    else:
+        names = {p: "m_" + p for p in _PARAMS}
+        texts = {}
+        params = ["f", "tau", "tau_prime", *names.values()]
+        for (called, prefix), law in zip(_LAW_PREFIXES, laws):
+            if law is not None:
+                texts[called] = (law, prefix)
+                params += [prefix + c for c in law.constants]
+        writer = _Writer(names, texts)
+        *head, xp, yp, yjp = [writer.visit(s) for s in ast.parse(_RHS).body]
+        head = [ast.unparse(s) for s in head]
+        rates = [ast.unparse(s.value) for s in (xp, yp, yjp)]
+        source = _RHS_CORE + _STEP + "rhs_core.step = step\n"
+        result = "rhs_core"
+
+        def fill(slot):
+            indent, *ks = slot.groups()
+            return "\n".join([*(indent + line for line in head),
+                              *(f"{indent}{k} = {rate}"
+                                for k, rate in zip(ks, rates))])
+
+    source = (f"def maker({', '.join(params)}):\n    exp = math.exp\n"
+              + "".join(f"    {line}\n" if line else "\n"
+                        for line in _SLOT.sub(fill, source).splitlines())
+              + f"    return {result}\n")
+    namespace: dict = {}
+    exec(compile(source, "<preydelay step>", "exec"), globals(), namespace)
+    kernel = _KERNELS[key] = namespace["maker"]
+    return kernel
+
+
+def _law_text(fn) -> LawText | None:
+    """The text of a law built by :func:`preydelay._law.law`, else None.
+
+    A wrapper that copied the law's attributes (``functools.wraps``) has code
+    of its own and is called, not written in.
+    """
+    text = getattr(fn, "law", None)
+    if isinstance(text, LawText) and getattr(fn, "__code__", None) is text.code:
+        return text
+    return None
 
 
 def _make_rhs(model: ModelSpec):
+    """The model's rhs_core(t, u, lookup), its generated step attached."""
     p = model.params
-    r, K, n, dj, d = p.r, p.K, p.n, p.dj, p.d
-    f = model.response.f
-    tau = model.delay.tau
-    tau_prime = model.delay.tau_prime
-    exp = math.exp
-
-    # N is ModelSpec.maturation_gain(tv, x_lag, y_lag) * y_lag and yjp's
-    # terms are birth_flux and correction_factor, written inline: calling
-    # them costs about 5% of integrate.  A test pins the two to equality.
-    def rhs_core(t: float, u: tuple, lookup) -> tuple:
-        x, y, yj = u
-        # stages may overshoot slightly negative; clamp for the rate laws,
-        # which are only defined on nonnegative densities
-        xc = x if x > 0.0 else 0.0
-        yc = y if y > 0.0 else 0.0
-        tv = tau(yc)
-        lag = lookup(t - tv)
-        x_lag = lag[0] if lag[0] > 0.0 else 0.0
-        y_lag = lag[1] if lag[1] > 0.0 else 0.0
-        N = n * exp(-dj * tv) * f(x_lag, y_lag) * y_lag
-        tp = tau_prime(yc)
-        denom = 1.0 + tp * N
-        fxy = f(xc, yc)
-        xp = r * x * (1.0 - x / K) - fxy * y
-        yp = (N - d * y) / denom
-        yjp = n * fxy * y - dj * yj - (1.0 + tp * d * yc) / denom * N
-        return (xp, yp, yjp)
-
-    return rhs_core
+    laws = (model.response.f, model.delay.tau, model.delay.tau_prime)
+    texts = tuple(map(_law_text, laws))
+    constants = [v for text in texts if text for v in text.constants.values()]
+    return _kernel(texts)(*laws, p.r, p.K, p.n, p.dj, p.d, *constants)
 
 
 # --------------------------------------------------------------------------
@@ -506,89 +733,14 @@ def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
                   f0: tuple, h: float, allow_overlap: bool):
     """One trial Dormand-Prince step; returns (u1, f1, error_estimate, d).
 
-    d is the step's dense-output correction (see :func:`_segment`).
-    Straight-line code for the three-component state.  When the lag can land
-    inside the current step (vanishing minimum delay), lookups beyond t0 are
-    served by a provisional segment (the Euler line, then the quartic
-    segment of the previous iterate) that is fixed-point iterated until the
-    step result stabilizes.
+    d is the step's dense-output correction (see :func:`_segment`).  Runs
+    the step generated for ``rhs_core`` (its ``step``, see _STEP).  When
+    the lag can land inside the current step (vanishing minimum delay),
+    lookups beyond t0 are served by a provisional segment (the Euler line,
+    then the quartic segment of the previous iterate) that is fixed-point
+    iterated until the step result stabilizes.
     """
-    x0, y0, z0 = u0
-    k1x, k1y, k1z = f0
-    t1 = t0 + h
-    b21 = h * _A21
-    b31, b32 = h * _A31, h * _A32
-    b41, b42, b43 = h * _A41, h * _A42, h * _A43
-    b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
-    b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
-    eval_past = store.eval_past
-    prov = None
-    overlapped = False
-
-    def overlap_lookup(s):
-        nonlocal overlapped
-        if s <= t0:
-            return eval_past(s)
-        overlapped = True
-        if prov is None:
-            return (x0 + (s - t0) * k1x, y0 + (s - t0) * k1y)
-        return _quartic(prov, s)
-
-    # with h < tau(0) <= tau(y) every lag lands at or before t0
-    lookup = overlap_lookup if allow_overlap else eval_past
-    for _ in range(_MAX_OVERLAP_ITERS if allow_overlap else 1):
-        overlapped = False
-        k2x, k2y, k2z = rhs_core(
-            t0 + _C2 * h,
-            (x0 + b21 * k1x, y0 + b21 * k1y, z0 + b21 * k1z), lookup)
-        k3x, k3y, k3z = rhs_core(
-            t0 + _C3 * h,
-            (x0 + b31 * k1x + b32 * k2x,
-             y0 + b31 * k1y + b32 * k2y,
-             z0 + b31 * k1z + b32 * k2z), lookup)
-        k4x, k4y, k4z = rhs_core(
-            t0 + _C4 * h,
-            (x0 + b41 * k1x + b42 * k2x + b43 * k3x,
-             y0 + b41 * k1y + b42 * k2y + b43 * k3y,
-             z0 + b41 * k1z + b42 * k2z + b43 * k3z), lookup)
-        k5x, k5y, k5z = rhs_core(
-            t0 + _C5 * h,
-            (x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x,
-             y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y,
-             z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z), lookup)
-        k6x, k6y, k6z = rhs_core(
-            t1,
-            (x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x,
-             y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y,
-             z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z),
-            lookup)
-        u1 = (x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x,
-              y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y,
-              z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z)
-        f1 = rhs_core(t1, u1, lookup)
-        k7x, k7y, k7z = f1
-        d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
-                  + _D7 * k7x),
-             h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
-                  + _D7 * k7y),
-             h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
-                  + _D7 * k7z))
-
-        if not overlapped:
-            break
-        if prov is not None and max(abs(v - w) / max(1.0, abs(v))
-                                    for v, w in zip(u1, prev)) <= _OVERLAP_TOL:
-            break
-        prev, prov = u1, _segment(t0, h, u0, f0, u1, f1, d)
-
-    err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
-                + _E7 * k7x),
-           h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
-                + _E7 * k7y),
-           h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
-                + _E7 * k7z))
-    return u1, f1, err, d
+    return rhs_core.step(rhs_core, store, t0, u0, f0, h, allow_overlap)
 
 
 # --------------------------------------------------------------------------
@@ -640,6 +792,8 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
 
     def rhs_core(t, u, lookup):
         return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]), 0.0, 0.0)
+
+    rhs_core.step = _kernel(None)()
 
     def history_eval(s: float) -> tuple:
         return (float(history_fn(s)),)

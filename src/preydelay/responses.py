@@ -4,12 +4,17 @@ Every entry maps (prey density x, mature predator density y) to a per-capita
 consumption rate, together with analytic partial derivatives used by the
 linearization machinery.  All forms vanish exactly at x = 0, are nondecreasing
 in x and nonincreasing in y, and have a finite prey-derivative at the origin.
+
+Each of f, f_x and f_y is written once, as one expression text through
+:func:`preydelay._law.law`: the callable is built from that text, and the
+integration engine writes the text of f into its step in place of a call.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
+
+from ._law import law
 
 __all__ = [
     "FunctionalResponse",
@@ -113,9 +118,9 @@ def linear(b: float) -> FunctionalResponse:
     """f = b x."""
     return FunctionalResponse(
         ResponseKind.LINEAR, {"b": b},
-        f=lambda x, y: b * x,
-        f_x=lambda x, y: b,
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * x", b=b),
+        f_x=law("x, y", "b", b=b),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -123,9 +128,9 @@ def power_law(b: float, k: float) -> FunctionalResponse:
     """f = b x**k with k > 1."""
     return FunctionalResponse(
         ResponseKind.POWER_LAW, {"b": b, "k": k},
-        f=lambda x, y: b * x ** k,
-        f_x=lambda x, y: b * k * x ** (k - 1.0) if x > 0.0 else 0.0,
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * x ** k", b=b, k=k),
+        f_x=law("x, y", "b * k * x ** (k - 1.0) if x > 0.0 else 0.0", b=b, k=k),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -137,9 +142,9 @@ def holling1(a: float, b: float) -> FunctionalResponse:
     """
     return FunctionalResponse(
         ResponseKind.HOLLING_I, {"a": a, "b": b},
-        f=lambda x, y: a * x if x <= b else a * b,
-        f_x=lambda x, y: a if x <= b else 0.0,
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "a * x if x <= b else a * b", a=a, b=b),
+        f_x=law("x, y", "a if x <= b else 0.0", a=a, b=b),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -147,9 +152,9 @@ def holling2(b: float, h: float) -> FunctionalResponse:
     """Michaelis-Menten form: f = b x / (1 + b h x)."""
     return FunctionalResponse(
         ResponseKind.HOLLING_II, {"b": b, "h": h},
-        f=lambda x, y: b * x / (1.0 + b * h * x),
-        f_x=lambda x, y: b / (1.0 + b * h * x) ** 2,
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * x / (1.0 + b * h * x)", b=b, h=h),
+        f_x=law("x, y", "b / (1.0 + b * h * x) ** 2", b=b, h=h),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -157,9 +162,9 @@ def holling3(b: float, h: float) -> FunctionalResponse:
     """Sigmoidal form: f = b x^2 / (1 + b h x^2)."""
     return FunctionalResponse(
         ResponseKind.HOLLING_III, {"b": b, "h": h},
-        f=lambda x, y: b * x * x / (1.0 + b * h * x * x),
-        f_x=lambda x, y: 2.0 * b * x / (1.0 + b * h * x * x) ** 2,
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * x * x / (1.0 + b * h * x * x)", b=b, h=h),
+        f_x=law("x, y", "2.0 * b * x / (1.0 + b * h * x * x) ** 2", b=b, h=h),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -167,10 +172,10 @@ def saturation(b: float, h: float, k: float) -> FunctionalResponse:
     """f = b x^k / (1 + b h x^k) with k > 1."""
     return FunctionalResponse(
         ResponseKind.SATURATION, {"b": b, "h": h, "k": k},
-        f=lambda x, y: b * x ** k / (1.0 + b * h * x ** k),
-        f_x=lambda x, y: (b * k * x ** (k - 1.0) / (1.0 + b * h * x ** k) ** 2
-                          if x > 0.0 else 0.0),
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * x ** k / (1.0 + b * h * x ** k)", b=b, h=h, k=k),
+        f_x=law("x, y", "b * k * x ** (k - 1.0) / (1.0 + b * h * x ** k) ** 2"
+                " if x > 0.0 else 0.0", b=b, h=h, k=k),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -178,9 +183,9 @@ def ivlev(b: float, c: float) -> FunctionalResponse:
     """f = b (1 - exp(-c x))."""
     return FunctionalResponse(
         ResponseKind.IVLEV, {"b": b, "c": c},
-        f=lambda x, y: b * -math.expm1(-c * x),
-        f_x=lambda x, y: b * c * math.exp(-c * x),
-        f_y=lambda x, y: 0.0,
+        f=law("x, y", "b * -math.expm1(-c * x)", b=b, c=c),
+        f_x=law("x, y", "b * c * math.exp(-c * x)", b=b, c=c),
+        f_y=law("x, y", "0.0"),
     )
 
 
@@ -188,9 +193,11 @@ def beddington_deangelis(b: float, k1: float, k2: float) -> FunctionalResponse:
     """f = b x / (1 + k1 x + k2 y); k2 is the predator-interference strength."""
     return FunctionalResponse(
         ResponseKind.BEDDINGTON_DEANGELIS, {"b": b, "k1": k1, "k2": k2},
-        f=lambda x, y: b * x / (1.0 + k1 * x + k2 * y),
-        f_x=lambda x, y: b * (1.0 + k2 * y) / (1.0 + k1 * x + k2 * y) ** 2,
-        f_y=lambda x, y: -b * k2 * x / (1.0 + k1 * x + k2 * y) ** 2,
+        f=law("x, y", "b * x / (1.0 + k1 * x + k2 * y)", b=b, k1=k1, k2=k2),
+        f_x=law("x, y", "b * (1.0 + k2 * y) / (1.0 + k1 * x + k2 * y) ** 2",
+                b=b, k1=k1, k2=k2),
+        f_y=law("x, y", "-b * k2 * x / (1.0 + k1 * x + k2 * y) ** 2",
+                b=b, k1=k1, k2=k2),
     )
 
 
@@ -198,9 +205,12 @@ def crowley_martin(b: float, k1: float, k2: float) -> FunctionalResponse:
     """f = b x / ((1 + k1 x)(1 + k2 y))."""
     return FunctionalResponse(
         ResponseKind.CROWLEY_MARTIN, {"b": b, "k1": k1, "k2": k2},
-        f=lambda x, y: b * x / ((1.0 + k1 * x) * (1.0 + k2 * y)),
-        f_x=lambda x, y: b / ((1.0 + k1 * x) ** 2 * (1.0 + k2 * y)),
-        f_y=lambda x, y: -b * k2 * x / ((1.0 + k1 * x) * (1.0 + k2 * y) ** 2),
+        f=law("x, y", "b * x / ((1.0 + k1 * x) * (1.0 + k2 * y))",
+              b=b, k1=k1, k2=k2),
+        f_x=law("x, y", "b / ((1.0 + k1 * x) ** 2 * (1.0 + k2 * y))",
+                b=b, k1=k1, k2=k2),
+        f_y=law("x, y", "-b * k2 * x / ((1.0 + k1 * x) * (1.0 + k2 * y) ** 2)",
+                b=b, k1=k1, k2=k2),
     )
 
 

@@ -6,10 +6,12 @@
         checks after running ``python -m preydelay SUBCOMMAND ...``
 
 DEFERRED names, for each case, the modules that only other subcommands use
-(or, for SciPy, only the tests), so that case must not import them.  Prints
-the ones that are loaded and exits 1 if there are any.  Run it with ``src``
-on ``PYTHONPATH`` or with the package installed.  There is a case for each
-of the five subcommands.
+(or, for SciPy, only the tests), so that case must not import them.  Only
+``simulate`` and ``verify`` integrate, so every other case must not generate
+a step kernel either (``preydelay.engine._KERNELS`` stays empty); that counts
+as one more loaded name, ``step kernel``.  Prints the loaded names and exits
+1 if there are any.  Run it with ``src`` on ``PYTHONPATH`` or with the
+package installed.  There is a case for each of the five subcommands.
 """
 import runpy
 import sys
@@ -30,6 +32,9 @@ DEFERRED = {
     "verify": ("preydelay.svg", *_ANY),
 }
 
+# the cases that integrate, and so generate a step kernel
+INTEGRATING = ("simulate", "verify")
+
 
 def main(argv: list[str]) -> int:
     case = argv[0] if argv else "preydelay.cli"
@@ -49,6 +54,9 @@ def main(argv: list[str]) -> int:
                       file=sys.stderr)
                 return 2
     loaded = [name for name in DEFERRED[case] if name in sys.modules]
+    engine = sys.modules.get("preydelay.engine")
+    if case not in INTEGRATING and engine is not None and engine._KERNELS:
+        loaded.append("step kernel")
     print(" ".join(loaded))
     return 1 if loaded else 0
 
