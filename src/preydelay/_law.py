@@ -7,7 +7,8 @@ and constants ride along as the function's ``law`` attribute (a
 :class:`LawText`); the integration engine reads it to write the law into its
 generated step instead of calling it (see :mod:`preydelay.engine`).  The
 compiled maker is cached by its text, so only the first law of a kind
-compiles anything.
+compiles anything.  :func:`check_coefficients` checks the coefficient names
+handed to a catalog factory by kind.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import ast
 import math
 from typing import Callable, NamedTuple
 
-__all__ = ["LawText", "law"]
+__all__ = ["LawText", "law", "check_coefficients"]
 
 
 class LawText(NamedTuple):
@@ -60,3 +61,20 @@ def _compile_maker(args: tuple[str, ...], text: str,
     namespace = {"math": math}
     exec(compile(source, f"<law {text}>", "exec"), namespace)
     return namespace["maker"]
+
+
+def check_coefficients(kind: str, factory: Callable, given, skip: int = 0) -> None:
+    """Raise ValueError unless ``given`` names exactly ``factory``'s coefficients.
+
+    The coefficients are the factory's parameters after its first ``skip``,
+    read off its code.
+    """
+    code = factory.__code__
+    expected = code.co_varnames[skip:code.co_argcount]
+    found = [("unknown", [c for c in given if c not in expected]),
+             ("missing", [c for c in expected if c not in given])]
+    problems = "; ".join(f"{label} {', '.join(map(repr, names))}"
+                         for label, names in found if names)
+    if problems:
+        raise ValueError(f"{kind}: {problems}; expected coefficients "
+                         f"{', '.join(map(repr, expected)) or 'none'}")

@@ -233,26 +233,34 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
 
     horizon = max(scn.stepper.t_end, 41.0 * model.delay.tau_M)
     cfg = dataclasses.replace(scn.stepper, t_end=horizon)
-    traj = integrate(model, scn.history, cfg)
+    # a failed run still writes its reports, with the failure in them, and
+    # skips the checks that read the trajectory
+    failure = None
+    try:
+        traj = integrate(model, scn.history, cfg)
+    except (IntegrationError, LagDomainError) as exc:
+        failure = exc
+        add("integration", False, str(exc))
+    else:
+        cert = analysis.boundedness_certificate(model, traj)
+        add("boundedness_certificate",
+            cert.v_within_limit and cert.x_within_capacity(model.params.K),
+            f"V_sup={cert.observed_V_sup:.6g} limit={cert.V_limit:.6g}",
+            V_sup=cert.observed_V_sup, V_limit=cert.V_limit)
 
-    cert = analysis.boundedness_certificate(model, traj)
-    add("boundedness_certificate",
-        cert.v_within_limit and cert.x_within_capacity(model.params.K),
-        f"V_sup={cert.observed_V_sup:.6g} limit={cert.V_limit:.6g}",
-        V_sup=cert.observed_V_sup, V_limit=cert.V_limit)
+        sample_ts = np.linspace(model.delay.tau_M, traj.t_end, 12)
+        worst = 0.0
+        for t in sample_ts:
+            ode = traj.lookup(float(t))[2]
+            quad_val = yj_integral(model, traj, float(t))
+            worst = max(worst, abs(ode - quad_val) / max(abs(ode), cfg.atol))
+        add("yj_conservation", worst <= 1e-5, f"worst rel dev={worst:.3g}",
+            worst=worst)
 
-    sample_ts = np.linspace(model.delay.tau_M, traj.t_end, 12)
-    worst = 0.0
-    for t in sample_ts:
-        ode = traj.lookup(float(t))[2]
-        quad_val = yj_integral(model, traj, float(t))
-        worst = max(worst, abs(ode - quad_val) / max(abs(ode), cfg.atol))
-    add("yj_conservation", worst <= 1e-5, f"worst rel dev={worst:.3g}",
-        worst=worst)
-
-    lags = lag_times(model, traj)
-    add("lag_monotonic", bool(np.all(np.diff(lags) > 0.0)),
-        "s(t) = t - tau(y(t)) strictly increasing", min_step=float(np.min(np.diff(lags))))
+        lags = lag_times(model, traj)
+        add("lag_monotonic", bool(np.all(np.diff(lags) > 0.0)),
+            "s(t) = t - tau(y(t)) strictly increasing",
+            min_step=float(np.min(np.diff(lags))))
 
     positive = all(eq.residual <= 1e-10 for eq in eqs[:2])
     add("boundary_residuals", positive, "")
@@ -290,6 +298,8 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  ({detail})" if detail else ""))
     print(f"{len(checks) - n_fail}/{len(checks)} checks passed; "
           f"reports in {outdir}")
+    if failure is not None:
+        raise failure
     return EXIT_OK if n_fail == 0 else EXIT_CHECK_FAILURE
 
 

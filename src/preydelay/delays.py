@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ._law import law
+from ._law import check_coefficients, law
 
 __all__ = [
     "DelayFunction",
@@ -88,8 +88,14 @@ def exp_delay(tau_m: float, tau_M: float, lam: float) -> DelayFunction:
     )
 
 
+def _constant(tau_m: float, tau_M: float) -> DelayFunction:
+    if tau_m != tau_M:
+        raise ValueError("constant delay requires tau_m == tau_M")
+    return constant_delay(tau_m)
+
+
 _FACTORIES: dict[str, Callable] = {
-    "constant": lambda tau_m, tau_M: constant_delay(tau_m),
+    "constant": _constant,
     "saturating": saturating_delay,
     "exp": exp_delay,
 }
@@ -97,22 +103,19 @@ _FACTORIES: dict[str, Callable] = {
 DELAY_KINDS = tuple(_FACTORIES)
 
 
-def make_delay(kind: str, tau_m: float, tau_M: float, **coefficients: float) -> DelayFunction:
+def make_delay(kind: str, tau_m: float, tau_M: float, /,
+               **coefficients: float) -> DelayFunction:
     """Build a built-in delay law by kind name.
 
     "constant" requires tau_m == tau_M and takes no coefficients; "saturating"
-    takes theta; "exp" takes lam.
+    takes theta; "exp" takes lam.  A missing or unknown coefficient raises
+    ValueError.
     """
-    if kind == "constant":
-        if tau_m != tau_M:
-            raise ValueError("constant delay requires tau_m == tau_M")
-        if coefficients:
-            raise ValueError("constant delay takes no coefficients")
-        return constant_delay(tau_m)
     try:
         factory = _FACTORIES[kind]
     except KeyError:
         raise ValueError(
             f"unknown delay kind {kind!r}; expected one of {DELAY_KINDS}"
         ) from None
+    check_coefficients(f"{kind} delay", factory, coefficients, skip=2)
     return factory(tau_m, tau_M, **coefficients)

@@ -18,8 +18,8 @@ juvenile-conservation error of the lag reads with margin (the cap, not the
 tolerance, sets most probe steps).  The stages then read their lags straight
 from the solution store, and a lag past the last accepted node (a delay law
 that falls below tau(0)) raises :class:`LagDomainError`.  With a vanishing
-minimum delay the stage lookups are fixed-point iterated against a
-provisional segment instead.
+minimum delay :func:`_overlap_step` instead repeats the step, its lookups
+fixed-point iterated against a provisional segment.
 
 The step is generated, once per set of laws, from one template (``_STEP``).
 Each of its stage evaluations is a slot.  For a model, the slot holds the
@@ -32,9 +32,9 @@ read through the step's lookup.  A step without a model
 (:func:`integrate_scalar_sdtd`) calls its ``rhs_core`` in every slot.  The
 generated steps are cached by their law texts, so a process compiles each
 combination once (a few milliseconds) and a subcommand that does not integrate
-compiles none.  :func:`_attempt_step` stays the module-level function that the
-stepper looks up on each attempt and that callers may wrap; it runs the step
-attached to ``rhs_core``.
+compiles none.  The stepper calls the step attached to ``rhs_core`` directly,
+or through :func:`_overlap_step` when tau(0) = 0, and counts its attempts in
+:attr:`Trajectory.n_attempts`.
 
 :func:`export_csv` builds a long file's blocks on every usable CPU, in
 ``os.fork()`` children (see :mod:`preydelay._forkmap`), and writes the bytes
@@ -49,6 +49,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -302,12 +303,14 @@ class Trajectory:
     Values and derivatives at accepted nodes, and each step's d, define the
     step's DOPRI5 continuous extension (see :func:`_segment`); reads at
     s <= 0 fall through to the initial history.  The record is immutable
-    once built and safe for concurrent reads.
+    once built and safe for concurrent reads.  ``n_attempts`` counts the
+    trial steps the stepper took, accepted and rejected.
     """
 
     def __init__(self, ts: Sequence[float], us: Sequence[tuple],
                  fs: Sequence[tuple], ds: Sequence[tuple],
-                 history: Callable[[float], tuple], tau_M: float):
+                 history: Callable[[float], tuple], tau_M: float,
+                 n_attempts: int):
         import numpy as np
 
         self.ts = np.asarray(ts, dtype=float)
@@ -316,6 +319,7 @@ class Trajectory:
         self.ds = np.asarray(ds, dtype=float)
         self._history = history
         self.tau_M = float(tau_M)
+        self._n_attempts = n_attempts
 
     @property
     def t_end(self) -> float:
@@ -328,6 +332,10 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.ts) - 1
+
+    @property
+    def n_attempts(self) -> int:
+        return self._n_attempts
 
     def lookup(self, s: float) -> tuple:
         """Solution value at any s in [-tau_M, t_end]."""
@@ -407,13 +415,15 @@ _PARAMS = ("r", "K", "n", "dj", "d")
 # from the step's locals (Holling II's h, say, from the step size h)
 _LAW_PREFIXES = (("f", "f_"), ("tau", "tau_"), ("tau_prime", "dtau_"))
 
-# The model's rhs_core and the trial Dormand-Prince step (see _attempt_step),
-# which _kernel wraps in a maker whose arguments become closure cells.  Each
-# ``kx, ky, kz = RHS(t, x, y, yj)`` line is a slot.  For a model it becomes
-# _RHS with its rates written to kx, ky, kz, the model's parameters and law
-# constants renamed to the maker's arguments and each law that has a text
-# written in place of its call (through the ast, see _Writer).  For a step
-# without a model it becomes the call rhs_core(t, (x, y, yj), lookup).
+# The model's rhs_core and the trial Dormand-Prince step, one straight pass of
+# its seven stages that returns (u1, f1, error estimate, d) with d the step's
+# dense-output correction (see _segment).  _kernel wraps them in a maker whose
+# arguments become closure cells.  Each ``kx, ky, kz = RHS(t, x, y, yj)``
+# line is a slot.  For a model it becomes _RHS with its rates written to kx,
+# ky, kz, the model's parameters and law constants renamed to the maker's
+# arguments and each law that has a text written in place of its call
+# (through the ast, see _Writer).  For a step without a model it becomes the
+# call rhs_core(t, (x, y, yj), lookup).
 _RHS_CORE = """
 def rhs_core(t, u, lookup):
     x, y, yj = u
@@ -421,7 +431,7 @@ def rhs_core(t, u, lookup):
     return (xp, yp, yjp)
 """
 _STEP = """
-def step(rhs_core, store, t0, u0, f0, h, allow_overlap):
+def step(lookup, t0, u0, f0, h):
     x0, y0, z0 = u0
     k1x, k1y, k1z = f0
     t1 = t0 + h
@@ -431,59 +441,43 @@ def step(rhs_core, store, t0, u0, f0, h, allow_overlap):
     b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
     b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
     b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
-    # with h < tau(0) <= tau(y) every lag lands at or before t0
-    lookup = store.eval_past
-    if allow_overlap:
-        lookup = _Provisional(lookup, t0, x0, y0, k1x, k1y)
-    for _ in range(_MAX_OVERLAP_ITERS if allow_overlap else 1):
-        t = t0 + _C2 * h
-        x = x0 + b21 * k1x
-        y = y0 + b21 * k1y
-        yj = z0 + b21 * k1z
-        k2x, k2y, k2z = RHS(t, x, y, yj)
-        t = t0 + _C3 * h
-        x = x0 + b31 * k1x + b32 * k2x
-        y = y0 + b31 * k1y + b32 * k2y
-        yj = z0 + b31 * k1z + b32 * k2z
-        k3x, k3y, k3z = RHS(t, x, y, yj)
-        t = t0 + _C4 * h
-        x = x0 + b41 * k1x + b42 * k2x + b43 * k3x
-        y = y0 + b41 * k1y + b42 * k2y + b43 * k3y
-        yj = z0 + b41 * k1z + b42 * k2z + b43 * k3z
-        k4x, k4y, k4z = RHS(t, x, y, yj)
-        t = t0 + _C5 * h
-        x = x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x
-        y = y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y
-        yj = z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z
-        k5x, k5y, k5z = RHS(t, x, y, yj)
-        t = t1
-        x = x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x
-        y = y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y
-        yj = z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z
-        k6x, k6y, k6z = RHS(t, x, y, yj)
-        x = x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x
-        y = y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y
-        yj = z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z
-        k7x, k7y, k7z = RHS(t, x, y, yj)
-        u1 = (x, y, yj)
-        f1 = (k7x, k7y, k7z)
-        d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
-                  + _D7 * k7x),
-             h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
-                  + _D7 * k7y),
-             h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
-                  + _D7 * k7z))
-
-        if not (allow_overlap and lookup.overlapped):
-            break
-        if lookup.seg is not None and max(
-                abs(v - w) / max(1.0, abs(v))
-                for v, w in zip(u1, prev)) <= _OVERLAP_TOL:
-            break
-        prev = u1
-        lookup.seg = _segment(t0, h, u0, f0, u1, f1, d)
-        lookup.overlapped = False
-
+    t = t0 + _C2 * h
+    x = x0 + b21 * k1x
+    y = y0 + b21 * k1y
+    yj = z0 + b21 * k1z
+    k2x, k2y, k2z = RHS(t, x, y, yj)
+    t = t0 + _C3 * h
+    x = x0 + b31 * k1x + b32 * k2x
+    y = y0 + b31 * k1y + b32 * k2y
+    yj = z0 + b31 * k1z + b32 * k2z
+    k3x, k3y, k3z = RHS(t, x, y, yj)
+    t = t0 + _C4 * h
+    x = x0 + b41 * k1x + b42 * k2x + b43 * k3x
+    y = y0 + b41 * k1y + b42 * k2y + b43 * k3y
+    yj = z0 + b41 * k1z + b42 * k2z + b43 * k3z
+    k4x, k4y, k4z = RHS(t, x, y, yj)
+    t = t0 + _C5 * h
+    x = x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x
+    y = y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y
+    yj = z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z
+    k5x, k5y, k5z = RHS(t, x, y, yj)
+    t = t1
+    x = x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x
+    y = y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y
+    yj = z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z
+    k6x, k6y, k6z = RHS(t, x, y, yj)
+    x = x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x
+    y = y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y
+    yj = z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z
+    k7x, k7y, k7z = RHS(t, x, y, yj)
+    u1 = (x, y, yj)
+    f1 = (k7x, k7y, k7z)
+    d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
+              + _D7 * k7x),
+         h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
+              + _D7 * k7y),
+         h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
+              + _D7 * k7z))
     err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
                 + _E7 * k7x),
            h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
@@ -495,33 +489,44 @@ def step(rhs_core, store, t0, u0, f0, h, allow_overlap):
 _SLOT = re.compile(r"^( *)(\w+), (\w+), (\w+) = RHS\(t, x, y, yj\)$", re.M)
 
 
-class _Provisional:
-    """The lag lookup of a step whose lag can land inside the step itself.
+def _overlap_step(step, eval_past, t0: float, u0: tuple, f0: tuple,
+                  h: float):
+    """``step`` for a lag that can land inside the step itself (tau(0) = 0).
 
     A lag at or before t0 is read from the store; a later one, off the Euler
-    line from (t0, x0, y0) until the step sets ``seg`` to the quartic segment
-    of its previous iterate.  ``overlapped`` records such a read.  (A closure
-    in the step would make the step's own locals closure cells, which cost
-    the step about 4% when the lag never overlaps.)
+    line from (t0, x0, y0) on the first pass and off the quartic segment of
+    the previous pass after that.  The step is repeated until its result
+    stabilizes, at most ``_MAX_OVERLAP_ITERS`` times.  The lookup is a
+    closure here; it was a class while this iteration sat inside the
+    generated step, because a closure there made the step's own locals
+    closure cells, which cost every step about 4% even when no lag overlapped.
     """
+    x0, y0 = u0[0], u0[1]
+    k1x, k1y = f0[0], f0[1]
+    seg = None
+    overlapped = False
 
-    __slots__ = ("eval_past", "t0", "x0", "y0", "k1x", "k1y", "seg",
-                 "overlapped")
-
-    def __init__(self, eval_past, t0, x0, y0, k1x, k1y):
-        self.eval_past = eval_past
-        self.t0, self.x0, self.y0, self.k1x, self.k1y = t0, x0, y0, k1x, k1y
-        self.seg = None
-        self.overlapped = False
-
-    def __call__(self, s: float) -> tuple:
-        t0 = self.t0
+    def lookup(s: float) -> tuple:
+        nonlocal overlapped
         if s <= t0:
-            return self.eval_past(s)
-        self.overlapped = True
-        if self.seg is None:
-            return (self.x0 + (s - t0) * self.k1x, self.y0 + (s - t0) * self.k1y)
-        return _quartic(self.seg, s)
+            return eval_past(s)
+        overlapped = True
+        if seg is None:
+            return (x0 + (s - t0) * k1x, y0 + (s - t0) * k1y)
+        return _quartic(seg, s)
+
+    for _ in range(_MAX_OVERLAP_ITERS):
+        u1, f1, err, d = step(lookup, t0, u0, f0, h)
+        if not overlapped:
+            break
+        if seg is not None and max(abs(v - w) / max(1.0, abs(v))
+                                   for v, w in zip(u1, prev)) <= _OVERLAP_TOL:
+            break
+        prev = u1
+        seg = _segment(t0, h, u0, f0, u1, f1, d)
+        overlapped = False
+    return u1, f1, err, d
+
 
 # generated makers by law texts (None: the step that calls its rhs_core)
 _KERNELS: dict = {}
@@ -557,8 +562,8 @@ def _kernel(laws):
     ``laws`` holds the :class:`~preydelay._law.LawText` of f, tau and
     tau_prime (None for a law without one); the maker takes the three laws,
     the model parameters and the law constants and returns rhs_core with its
-    step attached.  With ``laws`` None, the maker takes nothing and returns
-    the step, which calls rhs_core in every slot.
+    step attached.  With ``laws`` None, the maker takes rhs_core and returns
+    the step, which calls it in every slot.
     """
     key = laws and tuple(law and (law.args, law.text, tuple(law.constants))
                          for law in laws)
@@ -566,7 +571,7 @@ def _kernel(laws):
     if kernel is not None:
         return kernel
     if laws is None:
-        params, source, result = [], _STEP, "step"
+        params, source, result = ["rhs_core"], _STEP, "step"
 
         def fill(slot):
             indent, kx, ky, kz = slot.groups()
@@ -642,17 +647,20 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
     # the norm is exactly 0 whatever its atol
     ax, ay, az = cfg.atol_vector(live) + (1.0,) * (3 - live)
     rtol = cfg.rtol
-    allow_overlap = tau_m <= 0.0
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     t_tol, h_min = 1e-13 * max(1.0, t_end), 1e-12 * max(1.0, t_end)
     append = store.append
+    step, eval_past = rhs_core.step, store.eval_past
+    if tau_m <= 0.0:
+        # a lag can land inside the step being taken
+        step = partial(_overlap_step, step)
 
-    f0 = rhs_core(0.0, u0, store.eval_past)
+    f0 = rhs_core(0.0, u0, eval_past)
     append(0.0, u0, f0)
 
     t, u, f = 0.0, u0, f0
     h = min(cfg.h_init, h_max, t_end)
-    nsteps = 0
+    attempts = 0
     last_reject_positivity = False
 
     def trajectory():
@@ -664,7 +672,7 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
 
         return Trajectory(np.frombuffer(store.ts), nodes(store.us),
                           nodes(store.fs), nodes(store.ds), history_eval,
-                          tau_M)
+                          tau_M, attempts)
 
     def fail(exc_cls, message):
         raise exc_cls(message, trajectory=trajectory())
@@ -676,13 +684,11 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
                 fail(PositivityViolation,
                      f"positivity guard kept rejecting steps near t={t:.6g}")
             fail(StepSizeUnderflow, f"step size underflow at t={t:.6g}")
-        nsteps += 1
-        if nsteps > max_steps:
+        if attempts == max_steps:
             fail(IntegrationError, f"exceeded {max_steps} steps")
+        attempts += 1
 
-        # looked up through the module so that callers can wrap it
-        u1, f1, err, d = _attempt_step(rhs_core, store, t, u, f, h,
-                                       allow_overlap)
+        u1, f1, err, d = step(eval_past, t, u, f, h)
 
         # weighted rms local-error norm over the live components; a
         # non-finite value or error estimate reads inf
@@ -727,20 +733,6 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
             h *= max(0.1, min(0.5, 0.9 * enorm ** -0.2))
 
     return trajectory()
-
-
-def _attempt_step(rhs_core, store: _SolutionStore, t0: float, u0: tuple,
-                  f0: tuple, h: float, allow_overlap: bool):
-    """One trial Dormand-Prince step; returns (u1, f1, error_estimate, d).
-
-    d is the step's dense-output correction (see :func:`_segment`).  Runs
-    the step generated for ``rhs_core`` (its ``step``, see _STEP).  When
-    the lag can land inside the current step (vanishing minimum delay),
-    lookups beyond t0 are served by a provisional segment (the Euler line,
-    then the quartic segment of the previous iterate) that is fixed-point
-    iterated until the step result stabilizes.
-    """
-    return rhs_core.step(rhs_core, store, t0, u0, f0, h, allow_overlap)
 
 
 # --------------------------------------------------------------------------
@@ -793,7 +785,7 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
     def rhs_core(t, u, lookup):
         return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]), 0.0, 0.0)
 
-    rhs_core.step = _kernel(None)()
+    rhs_core.step = _kernel(None)(rhs_core)
 
     def history_eval(s: float) -> tuple:
         return (float(history_fn(s)),)

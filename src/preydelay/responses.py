@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ._law import law
+from ._law import check_coefficients, law
 
 __all__ = [
     "FunctionalResponse",
@@ -229,12 +229,16 @@ _FACTORIES: dict[str, Callable[..., FunctionalResponse]] = {
 RESPONSE_KINDS = tuple(_FACTORIES)
 
 
-def make_response(kind: str, **coefficients: float) -> FunctionalResponse:
-    """Build a catalog response by kind name, e.g. make_response("HollingII", b=2, h=0.5)."""
+def make_response(kind: str, /, **coefficients: float) -> FunctionalResponse:
+    """Build a catalog response by kind name, e.g. make_response("HollingII", b=2, h=0.5).
+
+    A missing or unknown coefficient raises ValueError.
+    """
     try:
         factory = _FACTORIES[kind]
     except KeyError:
         raise ValueError(
             f"unknown response kind {kind!r}; expected one of {RESPONSE_KINDS}"
         ) from None
+    check_coefficients(kind, factory, coefficients)
     return factory(**coefficients)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -15,6 +16,7 @@ from preydelay import cli
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
 from preydelay.engine import LagDomainError
+from preydelay.model import HistoryConsistencyWarning
 from preydelay.equilibria import NoConvergenceError
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
@@ -275,8 +277,54 @@ def test_verify_failure_exits_1(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", t_end=60.0,
                        history={"kind": "constant", "x": 2.0, "y": 0.4,
                                 "yj": 5.0})
+    with pytest.warns(HistoryConsistencyWarning):
+        assert main(["verify", "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
+
+
+def test_verify_writes_its_reports_when_the_run_fails(tmp_path, capsys):
+    # a power law with k < 1 fails validation and empties the prey in
+    # finite time, so the run ends in the positivity guard
+    doc = json.loads(DEMO_CONFIG.read_text())
+    doc["model"]["response"] = {"kind": "PowerLaw",
+                                "coefficients": {"b": 1.5, "k": 0.5}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
     assert main(["verify", "--config", str(cfg),
-                 "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    assert "positivity guard kept rejecting steps" in capsys.readouterr().err
+    suite = ET.parse(tmp_path / "verify.xml").getroot()
+    failed = {case.attrib["name"]: case.find("failure").attrib["message"]
+              for case in suite if case.find("failure") is not None}
+    assert "exponent 'k' must be > 1" in failed["model_validation"]
+    assert "positivity guard kept rejecting steps" in failed["integration"]
+    rows = {row["check"]: row for row in csv.DictReader(
+        (tmp_path / "verify_checks.csv").read_text().splitlines())}
+    assert rows["model_validation"]["passed"] == "false"
+    assert rows["integration"]["passed"] == "false"
+    assert "positivity guard" in rows["integration"]["detail"]
+    # the checks that read the trajectory are skipped
+    assert "yj_conservation" not in rows
+    assert int(suite.attrib["tests"]) == len(rows)
+
+
+@pytest.mark.parametrize("section, coefficients, named", [
+    ("delay", {"lam": 1.0}, "'lam'"),
+    ("delay", {}, "'theta'"),
+    ("response", {"b": 1.0, "k1": 0.0, "k2": 10.0, "h": 0.5}, "'h'"),
+    ("response", {"b": 1.0}, "'k1'"),
+])
+def test_wrong_law_coefficients_are_a_config_error(tmp_path, capsys, section,
+                                                   coefficients, named):
+    doc = json.loads(DEMO_CONFIG.read_text())
+    doc["model"][section]["coefficients"] = coefficients
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["equilibria", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and named in err
+    assert "Traceback" not in err
 
 
 def test_lag_domain_error_exits_3(tmp_path, monkeypatch, capsys):

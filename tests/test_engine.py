@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -12,9 +13,9 @@ from preydelay import (DelayFunction, IntegrationError, LagDomainError,
                        StepSizeUnderflow, beddington_deangelis,
                        constant_delay, consistent_history, constant_history,
                        correction_factor, crowley_martin, default_stepper,
-                       exp_delay, export_csv, integrate, integrate_scalar_sdtd,
-                       lag_times, linear, saturating_delay, spread_histories,
-                       yj_integral)
+                       exp_delay, export_csv, holling2, integrate,
+                       integrate_scalar_sdtd, lag_times, linear,
+                       saturating_delay, spread_histories, yj_integral)
 from preydelay import engine
 from preydelay.model import HistoryConsistencyWarning
 
@@ -348,21 +349,27 @@ def test_integrate_returns_the_stored_arrays(bd_traj):
     ("err", 1, math.nan), ("err", 2, -math.inf)])
 def test_non_finite_step_is_cut_tenfold_until_underflow(bd_model, monkeypatch,
                                                         where, k, bad):
-    attempt_step = engine._attempt_step
+    make_rhs = engine._make_rhs
     spoiled_hs = []
 
-    def spoiled_attempt_step(rhs_core, store, t0, u0, f0, h, allow_overlap):
-        u1, f1, err, d = attempt_step(rhs_core, store, t0, u0, f0, h,
-                                      allow_overlap)
-        if t0 >= 1.0:
-            spoiled_hs.append(h)
-            if where == "u1":
-                u1 = u1[:k] + (bad,) + u1[k + 1:]
-            else:
-                err = err[:k] + (bad,) + err[k + 1:]
-        return u1, f1, err, d
+    def spoiled_make_rhs(model):
+        rhs_core = make_rhs(model)
+        step = rhs_core.step
 
-    monkeypatch.setattr(engine, "_attempt_step", spoiled_attempt_step)
+        def spoiled_step(lookup, t0, u0, f0, h):
+            u1, f1, err, d = step(lookup, t0, u0, f0, h)
+            if t0 >= 1.0:
+                spoiled_hs.append(h)
+                if where == "u1":
+                    u1 = u1[:k] + (bad,) + u1[k + 1:]
+                else:
+                    err = err[:k] + (bad,) + err[k + 1:]
+            return u1, f1, err, d
+
+        rhs_core.step = spoiled_step
+        return rhs_core
+
+    monkeypatch.setattr(engine, "_make_rhs", spoiled_make_rhs)
     hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
     with pytest.raises(StepSizeUnderflow) as exc_info:
         integrate(bd_model, hist, default_stepper(bd_model, 5.0))
@@ -372,6 +379,8 @@ def test_non_finite_step_is_cut_tenfold_until_underflow(bd_model, monkeypatch,
     # NaN norm would halve it, a finite one could accept the step)
     assert len(spoiled_hs) > 5
     assert all(b == a * 0.1 for a, b in zip(spoiled_hs, spoiled_hs[1:]))
+    # every spoiled attempt was rejected, and the partial record counts it
+    assert partial.n_attempts >= partial.n_steps + len(spoiled_hs)
 
 
 def test_delay_below_its_minimum_raises_lag_domain_error():
@@ -473,14 +482,20 @@ def test_sample_rejects_times_outside_the_record(bd_traj):
             bd_traj.lookup(s)
 
 
-def test_scalar_equation_with_vanishing_minimum_delay(monkeypatch):
-    # tau(0) = 0 and a small v: the lag lands inside the step, so the scalar
-    # run goes through the provisional-segment iteration too
-    delay = exp_delay(0.0, 0.8, 1.5)
-    calls = {"rhs": 0, "attempts": 0}
+VANISHING_DELAY = exp_delay(0.0, 0.8, 1.5)
+
+
+def run_vanishing_delay_scalar(h_max, rtol=1e-9, atol=1e-11, calls=None):
+    """A scalar equation with tau(0) = 0 from a small v, to t = 6.
+
+    The lag lands inside the step, so the run goes through the overlap
+    iteration.  ``calls["rhs"]`` counts the right-hand side's calls.
+    """
+    delay = VANISHING_DELAY
 
     def rhs_scalar(t, v, lookup):
-        calls["rhs"] += 1
+        if calls is not None:
+            calls["rhs"] += 1
         vc = v if v > 0.0 else 0.0
         tau = delay.tau(vc)
         vlag = max(lookup(t - tau), 0.0)
@@ -490,30 +505,54 @@ def test_scalar_equation_with_vanishing_minimum_delay(monkeypatch):
     def history(s):
         return 0.02 * (1.0 + 0.1 * math.sin(3.0 * s))
 
-    def run(h_max, rtol=1e-9, atol=1e-11):
-        cfg = StepperConfig(t_end=6.0, rtol=rtol, atol=atol,
-                            h_init=h_max / 4, h_max=h_max)
-        return integrate_scalar_sdtd(rhs_scalar, history, cfg,
-                                     delay.tau_m, delay.tau_M)
+    cfg = StepperConfig(t_end=6.0, rtol=rtol, atol=atol,
+                        h_init=h_max / 4, h_max=h_max)
+    return integrate_scalar_sdtd(rhs_scalar, history, cfg,
+                                 delay.tau_m, delay.tau_M)
 
+
+def test_scalar_equation_with_vanishing_minimum_delay():
     grid = np.linspace(0.5, 6.0, 12)
-    ref = run(0.001, rtol=1e-12, atol=1e-14).sample(grid)[:, 0]
-    attempt_step = engine._attempt_step
-
-    def counting_attempt_step(*args):
-        calls["attempts"] += 1
-        return attempt_step(*args)
-
-    monkeypatch.setattr(engine, "_attempt_step", counting_attempt_step)
-    calls["rhs"] = 0
-    roomy = run(0.05)
+    ref = run_vanishing_delay_scalar(0.001, rtol=1e-12,
+                                     atol=1e-14).sample(grid)[:, 0]
+    calls = {"rhs": 0}
+    roomy = run_vanishing_delay_scalar(0.05, calls=calls)
     # FSAL: 6 new stages per pass, more than one pass on overlapping steps
-    assert calls["rhs"] > 1 + 6 * calls["attempts"]
-    assert delay.tau(roomy.us[0, 0]) < 0.05
+    assert calls["rhs"] > 1 + 6 * roomy.n_attempts
+    assert VANISHING_DELAY.tau(roomy.us[0, 0]) < 0.05
     assert roomy.dim == 1
-    for traj in (roomy, run(0.008)):
+    for traj in (roomy, run_vanishing_delay_scalar(0.008)):
         v = traj.sample(grid)[:, 0]
         assert np.max(np.abs(v - ref) / ref) < 1e-6
+
+
+# SHA-256 of ts, us and ds, in that order, of two tau(0) = 0 runs, recorded
+# at commit 9c34501, while the overlap iteration was part of the generated step
+OVERLAP_SHA256 = {
+    "holling2_model":
+        "11a7c0a0505b03dd803a28bb37b2a52bdd235d24cce0a56c5852c0f5966ffc67",
+    "scalar_h_max_0.05":
+        "966f63af86b20a35ea27b87035b1068452940850b55d73fd995d7527dd56f4da",
+    "scalar_h_max_0.008":
+        "f0c1893a1378c7e3925580bcb0648dcebe5687b582254b8a902a1ffb4652073f",
+}
+
+
+def test_overlap_path_bits_are_pinned():
+    # the tau(0) = 0 model run of test_step_kernel's overlap test and the
+    # scalar runs above
+    model = ModelSpec(ModelParams(r=1.0, K=3.0, n=1.0, dj=0.3, d=0.4),
+                      VANISHING_DELAY, holling2(1.5, 0.5))
+    hist = consistent_history(model, 1.5, 0.01, amp=0.2)
+    runs = {"holling2_model": quiet_integrate(model, hist,
+                                              default_stepper(model, 6.0)),
+            "scalar_h_max_0.05": run_vanishing_delay_scalar(0.05),
+            "scalar_h_max_0.008": run_vanishing_delay_scalar(0.008)}
+    for name, traj in runs.items():
+        digest = hashlib.sha256()
+        for array in (traj.ts, traj.us, traj.ds):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest() == OVERLAP_SHA256[name], name
 
 
 def test_yj_integral_matches_initial_juvenile_stock(bd_model):
