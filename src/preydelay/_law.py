@@ -5,8 +5,8 @@ function of ``x, y`` that closes over the named constants, exactly like the
 lambda written out by hand, so a call costs what that lambda costs.  The text
 and constants ride along as the function's ``law`` attribute (a
 :class:`LawText`); the integration engine reads it to write the law into its
-generated step instead of calling it (see :mod:`preydelay.engine`).  The
-compiled maker is cached by its text, so only the first law of a kind
+generated stepping loop instead of calling it (see :mod:`preydelay.engine`).
+The compiled maker is cached by its text, so only the first law of a kind
 compiles anything.  :func:`check_coefficients` checks the coefficient names
 handed to a catalog factory by kind.
 """

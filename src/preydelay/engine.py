@@ -21,20 +21,26 @@ that falls below tau(0)) raises :class:`LagDomainError`.  With a vanishing
 minimum delay :func:`_overlap_step` instead repeats the step, its lookups
 fixed-point iterated against a provisional segment.
 
-The step is generated, once per set of laws, from one template (``_STEP``).
-Each of its stage evaluations is a slot.  For a model, the slot holds the
-right-hand side itself (``_RHS``), with the model's parameters and its law
-constants bound as closure cells.  Where f, tau or tau' carries an expression
-text (every catalog law does, see :mod:`preydelay._law`), that text is written
-in place of the call; any other law, a user :class:`DelayFunction` or a
-callable swapped in by ``dataclasses.replace``, is called.  The lag is always
-read through the step's lookup.  A step without a model
-(:func:`integrate_scalar_sdtd`) calls its ``rhs_core`` in every slot.  The
-generated steps are cached by their law texts, so a process compiles each
-combination once (a few milliseconds) and a subcommand that does not integrate
-compiles none.  The stepper calls the step attached to ``rhs_core`` directly,
-or through :func:`_overlap_step` when tau(0) = 0, and counts its attempts in
-:attr:`Trajectory.n_attempts`.
+The whole accept/reject loop is generated, once per set of laws, from one
+template (``_LOOP``): the seven stages (``_STAGES``), the error norm, the
+positivity guard, the step-size update and the store update, with every
+intermediate a plain local.  Each stage evaluation is a slot.  For a model,
+the slot holds the right-hand side itself (``_RHS``), with the model's
+parameters and its law constants bound as closure cells.  Where f, tau or
+tau' carries an expression text (every catalog law does, see
+:mod:`preydelay._law`), that text is written in place of the call; any other
+law, a user :class:`DelayFunction` or a callable swapped in by
+``dataclasses.replace``, is called.  The loop reads each lag off one segment
+of the store cached in its locals, and goes to the store's lookup only when
+the lag leaves that segment.  A loop without a model
+(:func:`integrate_scalar_sdtd`) calls its ``rhs_core`` in every slot.  When
+tau(0) = 0 the loop's attempt is a call of :func:`_overlap_step` with the
+same stages as a step function (``_STEP``), generated only then.  The
+generated loops are cached by their law texts, so a process compiles each
+combination once (a few milliseconds) and a subcommand that does not
+integrate compiles none.  The loop counts its attempts, which
+:attr:`Trajectory.n_attempts` reports, and returns a failure for
+:func:`integrate` to raise with the partial trajectory.
 
 :func:`export_csv` builds a long file's blocks on every usable CPU, in
 ``os.fork()`` children (see :mod:`preydelay._forkmap`), and writes the bytes
@@ -45,11 +51,11 @@ from __future__ import annotations
 import ast
 import math
 import re
+import textwrap
 from array import array
 from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
 from operator import itemgetter
 from typing import Callable, Sequence
 
@@ -105,7 +111,8 @@ class StepperConfig:
     prey and mature-predator channels are multiplicative (errors scale with
     the value, so a near-zero absolute floor keeps deep crashes faithful),
     while the juvenile channel is a flux difference that needs a genuine
-    absolute floor.
+    absolute floor.  ``max_steps`` caps the step attempts, rejected ones
+    included (:attr:`Trajectory.n_attempts`).
     """
 
     t_end: float
@@ -135,16 +142,25 @@ class StepperConfig:
 
 def default_stepper(model: ModelSpec, t_end: float, rtol: float = 1e-8,
                     atol: float = 1e-10, **kwargs) -> StepperConfig:
-    """Config with a step cap compatible with the model's minimum delay."""
+    """Config with a step cap compatible with the model's minimum delay.
+
+    A caller's ``h_init`` or ``h_max`` replaces the capped value; an ``h_max``
+    at or above tau(0) passes here and is refused by :func:`integrate`.
+    """
     return _capped_stepper(model.delay.tau_m, t_end, rtol, atol, **kwargs)
 
 
 def _capped_stepper(tau_m: float, t_end: float, rtol: float,
-                    atol: float | tuple[float, ...], **kwargs) -> StepperConfig:
+                    atol: float | tuple[float, ...], *,
+                    h_max: float | None = None, h_init: float | None = None,
+                    **kwargs) -> StepperConfig:
     """Config whose step cap stays below a minimum delay tau_m (if positive)."""
-    h_max = 0.6 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
-    return StepperConfig(t_end=t_end, rtol=rtol, atol=atol,
-                         h_init=min(h_max, 0.01), h_max=h_max, **kwargs)
+    if h_max is None:
+        h_max = 0.6 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
+    if h_init is None:
+        h_init = min(h_max, 0.01)
+    return StepperConfig(t_end=t_end, rtol=rtol, atol=atol, h_init=h_init,
+                         h_max=h_max, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -182,19 +198,35 @@ _MAX_OVERLAP_ITERS = 5
 _OVERLAP_TOL = 1e-10
 
 
-def _segment(t0: float, h: float, u0, f0, u1, f1, d) -> tuple:
-    """(t0, h, c0..c4 of x, c0..c4 of y): the lagged pair's quartic in theta.
+# The lagged pair's quartic in theta over one step, written once: a segment
+# tuple (t0, dt, c0..c4 of x, c0..c4 of y) off the step's start (t0, x0, y0),
+# slopes (k1x, k1y), end (x, y) at t0 + dt, end slopes (k7x, k7y) and d.  The
+# value at s is c0 + theta (c1 + theta (c2 + theta (c3 + theta c4))) with
+# theta = (s - t0) / dt; Trajectory.sample does the same arithmetic on arrays.
+# The stepping loop builds its segments inline from this text; _segment is
+# the same text as a function.
+_SEGMENT = """
+hx, hx1, dux = dt * k1x, dt * k7x, x - x0
+hy, hy1, duy = dt * k1y, dt * k7y, y - y0
+seg = (t0, dt, x0, hx, 3.0 * dux - 2.0 * hx - hx1 + dx,
+       hx + hx1 - 2.0 * dux - 2.0 * dx, dx,
+       y0, hy, 3.0 * duy - 2.0 * hy - hy1 + dy,
+       hy + hy1 - 2.0 * duy - 2.0 * dy, dy)
+"""
 
-    The value at s is c0 + theta (c1 + theta (c2 + theta (c3 + theta c4)))
-    with theta = (s - t0) / h; :meth:`Trajectory.sample` does the same
-    arithmetic on arrays.
-    """
-    seg = [t0, h]
-    for m in (0, 1):
-        a, b, du, dm = h * f0[m], h * f1[m], u1[m] - u0[m], d[m]
-        seg += (u0[m], a, 3.0 * du - 2.0 * a - b + dm,
-                a + b - 2.0 * du - 2.0 * dm, dm)
-    return tuple(seg)
+
+def _exec(source: str, name: str):
+    """The object ``source`` binds to ``name``, compiled in this module."""
+    namespace: dict = {}
+    exec(compile(source, f"<preydelay {name}>", "exec"), globals(), namespace)
+    return namespace[name]
+
+
+_segment = _exec(
+    "def _segment(t0, dt, u0, f0, u1, f1, d):\n"
+    "    x0, y0, _ = u0\n    k1x, k1y, _ = f0\n    x, y, _ = u1\n"
+    "    k7x, k7y, _ = f1\n    dx, dy, _ = d\n"
+    + textwrap.indent(_SEGMENT, "    ") + "    return seg\n", "_segment")
 
 
 _START = itemgetter(0)  # a segment tuple's start time
@@ -217,7 +249,9 @@ class _SolutionStore:
     all.  ``t_last``, ``u_last`` and ``f_last`` are the last node's t, u
     and f.  The lagged pair's quartic coefficients are kept only for the
     segments a lag can still reach, those ending after t - tau_M, and are
-    read through a forward cursor that falls back to a bisection.
+    read through a forward cursor that falls back to a bisection.  The
+    stepping loop writes its accepted steps into these buffers itself;
+    :meth:`append` adds a node from outside it, the first one of a run.
     """
 
     __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "t_last",
@@ -263,6 +297,9 @@ class _SolutionStore:
     def eval_past(self, s: float) -> tuple:
         """(x, y) at an already-covered time s (the history for s <= 0).
 
+        A time 0 < s < ``t_last`` is read off the segment ``_segs[_cur]``,
+        the one whose start is the last at or before s.
+
         A lag past the last node raises :class:`LagDomainError`: with steps
         below tau(0) only a delay law that falls below tau(0) reaches there.
         """
@@ -271,7 +308,7 @@ class _SolutionStore:
                 raise LagDomainError(
                     f"lagged time {s:.6g} precedes the history interval "
                     f"[-{self.tau_M:.6g}, 0]")
-            return self.history(s if s >= -self.tau_M else -self.tau_M)
+            return self.history(s if s >= -self.tau_M else -self.tau_M)[:2]
         if s >= self.t_last:
             if s > self.t_last:
                 raise LagDomainError(
@@ -386,7 +423,7 @@ class Trajectory:
 
 
 # --------------------------------------------------------------------------
-# right-hand side and the generated step
+# right-hand side and the generated stepping loop
 
 # The right-hand side, written once: the rates (xp, yp, yjp) at (t, x, y, yj)
 # of a model with laws f, tau, tau_prime and parameters r, K, n, dj, d, its
@@ -399,9 +436,9 @@ _RHS = """
 xc = x if x > 0.0 else 0.0
 yc = y if y > 0.0 else 0.0
 tv = tau(yc)
-lag = lookup(t - tv)
-x_lag = lag[0] if lag[0] > 0.0 else 0.0
-y_lag = lag[1] if lag[1] > 0.0 else 0.0
+lx, ly = lookup(t - tv)
+x_lag = lx if lx > 0.0 else 0.0
+y_lag = ly if ly > 0.0 else 0.0
 N = n * exp(-dj * tv) * f(x_lag, y_lag) * y_lag
 tp = tau_prime(yc)
 denom = 1.0 + tp * N
@@ -412,81 +449,217 @@ yjp = n * fxy * y - dj * yj - (1.0 + tp * d * yc) / denom * N
 """
 _PARAMS = ("r", "K", "n", "dj", "d")
 # each law's name in _RHS and the prefix that renames its constants apart
-# from the step's locals (Holling II's h, say, from the step size h)
+# from the loop's locals (Holling II's h, say, from the step size h)
 _LAW_PREFIXES = (("f", "f_"), ("tau", "tau_"), ("tau_prime", "dtau_"))
 
-# The model's rhs_core and the trial Dormand-Prince step, one straight pass of
-# its seven stages that returns (u1, f1, error estimate, d) with d the step's
-# dense-output correction (see _segment).  _kernel wraps them in a maker whose
-# arguments become closure cells.  Each ``kx, ky, kz = RHS(t, x, y, yj)``
-# line is a slot.  For a model it becomes _RHS with its rates written to kx,
-# ky, kz, the model's parameters and law constants renamed to the maker's
-# arguments and each law that has a text written in place of its call
-# (through the ast, see _Writer).  For a step without a model it becomes the
-# call rhs_core(t, (x, y, yj), lookup).
+# The stepping loop's lag read, in place of _RHS's lookup line.  The loop
+# keeps one segment of the store in its locals: the start sa, length sh and
+# quartic of the segment that served the last lag read inside the store, and
+# sb, the next segment's start or the last node.  A lag strictly inside
+# (sa, sb) is read off it; any other goes to the store's eval_past, whose
+# segment then becomes the cached one.  eval_past reads every such lag off
+# that same segment, so the bits do not change.  (A lag at sa itself goes to
+# eval_past, so the first segment never serves the history's s = 0, and the
+# loop drops the cached segment whenever the store trims its window.)
+_LAG_READ = """
+s = t - tv
+if sa < s < sb:
+    th = (s - sa) / sh
+    lx = cx0 + th * (cx1 + th * (cx2 + th * (cx3 + th * cx4)))
+    ly = cy0 + th * (cy1 + th * (cy2 + th * (cy3 + th * cy4)))
+else:
+    lx, ly = lookup(s)
+    if 0.0 < s < t0:
+        i = store._cur
+        sa, sh, cx0, cx1, cx2, cx3, cx4, cy0, cy1, cy2, cy3, cy4 = segs[i]
+        sb = segs[i + 1][0] if i + 1 < len(segs) else t0
+"""
+
+# The seven Dormand-Prince stages of a trial step of size h from
+# (t0, x0, y0, z0) with slopes k1: its end (x, y, yj) at t1, the end slopes
+# k7, the error estimate e and the dense-output correction d (see _SEGMENT).
+# Each ``kx, ky, kz = RHS(t, x, y, yj)`` line is a slot.  For a model it
+# becomes _RHS with its rates written to kx, ky, kz, the model's parameters
+# and law constants renamed to the maker's arguments and each law that has a
+# text written in place of its call (through the ast, see _Writer).  For an
+# equation without a model it becomes the call rhs_core(t, (x, y, yj),
+# lookup).
+_STAGES = """
+t1 = t0 + h
+b21 = h * _A21
+b31, b32 = h * _A31, h * _A32
+b41, b42, b43 = h * _A41, h * _A42, h * _A43
+b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
+b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
+b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
+t = t0 + _C2 * h
+x = x0 + b21 * k1x
+y = y0 + b21 * k1y
+yj = z0 + b21 * k1z
+k2x, k2y, k2z = RHS(t, x, y, yj)
+t = t0 + _C3 * h
+x = x0 + b31 * k1x + b32 * k2x
+y = y0 + b31 * k1y + b32 * k2y
+yj = z0 + b31 * k1z + b32 * k2z
+k3x, k3y, k3z = RHS(t, x, y, yj)
+t = t0 + _C4 * h
+x = x0 + b41 * k1x + b42 * k2x + b43 * k3x
+y = y0 + b41 * k1y + b42 * k2y + b43 * k3y
+yj = z0 + b41 * k1z + b42 * k2z + b43 * k3z
+k4x, k4y, k4z = RHS(t, x, y, yj)
+t = t0 + _C5 * h
+x = x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x
+y = y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y
+yj = z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z
+k5x, k5y, k5z = RHS(t, x, y, yj)
+t = t1
+x = x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x
+y = y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y
+yj = z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z
+k6x, k6y, k6z = RHS(t, x, y, yj)
+x = x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x
+y = y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y
+yj = z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z
+k7x, k7y, k7z = RHS(t, x, y, yj)
+dx = h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
+          + _D7 * k7x)
+dy = h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
+          + _D7 * k7y)
+dz = h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
+          + _D7 * k7z)
+ex = h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
+          + _E7 * k7x)
+ey = h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
+          + _E7 * k7y)
+ez = h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
+          + _E7 * k7z)
+"""
+_SLOT = re.compile(r"^( *)(\w+), (\w+), (\w+) = RHS\(t, x, y, yj\)$", re.M)
+
+# The model's rhs_core, for the first node's slopes, and the trial step as a
+# function, for _overlap_step.
 _RHS_CORE = """
 def rhs_core(t, u, lookup):
     x, y, yj = u
     xp, yp, yjp = RHS(t, x, y, yj)
     return (xp, yp, yjp)
 """
-_STEP = """
-def step(lookup, t0, u0, f0, h):
-    x0, y0, z0 = u0
-    k1x, k1y, k1z = f0
-    t1 = t0 + h
-    b21 = h * _A21
-    b31, b32 = h * _A31, h * _A32
-    b41, b42, b43 = h * _A41, h * _A42, h * _A43
-    b51, b52, b53, b54 = h * _A51, h * _A52, h * _A53, h * _A54
-    b61, b62, b63, b64, b65 = h * _A61, h * _A62, h * _A63, h * _A64, h * _A65
-    b71, b73, b74, b75, b76 = h * _A71, h * _A73, h * _A74, h * _A75, h * _A76
-    t = t0 + _C2 * h
-    x = x0 + b21 * k1x
-    y = y0 + b21 * k1y
-    yj = z0 + b21 * k1z
-    k2x, k2y, k2z = RHS(t, x, y, yj)
-    t = t0 + _C3 * h
-    x = x0 + b31 * k1x + b32 * k2x
-    y = y0 + b31 * k1y + b32 * k2y
-    yj = z0 + b31 * k1z + b32 * k2z
-    k3x, k3y, k3z = RHS(t, x, y, yj)
-    t = t0 + _C4 * h
-    x = x0 + b41 * k1x + b42 * k2x + b43 * k3x
-    y = y0 + b41 * k1y + b42 * k2y + b43 * k3y
-    yj = z0 + b41 * k1z + b42 * k2z + b43 * k3z
-    k4x, k4y, k4z = RHS(t, x, y, yj)
-    t = t0 + _C5 * h
-    x = x0 + b51 * k1x + b52 * k2x + b53 * k3x + b54 * k4x
-    y = y0 + b51 * k1y + b52 * k2y + b53 * k3y + b54 * k4y
-    yj = z0 + b51 * k1z + b52 * k2z + b53 * k3z + b54 * k4z
-    k5x, k5y, k5z = RHS(t, x, y, yj)
-    t = t1
-    x = x0 + b61 * k1x + b62 * k2x + b63 * k3x + b64 * k4x + b65 * k5x
-    y = y0 + b61 * k1y + b62 * k2y + b63 * k3y + b64 * k4y + b65 * k5y
-    yj = z0 + b61 * k1z + b62 * k2z + b63 * k3z + b64 * k4z + b65 * k5z
-    k6x, k6y, k6z = RHS(t, x, y, yj)
-    x = x0 + b71 * k1x + b73 * k3x + b74 * k4x + b75 * k5x + b76 * k6x
-    y = y0 + b71 * k1y + b73 * k3y + b74 * k4y + b75 * k5y + b76 * k6y
-    yj = z0 + b71 * k1z + b73 * k3z + b74 * k4z + b75 * k5z + b76 * k6z
-    k7x, k7y, k7z = RHS(t, x, y, yj)
-    u1 = (x, y, yj)
-    f1 = (k7x, k7y, k7z)
-    d = (h * (_D1 * k1x + _D3 * k3x + _D4 * k4x + _D5 * k5x + _D6 * k6x
-              + _D7 * k7x),
-         h * (_D1 * k1y + _D3 * k3y + _D4 * k4y + _D5 * k5y + _D6 * k6y
-              + _D7 * k7y),
-         h * (_D1 * k1z + _D3 * k3z + _D4 * k4z + _D5 * k5z + _D6 * k6z
-              + _D7 * k7z))
-    err = (h * (_E1 * k1x + _E3 * k3x + _E4 * k4x + _E5 * k5x + _E6 * k6x
-                + _E7 * k7x),
-           h * (_E1 * k1y + _E3 * k3y + _E4 * k4y + _E5 * k5y + _E6 * k6y
-                + _E7 * k7y),
-           h * (_E1 * k1z + _E3 * k3z + _E4 * k4z + _E5 * k5z + _E6 * k6z
-                + _E7 * k7z))
-    return u1, f1, err, d
+_STEP = ("def step(lookup, t0, u0, f0, h):\n"
+         "    x0, y0, z0 = u0\n    k1x, k1y, k1z = f0\n"
+         + textwrap.indent(_STAGES, "    ")
+         + "    return (x, y, yj), (k7x, k7y, k7z), (ex, ey, ez), (dx, dy, dz)\n")
+# the attempt of a loop whose lags can land inside the step (tau(0) = 0)
+_OVERLAP_ATTEMPT = """
+(x, y, yj), (k7x, k7y, k7z), (ex, ey, ez), (dx, dy, dz) = _overlap_step(
+    step, lookup, t0, (x0, y0, z0), (k1x, k1y, k1z), h)
+t1 = t0 + h
 """
-_SLOT = re.compile(r"^( *)(\w+), (\w+), (\w+) = RHS\(t, x, y, yj\)$", re.M)
+
+# The adaptive stepping loop over a three-component state whose first
+# ``live`` components are live, from the store's last node to cfg.t_end.
+# Padded components stay exactly zero: their error and value are exactly 0,
+# so their term in the error norm is exactly 0 whatever their atol (ax, ay,
+# az), and they never fail the positivity guard.  The stages of an attempt
+# (_STAGES, or _OVERLAP_ATTEMPT) take the ATTEMPT line's place.  Accepted
+# steps go straight into the store's buffers and segment window.  It returns
+# (t, attempts, failure), with failure None or the IntegrationError class to
+# raise with the partial trajectory.
+_LOOP = """
+def loop(store, cfg, ax, ay, az, live):
+    t_end, h_max, max_steps = cfg.t_end, cfg.h_max, cfg.max_steps
+    rtol, guard = cfg.rtol, cfg.positivity_guard
+    t_tol, h_min = 1e-13 * max(1.0, t_end), 1e-12 * max(1.0, t_end)
+    h = min(cfg.h_init, h_max, t_end)
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
+    lookup, segs, trim_at = store.eval_past, store._segs, store._trim_at
+    ts_append, us_extend = store.ts.append, store.us.extend
+    fs_extend, ds_extend = store.fs.extend, store.ds.extend
+    t0 = store.t_last
+    x0, y0, z0 = store.u_last
+    k1x, k1y, k1z = store.f_last
+    sa = sb = 0.0
+    attempts = 0
+    last_reject_positivity = False
+    while t_end - t0 > t_tol:
+        if h > t_end - t0:
+            h = t_end - t0
+        if h < h_min:
+            if last_reject_positivity:
+                return t0, attempts, PositivityViolation
+            return t0, attempts, StepSizeUnderflow
+        if attempts == max_steps:
+            return t0, attempts, IntegrationError
+        attempts += 1
+        ATTEMPT
+        # weighted rms local-error norm over the live components; a
+        # non-finite value or error estimate reads inf
+        if (isfinite(x) and isfinite(y) and isfinite(yj)
+                and isfinite(ex) and isfinite(ey) and isfinite(ez)):
+            ax0, ax1, ay0, ay1, az0, az1 = (abs(x0), abs(x), abs(y0),
+                                            abs(y), abs(z0), abs(yj))
+            enorm = sqrt(((ex / (ax + rtol * (ax0 if ax0 >= ax1 else ax1))) ** 2
+                          + (ey / (ay + rtol * (ay0 if ay0 >= ay1 else ay1))) ** 2
+                          + (ez / (az + rtol * (az0 if az0 >= az1 else az1))) ** 2)
+                         / live)
+        else:
+            enorm = inf
+        if enorm <= 1.0:
+            # the exact x and y stay strictly positive from positive data, so
+            # a step that takes either to 0 or below is halved, not clamped:
+            # x = 0 (or y = 0) is invariant and a clamp there would absorb a
+            # deep crash.  Every other negative component is clamped to 0:
+            # x' and y' never read yj, and the exact yj is nonnegative, so
+            # the clamp moves yj toward it.  (The padded components of a
+            # scalar state are exactly 0, so only v is held positive there.)
+            if guard and (x <= 0.0 or y <= 0.0 or yj <= 0.0):
+                if x0 > 0.0 >= x or y0 > 0.0 >= y:
+                    last_reject_positivity = True
+                    h *= 0.5
+                    continue
+                if x < 0.0:
+                    x = 0.0
+                if y < 0.0:
+                    y = 0.0
+                if yj < 0.0:
+                    yj = 0.0
+            last_reject_positivity = False
+            if t_end - t1 <= t_tol:
+                t1 = t_end
+            dt = t1 - t0
+            SEGMENT
+            segs.append(seg)
+            if len(segs) >= trim_at:
+                # the cached segment may leave the window: drop it, so that
+                # every lag eval_past refuses still reaches eval_past
+                store._trim(t1)
+                trim_at, sb = store._trim_at, 0.0
+            u1, f1 = (x, y, yj), (k7x, k7y, k7z)
+            ts_append(t1)
+            us_extend(u1)
+            fs_extend(f1)
+            ds_extend((dx, dy, dz))
+            store.t_last, store.u_last, store.f_last = t1, u1, f1
+            t0, x0, y0, z0, k1x, k1y, k1z = t1, x, y, yj, k7x, k7y, k7z
+            if enorm == 0.0:
+                h *= 5.0
+            else:
+                factor = 0.9 * enorm ** -0.2
+                h *= 0.2 if factor < 0.2 else 5.0 if factor > 5.0 else factor
+            if h > h_max:
+                h = h_max
+        else:
+            last_reject_positivity = False
+            h *= max(0.1, min(0.5, 0.9 * enorm ** -0.2))
+    return t0, attempts, None
+"""
+
+# the message of each failure the loop returns
+_FAILURES = {
+    PositivityViolation: "positivity guard kept rejecting steps near t={t:.6g}",
+    StepSizeUnderflow: "step size underflow at t={t:.6g}",
+    IntegrationError: "exceeded {max_steps} attempts, rejected steps included, "
+                      "at t={t:.6g}",
+}
 
 
 def _overlap_step(step, eval_past, t0: float, u0: tuple, f0: tuple,
@@ -496,10 +669,9 @@ def _overlap_step(step, eval_past, t0: float, u0: tuple, f0: tuple,
     A lag at or before t0 is read from the store; a later one, off the Euler
     line from (t0, x0, y0) on the first pass and off the quartic segment of
     the previous pass after that.  The step is repeated until its result
-    stabilizes, at most ``_MAX_OVERLAP_ITERS`` times.  The lookup is a
-    closure here; it was a class while this iteration sat inside the
-    generated step, because a closure there made the step's own locals
-    closure cells, which cost every step about 4% even when no lag overlapped.
+    stabilizes, at most ``_MAX_OVERLAP_ITERS`` times.  The loop calls it once
+    an attempt, so the stages of a run without overlap keep their lag reads
+    in the loop's locals.
     """
     x0, y0 = u0[0], u0[1]
     k1x, k1y = f0[0], f0[1]
@@ -528,7 +700,8 @@ def _overlap_step(step, eval_past, t0: float, u0: tuple, f0: tuple,
     return u1, f1, err, d
 
 
-# generated makers by law texts (None: the step that calls its rhs_core)
+# generated makers by law texts (None: an equation without a model) and
+# whether the run's lags can land inside the step
 _KERNELS: dict = {}
 
 
@@ -556,26 +729,46 @@ class _Writer(ast.NodeTransformer):
         return _Writer(names).visit(ast.parse(law.text, mode="eval").body)
 
 
-def _kernel(laws):
-    """The compiled maker for ``laws``, cached by their texts.
+def _place(source: str, marker: str, block: str) -> str:
+    """``source`` with the line ``marker`` replaced by ``block``, indented alike."""
+    return re.sub(rf"^( *){marker}\n",
+                  lambda line: textwrap.indent(block.lstrip("\n"), line[1]),
+                  source, flags=re.M)
+
+
+def _fill(source: str, stage) -> str:
+    """``source`` with each slot replaced by the lines ``stage(kx, ky, kz)``."""
+    def sub(slot):
+        indent, *ks = slot.groups()
+        return "\n".join(indent + line for line in stage(*ks))
+    return _SLOT.sub(sub, source)
+
+
+def _kernel(laws, overlap: bool):
+    """The compiled maker for ``laws``, cached by their texts and ``overlap``.
 
     ``laws`` holds the :class:`~preydelay._law.LawText` of f, tau and
     tau_prime (None for a law without one); the maker takes the three laws,
     the model parameters and the law constants and returns rhs_core with its
-    step attached.  With ``laws`` None, the maker takes rhs_core and returns
-    the step, which calls it in every slot.
+    stepping loop attached as ``rhs_core.loop``.  With ``laws`` None, the
+    maker takes rhs_core and returns the loop, which calls it in every slot.
+    With ``overlap`` (tau(0) = 0), the loop calls :func:`_overlap_step` with
+    the generated step once an attempt; otherwise the stages are in the loop.
     """
-    key = laws and tuple(law and (law.args, law.text, tuple(law.constants))
-                         for law in laws)
+    key = (laws and tuple(law and (law.args, law.text, tuple(law.constants))
+                          for law in laws), overlap)
     kernel = _KERNELS.get(key)
     if kernel is not None:
         return kernel
+    loop = _place(_place(_LOOP, "SEGMENT", _SEGMENT), "ATTEMPT",
+                  _OVERLAP_ATTEMPT if overlap else _STAGES)
+    step = _STEP if overlap else ""
     if laws is None:
-        params, source, result = ["rhs_core"], _STEP, "step"
+        params, result = ["rhs_core"], "loop"
 
-        def fill(slot):
-            indent, kx, ky, kz = slot.groups()
-            return f"{indent}{kx}, {ky}, {kz} = rhs_core(t, (x, y, yj), lookup)"
+        def call(*ks):
+            return [f"{', '.join(ks)} = rhs_core(t, (x, y, yj), lookup)"]
+        source = _fill(step + loop, call)
     else:
         names = {p: "m_" + p for p in _PARAMS}
         texts = {}
@@ -588,22 +781,21 @@ def _kernel(laws):
         *head, xp, yp, yjp = [writer.visit(s) for s in ast.parse(_RHS).body]
         head = [ast.unparse(s) for s in head]
         rates = [ast.unparse(s.value) for s in (xp, yp, yjp)]
-        source = _RHS_CORE + _STEP + "rhs_core.step = step\n"
-        result = "rhs_core"
+        lag = head.index("lx, ly = lookup(t - tv)")
+        cached = [*head[:lag], *_LAG_READ.strip().splitlines(), *head[lag + 1:]]
 
-        def fill(slot):
-            indent, *ks = slot.groups()
-            return "\n".join([*(indent + line for line in head),
-                              *(f"{indent}{k} = {rate}"
-                                for k, rate in zip(ks, rates))])
+        def rhs(lines):
+            return lambda *ks: [*lines, *(f"{k} = {rate}"
+                                          for k, rate in zip(ks, rates))]
+        source = (_fill(_RHS_CORE + step, rhs(head)) + _fill(loop, rhs(cached))
+                  + "rhs_core.loop = loop\n")
+        result = "rhs_core"
 
     source = (f"def maker({', '.join(params)}):\n    exp = math.exp\n"
               + "".join(f"    {line}\n" if line else "\n"
-                        for line in _SLOT.sub(fill, source).splitlines())
+                        for line in source.splitlines())
               + f"    return {result}\n")
-    namespace: dict = {}
-    exec(compile(source, "<preydelay step>", "exec"), globals(), namespace)
-    kernel = _KERNELS[key] = namespace["maker"]
+    kernel = _KERNELS[key] = _exec(source, "maker")
     return kernel
 
 
@@ -620,119 +812,39 @@ def _law_text(fn) -> LawText | None:
 
 
 def _make_rhs(model: ModelSpec):
-    """The model's rhs_core(t, u, lookup), its generated step attached."""
+    """The model's rhs_core(t, u, lookup), its stepping loop attached."""
     p = model.params
     laws = (model.response.f, model.delay.tau, model.delay.tau_prime)
     texts = tuple(map(_law_text, laws))
     constants = [v for text in texts if text for v in text.constants.values()]
-    return _kernel(texts)(*laws, p.r, p.K, p.n, p.dj, p.d, *constants)
-
-
-# --------------------------------------------------------------------------
-# adaptive method-of-steps core (three components; scalar equations are padded)
+    maker = _kernel(texts, model.delay.tau_m <= 0.0)
+    return maker(*laws, p.r, p.K, p.n, p.dj, p.d, *constants)
 
 
 def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
-                    tau_m: float, tau_M: float, live: int) -> Trajectory:
-    """Integrate a three-component state whose first ``live`` components are live.
+                    tau_M: float, live: int) -> Trajectory:
+    """Run ``rhs_core.loop`` from u0 with its first ``live`` components live.
 
-    Padded components must stay exactly zero; they take no part in the
-    error norm or the positivity guard, and the returned trajectory holds
-    the live components only.
+    The returned trajectory, or the partial one an error carries, holds the
+    live components only.
     """
+    import numpy as np
+
     store = _SolutionStore(history_eval, tau_M)
-    t_end, h_max, max_steps = cfg.t_end, cfg.h_max, cfg.max_steps
-    guard = cfg.positivity_guard
-    # a padded component's error and value are exactly 0, so its term in
-    # the norm is exactly 0 whatever its atol
-    ax, ay, az = cfg.atol_vector(live) + (1.0,) * (3 - live)
-    rtol = cfg.rtol
-    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
-    t_tol, h_min = 1e-13 * max(1.0, t_end), 1e-12 * max(1.0, t_end)
-    append = store.append
-    step, eval_past = rhs_core.step, store.eval_past
-    if tau_m <= 0.0:
-        # a lag can land inside the step being taken
-        step = partial(_overlap_step, step)
+    store.append(0.0, u0, rhs_core(0.0, u0, store.eval_past))
+    atol = cfg.atol_vector(live) + (1.0,) * (3 - live)
+    t, attempts, failure = rhs_core.loop(store, cfg, *atol, live)
 
-    f0 = rhs_core(0.0, u0, eval_past)
-    append(0.0, u0, f0)
+    # views on the store's buffers, which nothing appends to afterwards
+    def nodes(buf):
+        return np.frombuffer(buf).reshape(-1, 3)[:, :live]
 
-    t, u, f = 0.0, u0, f0
-    h = min(cfg.h_init, h_max, t_end)
-    attempts = 0
-    last_reject_positivity = False
-
-    def trajectory():
-        import numpy as np
-
-        # views on the store's buffers, which nothing appends to afterwards
-        def nodes(buf):
-            return np.frombuffer(buf).reshape(-1, 3)[:, :live]
-
-        return Trajectory(np.frombuffer(store.ts), nodes(store.us),
-                          nodes(store.fs), nodes(store.ds), history_eval,
-                          tau_M, attempts)
-
-    def fail(exc_cls, message):
-        raise exc_cls(message, trajectory=trajectory())
-
-    while t_end - t > t_tol:
-        h = min(h, t_end - t)
-        if h < h_min:
-            if last_reject_positivity:
-                fail(PositivityViolation,
-                     f"positivity guard kept rejecting steps near t={t:.6g}")
-            fail(StepSizeUnderflow, f"step size underflow at t={t:.6g}")
-        if attempts == max_steps:
-            fail(IntegrationError, f"exceeded {max_steps} steps")
-        attempts += 1
-
-        u1, f1, err, d = step(eval_past, t, u, f, h)
-
-        # weighted rms local-error norm over the live components; a
-        # non-finite value or error estimate reads inf
-        x0, y0, z0 = u
-        x1, y1, z1 = u1
-        ex, ey, ez = err
-        if (isfinite(x1) and isfinite(y1) and isfinite(z1)
-                and isfinite(ex) and isfinite(ey) and isfinite(ez)):
-            ax0, ax1, ay0, ay1, az0, az1 = (abs(x0), abs(x1), abs(y0),
-                                            abs(y1), abs(z0), abs(z1))
-            enorm = sqrt(((ex / (ax + rtol * (ax0 if ax0 >= ax1 else ax1))) ** 2
-                          + (ey / (ay + rtol * (ay0 if ay0 >= ay1 else ay1))) ** 2
-                          + (ez / (az + rtol * (az0 if az0 >= az1 else az1))) ** 2)
-                         / live)
-        else:
-            enorm = inf
-
-        if enorm <= 1.0:
-            # the exact x and y stay strictly positive from positive data, so
-            # a step that takes either to 0 or below is halved, not clamped:
-            # x = 0 (or y = 0) is invariant and a clamp there would absorb a
-            # deep crash.  Every other negative component is clamped to 0:
-            # x' and y' never read yj, and the exact yj is nonnegative, so
-            # the clamp moves yj toward it.  (The padded components of a
-            # scalar state are exactly 0, so only v is held positive there.)
-            if guard and min(u1) <= 0.0:
-                if x0 > 0.0 >= x1 or y0 > 0.0 >= y1:
-                    last_reject_positivity = True
-                    h *= 0.5
-                    continue
-                u1 = tuple(v if v >= 0.0 else 0.0 for v in u1)
-            last_reject_positivity = False
-            t1 = t + h
-            if t_end - t1 <= t_tol:
-                t1 = t_end
-            append(t1, u1, f1, d)
-            t, u, f = t1, u1, f1
-            factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-            h = min(h * factor, h_max)
-        else:
-            last_reject_positivity = False
-            h *= max(0.1, min(0.5, 0.9 * enorm ** -0.2))
-
-    return trajectory()
+    traj = Trajectory(np.frombuffer(store.ts), nodes(store.us), nodes(store.fs),
+                      nodes(store.ds), history_eval, tau_M, attempts)
+    if failure is not None:
+        raise failure(_FAILURES[failure].format(t=t, max_steps=cfg.max_steps),
+                      trajectory=traj)
+    return traj
 
 
 # --------------------------------------------------------------------------
@@ -765,10 +877,8 @@ def integrate(model: ModelSpec, history: HistoryFunction,
     def history_eval(s: float) -> tuple:
         return (float(phi1(s)), float(phi3(s)), float(phi2(s)))
 
-    u0 = history.state0()
-    rhs_core = _make_rhs(model)
-    return _integrate_core(rhs_core, history_eval, u0, cfg, tau_m, tau_M,
-                           live=3)
+    return _integrate_core(_make_rhs(model), history_eval, history.state0(),
+                           cfg, tau_M, live=3)
 
 
 def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
@@ -785,14 +895,14 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
     def rhs_core(t, u, lookup):
         return (rhs_scalar(t, u[0], lambda s: lookup(s)[0]), 0.0, 0.0)
 
-    rhs_core.step = _kernel(None)(rhs_core)
+    rhs_core.loop = _kernel(None, tau_m <= 0.0)(rhs_core)
 
     def history_eval(s: float) -> tuple:
         return (float(history_fn(s)),)
 
     v0 = float(history_fn(0.0))
-    return _integrate_core(rhs_core, history_eval, (v0, 0.0, 0.0), cfg, tau_m,
-                           tau_M, live=1)
+    return _integrate_core(rhs_core, history_eval, (v0, 0.0, 0.0), cfg, tau_M,
+                           live=1)
 
 
 # --------------------------------------------------------------------------

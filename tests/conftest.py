@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -64,6 +65,18 @@ def const_delay_model():
     # constant delay, linear response; R = exp(-0.2) * 2 / 0.8 ~ 2.05
     return ModelSpec(ModelParams(r=1.0, K=2.0, n=1.0, dj=0.2, d=0.8),
                      constant_delay(1.0), linear(1.0))
+
+
+def opaque(model: ModelSpec) -> ModelSpec:
+    """The model with f, tau and tau' behind lambdas that carry no text."""
+    f, tau, tau_prime = (model.response.f, model.delay.tau,
+                         model.delay.tau_prime)
+    return dataclasses.replace(
+        model,
+        response=dataclasses.replace(model.response,
+                                     f=lambda x, y: f(x, y)),
+        delay=dataclasses.replace(model.delay, tau=lambda y: tau(y),
+                                  tau_prime=lambda y: tau_prime(y)))
 
 
 def linear_family_model(R_target: float) -> ModelSpec:

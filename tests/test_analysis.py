@@ -440,7 +440,7 @@ def test_child_integration_error_surfaces_like_a_serial_run(forks,
 def test_parent_failure_stops_the_children(forks):
     m = linear_family_model(2.0)
     cfg = default_stepper(m, 40.0, max_steps=20)
-    with pytest.raises(IntegrationError, match="exceeded 20 steps"):
+    with pytest.raises(IntegrationError, match="exceeded 20 attempts"):
         permanence_probe(m, spread_histories(m, n=4, seed=1), horizon=40.0,
                          cfg=cfg)
     assert forks[0] == 1

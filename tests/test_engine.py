@@ -16,12 +16,14 @@ from preydelay import (DelayFunction, IntegrationError, LagDomainError,
                        exp_delay, export_csv, holling2, integrate,
                        integrate_scalar_sdtd, lag_times, linear,
                        saturating_delay, spread_histories, yj_integral)
-from preydelay import engine
+from preydelay import cli, engine
 from preydelay.model import HistoryConsistencyWarning
 
 from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
-                      linear_family_model)
+                      linear_family_model, opaque)
 from oracles import RK4StepsOracle, implicit_rate_solution
+
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
 def quiet_integrate(model, hist, cfg):
@@ -349,27 +351,23 @@ def test_integrate_returns_the_stored_arrays(bd_traj):
     ("err", 1, math.nan), ("err", 2, -math.inf)])
 def test_non_finite_step_is_cut_tenfold_until_underflow(bd_model, monkeypatch,
                                                         where, k, bad):
-    make_rhs = engine._make_rhs
     spoiled_hs = []
 
-    def spoiled_make_rhs(model):
-        rhs_core = make_rhs(model)
-        step = rhs_core.step
+    def spoil(t0, h, *values):
+        # values: the attempt's end x, y, yj, then its error estimate
+        values = list(values)
+        if t0 >= 1.0:
+            spoiled_hs.append(h)
+            values[k if where == "u1" else 3 + k] = bad
+        return values
 
-        def spoiled_step(lookup, t0, u0, f0, h):
-            u1, f1, err, d = step(lookup, t0, u0, f0, h)
-            if t0 >= 1.0:
-                spoiled_hs.append(h)
-                if where == "u1":
-                    u1 = u1[:k] + (bad,) + u1[k + 1:]
-                else:
-                    err = err[:k] + (bad,) + err[k + 1:]
-            return u1, f1, err, d
-
-        rhs_core.step = spoiled_step
-        return rhs_core
-
-    monkeypatch.setattr(engine, "_make_rhs", spoiled_make_rhs)
+    # the stages of every attempt end in a call of spoil, in a stepping loop
+    # generated afresh
+    monkeypatch.setattr(engine, "_spoil", spoil, raising=False)
+    monkeypatch.setattr(engine, "_STAGES", engine._STAGES
+                        + "x, y, yj, ex, ey, ez = _spoil(t0, h, x, y, yj, "
+                          "ex, ey, ez)\n")
+    monkeypatch.setattr(engine, "_KERNELS", {})
     hist = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
     with pytest.raises(StepSizeUnderflow) as exc_info:
         integrate(bd_model, hist, default_stepper(bd_model, 5.0))
@@ -381,6 +379,33 @@ def test_non_finite_step_is_cut_tenfold_until_underflow(bd_model, monkeypatch,
     assert all(b == a * 0.1 for a, b in zip(spoiled_hs, spoiled_hs[1:]))
     # every spoiled attempt was rejected, and the partial record counts it
     assert partial.n_attempts >= partial.n_steps + len(spoiled_hs)
+
+
+def test_attempt_budget_failure_says_attempts():
+    # the demo scenario: the budget runs out with three of its 40 attempts
+    # rejected
+    scn = cli.load_scenario(DEMO_CONFIG)
+    cfg = default_stepper(scn.model, 80.0, max_steps=40, h_init=0.29)
+    with pytest.raises(IntegrationError, match="exceeded 40 attempts") as exc:
+        integrate(scn.model, scn.history, cfg)
+    partial = exc.value.trajectory
+    assert (partial.n_steps, partial.n_attempts) == (37, 40)
+
+
+def test_default_stepper_takes_the_callers_step_sizes(bd_model):
+    cfg = default_stepper(bd_model, 80.0, h_init=0.3)
+    assert (cfg.h_init, cfg.h_max) == (0.3, 0.6 * bd_model.delay.tau_m)
+    cfg = default_stepper(bd_model, 80.0, h_max=0.2)
+    assert (cfg.h_init, cfg.h_max) == (0.01, 0.2)
+    cfg = default_stepper(bd_model, 80.0, h_init=0.001, h_max=0.004)
+    assert (cfg.h_init, cfg.h_max) == (0.001, 0.004)
+    with pytest.raises(ValueError, match="h_init <= h_max"):
+        default_stepper(bd_model, 80.0, h_init=0.4)
+    hist = consistent_history(bd_model, 2.0, 0.5)
+    for h_max in (bd_model.delay.tau_m, 0.8):
+        with pytest.raises(ValueError, match="must be below tau"):
+            integrate(bd_model, hist, default_stepper(bd_model, 80.0,
+                                                      h_max=h_max))
 
 
 def test_delay_below_its_minimum_raises_lag_domain_error():
@@ -485,14 +510,14 @@ def test_sample_rejects_times_outside_the_record(bd_traj):
 VANISHING_DELAY = exp_delay(0.0, 0.8, 1.5)
 
 
-def run_vanishing_delay_scalar(h_max, rtol=1e-9, atol=1e-11, calls=None):
-    """A scalar equation with tau(0) = 0 from a small v, to t = 6.
+def run_delay_scalar(h_max, rtol=1e-9, atol=1e-11, calls=None,
+                     delay=VANISHING_DELAY, t_end=6.0):
+    """A scalar equation with a state-dependent delay from a small v.
 
-    The lag lands inside the step, so the run goes through the overlap
-    iteration.  ``calls["rhs"]`` counts the right-hand side's calls.
+    With tau(0) = 0 (the default delay) the lag lands inside the step, so the
+    run goes through the overlap iteration.  ``calls["rhs"]`` counts the
+    right-hand side's calls.
     """
-    delay = VANISHING_DELAY
-
     def rhs_scalar(t, v, lookup):
         if calls is not None:
             calls["rhs"] += 1
@@ -505,7 +530,7 @@ def run_vanishing_delay_scalar(h_max, rtol=1e-9, atol=1e-11, calls=None):
     def history(s):
         return 0.02 * (1.0 + 0.1 * math.sin(3.0 * s))
 
-    cfg = StepperConfig(t_end=6.0, rtol=rtol, atol=atol,
+    cfg = StepperConfig(t_end=t_end, rtol=rtol, atol=atol,
                         h_init=h_max / 4, h_max=h_max)
     return integrate_scalar_sdtd(rhs_scalar, history, cfg,
                                  delay.tau_m, delay.tau_M)
@@ -513,17 +538,24 @@ def run_vanishing_delay_scalar(h_max, rtol=1e-9, atol=1e-11, calls=None):
 
 def test_scalar_equation_with_vanishing_minimum_delay():
     grid = np.linspace(0.5, 6.0, 12)
-    ref = run_vanishing_delay_scalar(0.001, rtol=1e-12,
+    ref = run_delay_scalar(0.001, rtol=1e-12,
                                      atol=1e-14).sample(grid)[:, 0]
     calls = {"rhs": 0}
-    roomy = run_vanishing_delay_scalar(0.05, calls=calls)
+    roomy = run_delay_scalar(0.05, calls=calls)
     # FSAL: 6 new stages per pass, more than one pass on overlapping steps
     assert calls["rhs"] > 1 + 6 * roomy.n_attempts
     assert VANISHING_DELAY.tau(roomy.us[0, 0]) < 0.05
     assert roomy.dim == 1
-    for traj in (roomy, run_vanishing_delay_scalar(0.008)):
+    for traj in (roomy, run_delay_scalar(0.008)):
         v = traj.sample(grid)[:, 0]
         assert np.max(np.abs(v - ref) / ref) < 1e-6
+
+
+def _sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
 
 
 # SHA-256 of ts, us and ds, in that order, of two tau(0) = 0 runs, recorded
@@ -546,13 +578,52 @@ def test_overlap_path_bits_are_pinned():
     hist = consistent_history(model, 1.5, 0.01, amp=0.2)
     runs = {"holling2_model": quiet_integrate(model, hist,
                                               default_stepper(model, 6.0)),
-            "scalar_h_max_0.05": run_vanishing_delay_scalar(0.05),
-            "scalar_h_max_0.008": run_vanishing_delay_scalar(0.008)}
+            "scalar_h_max_0.05": run_delay_scalar(0.05),
+            "scalar_h_max_0.008": run_delay_scalar(0.008)}
     for name, traj in runs.items():
-        digest = hashlib.sha256()
-        for array in (traj.ts, traj.us, traj.ds):
-            digest.update(np.ascontiguousarray(array).tobytes())
-        assert digest.hexdigest() == OVERLAP_SHA256[name], name
+        assert _sha256(traj.ts, traj.us, traj.ds) == OVERLAP_SHA256[name], name
+
+
+# SHA-256 of ts, us, fs and ds, in that order, and the attempt count of three
+# runs through the stepping loop, recorded at commit 4dba3c7, while the loop
+# was written by hand and called the generated step once an attempt
+LOOP_PINS = {
+    "deep_crash": (
+        "c29635165d23c8206bc080e42db0f70714f690f2643a6a619845e403daed9f62",
+        3045),
+    "scalar_tau_m_0.5": (
+        "9f7c51e9e85325e08a73780bf87cc409d7330197a7b84a8705156da209178d40",
+        139),
+    "called_laws": (
+        "3693c91943d0efb615f09e7f02ec91c0769cdb6613bf712f8edcab317716524c",
+        124),
+}
+
+
+def test_loop_path_bits_are_pinned(bd_model):
+    # a prey crash to the subnormals under the dichotomy probe's atol: the
+    # positivity guard halves the steps that would take x to 0 and clamps
+    # the juvenile channel's overshoots
+    crash = ModelSpec.from_dict(dict(DEFECT_MODEL, response={
+        "kind": "Linear", "coefficients": {"b": 3.0}}))
+    K = crash.params.K
+    hist = consistent_history(crash, 4.0 * K, 2.0 * K, amp=0.2)
+    # laws that carry no text are called; past 64 segments the store trims
+    # its window, and the lags cross from the history into the store
+    called = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
+    runs = {"deep_crash": quiet_integrate(crash, hist, default_stepper(
+                crash, 10.0, rtol=1e-6, atol=(1e-300, 1e-300, 1e-8))),
+            "scalar_tau_m_0.5": run_delay_scalar(
+                0.3, delay=saturating_delay(0.5, 1.0, 1.0), t_end=20.0),
+            "called_laws": quiet_integrate(opaque(bd_model), called,
+                                           default_stepper(bd_model, 30.0))}
+    assert runs["deep_crash"].n_attempts > runs["deep_crash"].n_steps
+    assert runs["deep_crash"].us[:, 0].min() < 1e-300
+    assert runs["deep_crash"].us[:, 2].min() == 0.0
+    assert runs["called_laws"].n_steps > 64
+    for name, traj in runs.items():
+        got = (_sha256(traj.ts, traj.us, traj.fs, traj.ds), traj.n_attempts)
+        assert got == LOOP_PINS[name], name
 
 
 def test_yj_integral_matches_initial_juvenile_stock(bd_model):
