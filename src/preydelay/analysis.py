@@ -94,10 +94,13 @@ def _tail_grid(traj: Trajectory, tail_fraction: float, min_points: int = 512):
 # --------------------------------------------------------------------------
 # histories side by side
 
-# A history whose step cap alone asks for fewer steps than this runs serially.
-# On a 2-core x86-64 VM a fork, the child's exit and the pickled records cost
-# 2-9 ms.  A 5-history probe split 3 + 2 took 0.8-1.7x its serial time at 50
-# capped steps per history, 0.7-0.8x at 100, and 0.65-0.72x from 200 on.
+# A history whose step cap alone asks for fewer steps than this runs serially:
+# t_end / h_max, a lower bound on its steps.  The default cap grows with rtol
+# above 1e-8 (0.6 to 0.95 tau(0), see engine.default_stepper), so a probe at a
+# coarse rtol counts fewer capped steps for the same horizon.  On a 2-core
+# x86-64 VM a fork, the child's exit and the pickled records cost 2-9 ms.  A
+# 5-history probe split 3 + 2 took 0.8-1.7x its serial time at 50 capped steps
+# per history, 0.7-0.8x at 100, and 0.65-0.72x from 200 on (at 0.6 tau(0)).
 _FORK_MIN_STEPS = 200
 
 

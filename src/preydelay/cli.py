@@ -90,15 +90,12 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
     check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = float(horizon if horizon is not None else doc["t_end"])
-    base = default_stepper(model, t_end,
-                           rtol=float(doc.get("rtol", 1e-8)),
-                           atol=float(doc.get("atol", 1e-10)))
-    h_max = float(doc["h_max"]) if doc.get("h_max") is not None else base.h_max
-    h_init = float(doc["h_init"]) if doc.get("h_init") is not None else min(
-        base.h_init, h_max)
-    return StepperConfig(t_end=t_end, rtol=base.rtol, atol=base.atol,
-                         h_init=h_init, h_max=h_max,
-                         positivity_guard=bool(doc.get("positivity_guard", True)))
+    steps = {key: float(doc[key]) for key in ("h_init", "h_max")
+             if doc.get(key) is not None}
+    return default_stepper(model, t_end, rtol=float(doc.get("rtol", 1e-8)),
+                           atol=float(doc.get("atol", 1e-10)),
+                           positivity_guard=bool(doc.get("positivity_guard", True)),
+                           **steps)
 
 
 def load_scenario(path, horizon: float | None = None) -> Scenario:

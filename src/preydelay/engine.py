@@ -13,13 +13,16 @@ every lagged lookup as well as every read of the finished trajectory.  A
 dense output of order q gives a delay method of order min(5, q + 1), so the
 lags no longer cost the step its fifth order, as a cubic Hermite did.
 Keeping the step below tau(0) guarantees lags land in already-accepted
-segments: :func:`default_stepper` caps it at 0.6 tau(0), which bounds the
-juvenile-conservation error of the lag reads with margin (the cap, not the
-tolerance, sets most probe steps).  The stages then read their lags straight
-from the solution store, and a lag past the last accepted node (a delay law
-that falls below tau(0)) raises :class:`LagDomainError`.  With a vanishing
-minimum delay :func:`_overlap_step` instead repeats the step, its lookups
-fixed-point iterated against a provisional segment.
+segments: :func:`default_stepper` caps it at 0.6 tau(0) up to rtol 1e-8 and
+lets the cap grow as rtol^(1/5) above that, to 0.95 tau(0) from rtol of
+about 1e-7 on.  That holds the lag reads' share of the juvenile-conservation
+error, which the step's error estimate does not see, at one multiple of rtol;
+the cap, not the tolerance, sets many of the probes' steps.  The stages then
+read their lags straight from the solution store, and a lag past the last
+accepted node (a delay law that falls below tau(0)) raises
+:class:`LagDomainError`.  With a vanishing minimum delay :func:`_overlap_step`
+instead repeats the step, its lookups fixed-point iterated against a
+provisional segment.
 
 The whole accept/reject loop is generated, once per set of laws, from one
 template (``_LOOP``): the seven stages (``_STAGES``), the error norm, the
@@ -144,8 +147,11 @@ def default_stepper(model: ModelSpec, t_end: float, rtol: float = 1e-8,
                     atol: float = 1e-10, **kwargs) -> StepperConfig:
     """Config with a step cap compatible with the model's minimum delay.
 
-    A caller's ``h_init`` or ``h_max`` replaces the capped value; an ``h_max``
-    at or above tau(0) passes here and is refused by :func:`integrate`.
+    The cap is 0.6 tau(0) up to rtol 1e-8, grows as rtol^(1/5) above it and
+    stops at 0.95 tau(0) (from rtol of about 1e-7 on); the first step is the
+    smaller of the cap and 0.01.  A caller's ``h_init`` or ``h_max`` replaces
+    the capped value; an ``h_max`` at or above tau(0) passes here and is
+    refused by :func:`integrate`.
     """
     return _capped_stepper(model.delay.tau_m, t_end, rtol, atol, **kwargs)
 
@@ -154,9 +160,16 @@ def _capped_stepper(tau_m: float, t_end: float, rtol: float,
                     atol: float | tuple[float, ...], *,
                     h_max: float | None = None, h_init: float | None = None,
                     **kwargs) -> StepperConfig:
-    """Config whose step cap stays below a minimum delay tau_m (if positive)."""
+    """Config whose step cap stays below a minimum delay tau_m (if positive).
+
+    The lag reads' error that the cap sets grows as (h / tau_m)^5, so a cap
+    growing as rtol^(1/5) holds it at the multiple of rtol that 0.6 tau_m
+    gives at rtol 1e-8 (the juvenile-conservation measure reads 290-355 rtol
+    along the rule); 0.95 tau_m keeps every lag behind the step.
+    """
     if h_max is None:
-        h_max = 0.6 * tau_m if tau_m > 0.0 else min(0.05, t_end / 200.0)
+        h_max = (min(0.95, 0.6 * max(1.0, rtol / 1e-8) ** 0.2) * tau_m
+                 if tau_m > 0.0 else min(0.05, t_end / 200.0))
     if h_init is None:
         h_init = min(h_max, 0.01)
     return StepperConfig(t_end=t_end, rtol=rtol, atol=atol, h_init=h_init,

@@ -102,28 +102,37 @@ def steady_recruitment_integral(n, dj, f_star, y_star, tau):
 
 
 class RK4StepsOracle:
-    """Fixed-step classical RK4 method of steps for a constant delay.
+    """Fixed-step classical RK4 method of steps for a delay tau(y).
 
-    State and derivative are stored on the uniform grid; lagged values are
-    read back with cubic Hermite interpolation between grid nodes, whose
-    error at h = 1e-4 is far below the comparison tolerance.  The right-hand
-    side is written out in full here, independent of the engine.
+    State and derivative are stored on the uniform grid; lagged values at
+    t - tau(y(t)) are read back with cubic Hermite interpolation between grid
+    nodes, whose error at h = 1e-3 is far below the comparison tolerance.
+    The right-hand side is written out in full here, independent of the
+    engine: the mature equation stays in the paper's implicit form
+    y' = (1 - tau'(y) y') N - d y, solved per stage by
+    :func:`implicit_rate_solution`, and the juvenile loss is the same
+    (1 - tau'(y) y') N.  A number ``tau`` with no ``tau_prime`` is a constant
+    delay, the tau' = 0 case.
     """
 
-    def __init__(self, r, K, n, dj, d, f, tau, history, t_end, h):
-        assert h < tau, "stage lags must land in completed nodes"
+    def __init__(self, r, K, n, dj, d, f, tau, history, t_end, h,
+                 tau_prime=None):
+        if tau_prime is None:
+            tau_c = float(tau)
+            tau, tau_prime = (lambda y: tau_c), (lambda y: 0.0)
         self.h = h
         nsteps = int(round(t_end / h))
         self.t_end = nsteps * h
         us = np.empty((nsteps + 1, 3))
         fs = np.empty((nsteps + 1, 3))
         us[0] = history(0.0)
-        surv = math.exp(-dj * tau)
+        front = 0.0  # the last completed node
 
         def lagged(s):
             if s <= 0.0:
                 v = history(s)
                 return v[0], v[1]
+            assert s <= front, "stage lags must land in completed nodes"
             i = min(int(s / h), nsteps - 1)
             th = (s - i * h) / h
             th2, th3 = th * th, th * th * th
@@ -131,26 +140,30 @@ class RK4StepsOracle:
             bb = (th3 - 2 * th2 + th) * h
             c = -2 * th3 + 3 * th2
             e = (th3 - th2) * h
-            u0, u1 = us[i], us[i + 1]
-            g0, g1 = fs[i], fs[i + 1]
+            u0, u1 = us[i].tolist(), us[i + 1].tolist()
+            g0, g1 = fs[i].tolist(), fs[i + 1].tolist()
             return (a * u0[0] + bb * g0[0] + c * u1[0] + e * g1[0],
                     a * u0[1] + bb * g0[1] + c * u1[1] + e * g1[1])
 
         def rhs(t, u):
-            x, y, yj = u
+            x, y, yj = u.tolist()
             xc = max(x, 0.0)
             yc = max(y, 0.0)
-            xl, yl = lagged(t - tau)
-            N = n * surv * f(max(xl, 0.0), max(yl, 0.0)) * max(yl, 0.0)
-            # constant delay: the moving-boundary correction vanishes
+            tv = tau(yc)
+            xl, yl = lagged(t - tv)
+            yl = max(yl, 0.0)
+            N = n * math.exp(-dj * tv) * f(max(xl, 0.0), yl) * yl
+            tp = tau_prime(yc)
+            yp = implicit_rate_solution(tp, d, y, N)
             fxy = f(xc, yc)
             return np.array([r * x * (1.0 - x / K) - fxy * y,
-                             N - d * y,
-                             n * fxy * y - dj * yj - N])
+                             yp,
+                             n * fxy * y - dj * yj - (1.0 - tp * yp) * N])
 
         fs[0] = rhs(0.0, us[0])
         for i in range(nsteps):
             t = i * h
+            front = t
             u = us[i]
             k1 = rhs(t, u)
             k2 = rhs(t + 0.5 * h, u + 0.5 * h * k1)

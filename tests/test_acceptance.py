@@ -30,18 +30,44 @@ def announce(number: int, name: str):
     print(f"ACCEPTANCE {number:2d}/10  {name}: PASS")
 
 
-# shared moderate-horizon runs reused by criteria 3, 4 and 5
+# shared moderate-horizon models and histories; their runs at the default
+# tolerances are reused by criteria 3, 4 and 5
 @pytest.fixture(scope="module")
-def fixture_runs(bd_model, const_delay_model):
+def fixture_scenarios(bd_model, const_delay_model):
     models = [linear_family_model(R) for R in (0.5, 0.9, 1.5, 3.0)]
     models += [bd_model, const_delay_model]
+    return [(m, consistent_history(m, x0=m.params.K / 2.0,
+                                   y0=max(m.params.K / 4.0, 0.1),
+                                   amp=0.2, omega=2.0)) for m in models]
+
+
+def fixture_integrations(scenarios, rtol=1e-8, cap=None):
+    """Each scenario integrated to t = 60 at ``rtol``, with the step cap
+    ``cap`` tau(0) if one is given and the default cap if not."""
     runs = []
-    for m in models:
-        hist = consistent_history(m, x0=m.params.K / 2.0,
-                                  y0=max(m.params.K / 4.0, 0.1),
-                                  amp=0.2, omega=2.0)
-        runs.append((m, integrate(m, hist, default_stepper(m, 60.0))))
+    for m, hist in scenarios:
+        caps = {} if cap is None else {"h_max": cap * m.delay.tau_m}
+        runs.append((m, integrate(m, hist, default_stepper(m, 60.0, rtol=rtol,
+                                                           **caps))))
     return runs
+
+
+@pytest.fixture(scope="module")
+def fixture_runs(fixture_scenarios):
+    return fixture_integrations(fixture_scenarios)
+
+
+def juvenile_conservation_error(runs) -> float:
+    """Worst relative gap between the juvenile ODE channel and the integral
+    of the recruitment flux, at nine times of each run."""
+    worst = 0.0
+    for m, traj in runs:
+        atol = 1e-10
+        for t in np.linspace(m.delay.tau_M, traj.t_end, 9):
+            ode = traj.lookup(float(t))[2]
+            quad_val = yj_integral(m, traj, float(t))
+            worst = max(worst, abs(ode - quad_val) / max(abs(ode), atol))
+    return worst
 
 
 def test_c01_threshold_dichotomy():
@@ -86,15 +112,24 @@ def test_c02_constant_delay_oracle_equivalence(const_delay_model):
 
 
 def test_c03_juvenile_channel_conservation(fixture_runs):
-    worst = 0.0
-    for m, traj in fixture_runs:
-        atol = 1e-10
-        for t in np.linspace(m.delay.tau_M, traj.t_end, 9):
-            ode = traj.lookup(float(t))[2]
-            quad_val = yj_integral(m, traj, float(t))
-            worst = max(worst, abs(ode - quad_val) / max(abs(ode), atol))
+    worst = juvenile_conservation_error(fixture_runs)
     assert worst <= 1e-5, worst
     announce(3, f"juvenile conservation, worst rel dev {worst:.2e}")
+
+
+def test_juvenile_conservation_under_the_rtol_scaled_cap(fixture_scenarios):
+    # the default cap grows with rtol (0.95 tau(0) from about 1e-7 on); at
+    # 1e-6 the cap sets none of c03's error (4.01e-4 under both caps), and
+    # at 1e-7 the error stays within the ratio to rtol that the cap-free
+    # runs at 1e-6 show (3.41e-5 measured)
+    coarse = juvenile_conservation_error(
+        fixture_integrations(fixture_scenarios, rtol=1e-6))
+    capped = juvenile_conservation_error(
+        fixture_integrations(fixture_scenarios, rtol=1e-6, cap=0.6))
+    assert coarse == pytest.approx(capped, rel=0.05), (coarse, capped)
+    worst = juvenile_conservation_error(
+        fixture_integrations(fixture_scenarios, rtol=1e-7))
+    assert worst <= 400 * 1e-7, worst
 
 
 def test_c04_boundedness_certificate(fixture_runs):

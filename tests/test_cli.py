@@ -15,7 +15,7 @@ import pytest
 from preydelay import cli
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
-from preydelay.engine import LagDomainError
+from preydelay.engine import LagDomainError, default_stepper
 from preydelay.model import HistoryConsistencyWarning
 from preydelay.equilibria import NoConvergenceError
 
@@ -270,6 +270,24 @@ def test_horizon_flag_overrides_config(tmp_path):
                  "--horizon", "5.0"]) == EXIT_OK
     lines = (tmp_path / "traj.csv").read_text().strip().split("\n")
     assert float(lines[-1].split(",")[0]) == pytest.approx(5.0)
+
+
+def test_config_step_sizes_follow_default_stepper(tmp_path):
+    # tau(0) = 0.01 < 1/60: the default cap 0.006 lies below the usual first
+    # step 0.01, and an h_max of 0.008 lies between the cap and tau(0)
+    path = write_config(tmp_path / "cfg.json")
+    doc = json.loads(path.read_text())
+    doc["model"]["delay"].update(tau_m=0.01, tau_M=0.5)
+    for steps in ({"h_max": 0.008}, {"h_max": 0.008, "rtol": 1e-6},
+                  {"h_init": 0.002}, {"rtol": 1e-6}, {}):
+        doc["stepper"] = {"t_end": 60.0, **steps}
+        path.write_text(json.dumps(doc))
+        scn = cli.load_scenario(path)
+        assert scn.stepper == default_stepper(scn.model, 60.0, **steps), steps
+    assert scn.stepper.h_max == pytest.approx(0.006)
+    doc["stepper"] = {"t_end": 60.0, "h_max": 0.008}
+    path.write_text(json.dumps(doc))
+    assert cli.load_scenario(path).stepper.h_init == 0.008
 
 
 def test_verify_failure_exits_1(tmp_path):

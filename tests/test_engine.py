@@ -151,6 +151,38 @@ def test_constant_delay_matches_fixed_step_rk4(const_delay_model):
         assert rel < 1e-6, (t, got, want)
 
 
+def test_state_dependent_delay_matches_fixed_step_rk4(bd_model):
+    # the oracle keeps y' = (1 - tau'(y) y') N - d y implicit; dropping its
+    # tau' term (on a coarse grid) moves it by 1.3e-2 and 0.63, so the 1e-6
+    # of c02 sees the moving-boundary term
+    holling = ModelSpec(ModelParams(1.2, 3.0, 1.1, 0.4, 0.5),
+                        exp_delay(0.4, 1.2, 2.0), holling2(1.5, 0.4))
+    for m in (bd_model, holling):
+        hist = consistent_history(m, 2.0, 0.5, amp=0.2)
+        traj = integrate(m, hist, default_stepper(m, 10.0, rtol=1e-10,
+                                                  atol=1e-12))
+        p = m.params
+
+        def oracle_run(h, tau_prime):
+            return RK4StepsOracle(
+                r=p.r, K=p.K, n=p.n, dj=p.dj, d=p.d, f=m.response.f,
+                tau=m.delay.tau, tau_prime=tau_prime,
+                history=lambda s: (hist.phi1(s), hist.phi3(s), hist.phi2(s)),
+                t_end=10.0, h=h)
+
+        def worst_dev(oracle):
+            worst = 0.0
+            for t in np.arange(0.25, 10.0001, 0.25):
+                got = np.array(traj.lookup(float(t)))
+                want = oracle.at(float(t))
+                worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(
+                    np.abs(want), 1e-12))))
+            return worst
+
+        assert worst_dev(oracle_run(2e-3, m.delay.tau_prime)) <= 1e-6
+        assert worst_dev(oracle_run(1e-2, lambda y: 0.0)) > 1e-3
+
+
 def test_positivity_and_decay_floor(bd_model, bd_traj):
     assert np.all(bd_traj.us >= 0.0)
     y0 = bd_traj.lookup(0.0)[1]
@@ -408,6 +440,20 @@ def test_default_stepper_takes_the_callers_step_sizes(bd_model):
                                                       h_max=h_max))
 
 
+def test_default_cap_grows_with_rtol_between_two_fixed_fractions(bd_model):
+    # 0.6 tau(0) up to rtol 1e-8 (so every default-tolerance run keeps its
+    # bits), 0.95 tau(0) from about 1e-7, and rtol^(1/5) in between
+    tau_m = bd_model.delay.tau_m
+    cap = lambda rtol: default_stepper(bd_model, 80.0, rtol=rtol).h_max
+    for rtol in (1e-8, 1e-10):
+        assert cap(rtol) == 0.6 * tau_m
+    for rtol in (1e-7, 1e-6):
+        assert cap(rtol) == 0.95 * tau_m
+    between = [cap(rtol) for rtol in np.geomspace(1e-8, 1e-7, 9)]
+    assert all(a < b for a, b in zip(between, between[1:]))
+    assert all(cap(rtol) < tau_m for rtol in np.geomspace(1e-14, 1.0, 29))
+
+
 def test_delay_below_its_minimum_raises_lag_domain_error():
     # tau(0) = 1 sets the step cap, but this law falls to 0.02 at y = 0.5,
     # so a lag reaches past the last accepted node
@@ -586,11 +632,13 @@ def test_overlap_path_bits_are_pinned():
 
 # SHA-256 of ts, us, fs and ds, in that order, and the attempt count of three
 # runs through the stepping loop, recorded at commit 4dba3c7, while the loop
-# was written by hand and called the generated step once an attempt
+# was written by hand and called the generated step once an attempt; the
+# deep crash, which runs at rtol 1e-6, re-recorded under the rtol-scaled
+# default cap (0.95 tau(0) there)
 LOOP_PINS = {
     "deep_crash": (
-        "c29635165d23c8206bc080e42db0f70714f690f2643a6a619845e403daed9f62",
-        3045),
+        "d5df467fe6e3c1429806c7e65296668ac07b9378b8c582d0935f87ca3b8bef3a",
+        3044),
     "scalar_tau_m_0.5": (
         "9f7c51e9e85325e08a73780bf87cc409d7330197a7b84a8705156da209178d40",
         139),
