@@ -81,8 +81,15 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
         check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
         check_keys(series, "history.series", {"x", "y", "yj"}, set())
-        return tabulated_history(doc["times"], series["x"], series["y"],
-                                 series["yj"])
+        history = tabulated_history(doc["times"], series["x"], series["y"],
+                                    series["yj"])
+        lo, hi, tau_M = history.knots[0], history.knots[-1], model.delay.tau_M
+        tol = 1e-9 * max(1.0, tau_M)
+        if lo > -tau_M + tol or hi < -tol:
+            raise ConfigError(
+                f"history.times span [{lo:g}, {hi:g}] and must cover "
+                f"[-tau_M, 0] = [{-tau_M:g}, 0]")
+        return history
     raise ConfigError(f"unknown key history.kind value {kind!r}")
 
 

@@ -20,9 +20,11 @@ error, which the step's error estimate does not see, at one multiple of rtol;
 the cap, not the tolerance, sets many of the probes' steps.  The stages then
 read their lags straight from the solution store, and a lag past the last
 accepted node (a delay law that falls below tau(0)) raises
-:class:`LagDomainError`.  With a vanishing minimum delay :func:`_overlap_step`
-instead repeats the step, its lookups fixed-point iterated against a
-provisional segment.
+:class:`LagDomainError`.  The store's flat buffers of nodes, slopes and d
+are the run's only record: the trajectory views them, and a lag is read off
+the quartic segment built from them for the step it falls in.  With a
+vanishing minimum delay :func:`_overlap_step` instead repeats the step, its
+lookups fixed-point iterated against a provisional segment.
 
 The whole accept/reject loop is generated, once per set of laws, from one
 template (``_LOOP``): the seven stages (``_STAGES``), the error norm, the
@@ -34,8 +36,9 @@ tau' carries an expression text (every catalog law does, see
 :mod:`preydelay._law`), that text is written in place of the call; any other
 law, a user :class:`DelayFunction` or a callable swapped in by
 ``dataclasses.replace``, is called.  The loop reads each lag off one segment
-of the store cached in its locals, and goes to the store's lookup only when
-the lag leaves that segment.  A loop without a model
+cached in its locals, builds the next one from the buffers when the lag
+leaves it, and goes to the store's lookup only for the history, the last
+node and the errors.  A loop without a model
 (:func:`integrate_scalar_sdtd`) calls its ``rhs_core`` in every slot.  When
 tau(0) = 0 the loop's attempt is a call of :func:`_overlap_step` with the
 same stages as a step function (``_STEP``), generated only then.  The
@@ -59,7 +62,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
-from operator import itemgetter
+from struct import Struct
 from typing import Callable, Sequence
 
 from ._law import LawText
@@ -127,8 +130,9 @@ class StepperConfig:
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError(
+                f"t_end must be positive and finite, got {self.t_end!r}")
         atols = self.atol if isinstance(self.atol, tuple) else (self.atol,)
         if not (self.rtol > 0.0 and all(a > 0.0 for a in atols)):
             raise ValueError("rtol and atol must be positive")
@@ -216,8 +220,8 @@ _OVERLAP_TOL = 1e-10
 # slopes (k1x, k1y), end (x, y) at t0 + dt, end slopes (k7x, k7y) and d.  The
 # value at s is c0 + theta (c1 + theta (c2 + theta (c3 + theta c4))) with
 # theta = (s - t0) / dt; Trajectory.sample does the same arithmetic on arrays.
-# The stepping loop builds its segments inline from this text; _segment is
-# the same text as a function.
+# _seg_at is this text reading a step of the store's buffers, _segment the
+# same text over tuples (the overlap iteration's provisional segment).
 _SEGMENT = """
 hx, hx1, dux = dt * k1x, dt * k7x, x - x0
 hy, hy1, duy = dt * k1y, dt * k7y, y - y0
@@ -241,8 +245,23 @@ _segment = _exec(
     "    k7x, k7y, _ = f1\n    dx, dy, _ = d\n"
     + textwrap.indent(_SEGMENT, "    ") + "    return seg\n", "_segment")
 
+# floats off the store's buffers at a byte offset: two (a step's t0 and t1,
+# or its d for x and y), or five (x, y of a node's u or f, then the next's)
+_TWO = Struct("2d").unpack_from
+_FIVE = Struct("5d").unpack_from
 
-_START = itemgetter(0)  # a segment tuple's start time
+# (i, t1, seg) for the step of the buffers ts, us, fs, ds that starts at the
+# last node at or before s, 0 < s < ts[-1]: step i if s lies in it, else the
+# one bisect_right finds; t1 is the step's end node
+_seg_at = _exec(
+    "def _seg_at(ts, us, fs, ds, s, i):\n"
+    "    if not ts[i] <= s < ts[i + 1]:\n"
+    "        i = bisect_right(ts, s) - 1\n"
+    "    t0, t1 = _TWO(ts, 8 * i)\n    dt, j = t1 - t0, 24 * i\n"
+    "    x0, y0, _, x, y = _FIVE(us, j)\n"
+    "    k1x, k1y, _, k7x, k7y = _FIVE(fs, j)\n"
+    "    dx, dy = _TWO(ds, j)\n"
+    + textwrap.indent(_SEGMENT, "    ") + "    return i, t1, seg\n", "_seg_at")
 
 
 def _quartic(seg: tuple, s: float) -> tuple:
@@ -256,19 +275,17 @@ def _quartic(seg: tuple, s: float) -> tuple:
 class _SolutionStore:
     """Accepted nodes plus the initial history; serves the stepper's lagged lookups.
 
-    ``ts``, ``us``, ``fs`` and ``ds`` keep every step for the trajectory as
-    flat ``array('d')`` buffers: one float a node in ``ts``, three in ``us``
-    and ``fs``, three a step in ``ds`` (each step's d), 80 bytes a step in
-    all.  ``t_last``, ``u_last`` and ``f_last`` are the last node's t, u
-    and f.  The lagged pair's quartic coefficients are kept only for the
-    segments a lag can still reach, those ending after t - tau_M, and are
-    read through a forward cursor that falls back to a bisection.  The
-    stepping loop writes its accepted steps into these buffers itself;
-    :meth:`append` adds a node from outside it, the first one of a run.
+    ``ts``, ``us``, ``fs`` and ``ds`` are the only record of the run, flat
+    ``array('d')`` buffers: one float a node in ``ts``, three in ``us`` and
+    ``fs``, three a step in ``ds`` (each step's d), 80 bytes a step in all.
+    The stepping loop appends its accepted steps to them; the trajectory
+    views them.  A lag 0 < s < ``ts[-1]`` is read off the quartic segment
+    that :func:`_seg_at` builds from the buffers, and the last one built is
+    kept for the next read.
     """
 
-    __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "t_last",
-                 "u_last", "f_last", "_segs", "_cur", "_trim_at")
+    __slots__ = ("history", "tau_M", "ts", "us", "fs", "ds", "_i", "_sb",
+                 "_seg")
 
     def __init__(self, history: Callable[[float], tuple], tau_M: float):
         self.history = history
@@ -277,41 +294,15 @@ class _SolutionStore:
         self.us = array("d")
         self.fs = array("d")
         self.ds = array("d")
-        self.t_last = 0.0
-        self.u_last: tuple = ()
-        self.f_last: tuple = ()
-        self._segs: list[tuple] = []
-        self._cur = 0
-        self._trim_at = 64
-
-    def append(self, t: float, u: tuple, f: tuple, d: tuple | None = None) -> None:
-        """Add the node (t, u, f); d is the step's d (None for the first node)."""
-        if d is not None:
-            t0 = self.t_last
-            self._segs.append(_segment(t0, t - t0, self.u_last, self.f_last,
-                                       u, f, d))
-            self.ds.extend(d)
-            if len(self._segs) >= self._trim_at:
-                self._trim(t)
-        self.ts.append(t)
-        self.us.extend(u)
-        self.fs.extend(f)
-        self.t_last, self.u_last, self.f_last = t, u, f
-
-    def _trim(self, t: float) -> None:
-        # drop the segments that end before t - tau_M, keeping one spare for
-        # a delay that rounds above tau_M; amortized O(1) per append
-        k = bisect_right(self._segs, t - self.tau_M, key=_START) - 2
-        if k > 0:
-            del self._segs[:k]
-            self._cur = max(self._cur - k, 0)
-        self._trim_at = max(64, 2 * len(self._segs))
+        # the last segment built, its step and the step's end node; none yet,
+        # so that the first read inside the record builds step 0
+        self._i, self._sb, self._seg = -1, 0.0, (math.inf,)
 
     def eval_past(self, s: float) -> tuple:
         """(x, y) at an already-covered time s (the history for s <= 0).
 
-        A time 0 < s < ``t_last`` is read off the segment ``_segs[_cur]``,
-        the one whose start is the last at or before s.
+        A time 0 < s < ``ts[-1]`` is read off the segment of the step whose
+        start is the last node at or before s.
 
         A lag past the last node raises :class:`LagDomainError`: with steps
         below tau(0) only a delay law that falls below tau(0) reaches there.
@@ -322,26 +313,21 @@ class _SolutionStore:
                     f"lagged time {s:.6g} precedes the history interval "
                     f"[-{self.tau_M:.6g}, 0]")
             return self.history(s if s >= -self.tau_M else -self.tau_M)[:2]
-        if s >= self.t_last:
-            if s > self.t_last:
-                raise LagDomainError(
-                    f"lagged time {s:.6g} lies past the last accepted node "
-                    f"{self.t_last:.6g}; is tau(y) below tau(0)?")
-            return self.u_last[:2]
-        segs = self._segs
-        i = self._cur
-        if s < segs[i][0]:
-            i = bisect_right(segs, s, key=_START) - 1
-            if i < 0:
-                raise LagDomainError(
-                    f"lagged time {s:.6g} precedes the retained window")
-        else:
-            last = len(segs) - 1
-            while i < last and s >= segs[i + 1][0]:
-                i += 1
-        self._cur = i
+        seg = self._seg
+        if not seg[0] <= s < self._sb:
+            ts = self.ts
+            t_last = ts[-1]
+            if s >= t_last:
+                if s > t_last:
+                    raise LagDomainError(
+                        f"lagged time {s:.6g} lies past the last accepted "
+                        f"node {t_last:.6g}; is tau(y) below tau(0)?")
+                return self.us[-3], self.us[-2]
+            self._i, self._sb, seg = _seg_at(ts, self.us, self.fs, self.ds, s,
+                                             self._i + 1)
+            self._seg = seg
         # _quartic's arithmetic, inline: one call less per lag read
-        t0, h, x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = segs[i]
+        t0, h, x0, x1, x2, x3, x4, y0, y1, y2, y3, y4 = seg
         th = (s - t0) / h
         return (x0 + th * (x1 + th * (x2 + th * (x3 + th * x4))),
                 y0 + th * (y1 + th * (y2 + th * (y3 + th * y4))))
@@ -466,26 +452,31 @@ _PARAMS = ("r", "K", "n", "dj", "d")
 _LAW_PREFIXES = (("f", "f_"), ("tau", "tau_"), ("tau_prime", "dtau_"))
 
 # The stepping loop's lag read, in place of _RHS's lookup line.  The loop
-# keeps one segment of the store in its locals: the start sa, length sh and
-# quartic of the segment that served the last lag read inside the store, and
-# sb, the next segment's start or the last node.  A lag strictly inside
-# (sa, sb) is read off it; any other goes to the store's eval_past, whose
-# segment then becomes the cached one.  eval_past reads every such lag off
-# that same segment, so the bits do not change.  (A lag at sa itself goes to
-# eval_past, so the first segment never serves the history's s = 0, and the
-# loop drops the cached segment whenever the store trims its window.)
+# keeps one segment in its locals: the start sa, length sh and quartic of
+# step ia of the store's buffers, and sb, the step's end node.  A lag
+# strictly inside (sa, sb) is read off it.  Another lag inside the record
+# is read off the segment that _seg_at builds from the buffers (step ia + 1
+# tried first), which the loop then keeps.  A lag at or before 0, or at or
+# past the last node, goes to the store's eval_past: the history, the last
+# node or a LagDomainError.  Every read does eval_past's and
+# Trajectory.sample's arithmetic on the same segment, so the bits do not
+# depend on the path.  (The quartic's lines are repeated so that a lag read
+# off the kept segment tests one interval: testing it twice cost 2% of
+# integrate.)
 _LAG_READ = """
 s = t - tv
 if sa < s < sb:
     th = (s - sa) / sh
     lx = cx0 + th * (cx1 + th * (cx2 + th * (cx3 + th * cx4)))
     ly = cy0 + th * (cy1 + th * (cy2 + th * (cy3 + th * cy4)))
+elif 0.0 < s < t0:
+    ia, sb, (sa, sh, cx0, cx1, cx2, cx3, cx4, cy0, cy1, cy2, cy3,
+             cy4) = _seg_at(ts, us, fs, ds, s, ia + 1)
+    th = (s - sa) / sh
+    lx = cx0 + th * (cx1 + th * (cx2 + th * (cx3 + th * cx4)))
+    ly = cy0 + th * (cy1 + th * (cy2 + th * (cy3 + th * cy4)))
 else:
     lx, ly = lookup(s)
-    if 0.0 < s < t0:
-        i = store._cur
-        sa, sh, cx0, cx1, cx2, cx3, cx4, cy0, cy1, cy2, cy3, cy4 = segs[i]
-        sb = segs[i + 1][0] if i + 1 < len(segs) else t0
 """
 
 # The seven Dormand-Prince stages of a trial step of size h from
@@ -574,9 +565,9 @@ t1 = t0 + h
 # so their term in the error norm is exactly 0 whatever their atol (ax, ay,
 # az), and they never fail the positivity guard.  The stages of an attempt
 # (_STAGES, or _OVERLAP_ATTEMPT) take the ATTEMPT line's place.  Accepted
-# steps go straight into the store's buffers and segment window.  It returns
-# (t, attempts, failure), with failure None or the IntegrationError class to
-# raise with the partial trajectory.
+# steps go straight into the store's buffers, the only ones it reads.  It
+# returns (t, attempts, failure), with failure None or the IntegrationError
+# class to raise with the partial trajectory.
 _LOOP = """
 def loop(store, cfg, ax, ay, az, live):
     t_end, h_max, max_steps = cfg.t_end, cfg.h_max, cfg.max_steps
@@ -584,13 +575,14 @@ def loop(store, cfg, ax, ay, az, live):
     t_tol, h_min = 1e-13 * max(1.0, t_end), 1e-12 * max(1.0, t_end)
     h = min(cfg.h_init, h_max, t_end)
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
-    lookup, segs, trim_at = store.eval_past, store._segs, store._trim_at
-    ts_append, us_extend = store.ts.append, store.us.extend
-    fs_extend, ds_extend = store.fs.extend, store.ds.extend
-    t0 = store.t_last
-    x0, y0, z0 = store.u_last
-    k1x, k1y, k1z = store.f_last
-    sa = sb = 0.0
+    lookup, ts, us, fs, ds = (store.eval_past, store.ts, store.us, store.fs,
+                              store.ds)
+    ts_append, us_extend, fs_extend, ds_extend = (
+        ts.append, us.extend, fs.extend, ds.extend)
+    t0 = ts[-1]
+    x0, y0, z0 = us[-3:]
+    k1x, k1y, k1z = fs[-3:]
+    ia, sa, sb = -1, 0.0, 0.0
     attempts = 0
     last_reject_positivity = False
     while t_end - t0 > t_tol:
@@ -638,20 +630,10 @@ def loop(store, cfg, ax, ay, az, live):
             last_reject_positivity = False
             if t_end - t1 <= t_tol:
                 t1 = t_end
-            dt = t1 - t0
-            SEGMENT
-            segs.append(seg)
-            if len(segs) >= trim_at:
-                # the cached segment may leave the window: drop it, so that
-                # every lag eval_past refuses still reaches eval_past
-                store._trim(t1)
-                trim_at, sb = store._trim_at, 0.0
-            u1, f1 = (x, y, yj), (k7x, k7y, k7z)
             ts_append(t1)
-            us_extend(u1)
-            fs_extend(f1)
+            us_extend((x, y, yj))
+            fs_extend((k7x, k7y, k7z))
             ds_extend((dx, dy, dz))
-            store.t_last, store.u_last, store.f_last = t1, u1, f1
             t0, x0, y0, z0, k1x, k1y, k1z = t1, x, y, yj, k7x, k7y, k7z
             if enorm == 0.0:
                 h *= 5.0
@@ -773,8 +755,7 @@ def _kernel(laws, overlap: bool):
     kernel = _KERNELS.get(key)
     if kernel is not None:
         return kernel
-    loop = _place(_place(_LOOP, "SEGMENT", _SEGMENT), "ATTEMPT",
-                  _OVERLAP_ATTEMPT if overlap else _STAGES)
+    loop = _place(_LOOP, "ATTEMPT", _OVERLAP_ATTEMPT if overlap else _STAGES)
     step = _STEP if overlap else ""
     if laws is None:
         params, result = ["rhs_core"], "loop"
@@ -844,7 +825,10 @@ def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
     import numpy as np
 
     store = _SolutionStore(history_eval, tau_M)
-    store.append(0.0, u0, rhs_core(0.0, u0, store.eval_past))
+    f0 = rhs_core(0.0, u0, store.eval_past)
+    store.ts.append(0.0)
+    store.us.extend(u0)
+    store.fs.extend(f0)
     atol = cfg.atol_vector(live) + (1.0,) * (3 - live)
     t, attempts, failure = rhs_core.loop(store, cfg, *atol, live)
 

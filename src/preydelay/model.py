@@ -384,6 +384,10 @@ def tabulated_history(times: Sequence[float], x: Sequence[float],
     if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
         raise ValueError("times must be strictly increasing with at least 2 points")
     xa, ya, yja = (np.asarray(v, dtype=float) for v in (x, y, yj))
+    for name, vals in (("x", xa), ("y", ya), ("yj", yja)):
+        if vals.shape != t.shape:
+            raise ValueError(f"series {name} has shape {vals.shape}, "
+                             f"times {t.shape}")
 
     def interp(vals):
         return lambda s: float(np.interp(s, t, vals))

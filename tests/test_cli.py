@@ -272,6 +272,44 @@ def test_horizon_flag_overrides_config(tmp_path):
     assert float(lines[-1].split(",")[0]) == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("horizon, t_end", [("inf", 60.0), (None, math.inf)])
+def test_infinite_horizon_is_a_config_error(tmp_path, capsys, horizon, t_end):
+    # an infinite t_end (the flag, or "Infinity" in the JSON) ran no step
+    # and reported a one-row trajectory as a success
+    cfg = write_config(tmp_path / "cfg.json", t_end=t_end)
+    argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path)]
+    if horizon is not None:
+        argv += ["--horizon", horizon]
+    assert main(argv) == EXIT_CONFIG
+    assert "t_end must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+def tabulated(times):
+    n = len(times)
+    return {"kind": "tabulated", "times": times,
+            "series": {"x": [2.0] * n, "y": [0.4] * n, "yj": [0.3] * n}}
+
+
+@pytest.mark.parametrize("times", [[-0.1, 0.0], [-1.0, -0.5], [-0.5, 0.5]])
+def test_tabulated_history_short_of_the_delay_range_exits_2(tmp_path, capsys,
+                                                            times):
+    # tau_M = 1: the table must reach -1 and 0, or the history would be
+    # extended as a constant without a word
+    cfg = write_config(tmp_path / "cfg.json", history=tabulated(times))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "history.times" in err
+    assert not (tmp_path / "traj.csv").exists()
+
+
+@pytest.mark.parametrize("times", [[-1.0, 0.0], [-2.0, -1.0, 0.0, 1.0]])
+def test_tabulated_history_covering_the_delay_range_loads(tmp_path, times):
+    cfg = write_config(tmp_path / "cfg.json", history=tabulated(times))
+    assert cli.load_scenario(cfg).history.knots == tuple(times)
+
+
 def test_config_step_sizes_follow_default_stepper(tmp_path):
     # tau(0) = 0.01 < 1/60: the default cap 0.006 lies below the usual first
     # step 0.01, and an h_max of 0.008 lies between the cap and tau(0)

@@ -526,23 +526,27 @@ def test_sample_matches_history_and_per_point_quartic(bd_model):
 
 
 def test_lag_cursor_reads_out_of_order_like_sample(bd_traj):
-    # the stepper's store, fed the trajectory's steps, reads every point of
-    # its retained window, in any order, bit for bit like Trajectory.sample
+    # the stepper's store, its buffers filled with the trajectory's steps,
+    # reads every point of the record in any order bit for bit like
+    # Trajectory.sample: node times, times just below the last node and
+    # history reads come mixed, so that a stale cached segment would show
     traj = bd_traj
-    store = engine._SolutionStore(None, traj.tau_M)
-    store.append(0.0, tuple(traj.us[0]), tuple(traj.fs[0]))
+    store = engine._SolutionStore(traj._history, traj.tau_M)
+    for buf, values in ((store.ts, traj.ts), (store.us, traj.us),
+                        (store.fs, traj.fs), (store.ds, traj.ds)):
+        buf.extend(values.ravel().tolist())
+    t_last = traj.t_end
     rng = np.random.default_rng(7)
-    for k in range(1, len(traj.ts)):
-        t = float(traj.ts[k])
-        store.append(t, tuple(traj.us[k]), tuple(traj.fs[k]),
-                     tuple(traj.ds[k - 1]))
-        lo = max(t - traj.tau_M, 1e-9)
-        grid = np.concatenate([rng.uniform(lo, t, 5),
-                               traj.ts[(traj.ts >= lo) & (traj.ts <= t)]])
-        rng.shuffle(grid)
-        for s in grid.tolist():
-            assert store.eval_past(s) == tuple(traj.sample([s])[0, :2]), (t, s)
-    assert store._segs[0][0] > 0.0  # the early segments were dropped
+    times = np.concatenate([
+        rng.uniform(-traj.tau_M, t_last, 2000), traj.ts, [-traj.tau_M],
+        t_last - np.array([1, 2, 3, 1e3]) * np.spacing(t_last)])
+    # forward, which steps from segment to segment, then shuffled, then
+    # backward
+    shuffled = rng.permutation(times)
+    grid = np.concatenate([np.sort(times), shuffled, -np.sort(-times)])
+    want = traj.sample(grid)[:, :2].tolist()
+    for s, row in zip(grid.tolist(), want):
+        assert store.eval_past(s) == tuple(row), s
 
 
 def test_sample_rejects_times_outside_the_record(bd_traj):
@@ -656,8 +660,8 @@ def test_loop_path_bits_are_pinned(bd_model):
         "kind": "Linear", "coefficients": {"b": 3.0}}))
     K = crash.params.K
     hist = consistent_history(crash, 4.0 * K, 2.0 * K, amp=0.2)
-    # laws that carry no text are called; past 64 segments the store trims
-    # its window, and the lags cross from the history into the store
+    # laws that carry no text are called, and the lags cross from the
+    # history into the store
     called = consistent_history(bd_model, 2.0, 0.5, amp=0.2)
     runs = {"deep_crash": quiet_integrate(crash, hist, default_stepper(
                 crash, 10.0, rtol=1e-6, atol=(1e-300, 1e-300, 1e-8))),

@@ -252,6 +252,15 @@ def test_history_nonnegativity_enforced():
         bad.check_nonnegative(tau_M=1.0)
 
 
+@pytest.mark.parametrize("series", ["x", "y", "yj"])
+def test_tabulated_history_refuses_series_unlike_times(series):
+    # refused when built, not when numpy first interpolates it
+    values = {"x": [1.0, 1.0], "y": [0.5, 0.5], "yj": [0.1, 0.1]}
+    values[series] = [0.1, 0.2, 0.3]
+    with pytest.raises(ValueError, match=f"series {series} "):
+        tabulated_history([-1.0, 0.0], **values)
+
+
 def test_boundedness_limit_symmetric_rates():
     # dj = d: limit is n K (d + r)^2 / (4 r d)
     m = model(dj=1.0, d=1.0)
