@@ -81,7 +81,16 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
         check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
         check_keys(series, "history.series", {"x", "y", "yj"}, set())
-        history = tabulated_history(doc["times"], series["x"], series["y"],
+        times = doc["times"]
+        for name in ("x", "y", "yj"):
+            values = series[name]
+            if not isinstance(values, list):
+                raise ConfigError(f"history.series.{name} must be a list")
+            if isinstance(times, list) and len(values) != len(times):
+                raise ConfigError(
+                    f"history.series.{name} has {len(values)} values, "
+                    f"history.times {len(times)}")
+        history = tabulated_history(times, series["x"], series["y"],
                                     series["yj"])
         lo, hi, tau_M = history.knots[0], history.knots[-1], model.delay.tau_M
         tol = 1e-9 * max(1.0, tau_M)
@@ -352,7 +361,9 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
                  tau_M: float):
     """One grid point's CSV fields up to ``thm8_pass``, with the
     linearization whose spectral abscissa completes the row (computed by
-    :func:`_sweep_rows`): (head, quasi-polynomial, coefficients)."""
+    :func:`_sweep_rows`): (head, coefficients, quasi-polynomial).  The
+    quasi-polynomial is None at a point with no coexistence state, where the
+    abscissa is the predator-free state's closed form."""
     from .stability import (check_global_conditions, linearize_at,
                             quasi_polynomial)
 
@@ -365,45 +376,82 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
         raise ConfigError("constant delay cannot sweep tau_m != tau_M")
     point = ModelSpec.from_dict(base)
     R = reproduction_number(point)
-    coexists = False
     thm7 = thm8 = False
     coex = solve_coexistence(point)
     if coex is not None:
-        coexists = True
         cond = check_global_conditions(point, coex)
         thm7, thm8 = cond.local_ok, cond.global_ok
-        eq = coex
-    else:
-        eq = boundary_equilibria(point)[1]
+    eq = boundary_equilibria(point)[1] if coex is None else coex
     head = ",".join([repr(float(k2)), repr(float(d)), repr(float(tau_m)),
                      repr(float(tau_M)), repr(float(R)),
-                     str(coexists).lower(), str(thm7).lower(),
+                     str(coex is not None).lower(), str(thm7).lower(),
                      str(thm8).lower()])
     coeffs = linearize_at(point, eq)
-    return head, quasi_polynomial(point, coeffs), coeffs
+    return head, coeffs, (None if coex is None
+                          else quasi_polynomial(point, coeffs))
+
+
+# The coexistence searches of a sweep are shared among the usable CPUs from
+# this many on.  On a 2-core x86-64 VM, searching the first n of the 108
+# coexistence points of the 144-point grid in tests/working_set.py took,
+# forked, a median 5x its serial time at n = 8-12, 1.0x at 48, 0.91-0.97x at
+# 64-72, 0.75x at 80 and 0.62x at 96-108 (25 alternating pairs each); a
+# fork_map of two trivial items took 2.6 ms.
+_SWEEP_FORK_MIN_SEARCHES = 80
+
+
+def _searches(qps, boxes) -> list:
+    """``rightmost_abscissae(qps, boxes)``, shared among the usable CPUs
+    through :func:`preydelay._forkmap.fork_map` from
+    ``_SWEEP_FORK_MIN_SEARCHES`` searches on; the results are the same."""
+    from .stability import rightmost_abscissae
+
+    if len(qps) < _SWEEP_FORK_MIN_SEARCHES:
+        return rightmost_abscissae(qps, boxes)
+    from ._forkmap import _usable_cpus, fork_map
+
+    # every n-th search to each CPU, so that each gets a share of the
+    # whole grid and the shares cost alike
+    n = _usable_cpus()
+    results = [None] * len(qps)
+    shares = fork_map(lambda w: rightmost_abscissae(qps[w::n], boxes[w::n]),
+                      range(n))
+    for w, share in enumerate(shares):
+        results[w::n] = share
+    return results
 
 
 def _sweep_rows(model: ModelSpec, points) -> list[str]:
-    """CSV rows of the grid points, whose spectral searches run side by side.
+    """CSV rows of the grid points.
 
-    The first point, in grid order, that fails raises its error.
+    A point with no coexistence state takes the predator-free state's closed
+    form; the spectral searches of the others run side by side
+    (:func:`_searches`).  The first point, in grid order, that fails raises
+    its error.
     """
-    from .stability import _classification_box, rightmost_abscissae
+    from .stability import _classification_box, _predator_free_abscissa
 
-    heads, qps, boxes = [], [], []
+    entries = []  # (head, abscissa or None for a search) or (error, None)
+    qps, boxes = [], []
     for point in points:
         try:
-            head, qp, coeffs = _sweep_point(model, *point)
+            head, coeffs, qp = _sweep_point(model, *point)
         except Exception as exc:  # an earlier point's search may fail first
-            heads.append(exc)
+            entries.append((exc, None))
             continue
-        heads.append(head)
-        qps.append(qp)
-        boxes.append(_classification_box(point[1], coeffs))
-    found = iter(rightmost_abscissae(qps, boxes))
+        if qp is None:
+            entries.append((head, _predator_free_abscissa(point[1], coeffs)))
+        else:
+            entries.append((head, None))
+            qps.append(qp)
+            boxes.append(_classification_box(point[1], coeffs))
+    found = iter(_searches(qps, boxes))
     rows = []
-    for head in heads:
-        result = head if isinstance(head, Exception) else next(found)
+    for head, result in entries:
+        if isinstance(head, Exception):
+            raise head
+        if result is None:
+            result = next(found)
         if isinstance(result, Exception):
             raise result
         rows.append(f"{head},{float(result[0])!r}")
@@ -455,8 +503,9 @@ def _parser() -> argparse.ArgumentParser:
                        help="override stepper.t_end")
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
-                           help="accepted for compatibility; the grid's "
-                           "points are searched side by side in one thread")
+                           help="accepted for compatibility and ignored; "
+                           "the grid's points are shared among the usable "
+                           "CPUs")
     return ap
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equilibria import (CrossCheckError, Equilibrium, EquilibriumKind,
-                         NoConvergenceError, WindingError)
+                         NoConvergenceError, WindingError, _bracketed_root)
 from .model import ModelSpec, reproduction_number
 from .responses import ResponseKind
 
@@ -521,6 +521,38 @@ def _classification_box(d: float, coeffs: LinearizationCoeffs):
     return (re_min, re_max, -1e-3, im_max)
 
 
+def _predator_free_abscissa(d: float, coeffs: LinearizationCoeffs
+                            ) -> tuple[float, complex]:
+    """(abscissa, rightmost root) at the predator-free state (K, 0, 0).
+
+    There C = eta = 0, so G(lambda) = (lambda - A) h(lambda) with
+    h(lambda) = lambda + d - D e^(-lambda tau*).  For D >= 0, h is strictly
+    increasing on the reals and its real root lambda* is its rightmost root:
+    Re lambda >= lambda* gives |lambda + d| >= lambda* + d
+    = D e^(-lambda* tau*) >= |D e^(-lambda tau*)|, with equality only on the
+    real axis.  lambda* lies in [-d, max(0, D - d)], where h changes sign; it
+    is bracketed there and polished by two Newton steps on h.  While
+    D <= 2 d, h is evaluated as lambda + (d - D) - D expm1(-lambda tau*), whose
+    terms do not cancel as lambda* nears 0.  The rightmost root is the larger
+    of A and lambda*.
+    """
+    A, D, tau = coeffs.A, coeffs.D, coeffs.tau_star
+    if D <= 2.0 * d:
+        gap = d - D
+
+        def h(lam: float) -> float:
+            return lam + gap - D * math.expm1(-lam * tau)
+    else:
+        def h(lam: float) -> float:
+            return lam + d - D * math.exp(-lam * tau)
+
+    lam = _bracketed_root(h, -d, max(0.0, D - d), xtol=1e-15, rtol=8.9e-16)
+    for _ in range(2):
+        lam -= h(lam) / (1.0 + tau * D * math.exp(-lam * tau))
+    rm = max(A, lam)
+    return rm, complex(rm, 0.0)
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     """Explicit stability/attraction inequalities with their margins.
@@ -624,18 +656,22 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
     The origin is always unstable (the prey growth mode).  The predator-free
     state is classified by the sign of n e^{-dj tau(0)} f(K,0) - d, with the
     equality case reported as neutrally stable (a simple zero root, all other
-    roots in the closed left half plane).  A coexistence point is classified
-    for the Beddington-DeAngelis response by the algebraic route (no zero
-    root, no imaginary-axis crossing for any delay, delay-free quadratic
-    stable) and cross-checked against the numerical spectral abscissa: an
-    algebraic "stable" with an abscissa above 1e-8 raises
-    :class:`CrossCheckError`.  Other responses and the d > dj regime return
-    an "unsupported" verdict carrying the numerical abscissa only.
+    roots in the closed left half plane).  Its linearization is triangular
+    (C = eta = 0), so G(lambda) = (lambda - A)(lambda + d - D e^{-lambda
+    tau(0)}) with A = -r, and its abscissa is max(A, lambda*), lambda* the
+    unique real root of the second factor (see
+    :func:`_predator_free_abscissa`); no contour search runs there.  A
+    coexistence point is classified for the Beddington-DeAngelis response
+    by the algebraic route (no zero root, no imaginary-axis crossing for any
+    delay, delay-free quadratic stable) and cross-checked against the
+    numerical spectral abscissa: an algebraic "stable" with an abscissa
+    above 1e-8 raises :class:`CrossCheckError`.  Other responses and the
+    d > dj regime return an "unsupported" verdict carrying the numerical
+    abscissa only.
     """
     p = model.params
     coeffs = linearize_at(model, eq)
     qp = quasi_polynomial(model, coeffs)
-    box = _classification_box(p.d, coeffs)
 
     if eq.kind == EquilibriumKind.TRIVIAL:
         return StabilityVerdict(
@@ -655,13 +691,12 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
         else:
             verdict, reason = Verdict.NEUTRALLY_STABLE, (
                 "recruitment gain equals mortality: simple zero root")
-        rm, roots = rightmost_abscissa(qp, box=box)
+        rm, root = _predator_free_abscissa(p.d, coeffs)
         return StabilityVerdict(verdict, eq, coeffs, reason, qp=qp,
-                                rightmost=rm,
-                                rightmost_root=roots[0] if roots else None)
+                                rightmost=rm, rightmost_root=root)
 
     # coexistence
-    rm, roots = rightmost_abscissa(qp, box=box)
+    rm, roots = rightmost_abscissa(qp, box=_classification_box(p.d, coeffs))
     root0 = roots[0] if roots else None
 
     if model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:

@@ -9,8 +9,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from preydelay import (ModelParams, ModelSpec, beddington_deangelis,
-                       consistent_history, constant_delay, default_stepper,
-                       integrate, linear, saturating_delay)
+                       consistent_history, constant_delay, crowley_martin,
+                       default_stepper, holling1, holling2, holling3,
+                       integrate, ivlev, linear, power_law, saturating_delay,
+                       saturation)
 
 # Pinned acceptance model: Beddington-DeAngelis with pure predator
 # interference (k1 = 0) and a saturating delay.  Independently solved
@@ -86,6 +88,32 @@ def linear_family_model(R_target: float) -> ModelSpec:
     b = R_target * d / (n * math.exp(-dj * tau_m) * K)
     return ModelSpec(ModelParams(r, K, n, dj, d),
                      saturating_delay(tau_m, 1.0, 1.0), linear(b))
+
+
+# (name, draw) for each response of the catalog: draw(rng) builds one with
+# random coefficients inside its hypotheses
+ALL_FORMS = [
+    ("Linear", lambda rng: linear(b=rng.uniform(0.2, 3.0))),
+    ("PowerLaw", lambda rng: power_law(b=rng.uniform(0.2, 2.0),
+                                       k=rng.uniform(1.1, 2.5))),
+    ("HollingI", lambda rng: holling1(a=rng.uniform(0.2, 2.0),
+                                      b=rng.uniform(0.5, 3.0))),
+    ("HollingII", lambda rng: holling2(b=rng.uniform(0.2, 3.0),
+                                       h=rng.uniform(0.1, 1.5))),
+    ("HollingIII", lambda rng: holling3(b=rng.uniform(0.2, 3.0),
+                                        h=rng.uniform(0.1, 1.5))),
+    ("Saturation", lambda rng: saturation(b=rng.uniform(0.2, 2.0),
+                                          h=rng.uniform(0.1, 1.0),
+                                          k=rng.uniform(1.2, 2.0))),
+    ("Ivlev", lambda rng: ivlev(b=rng.uniform(0.2, 3.0),
+                                c=rng.uniform(0.2, 2.0))),
+    ("BeddingtonDeAngelis", lambda rng: beddington_deangelis(
+        b=rng.uniform(0.2, 3.0), k1=rng.uniform(0.0, 1.0),
+        k2=rng.uniform(0.0, 1.5))),
+    ("CrowleyMartin", lambda rng: crowley_martin(
+        b=rng.uniform(0.2, 3.0), k1=rng.uniform(0.0, 1.0),
+        k2=rng.uniform(0.0, 1.5))),
+]
 
 
 # An R > 1 draw (linear response, R = 12.46) whose largest probe history

@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from preydelay import cli
+from preydelay import cli, stability
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
 from preydelay.engine import LagDomainError, default_stepper
 from preydelay.model import HistoryConsistencyWarning
-from preydelay.equilibria import NoConvergenceError
+from preydelay.equilibria import NoConvergenceError, WindingError
+
+from forking import assert_no_child_left, serially
 
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
@@ -193,13 +195,15 @@ def test_sweep_writes_mandated_header(tmp_path):
     assert row[5] in ("true", "false")
 
 
+SWEEP_18 = {"k2": [1.0, 10.0], "d": [0.3, 0.45, 5.0], "tau_m": [0.25, 0.75],
+            "tau_M": [0.5, 1.0]}
+
+
 def test_sweep_rows_match_one_point_at_a_time(tmp_path):
     from preydelay import (ModelSpec, boundary_equilibria,
                            classify_equilibrium, solve_coexistence)
 
-    cfg = write_config(tmp_path / "cfg.json",
-                       sweep={"k2": [1.0, 10.0], "d": [0.3, 0.45, 5.0],
-                              "tau_m": [0.25, 0.75], "tau_M": [0.5, 1.0]})
+    cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     base = cli.load_scenario(cfg).model.to_dict()
     rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
@@ -213,6 +217,66 @@ def test_sweep_rows_match_one_point_at_a_time(tmp_path):
         eq = solve_coexistence(point) or boundary_equilibria(point)[1]
         want = classify_equilibrium(point, eq).rightmost
         assert row.split(",")[-1] == repr(float(want))
+
+
+def test_forked_sweep_writes_the_serial_bytes(forks, monkeypatch, tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
+    argv = ["sweep", "--config", str(cfg), "--out"]
+    assert main(argv + [str(tmp_path / "short")]) == EXIT_OK
+    assert forks[0] == 0  # fewer searches than the fork needs
+    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_SEARCHES", 2)
+    assert main(argv + [str(tmp_path / "forked")]) == EXIT_OK
+    assert forks[0] == 1
+    assert serially(monkeypatch, lambda: main(
+        argv + [str(tmp_path / "serial")])) == EXIT_OK
+    assert forks[0] == 1
+    csvs = [(tmp_path / run / "sweep.csv").read_bytes()
+            for run in ("short", "forked", "serial")]
+    assert csvs[0] == csvs[1] == csvs[2]
+    assert_no_child_left()
+
+
+def test_forked_sweep_raises_the_first_failing_point(forks, monkeypatch,
+                                                    tmp_path, capsys):
+    # the coexistence points' quasi-polynomials in grid order; the search of
+    # the second (a child's share) and the third (the caller's) fails
+    cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
+    model = cli.load_scenario(cfg).model
+    qps = [cli._sweep_point(model, k2, d, tau_m, tau_M)[2]
+           for k2 in SWEEP_18["k2"] for d in SWEEP_18["d"]
+           for tau_m in SWEEP_18["tau_m"] for tau_M in SWEEP_18["tau_M"]
+           if tau_m <= tau_M]
+    failing = [qp for qp in qps if qp is not None][1:3]
+    search = stability.rightmost_abscissae
+
+    def failing_search(qps, boxes):
+        return [WindingError(f"search {failing.index(qp)} failed")
+                if qp in failing else result
+                for qp, result in zip(qps, search(qps, boxes))]
+
+    monkeypatch.setattr(stability, "rightmost_abscissae", failing_search)
+    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_SEARCHES", 2)
+    argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert forks[0] == 1
+    assert serially(monkeypatch, lambda: main(argv)) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == "numerical failure: search 0 failed\n" * 2
+    assert not (tmp_path / "sweep.csv").exists()
+    assert_no_child_left()
+
+
+def test_sweep_runs_no_contour_search_where_nothing_coexists(tmp_path,
+                                                            monkeypatch):
+    def windings(*args):
+        raise WindingError("contour search at the predator-free state")
+
+    monkeypatch.setattr(stability, "_windings", windings)
+    cfg = write_config(tmp_path / "cfg.json",
+                       sweep={"k2": [1.0, 10.0], "d": [5.0]})
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[5] for row in rows] == ["false", "false"]
 
 
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
@@ -308,6 +372,19 @@ def test_tabulated_history_short_of_the_delay_range_exits_2(tmp_path, capsys,
 def test_tabulated_history_covering_the_delay_range_loads(tmp_path, times):
     cfg = write_config(tmp_path / "cfg.json", history=tabulated(times))
     assert cli.load_scenario(cfg).history.knots == tuple(times)
+
+
+@pytest.mark.parametrize("name, values, message", [
+    ("x", [2.0, 2.0, 2.0], "history.series.x has 3 values, history.times 2"),
+    ("yj", 0.3, "history.series.yj must be a list")])
+def test_tabulated_series_off_the_times_names_its_key(tmp_path, capsys, name,
+                                                      values, message):
+    history = tabulated([-1.0, 0.0])
+    history["series"][name] = values
+    cfg = write_config(tmp_path / "cfg.json", history=history)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_config_step_sizes_follow_default_stepper(tmp_path):

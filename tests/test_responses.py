@@ -3,32 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from preydelay import (beddington_deangelis, crowley_martin, eval_response,
-                       holling1, holling2, holling3, ivlev, linear,
-                       make_response, power_law, saturation)
+from preydelay import (beddington_deangelis, eval_response, holling1,
+                       holling2, make_response, power_law)
 
-ALL_FORMS = [
-    ("Linear", lambda rng: linear(b=rng.uniform(0.2, 3.0))),
-    ("PowerLaw", lambda rng: power_law(b=rng.uniform(0.2, 2.0),
-                                       k=rng.uniform(1.1, 2.5))),
-    ("HollingI", lambda rng: holling1(a=rng.uniform(0.2, 2.0),
-                                      b=rng.uniform(0.5, 3.0))),
-    ("HollingII", lambda rng: holling2(b=rng.uniform(0.2, 3.0),
-                                       h=rng.uniform(0.1, 1.5))),
-    ("HollingIII", lambda rng: holling3(b=rng.uniform(0.2, 3.0),
-                                        h=rng.uniform(0.1, 1.5))),
-    ("Saturation", lambda rng: saturation(b=rng.uniform(0.2, 2.0),
-                                          h=rng.uniform(0.1, 1.0),
-                                          k=rng.uniform(1.2, 2.0))),
-    ("Ivlev", lambda rng: ivlev(b=rng.uniform(0.2, 3.0),
-                                c=rng.uniform(0.2, 2.0))),
-    ("BeddingtonDeAngelis", lambda rng: beddington_deangelis(
-        b=rng.uniform(0.2, 3.0), k1=rng.uniform(0.0, 1.0),
-        k2=rng.uniform(0.0, 1.5))),
-    ("CrowleyMartin", lambda rng: crowley_martin(
-        b=rng.uniform(0.2, 3.0), k1=rng.uniform(0.0, 1.0),
-        k2=rng.uniform(0.0, 1.5))),
-]
+from conftest import ALL_FORMS
 
 
 def test_holling2_point_value():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,14 +9,16 @@ from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
                        QuasiPolynomial, Verdict, WindingError,
                        beddington_deangelis, boundary_equilibria,
                        characteristic_eval, check_global_conditions,
-                       classify_equilibrium, constant_delay, holling2,
-                       linearize_at, quartic_classify, quasi_polynomial,
-                       reproduction_number, rightmost_abscissa,
-                       saturating_delay, solve_coexistence, stability)
+                       classify_equilibrium, constant_delay, exp_delay,
+                       holling2, linearize_at, quartic_classify,
+                       quasi_polynomial, reproduction_number,
+                       rightmost_abscissa, saturating_delay,
+                       solve_coexistence, stability)
 from preydelay.stability import (CrossCheckError, _windings,
                                  imaginary_crossing_quartic,
                                  rightmost_abscissae)
 
+from conftest import ALL_FORMS
 from oracles import cheb_collocation_abscissa, quartic_has_positive_root
 
 
@@ -368,6 +371,99 @@ def test_rightmost_finds_every_root_of_a_winding_two_box():
             hi = mid
     assert ab == pytest.approx(0.5 * (lo + hi), abs=1e-8)
     assert len(roots) == 2
+
+
+# --------------------------------------------------------------------------
+# closed form at the predator-free state
+
+
+def predator_free_sample(rng, per_pair):
+    """``per_pair`` random models for each catalog response and delay kind,
+    with the parameter ranges of the random Beddington-DeAngelis sample."""
+    models = []
+    for _, draw in ALL_FORMS:
+        for kind in ("constant", "saturating", "exp"):
+            for _ in range(per_pair):
+                params = ModelParams(
+                    r=rng.uniform(0.3, 3.0), K=rng.uniform(1.0, 10.0),
+                    n=rng.uniform(0.5, 3.0), dj=rng.uniform(0.05, 1.5),
+                    d=rng.uniform(0.05, 1.5))
+                tau_m = rng.uniform(0.05, 2.0)
+                tau_M = tau_m * rng.uniform(1.0, 3.0)
+                delay = (constant_delay(tau_m) if kind == "constant" else
+                         saturating_delay(tau_m, tau_M, rng.uniform(0.1, 5.0))
+                         if kind == "saturating" else
+                         exp_delay(tau_m, tau_M, rng.uniform(0.1, 5.0)))
+                models.append(ModelSpec(params, delay, draw(rng)))
+    return models
+
+
+def factored_abscissa(A, D, d, tau):
+    """max(A, lambda*), lambda* the real root of lambda + d - D e^(-lambda tau),
+    solved to 40 digits on its bracket [-d, max(0, D - d)]."""
+    with mpmath.workdps(40):
+        A, D, d, tau = map(mpmath.mpf, (A, D, d, tau))
+        lam = mpmath.findroot(lambda v: v + d - D * mpmath.exp(-v * tau),
+                              (-d, max(0, D - d)), solver="anderson")
+        return max(A, lam)
+
+
+def test_predator_free_abscissa_is_the_factored_root():
+    models = predator_free_sample(np.random.default_rng(20261020), 8)
+    assert len(models) == 216
+    prey_mode = 0
+    for m in models:
+        v = classify_equilibrium(m, boundary_equilibria(m)[1])
+        co = v.coeffs
+        assert co.C == 0.0 and co.eta == 0.0
+        assert v.rightmost_root == complex(v.rightmost, 0.0)
+        want = cheb_collocation_abscissa(co.A, co.B, co.C, co.D, co.eta,
+                                         m.params.d, co.tau_star, n_nodes=64)
+        assert abs(v.rightmost - want) <= 1e-9, m
+        exact = factored_abscissa(co.A, co.D, m.params.d, co.tau_star)
+        ulps = abs(mpmath.mpf(v.rightmost) - exact) / math.ulp(float(exact))
+        assert ulps <= 4.0, m
+        prey_mode += v.rightmost == co.A
+    # both factors supply the rightmost root somewhere in the sample
+    assert 0 < prey_mode < len(models)
+
+
+# the predator-free state of a dichotomy-benchmark draw whose contour search
+# returned the prey mode -r and missed the predator mode at -0.58288
+MISSED_PREDATOR_MODE = {
+    "params": {"r": 0.7417819335834331, "K": 2.2591224468730573,
+               "n": 0.9620914062575359, "dj": 0.3047767741415909,
+               "d": 0.9294229573588755},
+    "delay": {"kind": "saturating", "coefficients": {"theta": 0.8169347595678048},
+              "tau_m": 0.4218006019535824, "tau_M": 0.5496928246210455},
+    "response": {"kind": "Linear", "coefficients": {"b": 0.1417912883334469}}}
+
+
+def test_predator_free_abscissa_finds_the_predator_mode():
+    m = ModelSpec.from_dict(MISSED_PREDATOR_MODE)
+    v = classify_equilibrium(m, boundary_equilibria(m)[1])
+    co = v.coeffs
+    want = cheb_collocation_abscissa(co.A, co.B, co.C, co.D, co.eta,
+                                     m.params.d, co.tau_star, n_nodes=64)
+    assert want == pytest.approx(-0.5828848006287, abs=1e-12)
+    assert abs(v.rightmost - want) <= 1e-9
+    assert v.verdict == Verdict.STABLE
+
+
+def test_predator_free_state_runs_no_contour_search(monkeypatch, bd_model,
+                                                    const_delay_model):
+    models = (bd_model, const_delay_model,
+              ModelSpec.from_dict(MISSED_PREDATOR_MODE))
+    e1s = [boundary_equilibria(m)[1] for m in models]
+    before = [classify_equilibrium(m, e1) for m, e1 in zip(models, e1s)]
+
+    def search(*args, **kwargs):
+        raise WindingError("contour search at the predator-free state")
+
+    monkeypatch.setattr(stability, "rightmost_abscissa", search)
+    monkeypatch.setattr(stability, "rightmost_abscissae", search)
+    for m, e1, want in zip(models, e1s, before):
+        assert classify_equilibrium(m, e1) == want
 
 
 # --------------------------------------------------------------------------
