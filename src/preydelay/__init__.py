@@ -36,11 +36,11 @@ from .responses import (FunctionalResponse, ResponseKind,
                         make_response, power_law, saturation)
 
 _LAZY = {
-    "stability": ("ConditionReport", "LinearizationCoeffs", "QuarticReport",
-                  "QuasiPolynomial", "StabilityVerdict", "Verdict",
-                  "characteristic_eval", "check_global_conditions",
-                  "classify_equilibrium", "linearize_at", "quartic_classify",
-                  "quasi_polynomial", "rightmost_abscissa"),
+    "stability": ("ConditionReport", "LinearizationCoeffs", "QuasiPolynomial",
+                  "StabilityVerdict", "Verdict", "characteristic_eval",
+                  "check_global_conditions", "classify_equilibrium",
+                  "imaginary_crossings", "linearize_at", "quasi_polynomial",
+                  "rightmost_abscissa"),
     "analysis": ("BoundednessCertificate", "BracketSequences",
                  "ComparisonReport", "ConvergenceReport", "DichotomyVerdict",
                  "InconclusiveError", "ScalarLimitResult",

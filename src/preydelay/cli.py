@@ -139,8 +139,12 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
                       csv=odoc.get("csv"), svg=odoc.get("svg"))
     sweep = doc.get("sweep")
     if sweep is not None:
-        check_keys(sweep, "sweep", set(),
-                    {"k2", "d", "tau_m", "tau_M", "horizon"})
+        check_keys(sweep, "sweep", set(), {"k2", "d", "tau_m", "tau_M"})
+        for axis, values in sweep.items():
+            if not (isinstance(values, list) and all(
+                    isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    for v in values)):
+                raise ConfigError(f"sweep.{axis} must be a list of numbers")
     return Scenario(model=model, history=history, stepper=stepper,
                     outputs=outputs, sweep=sweep)
 
@@ -361,11 +365,9 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
                  tau_M: float):
     """One grid point's CSV fields up to ``thm8_pass``, with the
     linearization whose spectral abscissa completes the row (computed by
-    :func:`_sweep_rows`): (head, coefficients, quasi-polynomial).  The
-    quasi-polynomial is None at a point with no coexistence state, where the
-    abscissa is the predator-free state's closed form."""
-    from .stability import (check_global_conditions, linearize_at,
-                            quasi_polynomial)
+    :func:`_sweep_rows`): (head, coefficients).  The linearization is at the
+    coexistence state, or at the predator-free state where there is none."""
+    from .stability import check_global_conditions, linearize_at
 
     base = model.to_dict()
     base["params"]["d"] = d
@@ -386,72 +388,31 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
                      repr(float(tau_M)), repr(float(R)),
                      str(coex is not None).lower(), str(thm7).lower(),
                      str(thm8).lower()])
-    coeffs = linearize_at(point, eq)
-    return head, coeffs, (None if coex is None
-                          else quasi_polynomial(point, coeffs))
-
-
-# The coexistence searches of a sweep are shared among the usable CPUs from
-# this many on.  On a 2-core x86-64 VM, searching the first n of the 108
-# coexistence points of the 144-point grid in tests/working_set.py took,
-# forked, a median 5x its serial time at n = 8-12, 1.0x at 48, 0.91-0.97x at
-# 64-72, 0.75x at 80 and 0.62x at 96-108 (25 alternating pairs each); a
-# fork_map of two trivial items took 2.6 ms.
-_SWEEP_FORK_MIN_SEARCHES = 80
-
-
-def _searches(qps, boxes) -> list:
-    """``rightmost_abscissae(qps, boxes)``, shared among the usable CPUs
-    through :func:`preydelay._forkmap.fork_map` from
-    ``_SWEEP_FORK_MIN_SEARCHES`` searches on; the results are the same."""
-    from .stability import rightmost_abscissae
-
-    if len(qps) < _SWEEP_FORK_MIN_SEARCHES:
-        return rightmost_abscissae(qps, boxes)
-    from ._forkmap import _usable_cpus, fork_map
-
-    # every n-th search to each CPU, so that each gets a share of the
-    # whole grid and the shares cost alike
-    n = _usable_cpus()
-    results = [None] * len(qps)
-    shares = fork_map(lambda w: rightmost_abscissae(qps[w::n], boxes[w::n]),
-                      range(n))
-    for w, share in enumerate(shares):
-        results[w::n] = share
-    return results
+    return head, linearize_at(point, eq)
 
 
 def _sweep_rows(model: ModelSpec, points) -> list[str]:
-    """CSV rows of the grid points.
-
-    A point with no coexistence state takes the predator-free state's closed
-    form; the spectral searches of the others run side by side
-    (:func:`_searches`).  The first point, in grid order, that fails raises
-    its error.
+    """CSV rows of the grid points, their abscissae from one
+    :func:`preydelay.stability.spectral_abscissae` call.  The first point,
+    in grid order, that fails raises its error.
     """
-    from .stability import _classification_box, _predator_free_abscissa
+    from .stability import spectral_abscissae
 
-    entries = []  # (head, abscissa or None for a search) or (error, None)
-    qps, boxes = [], []
+    heads, linearizations = [], []
     for point in points:
         try:
-            head, coeffs, qp = _sweep_point(model, *point)
+            head, coeffs = _sweep_point(model, *point)
         except Exception as exc:  # an earlier point's search may fail first
-            entries.append((exc, None))
+            heads.append(exc)
             continue
-        if qp is None:
-            entries.append((head, _predator_free_abscissa(point[1], coeffs)))
-        else:
-            entries.append((head, None))
-            qps.append(qp)
-            boxes.append(_classification_box(point[1], coeffs))
-    found = iter(_searches(qps, boxes))
+        heads.append(head)
+        linearizations.append((point[1], coeffs))
+    found = iter(spectral_abscissae(linearizations))
     rows = []
-    for head, result in entries:
+    for head in heads:
         if isinstance(head, Exception):
             raise head
-        if result is None:
-            result = next(found)
+        result = next(found)
         if isinstance(result, Exception):
             raise result
         rows.append(f"{head},{float(result[0])!r}")

@@ -7,11 +7,12 @@ Freezing the delay at an equilibrium (x*, y*) gives the linear system
 
 whose spectrum solves G(lambda) = lambda^2 + H1 lambda + H2
 + (N1 lambda + N2) exp(-lambda tau*) = 0 with H1 = d - eta - A,
-H2 = A (eta - d), N1 = -D, N2 = A D + B C.  Purely imaginary roots
-i v correspond to positive real roots of a quartic in v, classified
-exactly through the resolvent cubic; the rightmost spectral abscissa is
-located numerically by argument-principle winding counts on subdivided
-rectangles with Newton refinement.
+H2 = A (eta - d), N1 = -D, N2 = A D + B C.  A purely imaginary root
+i omega needs omega^2 to be a positive root of a quadratic.  The rightmost
+spectral abscissa is the larger of two real roots in closed form where the
+linearization is triangular (C = eta = 0), and is located numerically
+elsewhere, by argument-principle winding counts on subdivided rectangles
+with Newton refinement.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .responses import ResponseKind
 __all__ = [
     "LinearizationCoeffs",
     "QuasiPolynomial",
-    "QuarticReport",
     "StabilityVerdict",
     "ConditionReport",
     "Verdict",
@@ -40,7 +40,8 @@ __all__ = [
     "characteristic_eval",
     "rightmost_abscissa",
     "rightmost_abscissae",
-    "quartic_classify",
+    "imaginary_crossings",
+    "spectral_abscissae",
     "classify_equilibrium",
     "check_global_conditions",
 ]
@@ -105,7 +106,10 @@ def linearize_at(model: ModelSpec, eq: Equilibrium) -> LinearizationCoeffs:
 
 
 def quasi_polynomial(model: ModelSpec, coeffs: LinearizationCoeffs) -> QuasiPolynomial:
-    d = model.params.d
+    return _quasi_polynomial(model.params.d, coeffs)
+
+
+def _quasi_polynomial(d: float, coeffs: LinearizationCoeffs) -> QuasiPolynomial:
     return QuasiPolynomial(
         H1=d - coeffs.eta - coeffs.A,
         H2=coeffs.A * (coeffs.eta - d),
@@ -121,114 +125,29 @@ def characteristic_eval(qp: QuasiPolynomial, lam: complex) -> complex:
 
 
 # --------------------------------------------------------------------------
-# quartic classifier
+# imaginary-axis crossings
 
 
-@dataclass(frozen=True)
-class QuarticReport:
-    """Decision data for positive real roots of v^4 + Q1 v^3 + Q2 v^2 + Q3 v + Q4.
+def imaginary_crossings(qp: QuasiPolynomial) -> tuple[float, ...]:
+    """Frequencies omega > 0, largest first, at which i omega can be a root.
 
-    The resolvent cubic of h'(v)/4 (depressed by v = w - Q1/4) has
-    M = Q2/2 - 3 Q1^2/16, N = Q1^3/32 - Q1 Q2/8 + Q3/4 and discriminant
-    delta = (N/2)^2 + (M/3)^3; its roots Y_i give the critical points
-    v_i = Y_i - Q1/4 of the quartic, from which existence of a positive real
-    root follows by sign inspection.
+    G(i omega) = 0 needs |P(i omega)| = |Q(i omega)| for P(lambda) =
+    lambda^2 + H1 lambda + H2 and Q(lambda) = N1 lambda + N2, that is
+    v^2 + B1 v + B2 = 0 in v = omega^2 with B1 = H1^2 - 2 H2 - N1^2 and
+    B2 = H2^2 - N2^2.  The root of larger modulus is taken where its two
+    terms do not cancel and the other as B2 over it; each positive root v
+    gives omega = sqrt(v).  Both roots are positive only for B1 < 0, where
+    the larger-modulus root is the larger one.
     """
-
-    Q1: float
-    Q2: float
-    Q3: float
-    Q4: float
-    M: float
-    N: float
-    delta: float
-    Y1: complex
-    Y2: complex
-    Y3: complex
-    v1: complex
-    v2: complex
-    v3: complex
-    has_positive_root: bool
-    case: str
-
-    def h(self, v: float) -> float:
-        return ((((v + self.Q1) * v + self.Q2) * v + self.Q3) * v + self.Q4)
-
-    def boundary_distance(self) -> float:
-        """Distance to the nearest decision boundary (for margin exclusion)."""
-        dist = abs(self.Q4)
-        if self.case == "negative_constant":
-            return dist
-        dist = min(dist, abs(self.delta))
-        for v in (self.v1, self.v2, self.v3):
-            if abs(v.imag) <= 1e-9:
-                vr = v.real
-                dist = min(dist, abs(vr))
-                if vr > 0.0:
-                    dist = min(dist, abs(self.h(vr)))
-        return dist
-
-
-_SIGMA = complex(-0.5, 0.5 * math.sqrt(3.0))
-
-
-def quartic_classify(Q1: float, Q2: float, Q3: float, Q4: float) -> QuarticReport:
-    """Decide whether the quartic has a positive real root, by cases.
-
-    (i) Q4 < 0: h(0) < 0 and h(+inf) = +inf force a positive root.
-    (ii) delta >= 0: the quartic has a single real critical point v1 (its
-        global minimum); a positive root exists iff v1 > 0 and h(v1) < 0.
-    (iii) delta < 0: three real critical points; a positive root exists iff
-        some positive critical point has h <= 0.
-
-    The report always carries the Cardano data (sigma pairing of the two cube
-    roots); complex-valued candidates are excluded when |Im| > 1e-9.
-    """
-    M = 0.5 * Q2 - 3.0 * Q1 * Q1 / 16.0
-    N = Q1 ** 3 / 32.0 - Q1 * Q2 / 8.0 + Q3 / 4.0
-    delta = (0.5 * N) ** 2 + (M / 3.0) ** 3
-
-    if delta >= 0.0:
-        rd = math.sqrt(delta)
-        u = float(np.cbrt(-0.5 * N + rd))
-        w = float(np.cbrt(-0.5 * N - rd))
-        uc, wc = complex(u), complex(w)
-    else:
-        uc = (complex(-0.5 * N, math.sqrt(-delta))) ** (1.0 / 3.0)
-        wc = uc.conjugate()
-    Y1 = uc + wc
-    Y2 = _SIGMA * uc + _SIGMA ** 2 * wc
-    Y3 = _SIGMA ** 2 * uc + _SIGMA * wc
-    shift = Q1 / 4.0
-    v1, v2, v3 = (Y - shift for Y in (Y1, Y2, Y3))
-
-    def h(v: float) -> float:
-        return (((v + Q1) * v + Q2) * v + Q3) * v + Q4
-
-    if Q4 < 0.0:
-        case = "negative_constant"
-        has_root = True
-    elif delta >= 0.0:
-        case = "single_minimum"
-        vr = v1.real
-        has_root = vr > 0.0 and h(vr) < 0.0
-    else:
-        case = "three_critical_points"
-        has_root = any(
-            v.real > 0.0 and h(v.real) <= 0.0
-            for v in (v1, v2, v3) if abs(v.imag) <= 1e-9
-        )
-
-    return QuarticReport(Q1, Q2, Q3, Q4, M, N, delta, Y1, Y2, Y3,
-                         v1, v2, v3, has_root, case)
-
-
-def imaginary_crossing_quartic(qp: QuasiPolynomial) -> tuple[float, float]:
-    """(B1, B2) such that i v is a characteristic root only if
-    v^4 + B1 v^2 + B2 = 0 has the positive real root v^2 > 0."""
     B1 = qp.H1 * qp.H1 - 2.0 * qp.H2 - qp.N1 * qp.N1
     B2 = qp.H2 * qp.H2 - qp.N2 * qp.N2
-    return B1, B2
+    disc = B1 * B1 - 4.0 * B2
+    if disc < 0.0:
+        return ()
+    big = -0.5 * (B1 + math.copysign(math.sqrt(disc), B1))
+    if big == 0.0:  # B1 = B2 = 0: the double root v = 0
+        return ()
+    return tuple(math.sqrt(v) for v in (big, B2 / big) if v > 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -523,34 +442,92 @@ def _classification_box(d: float, coeffs: LinearizationCoeffs):
 
 def _predator_free_abscissa(d: float, coeffs: LinearizationCoeffs
                             ) -> tuple[float, complex]:
-    """(abscissa, rightmost root) at the predator-free state (K, 0, 0).
+    """(abscissa, rightmost root) at a triangular linearization.
 
-    There C = eta = 0, so G(lambda) = (lambda - A) h(lambda) with
+    Where C = eta = 0, as at the origin and the predator-free state
+    (K, 0, 0), G(lambda) = (lambda - A) h(lambda) with
     h(lambda) = lambda + d - D e^(-lambda tau*).  For D >= 0, h is strictly
     increasing on the reals and its real root lambda* is its rightmost root:
     Re lambda >= lambda* gives |lambda + d| >= lambda* + d
     = D e^(-lambda* tau*) >= |D e^(-lambda tau*)|, with equality only on the
-    real axis.  lambda* lies in [-d, max(0, D - d)], where h changes sign; it
-    is bracketed there and polished by two Newton steps on h.  While
-    D <= 2 d, h is evaluated as lambda + (d - D) - D expm1(-lambda tau*), whose
-    terms do not cancel as lambda* nears 0.  The rightmost root is the larger
-    of A and lambda*.
+    real axis.  For D = 0, lambda* = -d.  Otherwise lambda* lies in
+    [-d, max(0, D - d)], where h changes sign; it is bracketed there and
+    polished by two Newton steps on h.  While D <= 2 d, h is evaluated as
+    lambda + (d - D) - D expm1(-lambda tau*), whose terms do not cancel as
+    lambda* nears 0; where the exponential overflows, h is read as -inf.
+    The rightmost root is the larger of A and lambda*.
     """
     A, D, tau = coeffs.A, coeffs.D, coeffs.tau_star
-    if D <= 2.0 * d:
-        gap = d - D
-
-        def h(lam: float) -> float:
-            return lam + gap - D * math.expm1(-lam * tau)
+    if D == 0.0:
+        lam = -d
     else:
-        def h(lam: float) -> float:
-            return lam + d - D * math.exp(-lam * tau)
+        gap, small = d - D, D <= 2.0 * d
 
-    lam = _bracketed_root(h, -d, max(0.0, D - d), xtol=1e-15, rtol=8.9e-16)
-    for _ in range(2):
-        lam -= h(lam) / (1.0 + tau * D * math.exp(-lam * tau))
+        def h(lam: float) -> float:
+            try:
+                if small:
+                    return lam + gap - D * math.expm1(-lam * tau)
+                return lam + d - D * math.exp(-lam * tau)
+            except OverflowError:  # lam * tau far below zero
+                return -math.inf
+
+        lam = _bracketed_root(h, -d, max(0.0, D - d), xtol=1e-15, rtol=8.9e-16)
+        for _ in range(2):
+            lam -= h(lam) / (1.0 + tau * D * math.exp(-lam * tau))
     rm = max(A, lam)
     return rm, complex(rm, 0.0)
+
+
+# The searches of one spectral_abscissae call are shared among the usable
+# CPUs from this many on.  On a 2-core x86-64 VM, searching the first n of
+# the 108 coexistence points of the 144-point grid in tests/working_set.py
+# took, forked, a median 5x its serial time at n = 8-12, 1.0x at 48,
+# 0.91-0.97x at 64-72, 0.75x at 80 and 0.62x at 96-108 (25 alternating
+# pairs each); a fork_map of two trivial items took 2.6 ms.
+_FORK_MIN_SEARCHES = 80
+
+
+def spectral_abscissae(points) -> list:
+    """(abscissa, rightmost root or None) of each linearization, or the
+    :class:`WindingError` its search raised, in its place.
+
+    ``points`` holds (d, coefficients) pairs.  A triangular linearization
+    (C = eta = 0 and D >= 0: the origin and the predator-free state) takes
+    the closed form of :func:`_predator_free_abscissa`.  The others are
+    searched in one :func:`rightmost_abscissae` batch on their
+    :func:`_classification_box`; from ``_FORK_MIN_SEARCHES`` searches on,
+    every n-th search goes to each of the n usable CPUs through
+    :func:`preydelay._forkmap.fork_map`, and the results are the same.
+    """
+    results: list = []
+    slots, qps, boxes = [], [], []
+    for d, coeffs in points:
+        if coeffs.C == 0.0 and coeffs.eta == 0.0 and coeffs.D >= 0.0:
+            results.append(_predator_free_abscissa(d, coeffs))
+        else:
+            slots.append(len(results))
+            results.append(None)
+            qps.append(_quasi_polynomial(d, coeffs))
+            boxes.append(_classification_box(d, coeffs))
+    if not qps:
+        return results
+    if len(qps) < _FORK_MIN_SEARCHES:
+        found = rightmost_abscissae(qps, boxes)
+    else:
+        from ._forkmap import _usable_cpus, fork_map
+
+        # every n-th search to each CPU, so that each gets a share of the
+        # whole batch and the shares cost alike
+        n = _usable_cpus()
+        found = [None] * len(qps)
+        shares = fork_map(lambda w: rightmost_abscissae(qps[w::n], boxes[w::n]),
+                          range(n))
+        for w, share in enumerate(shares):
+            found[w::n] = share
+    for i, result in zip(slots, found):
+        results[i] = (result if isinstance(result, WindingError)
+                      else (result[0], result[1][0] if result[1] else None))
+    return results
 
 
 @dataclass(frozen=True)
@@ -644,7 +621,7 @@ class StabilityVerdict:
     coeffs: LinearizationCoeffs
     reason: str
     qp: QuasiPolynomial | None = None
-    quartic: QuarticReport | None = None
+    crossings: tuple[float, ...] | None = None
     rightmost: float | None = None
     rightmost_root: complex | None = None
     conditions: ConditionReport | None = None
@@ -653,31 +630,35 @@ class StabilityVerdict:
 def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
     """Stability verdict for a steady state.
 
-    The origin is always unstable (the prey growth mode).  The predator-free
-    state is classified by the sign of n e^{-dj tau(0)} f(K,0) - d, with the
-    equality case reported as neutrally stable (a simple zero root, all other
-    roots in the closed left half plane).  Its linearization is triangular
+    The abscissa comes from :func:`spectral_abscissae`.  The origin is
+    always unstable (the prey growth mode).  The predator-free state is
+    classified by the sign of n e^{-dj tau(0)} f(K,0) - d, with the equality
+    case reported as neutrally stable (a simple zero root, all other roots
+    in the closed left half plane).  Both linearizations are triangular
     (C = eta = 0), so G(lambda) = (lambda - A)(lambda + d - D e^{-lambda
-    tau(0)}) with A = -r, and its abscissa is max(A, lambda*), lambda* the
-    unique real root of the second factor (see
-    :func:`_predator_free_abscissa`); no contour search runs there.  A
-    coexistence point is classified for the Beddington-DeAngelis response
-    by the algebraic route (no zero root, no imaginary-axis crossing for any
-    delay, delay-free quadratic stable) and cross-checked against the
-    numerical spectral abscissa: an algebraic "stable" with an abscissa
-    above 1e-8 raises :class:`CrossCheckError`.  Other responses and the
-    d > dj regime return an "unsupported" verdict carrying the numerical
-    abscissa only.
+    tau(0)}), and the abscissa is max(A, lambda*), lambda* the unique real
+    root of the second factor (see :func:`_predator_free_abscissa`); no
+    contour search runs there.  A coexistence point is classified for the
+    Beddington-DeAngelis response by the algebraic route (no zero root, no
+    imaginary-axis crossing for any delay, delay-free quadratic stable) and
+    cross-checked against the numerical spectral abscissa: an algebraic
+    "stable" with an abscissa above 1e-8 raises :class:`CrossCheckError`.
+    Other responses and the d > dj regime return an "unsupported" verdict
+    carrying the numerical abscissa only.
     """
     p = model.params
     coeffs = linearize_at(model, eq)
     qp = quasi_polynomial(model, coeffs)
+    (found,) = spectral_abscissae([(p.d, coeffs)])
+    if isinstance(found, WindingError):
+        raise found
+    rm, root0 = found
 
     if eq.kind == EquilibriumKind.TRIVIAL:
         return StabilityVerdict(
             Verdict.UNSTABLE, eq, coeffs, qp=qp,
             reason=f"prey growth mode lambda = r = {p.r:g} > 0",
-            rightmost=p.r, rightmost_root=complex(p.r, 0.0))
+            rightmost=rm, rightmost_root=root0)
 
     if eq.kind == EquilibriumKind.PREDATOR_EXTINCTION:
         gain = model.maturation_gain(model.delay.tau(0.0), p.K, 0.0)
@@ -691,14 +672,10 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
         else:
             verdict, reason = Verdict.NEUTRALLY_STABLE, (
                 "recruitment gain equals mortality: simple zero root")
-        rm, root = _predator_free_abscissa(p.d, coeffs)
         return StabilityVerdict(verdict, eq, coeffs, reason, qp=qp,
-                                rightmost=rm, rightmost_root=root)
+                                rightmost=rm, rightmost_root=root0)
 
     # coexistence
-    rm, roots = rightmost_abscissa(qp, box=_classification_box(p.d, coeffs))
-    root0 = roots[0] if roots else None
-
     if model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:
         return StabilityVerdict(
             Verdict.UNSUPPORTED, eq, coeffs, qp=qp,
@@ -714,11 +691,10 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
                    "numerical abscissa attached",
             rightmost=rm, rightmost_root=root0, conditions=conditions)
 
-    B1, B2 = imaginary_crossing_quartic(qp)
-    quartic = quartic_classify(0.0, B1, 0.0, B2)
+    crossings = imaginary_crossings(qp)
     zero_excluded = qp.H2 + qp.N2 > 0.0
     delay_free_stable = (qp.H1 + qp.N1 > 0.0) and zero_excluded
-    if (not quartic.has_positive_root) and delay_free_stable:
+    if not crossings and delay_free_stable:
         if rm > 1e-8:
             raise CrossCheckError(
                 f"the algebraic route finds {eq.kind} point ({eq.x_star:.6g}, "
@@ -738,5 +714,5 @@ def classify_equilibrium(model: ModelSpec, eq: Equilibrium) -> StabilityVerdict:
         verdict = Verdict.NEUTRALLY_STABLE
         reason = f"numerical spectral abscissa {rm:.3g} within 1e-8 of zero"
     return StabilityVerdict(verdict, eq, coeffs, reason, qp=qp,
-                            quartic=quartic, rightmost=rm,
+                            crossings=crossings, rightmost=rm,
                             rightmost_root=root0, conditions=conditions)

@@ -17,7 +17,7 @@ import runpy
 import sys
 
 _ANY = ("xml.sax", "concurrent.futures", "numpy.polynomial", "numpy.ma",
-        "scipy")
+        "scipy", "preydelay._forkmap")
 _NEVER = ("preydelay.analysis", "preydelay.svg", *_ANY)
 _AT_START = ("numpy", "preydelay.stability", *_NEVER)
 

@@ -13,9 +13,9 @@ from preydelay import (ModelParams, ModelSpec, QuasiPolynomial,
                        beddington_deangelis, boundary_equilibria,
                        characteristic_eval, consistent_history,
                        correction_factor, default_stepper, extrapolated_limits,
-                       global_attraction_probe, integrate, lag_times, linear,
-                       linearize_at, make_delay, monotone_bounds,
-                       permanence_probe, quartic_classify, quasi_polynomial,
+                       global_attraction_probe, imaginary_crossings, integrate,
+                       lag_times, linear, linearize_at, make_delay,
+                       monotone_bounds, permanence_probe, quasi_polynomial,
                        reproduction_number, rightmost_abscissa,
                        saturating_delay, scalar_limit, solve_coexistence,
                        spread_histories, yj_integral, classify_equilibrium)
@@ -194,17 +194,22 @@ def test_c06_equilibrium_threshold_equivalence():
 
 
 def test_c07_quartic_classifier_vs_root_oracle():
+    # i omega is a root for some delay only if omega^4 + B1 omega^2 + B2 = 0
+    # has a positive root omega; the draws within 1e-9 of a decision
+    # boundary (B2 = 0, or a double root in omega^2) are skipped
     rng = np.random.default_rng(42)
     agreements = tested = 0
     while tested < 1000:
-        Q = rng.uniform(-3.0, 3.0, 4)
-        rep = quartic_classify(*Q)
-        if rep.boundary_distance() < 1e-9:
+        qp = QuasiPolynomial(*rng.uniform(-3.0, 3.0, 4), tau=1.0)
+        B1 = qp.H1 ** 2 - 2.0 * qp.H2 - qp.N1 ** 2
+        B2 = qp.H2 ** 2 - qp.N2 ** 2
+        if min(abs(B2), abs(B1 * B1 / 4.0 - B2) if B1 < 0.0 else math.inf) < 1e-9:
             continue
         tested += 1
-        agreements += rep.has_positive_root == quartic_has_positive_root(*Q)
+        agreements += (bool(imaginary_crossings(qp))
+                       == quartic_has_positive_root(0.0, B1, 0.0, B2))
     assert agreements == tested == 1000
-    announce(7, "quartic classifier agrees with the root oracle 1000/1000")
+    announce(7, "crossing quadratic agrees with the root oracle 1000/1000")
 
 
 def test_c08_spectral_checks(bd_model):
@@ -235,7 +240,7 @@ def test_c08_spectral_checks(bd_model):
     eq = solve_coexistence(bd_model)
     verdict = classify_equilibrium(bd_model, eq)
     assert verdict.verdict == "locally_asymptotically_stable"
-    assert not verdict.quartic.has_positive_root
+    assert verdict.crossings == ()
     assert verdict.rightmost < -1e-8
     announce(8, f"spectral checks (fixture abscissa {verdict.rightmost:.3f})")
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -224,7 +225,7 @@ def test_forked_sweep_writes_the_serial_bytes(forks, monkeypatch, tmp_path):
     argv = ["sweep", "--config", str(cfg), "--out"]
     assert main(argv + [str(tmp_path / "short")]) == EXIT_OK
     assert forks[0] == 0  # fewer searches than the fork needs
-    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_SEARCHES", 2)
+    monkeypatch.setattr(stability, "_FORK_MIN_SEARCHES", 2)
     assert main(argv + [str(tmp_path / "forked")]) == EXIT_OK
     assert forks[0] == 1
     assert serially(monkeypatch, lambda: main(
@@ -242,11 +243,12 @@ def test_forked_sweep_raises_the_first_failing_point(forks, monkeypatch,
     # the second (a child's share) and the third (the caller's) fails
     cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
     model = cli.load_scenario(cfg).model
-    qps = [cli._sweep_point(model, k2, d, tau_m, tau_M)[2]
-           for k2 in SWEEP_18["k2"] for d in SWEEP_18["d"]
-           for tau_m in SWEEP_18["tau_m"] for tau_M in SWEEP_18["tau_M"]
-           if tau_m <= tau_M]
-    failing = [qp for qp in qps if qp is not None][1:3]
+    points = [(d, cli._sweep_point(model, k2, d, tau_m, tau_M)[1])
+              for k2 in SWEEP_18["k2"] for d in SWEEP_18["d"]
+              for tau_m in SWEEP_18["tau_m"] for tau_M in SWEEP_18["tau_M"]
+              if tau_m <= tau_M]
+    failing = [stability._quasi_polynomial(d, coeffs)
+               for d, coeffs in points if coeffs.C != 0.0][1:3]
     search = stability.rightmost_abscissae
 
     def failing_search(qps, boxes):
@@ -255,7 +257,7 @@ def test_forked_sweep_raises_the_first_failing_point(forks, monkeypatch,
                 for qp, result in zip(qps, search(qps, boxes))]
 
     monkeypatch.setattr(stability, "rightmost_abscissae", failing_search)
-    monkeypatch.setattr(cli, "_SWEEP_FORK_MIN_SEARCHES", 2)
+    monkeypatch.setattr(stability, "_FORK_MIN_SEARCHES", 2)
     argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path)]
     assert main(argv) == EXIT_NUMERICAL
     assert forks[0] == 1
@@ -277,6 +279,37 @@ def test_sweep_runs_no_contour_search_where_nothing_coexists(tmp_path,
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
     rows = (tmp_path / "sweep.csv").read_text().strip().split("\n")[1:]
     assert [row.split(",")[5] for row in rows] == ["false", "false"]
+
+
+SWEEP_144_SHA256 = (
+    "9d0e6b099dfed8df598a8eced7abb9e18017dbfd606182a4e3449a008d3de61c")
+
+
+def test_sweep_of_144_points_is_pinned(tmp_path):
+    # the grid of tests/working_set.py on the demo model: 108 coexistence
+    # searches, enough to be shared among the CPUs, and 36 closed forms
+    from working_set import SWEEP_GRID
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(json.loads(DEMO_CONFIG.read_text()),
+                                   sweep=SWEEP_GRID)))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+    data = (tmp_path / "sweep.csv").read_bytes()
+    assert data.count(b"\n") == 145
+    assert hashlib.sha256(data).hexdigest() == SWEEP_144_SHA256
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"k2": 5.0}, "sweep.k2 must be a list of numbers"),
+    ({"d": ["a"]}, "sweep.d must be a list of numbers"),
+    ({"tau_M": [1.0, None]}, "sweep.tau_M must be a list of numbers"),
+    ({"tau_m": [True]}, "sweep.tau_m must be a list of numbers"),
+    ({"k2": [2.0], "horizon": 50.0}, "unknown key sweep.horizon")])
+def test_sweep_config_errors_name_their_key(tmp_path, capsys, sweep, message):
+    cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
@@ -481,11 +514,33 @@ def test_inexact_equilibrium_exits_3(tmp_path, monkeypatch, capsys):
     assert "numerical failure: equilibrium residual" in capsys.readouterr().err
 
 
+def test_stability_past_the_exponent_range_is_no_untyped_failure(tmp_path,
+                                                                 capsys):
+    # d tau(0) = 900 > log(DBL_MAX): e^(d tau) overflows in the closed form
+    # of the predator-free state, which reads its abscissa all the same
+    cfg = write_config(tmp_path / "cfg.json")
+    doc = json.loads(cfg.read_text())
+    doc["model"]["params"]["dj"] = 0.001
+    doc["model"]["delay"] = {"kind": "constant", "coefficients": {},
+                             "tau_m": 2000.0, "tau_M": 2000.0}
+    cfg.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        # the long delay's history quadrature and the coexistence search
+        # warn of their own
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc = main(["stability", "--config", str(cfg), "--out", str(tmp_path)])
+    # the coexistence state's contour search may still fail, with a typed
+    # error
+    assert rc in (EXIT_OK, EXIT_NUMERICAL)
+    if rc == EXIT_NUMERICAL:
+        assert capsys.readouterr().err.startswith("numerical failure: winding")
+
+
 def test_cross_check_disagreement_exits_3(tmp_path, monkeypatch, capsys):
     from preydelay import stability
 
-    monkeypatch.setattr(stability, "rightmost_abscissa",
-                        lambda qp, box=None: (0.25, [complex(0.25, 1.0)]))
+    monkeypatch.setattr(stability, "spectral_abscissae",
+                        lambda points: [(0.25, complex(0.25, 1.0))] * len(points))
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["stability", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -10,13 +11,12 @@ from preydelay import (ModelParams, ModelSpec, NoConvergenceError,
                        beddington_deangelis, boundary_equilibria,
                        characteristic_eval, check_global_conditions,
                        classify_equilibrium, constant_delay, exp_delay,
-                       holling2, linearize_at, quartic_classify,
+                       holling2, imaginary_crossings, linearize_at,
                        quasi_polynomial, reproduction_number,
                        rightmost_abscissa, saturating_delay,
                        solve_coexistence, stability)
 from preydelay.stability import (CrossCheckError, _windings,
-                                 imaginary_crossing_quartic,
-                                 rightmost_abscissae)
+                                 rightmost_abscissae, spectral_abscissae)
 
 from conftest import ALL_FORMS
 from oracles import cheb_collocation_abscissa, quartic_has_positive_root
@@ -94,46 +94,80 @@ def test_lag_free_reduction_matches_quadratic_roots():
 
 
 # --------------------------------------------------------------------------
-# quartic classifier
+# imaginary-axis crossings
+
+
+def crossing_qp(B1, B2):
+    """A quasi-polynomial whose crossing quadratic is v^2 + B1 v + B2, up to
+    rounding: H2^2 = |B2| >= B2 leaves N2^2 = H2^2 - B2 to fit B2, and
+    H1^2 - N1^2 = B1 + 2 H2 fits B1."""
+    H2 = math.sqrt(abs(B2))
+    rest = B1 + 2.0 * H2
+    return QuasiPolynomial(H1=math.sqrt(max(rest, 0.0)), H2=H2,
+                           N1=math.sqrt(max(-rest, 0.0)),
+                           N2=math.sqrt(max(H2 * H2 - B2, 0.0)), tau=1.0)
 
 
 def test_quartic_negative_constant_clause():
-    rep = quartic_classify(0.0, 0.0, 0.0, -1.0)
-    assert rep.has_positive_root and rep.case == "negative_constant"
+    # B2 < 0: one positive root v, so one crossing
+    (omega,) = imaginary_crossings(crossing_qp(0.0, -1.0))
+    assert omega == pytest.approx(1.0, rel=1e-15)
 
 
 def test_quartic_all_positive_terms():
-    rep = quartic_classify(0.0, 1.0, 0.0, 1.0)
-    assert not rep.has_positive_root
+    assert imaginary_crossings(crossing_qp(1.0, 1.0)) == ()
 
 
 def test_quartic_double_well():
-    # (v^2 - 1)^2 - 0.01: roots near +-1.05, +-0.95
-    rep = quartic_classify(0.0, -2.0, 0.0, 0.99)
-    assert rep.has_positive_root
+    # (v - 1)^2 - 0.01: v = 1.1 and 0.9, largest first
+    omegas = imaginary_crossings(crossing_qp(-2.0, 0.99))
+    assert omegas == pytest.approx((math.sqrt(1.1), math.sqrt(0.9)), rel=1e-14)
 
 
-def test_quartic_critical_points_are_stationary():
+def test_crossings_balance_the_two_parts():
+    # each omega solves |P(i omega)| = |Q(i omega)|, P(lambda) = lambda^2 +
+    # H1 lambda + H2 and Q(lambda) = N1 lambda + N2: for some delay,
+    # e^(-i omega tau) = -P/Q and i omega is a root.  Coefficients of
+    # unlike size make crossings far slower than the coefficients, as the
+    # first one, where v^2 + 1e4 v - 1e-6 loses v = 1e-10 to cancellation
+    # unless it is taken as B2 over the larger root
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        Q = rng.uniform(-3.0, 3.0, 4)
-        rep = quartic_classify(*Q)
-        hp = lambda v: 4 * v ** 3 + 3 * Q[0] * v ** 2 + 2 * Q[1] * v + Q[2]
-        for v in (rep.v1, rep.v2, rep.v3):
-            if abs(v.imag) <= 1e-9:
-                assert abs(hp(v.real)) < 1e-7 * (1.0 + abs(v.real) ** 3)
+    qps = [QuasiPolynomial(H1=100.0, H2=0.0, N1=0.0, N2=1e-3, tau=1.0)]
+    qps += [QuasiPolynomial(*(rng.uniform(-3.0, 3.0, 4)
+                              * 10.0 ** rng.uniform(-1.0, 1.0, 4)), tau=1.0)
+            for _ in range(2000)]
+    crossing = 0
+    for qp in qps:
+        omegas = imaginary_crossings(qp)
+        assert list(omegas) == sorted(omegas, reverse=True)
+        for w in omegas:
+            z = complex(0.0, w)
+            p, q = z * z + qp.H1 * z + qp.H2, qp.N1 * z + qp.N2
+            assert abs(abs(p) - abs(q)) <= 1e-12 * abs(q), (qp, w)
+            tau = -cmath.phase(-p / q) / w % (2.0 * math.pi / w)
+            delayed = dataclasses.replace(qp, tau=tau)
+            assert abs(characteristic_eval(delayed, z)) <= 1e-12 * (
+                1.0 + abs(p)), (qp, w)
+        crossing += bool(omegas)
+    assert 0 < crossing < len(qps)
 
 
 def test_quartic_against_companion_oracle():
+    # the number of crossings is the number of positive roots of the
+    # biquadratic omega^4 + B1 omega^2 + B2, away from its double roots
     rng = np.random.default_rng(29)
     tested = 0
     for _ in range(300):
-        Q = rng.uniform(-3.0, 3.0, 4)
-        rep = quartic_classify(*Q)
-        if rep.boundary_distance() < 1e-9:
+        qp = QuasiPolynomial(*rng.uniform(-3.0, 3.0, 4), tau=1.0)
+        B1 = qp.H1 ** 2 - 2.0 * qp.H2 - qp.N1 ** 2
+        B2 = qp.H2 ** 2 - qp.N2 ** 2
+        if min(abs(B2), abs(B1 * B1 - 4.0 * B2)) < 1e-9:
             continue
         tested += 1
-        assert rep.has_positive_root == quartic_has_positive_root(*Q), Q
+        roots = np.roots([1.0, 0.0, B1, 0.0, B2])
+        positive = sum(abs(z.imag) <= 1e-8 * (1.0 + abs(z)) and z.real > 1e-9
+                       for z in roots)
+        assert len(imaginary_crossings(qp)) == positive, (B1, B2)
     assert tested >= 295
 
 
@@ -141,7 +175,7 @@ def test_quartic_biquadratic_matches_direct_analysis():
     rng = np.random.default_rng(31)
     for _ in range(300):
         B1, B2 = rng.uniform(-4.0, 4.0, 2)
-        rep = quartic_classify(0.0, B1, 0.0, B2)
+        crossings = imaginary_crossings(crossing_qp(B1, B2))
         # u^2 + B1 u + B2 = 0 needs a positive real root u = v^2
         disc = B1 * B1 - 4.0 * B2
         if abs(disc) < 1e-9 or abs(B2) < 1e-9:
@@ -152,7 +186,7 @@ def test_quartic_biquadratic_matches_direct_analysis():
             u1 = (-B1 + math.sqrt(disc)) / 2.0
             u2 = (-B1 - math.sqrt(disc)) / 2.0
             direct = u1 > 0.0 or u2 > 0.0
-        assert rep.has_positive_root == direct, (B1, B2)
+        assert bool(crossings) == direct, (B1, B2)
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +500,68 @@ def test_predator_free_state_runs_no_contour_search(monkeypatch, bd_model,
         assert classify_equilibrium(m, e1) == want
 
 
+def test_predator_free_abscissa_past_the_exponent_range():
+    # d tau(0) = 900 > log(DBL_MAX): e^(d tau) overflows at the bracket's
+    # left end -d, where h is read as -inf
+    m = ModelSpec(ModelParams(r=1.0, K=5.0, n=1.0, dj=0.001, d=0.45),
+                  constant_delay(2000.0),
+                  beddington_deangelis(b=1.0, k1=0.0, k2=10.0))
+    e0, e1 = boundary_equilibria(m)
+    v = classify_equilibrium(m, e1)
+    with mpmath.workdps(40):
+        D, d = mpmath.mpf(v.coeffs.D), mpmath.mpf(m.params.d)
+        exact = mpmath.findroot(lambda lam: lam + d - D * mpmath.exp(-lam * 2000),
+                                (-d, D - d), solver="bisect")
+    assert exact == pytest.approx(2.0374647059329912754e-4, rel=1e-18)
+    assert v.rightmost > v.coeffs.A
+    assert abs(mpmath.mpf(v.rightmost) - exact) <= 2.0 * math.ulp(float(exact))
+    assert v.verdict == Verdict.UNSTABLE
+    # the origin's D = 0 needs no bracket: lambda* = -d
+    assert stability._predator_free_abscissa(
+        m.params.d, linearize_at(m, e0)) == (1.0, complex(1.0, 0.0))
+
+
+def test_spectral_abscissae_search_only_what_is_not_triangular(monkeypatch,
+                                                                bd_model):
+    eqs = boundary_equilibria(bd_model) + [solve_coexistence(bd_model)]
+    d = bd_model.params.d
+    points = [(d, linearize_at(bd_model, eq)) for eq in eqs]
+    search = stability.rightmost_abscissae
+    batches = []
+
+    def recorded(qps, boxes):
+        batches.append(qps)
+        return search(qps, boxes)
+
+    monkeypatch.setattr(stability, "rightmost_abscissae", recorded)
+    origin, e1, coex = spectral_abscissae(points)
+    qp = quasi_polynomial(bd_model, points[2][1])
+    assert batches == [[qp]]
+    assert origin == (1.0, complex(1.0, 0.0))
+    assert e1 == stability._predator_free_abscissa(d, points[1][1])
+    (rm, roots), = search([qp], [stability._classification_box(d, points[2][1])])
+    assert coex == (rm, roots[0])
+    # no batch at all without a point to search
+    assert spectral_abscissae(points[:2]) == [origin, e1]
+    assert spectral_abscissae([]) == []
+    assert len(batches) == 1
+
+
+def test_spectral_abscissae_return_a_winding_error_in_its_place(monkeypatch,
+                                                                bd_model):
+    eqs = boundary_equilibria(bd_model) + [solve_coexistence(bd_model)]
+    failure = WindingError("search failed")
+    monkeypatch.setattr(stability, "rightmost_abscissae",
+                        lambda qps, boxes: [failure] * len(qps))
+    d = bd_model.params.d
+    found = spectral_abscissae([(d, linearize_at(bd_model, eq)) for eq in eqs])
+    assert found[2] is failure
+    assert found[0] == (1.0, complex(1.0, 0.0))
+    assert found[1][0] == classify_equilibrium(bd_model, eqs[1]).rightmost
+    with pytest.raises(WindingError, match="search failed"):
+        classify_equilibrium(bd_model, eqs[2])
+
+
 # --------------------------------------------------------------------------
 # classification
 
@@ -500,7 +596,7 @@ def test_coexistence_classification_on_fixture(bd_model):
     v = classify_equilibrium(bd_model, eq)
     assert v.verdict == Verdict.STABLE
     assert v.rightmost < -1e-8
-    assert not v.quartic.has_positive_root
+    assert v.crossings == ()
     assert v.conditions.local_ok and v.conditions.global_ok
 
 
@@ -511,8 +607,8 @@ def test_algebraic_stable_against_a_right_abscissa_raises(bd_model,
                                                           raises):
     # a spectral search that disagrees with the algebraic route, crafted
     eq = solve_coexistence(bd_model)
-    monkeypatch.setattr(stability, "rightmost_abscissa",
-                        lambda qp, box=None: (rm, [complex(rm, 1.0)]))
+    monkeypatch.setattr(stability, "spectral_abscissae",
+                        lambda points: [(rm, complex(rm, 1.0))] * len(points))
     if raises:
         with pytest.raises(CrossCheckError, match="algebraic route"):
             classify_equilibrium(bd_model, eq)
@@ -572,7 +668,7 @@ def test_b1_identity_for_constant_delay_permanent_specs():
         eq = solve_coexistence(m)
         co = linearize_at(m, eq)
         qp = quasi_polynomial(m, co)
-        B1, _ = imaginary_crossing_quartic(qp)
+        B1 = qp.H1 ** 2 - 2.0 * qp.H2 - qp.N1 ** 2
         d = m.params.d
         assert B1 == pytest.approx(co.A ** 2 + (d + co.D) * (d - co.D),
                                    rel=1e-10)

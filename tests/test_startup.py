@@ -16,14 +16,14 @@ HERE = Path(__file__).resolve().parent
 SRC = Path(preydelay.__file__).resolve().parents[1]
 DEMO_CONFIG = HERE.parent / "demos" / "config_example.json"
 
-# every public name ``import preydelay`` exposed before stability and analysis
-# became lazy, the submodules included
+# every public name ``import preydelay`` exposes, the submodules and the
+# lazily loaded names of stability and analysis included
 PUBLIC_NAMES = frozenset("""
 BoundednessCertificate BracketSequences ComparisonReport ConditionReport
 ConvergenceReport DelayFunction DichotomyVerdict Equilibrium EquilibriumKind
 FunctionalResponse HistoryConsistencyWarning HistoryFunction InconclusiveError
 IntegrationError LagDomainError LinearizationCoeffs ModelParams ModelSpec
-NoConvergenceError PositivityViolation QuarticReport QuasiPolynomial
+NoConvergenceError PositivityViolation QuasiPolynomial
 ResponseKind ScalarLimitResult StabilityVerdict StepSizeUnderflow
 StepperConfig Trajectory ValidationReport Verdict WindingError analysis
 beddington_deangelis boundary_equilibria boundedness_certificate
@@ -32,9 +32,9 @@ classify_equilibrium comparison_probe consistent_history constant_delay
 constant_history constant_plus_sine_history correction_factor crowley_martin
 default_stepper delays engine equilibria eval_response exp_delay export_csv
 extrapolated_limits global_attraction_probe history_consistency_error holling1
-holling2 holling3 integrate integrate_scalar_sdtd ivlev lag_times
-linear linearize_at make_delay make_response model
-monotone_bounds permanence_probe power_law quartic_classify quasi_polynomial
+holling2 holling3 imaginary_crossings integrate integrate_scalar_sdtd ivlev
+lag_times linear linearize_at make_delay make_response model
+monotone_bounds permanence_probe power_law quasi_polynomial
 reproduction_number responses rightmost_abscissa saturating_delay
 saturation scalar_fixed_point scalar_limit solve_coexistence spread_histories
 stability steady_state_residual tabulated_history validate yj_integral yj_star
@@ -97,9 +97,12 @@ def test_every_startup_case_is_checked():
         assert {"preydelay.analysis", "preydelay.svg", "xml.sax"} <= set(DEFERRED[case])
     assert {"preydelay.stability", "preydelay.analysis", "xml.sax",
             "concurrent.futures", "numpy.polynomial", "numpy.ma",
-            "scipy"} == set(DEFERRED["simulate"])
+            "scipy", "preydelay._forkmap"} == set(DEFERRED["simulate"])
     assert {"preydelay.svg", "xml.sax", "concurrent.futures",
-            "numpy.polynomial", "numpy.ma", "scipy"} == set(DEFERRED["verify"])
+            "numpy.polynomial", "numpy.ma", "scipy",
+            "preydelay._forkmap"} == set(DEFERRED["verify"])
+    for case in DEFERRED:
+        assert "preydelay._forkmap" in DEFERRED[case]
 
 
 def test_package_exposes_every_public_name():
