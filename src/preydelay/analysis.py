@@ -82,9 +82,19 @@ class ScalarLimitMismatch(AnalysisError):
     """Simulated tail disagrees with the computed fixed point."""
 
 
-def _tail_grid(traj: Trajectory, tail_fraction: float, min_points: int = 512):
+# The probes' fixed settings.  The tail they read is the last quarter of a
+# run, sampled at its nodes there and at 512 even times.  A comparison pair
+# stays ordered while lo <= hi + 1e-6, and a scalar tail average must match
+# the fixed point to 1e-4 relative.  The bracketing recursion stops after 400
+# rounds if its over-estimates have not settled.
+_TAIL_FRACTION, _TAIL_POINTS = 0.25, 512
+_ORDER_TOL, _SCALAR_LIMIT_TOL = 1e-6, 1e-4
+_BRACKET_ITERS = 400
+
+
+def _tail_grid(traj: Trajectory, tail_fraction: float):
     t_lo = traj.t_end * (1.0 - tail_fraction)
-    grid = np.linspace(t_lo, traj.t_end, min_points)
+    grid = np.linspace(t_lo, traj.t_end, _TAIL_POINTS)
     nodes = traj.ts[(traj.ts >= t_lo) & (traj.ts <= traj.t_end)]
     # np.unique would import numpy.ma on every verify call
     ts = np.sort(np.concatenate([grid, nodes]))
@@ -141,7 +151,7 @@ class BoundednessCertificate:
 
 
 def boundedness_certificate(model: ModelSpec, traj: Trajectory,
-                            tail_fraction: float = 0.25,
+                            tail_fraction: float = _TAIL_FRACTION,
                             tolerance: float = 0.01) -> BoundednessCertificate:
     """Check the dissipativity bound on the trajectory tail.
 
@@ -210,14 +220,15 @@ def spread_histories(model: ModelSpec, n: int = 5, seed: int = 42,
 
 
 def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
-                     horizon: float, tail_fraction: float = 0.25,
-                     eps_floor: float = 1e-6, extinction_tol: float = 1e-3,
+                     horizon: float, eps_floor: float = 1e-6,
+                     extinction_tol: float = 1e-3,
                      cfg: StepperConfig | None = None) -> DichotomyVerdict:
     """Decide permanence (R > 1) or extinction (R <= 1) from long runs.
 
-    Permanent branch: the tail infimum of min(x, y) must exceed ``eps_floor``
-    for every history.  Extinction branch: the terminal state must lie within
-    ``extinction_tol`` (scaled by max(1, K)) of (K, 0, 0).  Mixed outcomes
+    Permanent branch: the infimum of min(x, y) over the last quarter of the
+    run must exceed ``eps_floor`` for every history.  Extinction branch: the
+    terminal state must lie within ``extinction_tol`` (scaled by max(1, K))
+    of (K, 0, 0).  Mixed outcomes
     raise :class:`InconclusiveError` with the per-history data.  The
     histories run side by side on the usable CPUs, with the records of a
     serial run.
@@ -236,7 +247,7 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
 
     def probe(hist: HistoryFunction) -> HistoryRecord:
         traj = integrate(model, hist, cfg)
-        ts = _tail_grid(traj, tail_fraction)
+        ts = _tail_grid(traj, _TAIL_FRACTION)
         vals = traj.sample(ts)
         liminf_xy = float(np.min(np.minimum(vals[:, 0], vals[:, 1])))
         terminal = traj.lookup(traj.t_end)
@@ -277,46 +288,35 @@ class ComparisonReport:
 
 
 def comparison_probe(dj: float, d: float, delay: DelayFunction, forcing,
-                     pairs, horizon: float, tol: float = 1e-6,
-                     slack=None, rtol: float = 1e-8,
-                     atol: float = 1e-10) -> ComparisonReport:
+                     pairs, horizon: float) -> ComparisonReport:
     """Order-preservation experiment for the scalar delayed equation.
 
-    The reference solution solves v' = (1 - tau'(v) v') e^{-dj tau(v)}
-    F(t - tau(v)) - d v; the comparison function solves the same equation
-    minus a nonnegative slack (defaults to zero, i.e. ordered initial data
-    under equal dynamics).  Each pair is (hi_history, lo_history) with
+    Both solutions of a pair solve v' = (1 - tau'(v) v') e^{-dj tau(v)}
+    F(t - tau(v)) - d v.  Each pair is (hi_history, lo_history) with
     lo <= hi on the history window.  The report records whether
-    lo(t) <= hi(t) + tol held throughout; this is an experiment, not an
+    lo(t) <= hi(t) + 1e-6 held throughout; this is an experiment, not an
     assertion, because order preservation is not guaranteed for genuinely
     state-dependent delays.
     """
-    slack = slack or (lambda t: 0.0)
+    def rhs(t, v, lookup):
+        vc = v if v > 0.0 else 0.0
+        tau = delay.tau(vc)
+        G = math.exp(-dj * tau) * forcing(t - tau)
+        return (G - d * v) / (1.0 + delay.tau_prime(vc) * G)
 
-    def make_rhs(use_slack: bool):
-        def rhs(t, v, lookup):
-            vc = v if v > 0.0 else 0.0
-            tau = delay.tau(vc)
-            G = math.exp(-dj * tau) * forcing(t - tau)
-            s = slack(t) if use_slack else 0.0
-            return (G - d * v - s) / (1.0 + delay.tau_prime(vc) * G)
-        return rhs
-
-    cfg = _capped_stepper(delay.tau_m, horizon, rtol, atol,
-                          positivity_guard=False)
+    cfg = _capped_stepper(delay.tau_m, horizon, StepperConfig.rtol,
+                          StepperConfig.atol, positivity_guard=False)
     outcomes = []
     for i, (hist_hi, hist_lo) in enumerate(pairs):
-        traj_hi = integrate_scalar_sdtd(make_rhs(False), hist_hi, cfg,
-                                        delay.tau_m, delay.tau_M)
-        traj_lo = integrate_scalar_sdtd(make_rhs(True), hist_lo, cfg,
-                                        delay.tau_m, delay.tau_M)
+        traj_hi = integrate_scalar_sdtd(rhs, hist_hi, cfg, delay.tau_m, delay.tau_M)
+        traj_lo = integrate_scalar_sdtd(rhs, hist_lo, cfg, delay.tau_m, delay.tau_M)
         ts = np.union1d(traj_hi.ts, traj_lo.ts)
         hi = traj_hi.sample(ts)[:, 0]
         lo = traj_lo.sample(ts)[:, 0]
         gap = lo - hi
         worst = float(np.max(gap))
-        if worst > tol:
-            first = float(ts[int(np.argmax(gap > tol))])
+        if worst > _ORDER_TOL:
+            first = float(ts[int(np.argmax(gap > _ORDER_TOL))])
             outcomes.append(PairOutcome(f"pair{i}", False, first, worst))
         else:
             outcomes.append(PairOutcome(f"pair{i}", True, None, worst))
@@ -353,16 +353,15 @@ def scalar_fixed_point(a1: float, a2: float, a3: float, dj: float,
 
 
 def scalar_limit(a1: float, a2: float, a3: float, dj: float,
-                 delay: DelayFunction, histories, horizon: float,
-                 tail_fraction: float = 0.25, rel_tol: float = 1e-4,
-                 rtol: float = 1e-8, atol: float = 1e-10) -> ScalarLimitResult:
+                 delay: DelayFunction, histories,
+                 horizon: float) -> ScalarLimitResult:
     """Long-run limit of v' = (1 - tau'(v) v') a1 e^{-dj tau(v)} v_lag / (1 + a2 v_lag) - a3 v.
 
     Integrates from each nonnegative history (v(0) > 0), estimates the limit
-    as the tail average, and checks it against :func:`scalar_fixed_point` to
-    ``rel_tol`` relative, raising :class:`ScalarLimitMismatch` on
-    disagreement.  In the extinction regime the fixed point is 0 and no
-    agreement is asserted.
+    as the average over the last quarter of the run, and checks it against
+    :func:`scalar_fixed_point` to 1e-4 relative, raising
+    :class:`ScalarLimitMismatch` on disagreement.  In the extinction regime
+    the fixed point is 0 and no agreement is asserted.
     """
     vtilde, viable = scalar_fixed_point(a1, a2, a3, dj, delay)
 
@@ -375,13 +374,14 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
         G = a1 * math.exp(-dj * tau) * vlag / (1.0 + a2 * vlag)
         return (G - a3 * v) / (1.0 + delay.tau_prime(vc) * G)
 
-    cfg = _capped_stepper(delay.tau_m, horizon, rtol, atol)
+    cfg = _capped_stepper(delay.tau_m, horizon, StepperConfig.rtol,
+                          StepperConfig.atol)
     tails, errors = [], []
     for hist in histories:
         if hist(0.0) <= 0.0:
             raise ValueError("histories must be positive at t = 0")
         traj = integrate_scalar_sdtd(rhs, hist, cfg, delay.tau_m, delay.tau_M)
-        ts = _tail_grid(traj, tail_fraction)
+        ts = _tail_grid(traj, _TAIL_FRACTION)
         tail = float(np.mean(traj.sample(ts)[:, 0]))
         tails.append(tail)
         if viable:
@@ -389,10 +389,10 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
         else:
             errors.append(abs(tail))
     result = ScalarLimitResult(vtilde, viable, tuple(tails), tuple(errors))
-    if viable and any(e > rel_tol for e in errors):
+    if viable and any(e > _SCALAR_LIMIT_TOL for e in errors):
         raise ScalarLimitMismatch(
             f"tail estimates {tails} disagree with fixed point {vtilde:.8g} "
-            f"beyond {rel_tol:g} relative")
+            f"beyond {_SCALAR_LIMIT_TOL:g} relative")
     return result
 
 
@@ -420,7 +420,6 @@ class BracketSequences:
 
 
 def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
-                    n_iter: int = 400,
                     tau_hat: str = "equilibrium") -> BracketSequences:
     """Iterate the over/under recursion for the Beddington-DeAngelis system.
 
@@ -461,7 +460,7 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
 
     xs_o, xs_u, ys_o, ys_u = [], [], [], []
     y_under = 0.0
-    for i in range(n_iter):
+    for i in range(_BRACKET_ITERS):
         x_over = x_map(y_under, +1.0)
         y_over = y_map(x_over, +1.0)
         x_under = x_map(y_over, -1.0)
@@ -503,16 +502,15 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
 
 
 def extrapolated_limits(model: ModelSpec, eq: Equilibrium,
-                        epsilons=(1e-2, 1e-3, 1e-4), n_iter: int = 400,
-                        tau_hat: str = "equilibrium") -> tuple[float, float, float, float]:
+                        epsilons=(1e-2, 1e-3, 1e-4)
+                        ) -> tuple[float, float, float, float]:
     """Polynomial extrapolation of the bracket limits to epsilon -> 0.
 
     Each of the four limits is linear in epsilon to leading order, so a
     degree len(epsilons)-1 fit evaluated at 0 recovers (x*, x*, y*, y*).
     """
     eps = np.asarray(epsilons, dtype=float)
-    lims = np.array([monotone_bounds(model, eq, float(e), n_iter, tau_hat).limits
-                     for e in eps])
+    lims = np.array([monotone_bounds(model, eq, float(e)).limits for e in eps])
     out = []
     for j in range(4):
         coeffs = np.polyfit(eps, lims[:, j], deg=len(eps) - 1)
@@ -544,8 +542,6 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
                             n_histories: int = 10, horizon: float | None = None,
                             seed: int = 42, rel_tol_xy: float = 1e-4,
                             rel_tol_yj: float = 1e-3,
-                            cfg: StepperConfig | None = None,
-                            histories: list[HistoryFunction] | None = None,
                             require_conditions: bool = True) -> ConvergenceReport:
     """Drive random positive histories to the coexistence point.
 
@@ -562,11 +558,10 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
         raise AnalysisError("attraction conditions fail for this model")
     if horizon is None:
         horizon = 500.0 / model.params.d
-    cfg = cfg or default_stepper(model, horizon)
-    if histories is None:
-        histories = spread_histories(model, n=n_histories, seed=seed,
-                                     x_ref=eq.x_star, y_ref=eq.y_star,
-                                     lo=0.05, hi=5.0)
+    cfg = default_stepper(model, horizon)
+    histories = spread_histories(model, n=n_histories, seed=seed,
+                                 x_ref=eq.x_star, y_ref=eq.y_star,
+                                 lo=0.05, hi=5.0)
 
     def probe(hist: HistoryFunction) -> AttractionRecord:
         traj = integrate(model, hist, cfg)

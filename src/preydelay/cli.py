@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -17,8 +18,9 @@ from pathlib import Path
 from .engine import (IntegrationError, LagDomainError, StepperConfig,
                      default_stepper, export_csv, integrate, lag_times,
                      yj_integral)
-from .equilibria import (CrossCheckError, Equilibrium, NoConvergenceError,
-                         WindingError, boundary_equilibria, solve_coexistence)
+from .equilibria import (_RESIDUAL_TOL, CrossCheckError, Equilibrium,
+                         NoConvergenceError, WindingError, boundary_equilibria,
+                         solve_coexistence)
 from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
                     consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
@@ -106,12 +108,12 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
     check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = float(horizon if horizon is not None else doc["t_end"])
-    steps = {key: float(doc[key]) for key in ("h_init", "h_max")
-             if doc.get(key) is not None}
-    return default_stepper(model, t_end, rtol=float(doc.get("rtol", 1e-8)),
-                           atol=float(doc.get("atol", 1e-10)),
-                           positivity_guard=bool(doc.get("positivity_guard", True)),
-                           **steps)
+    opts = {key: float(doc[key]) for key in ("rtol", "atol", "h_init", "h_max")
+            if doc.get(key) is not None}
+    guard = doc.get("positivity_guard", StepperConfig.positivity_guard)
+    if not isinstance(guard, bool):
+        raise ConfigError("stepper.positivity_guard must be true or false")
+    return default_stepper(model, t_end, positivity_guard=guard, **opts)
 
 
 def load_scenario(path, horizon: float | None = None) -> Scenario:
@@ -135,8 +137,11 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     stepper = _build_stepper(doc.get("stepper", {"t_end": 100.0}), model, horizon)
     odoc = doc.get("outputs", {})
     check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
-    outputs = Outputs(stride=float(odoc.get("stride", stepper.t_end / 200.0)),
-                      csv=odoc.get("csv"), svg=odoc.get("svg"))
+    stride = float(odoc.get("stride", stepper.t_end / 200.0))
+    if not 0.0 < stride < math.inf:
+        raise ConfigError(
+            f"outputs.stride must be positive and finite, got {stride!r}")
+    outputs = Outputs(stride=stride, csv=odoc.get("csv"), svg=odoc.get("svg"))
     sweep = doc.get("sweep")
     if sweep is not None:
         check_keys(sweep, "sweep", set(), {"k2", "d", "tau_m", "tau_M"})
@@ -245,7 +250,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
     add("threshold_consistency", (coex is not None) == (R > 1.0),
         f"R={R:.6g}, coexistence {'found' if coex else 'absent'}", R=R)
     if coex is not None:
-        add("coexistence_residual", coex.residual <= 1e-10,
+        add("coexistence_residual", coex.residual <= _RESIDUAL_TOL,
             f"residual={coex.residual:.3g}", residual=coex.residual)
 
     horizon = max(scn.stepper.t_end, 41.0 * model.delay.tau_M)
@@ -279,7 +284,7 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
             "s(t) = t - tau(y(t)) strictly increasing",
             min_step=float(np.min(np.diff(lags))))
 
-    positive = all(eq.residual <= 1e-10 for eq in eqs[:2])
+    positive = all(eq.residual <= _RESIDUAL_TOL for eq in eqs[:2])
     add("boundary_residuals", positive, "")
 
     if (coex is not None

@@ -42,9 +42,6 @@ class DelayFunction:
     kind: str = "custom"
     coefficients: Mapping[str, float] = field(default_factory=dict)
 
-    def __call__(self, y: float) -> float:
-        return self.tau(y)
-
 
 def constant_delay(value: float) -> DelayFunction:
     """tau(y) = value for all y."""

@@ -147,8 +147,8 @@ class StepperConfig:
         return (self.atol,) * dim
 
 
-def default_stepper(model: ModelSpec, t_end: float, rtol: float = 1e-8,
-                    atol: float = 1e-10, **kwargs) -> StepperConfig:
+def default_stepper(model: ModelSpec, t_end: float, rtol=StepperConfig.rtol,
+                    atol=StepperConfig.atol, **kwargs) -> StepperConfig:
     """Config with a step cap compatible with the model's minimum delay.
 
     The cap is 0.6 tau(0) up to rtol 1e-8, grows as rtol^(1/5) above it and

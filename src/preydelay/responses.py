@@ -60,9 +60,6 @@ class FunctionalResponse:
     f_x: Callable[[float, float], float] = field(repr=False)
     f_y: Callable[[float, float], float] = field(repr=False)
 
-    def __call__(self, x: float, y: float) -> float:
-        return self.f(x, y)
-
     def coefficient_errors(self) -> list[str]:
         """Kind-specific constraint violations (empty when consistent)."""
         c = self.coefficients

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equilibria import (CrossCheckError, Equilibrium, EquilibriumKind,
-                         NoConvergenceError, WindingError, _bracketed_root)
+from .equilibria import (_RESIDUAL_TOL, CrossCheckError, Equilibrium,
+                         EquilibriumKind, NoConvergenceError, WindingError,
+                         _bracketed_root)
 from .model import ModelSpec, reproduction_number
 from .responses import ResponseKind
 
@@ -83,7 +84,7 @@ def linearize_at(model: ModelSpec, eq: Equilibrium) -> LinearizationCoeffs:
     Raises :class:`NoConvergenceError` for a larger residual: the point was
     not solved accurately enough to linearize at.
     """
-    if eq.residual > 1e-10:
+    if eq.residual > _RESIDUAL_TOL:
         raise NoConvergenceError(
             f"equilibrium residual {eq.residual:.3g} too large to linearize at",
             (eq.x_star, eq.y_star), eq.residual)

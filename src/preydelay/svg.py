@@ -13,6 +13,11 @@ __all__ = ["Series", "stacked_chart", "trajectory_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# the chart's fixed layout in px, and at most _TICKS tick steps to an axis
+_WIDTH, _PANEL_HEIGHT, _TICKS = 720, 260, 5
+_MARGIN_L, _MARGIN_R, _MARGIN_T, _GAP = 70, 20, 30, 55
+_PLOT_WIDTH = _WIDTH - _MARGIN_L - _MARGIN_R
+
 
 @dataclass(frozen=True)
 class Series:
@@ -25,13 +30,13 @@ def _fmt(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** math.floor(math.log10(span / n))
+    step = 10.0 ** math.floor(math.log10(span / _TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= _TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step
@@ -98,29 +103,27 @@ def _panel(series: list[Series], x0: float, y0: float, w: float, h: float,
     return parts
 
 
-def stacked_chart(panels, path, width: int = 720, panel_height: int = 260) -> None:
+def stacked_chart(panels, path) -> None:
     """Write one SVG with vertically stacked panels.
 
     ``panels`` is a list of (series_list, title, xlabel, ylabel) tuples.
     """
-    margin_l, margin_r, margin_t, gap = 70, 20, 30, 55
-    total_h = margin_t + len(panels) * (panel_height + gap)
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+    total_h = _MARGIN_T + len(panels) * (_PANEL_HEIGHT + _GAP)
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
              f'height="{total_h}" font-family="sans-serif">',
              '<rect width="100%" height="100%" fill="white"/>']
-    y = margin_t
+    y = _MARGIN_T
     for series, title, xlabel, ylabel in panels:
-        parts.extend(_panel(series, margin_l, y, width - margin_l - margin_r,
-                            panel_height, title, xlabel, ylabel))
-        y += panel_height + gap
+        parts.extend(_panel(series, _MARGIN_L, y, _PLOT_WIDTH, _PANEL_HEIGHT,
+                            title, xlabel, ylabel))
+        y += _PANEL_HEIGHT + _GAP
     parts.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(parts) + "\n")
 
 
-# two points per pixel column of the plot area of stacked_chart's default
-# width: 720 px less its 70 and 20 px margins
-_TRAJECTORY_POINTS = 2 * (720 - 70 - 20)
+# two points per pixel column of a panel's plot area
+_TRAJECTORY_POINTS = 2 * _PLOT_WIDTH
 
 
 def trajectory_chart(model, traj, path, stride: float) -> None:

@@ -241,6 +241,20 @@ def test_saturating_delay_limit_matches_simulation():
     assert max(res.rel_errors) < 1e-4
 
 
+def test_short_horizon_tail_misses_the_fixed_point():
+    # by t = 10 the tails still sit 0.5-5% from the fixed point 0.8351, far
+    # beyond the 1e-4 agreement; at 300 the same histories agree to 1e-15
+    delay = saturating_delay(0.5, 1.2, 1.0)
+    levels = np.random.default_rng(20261019).uniform(0.2, 3.0, 3)
+    histories = [lambda t, v=float(v): v for v in levels]
+    with pytest.raises(analysis.ScalarLimitMismatch,
+                       match="disagree with fixed point 0.83513644 beyond "
+                             "0.0001 relative"):
+        scalar_limit(2.5, 1.2, 0.9, 0.4, delay, histories, horizon=10.0)
+    res = scalar_limit(2.5, 1.2, 0.9, 0.4, delay, histories, horizon=300.0)
+    assert max(res.rel_errors) < 1e-4
+
+
 def test_scalar_limit_runs_at_a_small_minimum_delay():
     delay = saturating_delay(0.01, 0.5, 1.0)
     res = scalar_limit(2.5, 1.2, 0.9, 0.4, delay,

@@ -312,6 +312,42 @@ def test_sweep_config_errors_name_their_key(tmp_path, capsys, sweep, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("guard", ["false", "true", 0, 1, None])
+def test_positivity_guard_must_be_a_json_boolean(tmp_path, capsys, guard):
+    # read with bool(), the string "false" once turned the guard on
+    cfg = write_config(tmp_path / "cfg.json")
+    doc = json.loads(cfg.read_text())
+    doc["stepper"]["positivity_guard"] = guard
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: stepper.positivity_guard must be true or false\n")
+    for guard in (False, True):
+        doc["stepper"]["positivity_guard"] = guard
+        cfg.write_text(json.dumps(doc))
+        assert cli.load_scenario(cfg).stepper.positivity_guard is guard
+
+
+@pytest.mark.parametrize("stride", [-0.5, 0.0, math.inf, math.nan])
+def test_bad_stride_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
+                                               stride):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated before the config was checked")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    cfg = write_config(tmp_path / "cfg.json")
+    doc = json.loads(cfg.read_text())
+    doc["outputs"]["stride"] = stride
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: outputs.stride must be positive and finite, "
+        f"got {stride!r}\n")
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        sweep={"tau_m": [1.0, 0.5], "tau_M": [1.0]})

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from preydelay import (DelayFunction, ModelParams, ModelSpec, boundedness_limit,
+from preydelay import (DelayFunction, ModelParams, ModelSpec,
+                       beddington_deangelis, boundedness_limit,
                        consistent_history, constant_delay, constant_history,
                        correction_factor, exp_delay, history_consistency_error,
                        holling2, linear, make_delay, make_response, power_law,
@@ -218,16 +219,29 @@ def test_recruitment_quadrature_matches_scipy_on_kinked_history(epsrel):
 
 
 def test_recruitment_quadrature_warns_when_panels_run_out():
-    # a kink every 0.01 time units needs more than 200 panels at 1e-10 when
-    # the history does not declare its knots
+    # a kink every 0.001 time units needs more than the 4 000-panel budget at
+    # 1e-10 when the history does not declare its knots
     m = model(delay=saturating_delay(0.5, 1.5, 1.0),
               response=holling2(b=2.0, h=0.5))
-    times = np.linspace(-1.5, 0.0, 151)
-    zigzag = 1.0 + 0.5 * (np.arange(151) % 2)
+    times = np.linspace(-1.5, 0.0, 1501)
+    zigzag = 1.0 + 0.5 * (np.arange(1501) % 2)
     hist = dataclasses.replace(
         tabulated_history(times, x=zigzag, y=zigzag, yj=zigzag), knots=())
-    with pytest.warns(RuntimeWarning, match="200 panels"):
+    with pytest.warns(RuntimeWarning, match="stopped at 4000 panels"):
         _implied_juvenile_stock(m, hist, epsrel=1e-10)
+
+
+def test_recruitment_quadrature_reaches_a_long_window():
+    # the demo BD model with dj = 0.001 and a delay of 2000: the sine history
+    # needs 1 691 panels, past the 200 the quadrature once stopped at with a
+    # 6.5e-4 relative error; a 40 000-panel composite rule gives the value
+    m = ModelSpec(ModelParams(r=1.0, K=5.0, n=1.0, dj=0.001, d=0.45),
+                  constant_delay(2000.0),
+                  beddington_deangelis(b=1.0, k1=0.0, k2=10.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hist = consistent_history(m, 2.0, 0.4, amp=0.2, omega=2.0)
+    assert hist.phi2(0.0) == pytest.approx(138.438116734425, rel=1e-10)
 
 
 def test_gauss_legendre_literals_match_leggauss():
