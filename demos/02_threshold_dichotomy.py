@@ -4,7 +4,8 @@ The predator net reproduction number R = n e^{-dj tau(0)} f(K, 0) / d counts
 offspring of one predator in a prey-saturated world.  Sweeping the capture
 rate b moves R through 1: below it every run collapses to (K, 0, 0), above
 it prey and predator persist together, from tiny or huge starting stocks
-alike.
+alike.  The horizon 200/d is a cap: each run stops once its verdict has
+settled, and `t_decided` says where.
 """
 import math
 
@@ -26,7 +27,8 @@ for R_target in (0.5, 0.9, 1.5, 3.0):
     print(f"b = {b:.4f}  R = {R:.3f}  ->  {verdict.verdict}")
     for rec in verdict.records:
         if verdict.verdict == "permanent":
-            print(f"    {rec.label:>14s}: tail min(x, y) = {rec.liminf_xy:.4g}")
+            reading = f"tail min(x, y) = {rec.liminf_xy:.4g}"
         else:
-            print(f"    {rec.label:>14s}: distance to (K, 0, 0) = "
-                  f"{rec.terminal_error:.2e}")
+            reading = f"distance to (K, 0, 0) = {rec.terminal_error:.2e}"
+        print(f"    {rec.label:>14s}: {reading}, decided at "
+              f"t = {rec.t_decided:.6g} of {200.0 / d:g}")

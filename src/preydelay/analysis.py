@@ -13,22 +13,36 @@ children on POSIX when more than one CPU is usable, through
 :func:`preydelay._forkmap.fork_map`.  Their records, warnings and exceptions
 are those of a serial run; restricting the CPU affinity to one CPU (for
 example ``taskset -c 0``) forces the serial path.
+
+The horizon of those two probes is a cap.  A run pauses every four maximum
+delays and stops at the first pause where its verdict is settled: the
+envelope of its distance from the steady state over each of the last three
+windows has fallen at least at half the rate that the state's spectral
+abscissa sets (which must lie below -1e-8), and the probe's own check holds
+on the run so far.  Its record is read off the run up to there, and
+``t_decided`` says where that was; a run that never settles, on a cycle say,
+goes on to the horizon and keeps a fixed-length run's record.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
+from typing import Callable
 
 import numpy as np
 
 from .delays import DelayFunction
 from .engine import (StepperConfig, Trajectory, _capped_stepper,
-                     default_stepper, integrate, integrate_scalar_sdtd)
-from .equilibria import Equilibrium, _bracketed_root
+                     default_stepper, integrate_scalar_sdtd, start_run)
+from .equilibria import (Equilibrium, NoConvergenceError, WindingError,
+                         _bracketed_root, boundary_equilibria,
+                         solve_coexistence)
 from .model import (HistoryFunction, ModelSpec, _dissipation,
                     consistent_history, reproduction_number)
 from .responses import ResponseKind
-from .stability import check_global_conditions
+from .stability import (check_global_conditions, linearize_at,
+                        spectral_abscissae)
 
 __all__ = [
     "AnalysisError",
@@ -128,6 +142,120 @@ def _map_histories(fn, histories: list, cfg: StepperConfig) -> list:
 
 
 # --------------------------------------------------------------------------
+# runs that stop once their verdict is settled
+
+# A probe's run pauses every _WINDOW_TAU maximum delays.  A window's envelope
+# is the largest distance from the steady state over the nodes the window
+# accepted.  The run has settled on the state at a window end once each of
+# the last _SETTLE_FALLS envelopes is at most e^(lambda W / 2) times the one
+# before (lambda the state's spectral abscissa, below _SETTLE_ABSCISSA; W the
+# window), the last one is within the rule's cap, and the probe's own record
+# check holds on the run so far.  A pause costs a re-entry of the stepping
+# loop and an envelope, about 8 us on a 2-core x86-64 VM, against 4-12 steps
+# of 20-60 us each in a window: about 1% of the dichotomy benchmark's jobs.
+_WINDOW_TAU = 4.0
+_SETTLE_FALLS = 3
+_SETTLE_ABSCISSA = -1e-8
+_SETTLE_DISTANCE = 1e-2
+
+
+def _anywhere(x: float, y: float, yj: float) -> bool:
+    return True
+
+
+@dataclass(frozen=True)
+class _Settling:
+    """A settle rule.
+
+    ``envelope(us, a, b)`` is the largest distance from the steady state
+    over the nodes us[a:b] (three floats a node); ``factor`` is the fall
+    e^(lambda W / 2) asked of each envelope and ``cap`` bounds the last one.
+    ``near(x, y, yj)``, a test of the last node that the probe's record
+    check implies, spares building that record where it cannot pass.
+    """
+
+    envelope: Callable
+    factor: float
+    cap: float = math.inf
+    near: Callable[[float, float, float], bool] = _anywhere
+
+    def holds(self, envelopes: list, node) -> bool:
+        """Whether the envelopes so far, oldest first, and the last node
+        settle the run."""
+        last = envelopes[-_SETTLE_FALLS - 1:]
+        return (len(last) > _SETTLE_FALLS and last[-1] <= self.cap
+                and all(b <= self.factor * a for a, b in zip(last, last[1:]))
+                and self.near(*node))
+
+
+def _settling(model: ModelSpec, eq: Equilibrium | None, envelope,
+              **kwargs) -> _Settling | None:
+    """The rule that settles runs on ``eq`` (``kwargs`` set its cap and
+    near test), or None where none can: no point, a spectral abscissa at or
+    above _SETTLE_ABSCISSA or a search that failed."""
+    window = _WINDOW_TAU * model.delay.tau_M
+    if eq is None or not window > 0.0:
+        return None
+    try:
+        coeffs = linearize_at(model, eq)
+    except NoConvergenceError:
+        return None
+    (found,) = spectral_abscissae([(model.params.d, coeffs)])
+    if isinstance(found, WindingError) or not found[0] < _SETTLE_ABSCISSA:
+        return None
+    return _Settling(envelope, math.exp(0.5 * found[0] * window), **kwargs)
+
+
+def _relative_envelope(eq: Equilibrium):
+    """The envelope of max(|x/x* - 1|, |y/y* - 1|) over nodes us[a:b].
+
+    Each term is monotone in its value, rounding included, so its largest
+    value over the nodes is at their smallest or largest value.
+    """
+    x_star, y_star = eq.x_star, eq.y_star
+
+    def envelope(us, a: int, b: int) -> float:
+        xs, ys = us[a:b:3], us[a + 1:b:3]
+        return max(abs(max(xs) / x_star - 1.0), abs(min(xs) / x_star - 1.0),
+                   abs(max(ys) / y_star - 1.0), abs(min(ys) / y_star - 1.0))
+    return envelope
+
+
+def _predator_envelope(us, a: int, b: int) -> float:
+    """The envelope of y + yj over nodes us[a:b]."""
+    return max(map(add, us[a + 1:b:3], us[a + 2:b:3]))
+
+
+def _settled_run(model: ModelSpec, hist: HistoryFunction, cfg: StepperConfig,
+                 settling: _Settling | None, record):
+    """``record(trajectory)``'s record of ``hist``'s run: over the run so far
+    at the first window end where ``settling`` holds and the record's ok
+    flag does too, else over the whole run to cfg.t_end.
+
+    ``record`` returns (record, ok).  The run's steps and bits up to where
+    it stops are those of an uninterrupted run (see
+    :class:`preydelay.engine.Run`).
+    """
+    run = start_run(model, hist, cfg)
+    if settling is not None:
+        window, us = _WINDOW_TAU * model.delay.tau_M, run.store.us
+        envelopes, start, k = [], 0, 1
+        while not run.advance(k * window):
+            k += 1
+            if len(us) == start:  # a step longer than the window
+                continue
+            envelopes.append(settling.envelope(us, start, len(us)))
+            start = len(us)
+            if settling.holds(envelopes, us[-3:]):
+                rec, ok = record(run.trajectory(copy=True))
+                if ok:
+                    return rec
+    else:
+        run.advance(cfg.t_end)
+    return record(run.trajectory())[0]
+
+
+# --------------------------------------------------------------------------
 # boundedness
 
 
@@ -186,6 +314,7 @@ class HistoryRecord:
     liminf_xy: float
     terminal_error: float
     ok: bool
+    t_decided: float        # where the run stopped: settled, or the horizon
 
 
 @dataclass(frozen=True)
@@ -232,6 +361,17 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     raise :class:`InconclusiveError` with the per-history data.  The
     histories run side by side on the usable CPUs, with the records of a
     serial run.
+
+    ``horizon`` is a cap.  Each run pauses every four maximum delays and
+    stops at the first pause where its verdict is settled: on the
+    extinction branch, y + yj's envelope over each of the last three
+    windows has fallen at least by e^(lambda W / 2) (lambda the abscissa at
+    (K, 0, 0), W the window); on the permanent branch, the envelope of
+    max(|x/x* - 1|, |y/y* - 1|) is within 1e-2 and falls likewise at the
+    coexistence point's abscissa.  Neither rule applies where that abscissa
+    is not below -1e-8.  The record is checked on the run so far, and a run
+    stops only where it holds; ``t_decided`` is where the run stopped, the
+    horizon for one that never settled.
     """
     if len(histories) < 2:
         raise ValueError("need several histories spanning magnitudes")
@@ -245,17 +385,33 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     # juvenile flux-difference channel keeps a real floor
     cfg = cfg or default_stepper(model, horizon, atol=(1e-30, 1e-30, 1e-10))
 
+    def terminal_error(x: float, y: float, yj: float) -> float:
+        return max(abs(x - p.K), abs(y), abs(yj)) / max(1.0, p.K)
+
+    if expect_permanent:
+        try:
+            eq = solve_coexistence(model)
+        except NoConvergenceError:
+            eq = None
+        settling = _settling(model, eq, eq and _relative_envelope(eq),
+                             cap=_SETTLE_DISTANCE)
+    else:
+        settling = _settling(
+            model, boundary_equilibria(model)[1], _predator_envelope,
+            near=lambda *u: terminal_error(*u) <= extinction_tol)
+
     def probe(hist: HistoryFunction) -> HistoryRecord:
-        traj = integrate(model, hist, cfg)
-        ts = _tail_grid(traj, _TAIL_FRACTION)
-        vals = traj.sample(ts)
-        liminf_xy = float(np.min(np.minimum(vals[:, 0], vals[:, 1])))
-        terminal = traj.lookup(traj.t_end)
-        term_err = max(abs(terminal[0] - p.K), abs(terminal[1]),
-                       abs(terminal[2])) / max(1.0, p.K)
-        ok = (liminf_xy > eps_floor) if expect_permanent else (
-            term_err <= extinction_tol)
-        return HistoryRecord(hist.label, liminf_xy, term_err, ok)
+        def record(traj: Trajectory) -> tuple[HistoryRecord, bool]:
+            ts = _tail_grid(traj, _TAIL_FRACTION)
+            vals = traj.sample(ts)
+            liminf_xy = float(np.min(np.minimum(vals[:, 0], vals[:, 1])))
+            term_err = terminal_error(*traj.lookup(traj.t_end))
+            ok = (liminf_xy > eps_floor) if expect_permanent else (
+                term_err <= extinction_tol)
+            return HistoryRecord(hist.label, liminf_xy, term_err, ok,
+                                 traj.t_end), ok
+
+        return _settled_run(model, hist, cfg, settling, record)
 
     records = _map_histories(probe, histories, cfg)
     if not all(rec.ok for rec in records):
@@ -529,6 +685,7 @@ class AttractionRecord:
     err_y: float
     err_yj: float
     converged: bool
+    t_decided: float        # where the run stopped: settled, or the horizon
 
 
 @dataclass(frozen=True)
@@ -551,7 +708,10 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
     pass ``require_conditions=False`` for exploratory runs on models where
     they fail, in which case the report is data with no expectation attached.
     The histories run side by side on the usable CPUs, with the records of a
-    serial run.
+    serial run.  ``horizon`` is a cap, as in :func:`permanence_probe`: a run
+    stops at the first pause where it has converged and the envelope of
+    max(|x/x* - 1|, |y/y* - 1|) falls at the rate that the abscissa at
+    (x*, y*) sets.
     """
     cond = check_global_conditions(model, eq)
     if require_conditions and not cond.overall:
@@ -563,16 +723,24 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
                                  x_ref=eq.x_star, y_ref=eq.y_star,
                                  lo=0.05, hi=5.0)
 
+    def errors(x: float, y: float, yj: float) -> tuple[float, float, float]:
+        return (abs(x - eq.x_star) / abs(eq.x_star),
+                abs(y - eq.y_star) / abs(eq.y_star),
+                abs(yj - eq.yj_star) / abs(eq.yj_star))
+
+    def converged(err_x: float, err_y: float, err_yj: float) -> bool:
+        return max(err_x, err_y) <= rel_tol_xy and err_yj <= rel_tol_yj
+
+    settling = _settling(model, eq, _relative_envelope(eq),
+                         near=lambda *u: converged(*errors(*u)))
+
     def probe(hist: HistoryFunction) -> AttractionRecord:
-        traj = integrate(model, hist, cfg)
-        x, y, yj = traj.lookup(traj.t_end)
-        err_x = abs(x - eq.x_star) / abs(eq.x_star)
-        err_y = abs(y - eq.y_star) / abs(eq.y_star)
-        err_yj = abs(yj - eq.yj_star) / abs(eq.yj_star)
-        return AttractionRecord(
-            hist.label, err_x, err_y, err_yj,
-            converged=(max(err_x, err_y) <= rel_tol_xy
-                       and err_yj <= rel_tol_yj))
+        def record(traj: Trajectory) -> tuple[AttractionRecord, bool]:
+            errs = errors(*traj.lookup(traj.t_end))
+            ok = converged(*errs)
+            return AttractionRecord(hist.label, *errs, ok, traj.t_end), ok
+
+        return _settled_run(model, hist, cfg, settling, record)
 
     records = _map_histories(probe, histories, cfg)
     worst = max(records, key=lambda r: max(r.err_x, r.err_y, r.err_yj),

@@ -58,27 +58,37 @@ class Scenario:
     sweep: dict | None
 
 
+def _real(value, name: str) -> float:
+    """A config value that must be a JSON number, as a float; ``name`` is
+    its dotted location, named in the message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
     check_keys(doc, "history", {"kind"},
                 {"x", "y", "yj", "amp", "omega", "phase", "times", "series"})
     kind = doc["kind"]
+
+    def num(key: str) -> float:
+        return _real(doc[key], f"history.{key}")
+
     if kind == "constant":
         check_keys(doc, "history", {"kind", "x", "y"}, {"yj"})
         if "yj" in doc:
-            return constant_history(float(doc["x"]), float(doc["y"]),
-                                    float(doc["yj"]))
-        return consistent_history(model, float(doc["x"]), float(doc["y"]))
+            return constant_history(num("x"), num("y"), num("yj"))
+        return consistent_history(model, num("x"), num("y"))
     if kind == "constant_plus_sine":
         check_keys(doc, "history", {"kind", "x", "y", "amp", "omega"},
                     {"yj", "phase"})
-        phase = float(doc.get("phase", 0.0))
+        phase = num("phase") if "phase" in doc else 0.0
         if "yj" in doc:
             return constant_plus_sine_history(
-                float(doc["x"]), float(doc["y"]), float(doc["yj"]),
-                amp=float(doc["amp"]), omega=float(doc["omega"]), phase=phase)
-        return consistent_history(model, float(doc["x"]), float(doc["y"]),
-                                  amp=float(doc["amp"]),
-                                  omega=float(doc["omega"]), phase=phase)
+                num("x"), num("y"), num("yj"), amp=num("amp"),
+                omega=num("omega"), phase=phase)
+        return consistent_history(model, num("x"), num("y"), amp=num("amp"),
+                                  omega=num("omega"), phase=phase)
     if kind == "tabulated":
         check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
@@ -107,9 +117,20 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
 def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> StepperConfig:
     check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
-    t_end = float(horizon if horizon is not None else doc["t_end"])
-    opts = {key: float(doc[key]) for key in ("rtol", "atol", "h_init", "h_max")
-            if doc.get(key) is not None}
+    t_end = (float(horizon) if horizon is not None
+             else _real(doc["t_end"], "stepper.t_end"))
+    opts = {key: _real(doc[key], f"stepper.{key}")
+            for key in ("rtol", "h_init", "h_max") if doc.get(key) is not None}
+    atol = doc.get("atol")
+    if isinstance(atol, list):
+        # one floor a component, as StepperConfig takes it
+        if len(atol) != 3:
+            raise ConfigError("stepper.atol must be a number or a list of 3 "
+                              f"numbers, got {atol!r}")
+        opts["atol"] = tuple(_real(v, f"stepper.atol[{i}]")
+                             for i, v in enumerate(atol))
+    elif atol is not None:
+        opts["atol"] = _real(atol, "stepper.atol")
     guard = doc.get("positivity_guard", StepperConfig.positivity_guard)
     if not isinstance(guard, bool):
         raise ConfigError("stepper.positivity_guard must be true or false")
@@ -137,10 +158,15 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     stepper = _build_stepper(doc.get("stepper", {"t_end": 100.0}), model, horizon)
     odoc = doc.get("outputs", {})
     check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
-    stride = float(odoc.get("stride", stepper.t_end / 200.0))
+    stride = (_real(odoc["stride"], "outputs.stride") if "stride" in odoc
+              else stepper.t_end / 200.0)
     if not 0.0 < stride < math.inf:
         raise ConfigError(
             f"outputs.stride must be positive and finite, got {stride!r}")
+    for key in ("csv", "svg"):
+        if odoc.get(key) is not None and not isinstance(odoc[key], str):
+            raise ConfigError(f"outputs.{key} must be a file name, got "
+                              f"{odoc[key]!r}")
     outputs = Outputs(stride=stride, csv=odoc.get("csv"), svg=odoc.get("svg"))
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -271,11 +297,11 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
             V_sup=cert.observed_V_sup, V_limit=cert.V_limit)
 
         sample_ts = np.linspace(model.delay.tau_M, traj.t_end, 12)
-        worst = 0.0
+        worst, yj_floor = 0.0, cfg.atol_vector(3)[2]
         for t in sample_ts:
             ode = traj.lookup(float(t))[2]
             quad_val = yj_integral(model, traj, float(t))
-            worst = max(worst, abs(ode - quad_val) / max(abs(ode), cfg.atol))
+            worst = max(worst, abs(ode - quad_val) / max(abs(ode), yj_floor))
         add("yj_conservation", worst <= 1e-5, f"worst rel dev={worst:.3g}",
             worst=worst)
 

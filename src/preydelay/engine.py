@@ -46,7 +46,11 @@ generated loops are cached by their law texts, so a process compiles each
 combination once (a few milliseconds) and a subcommand that does not
 integrate compiles none.  The loop counts its attempts, which
 :attr:`Trajectory.n_attempts` reports, and returns a failure for
-:func:`integrate` to raise with the partial trajectory.
+:func:`integrate` to raise with the partial trajectory.  It also takes a soft
+stop: a :class:`Run` advanced window by window (the probes' runs, see
+:func:`start_run`) pauses at the first node past each window's end and
+resumes with the steps and bits of a run that never paused; a plain run's
+soft stop is its end.
 
 :func:`export_csv` builds a long file's blocks on every usable CPU, in
 ``os.fork()`` children (see :mod:`preydelay._forkmap`), and writes the bytes
@@ -560,20 +564,26 @@ t1 = t0 + h
 """
 
 # The adaptive stepping loop over a three-component state whose first
-# ``live`` components are live, from the store's last node to cfg.t_end.
-# Padded components stay exactly zero: their error and value are exactly 0,
-# so their term in the error norm is exactly 0 whatever their atol (ax, ay,
-# az), and they never fail the positivity guard.  The stages of an attempt
-# (_STAGES, or _OVERLAP_ATTEMPT) take the ATTEMPT line's place.  Accepted
-# steps go straight into the store's buffers, the only ones it reads.  It
-# returns (t, attempts, failure), with failure None or the IntegrationError
-# class to raise with the partial trajectory.
+# ``live`` components are live, from the store's last node to the soft stop
+# t_stop <= cfg.t_end, with the step size h and the attempt count it carries
+# in.  Padded components stay exactly zero: their error and value are
+# exactly 0, so their term in the error norm is exactly 0 whatever their
+# atol (ax, ay, az), and they never fail the positivity guard.  The stages of
+# an attempt (_STAGES, or _OVERLAP_ATTEMPT) take the ATTEMPT line's place.
+# Accepted steps go straight into the store's buffers, the only ones it
+# reads.  The step is clipped against cfg.t_end, never against t_stop: the
+# loop returns at the first accepted node within t_tol of t_stop or past it,
+# and a call from there on the same store with the h and attempts it
+# returned takes the steps of a run that never stopped (a lag read that
+# leaves the cached segment gives the same bits, see _LAG_READ).  A plain
+# run passes t_stop = cfg.t_end.  It returns (t, attempts, failure, h), with
+# failure None or the IntegrationError class to raise with the partial
+# trajectory.
 _LOOP = """
-def loop(store, cfg, ax, ay, az, live):
+def loop(store, cfg, ax, ay, az, live, t_stop, h, attempts):
     t_end, h_max, max_steps = cfg.t_end, cfg.h_max, cfg.max_steps
     rtol, guard = cfg.rtol, cfg.positivity_guard
     t_tol, h_min = 1e-13 * max(1.0, t_end), 1e-12 * max(1.0, t_end)
-    h = min(cfg.h_init, h_max, t_end)
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     lookup, ts, us, fs, ds = (store.eval_past, store.ts, store.us, store.fs,
                               store.ds)
@@ -583,17 +593,16 @@ def loop(store, cfg, ax, ay, az, live):
     x0, y0, z0 = us[-3:]
     k1x, k1y, k1z = fs[-3:]
     ia, sa, sb = -1, 0.0, 0.0
-    attempts = 0
     last_reject_positivity = False
-    while t_end - t0 > t_tol:
+    while t_stop - t0 > t_tol:
         if h > t_end - t0:
             h = t_end - t0
         if h < h_min:
             if last_reject_positivity:
-                return t0, attempts, PositivityViolation
-            return t0, attempts, StepSizeUnderflow
+                return t0, attempts, PositivityViolation, h
+            return t0, attempts, StepSizeUnderflow, h
         if attempts == max_steps:
-            return t0, attempts, IntegrationError
+            return t0, attempts, IntegrationError, h
         attempts += 1
         ATTEMPT
         # weighted rms local-error norm over the live components; a
@@ -645,7 +654,7 @@ def loop(store, cfg, ax, ay, az, live):
         else:
             last_reject_positivity = False
             h *= max(0.1, min(0.5, 0.9 * enorm ** -0.2))
-    return t0, attempts, None
+    return t0, attempts, None, h
 """
 
 # the message of each failure the loop returns
@@ -815,33 +824,63 @@ def _make_rhs(model: ModelSpec):
     return maker(*laws, p.r, p.K, p.n, p.dj, p.d, *constants)
 
 
-def _integrate_core(rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
-                    tau_M: float, live: int) -> Trajectory:
-    """Run ``rhs_core.loop`` from u0 with its first ``live`` components live.
+class Run:
+    """One integration on one solution store, advanced a window at a time.
 
-    The returned trajectory, or the partial one an error carries, holds the
-    live components only.
+    ``advance(t)`` steps on to the first accepted node at or past t (or to
+    cfg.t_end), and a run advanced to cfg.t_end in any number of windows
+    takes the same steps, with the same bits and attempt count, as one
+    advanced there at once; ``max_steps`` counts across windows.  Between
+    windows a caller reads the run off the store's flat buffers
+    (``store.ts``, ``store.us``, three floats a node) and must hold no view
+    on them, which would stop them from growing.  ``trajectory()`` views the
+    buffers once the run is over; ``trajectory(copy=True)`` copies them, so
+    that the run can go on.  The trajectory holds the first ``live``
+    components only.
     """
-    import numpy as np
 
-    store = _SolutionStore(history_eval, tau_M)
-    f0 = rhs_core(0.0, u0, store.eval_past)
-    store.ts.append(0.0)
-    store.us.extend(u0)
-    store.fs.extend(f0)
-    atol = cfg.atol_vector(live) + (1.0,) * (3 - live)
-    t, attempts, failure = rhs_core.loop(store, cfg, *atol, live)
+    __slots__ = ("rhs_core", "store", "cfg", "atol", "live", "h", "attempts")
 
-    # views on the store's buffers, which nothing appends to afterwards
-    def nodes(buf):
-        return np.frombuffer(buf).reshape(-1, 3)[:, :live]
+    def __init__(self, rhs_core, history_eval, u0: tuple, cfg: StepperConfig,
+                 tau_M: float, live: int):
+        store = _SolutionStore(history_eval, tau_M)
+        f0 = rhs_core(0.0, u0, store.eval_past)
+        store.ts.append(0.0)
+        store.us.extend(u0)
+        store.fs.extend(f0)
+        self.rhs_core, self.store, self.cfg, self.live = rhs_core, store, cfg, live
+        self.atol = cfg.atol_vector(live) + (1.0,) * (3 - live)
+        self.h = min(cfg.h_init, cfg.h_max, cfg.t_end)
+        self.attempts = 0
 
-    traj = Trajectory(np.frombuffer(store.ts), nodes(store.us), nodes(store.fs),
-                      nodes(store.ds), history_eval, tau_M, attempts)
-    if failure is not None:
-        raise failure(_FAILURES[failure].format(t=t, max_steps=cfg.max_steps),
-                      trajectory=traj)
-    return traj
+    def advance(self, t_stop: float) -> bool:
+        """Step on to t_stop (at most cfg.t_end); True once the run is over.
+
+        Raises the loop's :class:`IntegrationError`, with the partial
+        trajectory attached, if the stepper cannot proceed.
+        """
+        cfg = self.cfg
+        t, self.attempts, failure, self.h = self.rhs_core.loop(
+            self.store, cfg, *self.atol, self.live, min(t_stop, cfg.t_end),
+            self.h, self.attempts)
+        if failure is not None:
+            raise failure(_FAILURES[failure].format(t=t, max_steps=cfg.max_steps),
+                          trajectory=self.trajectory())
+        return t == cfg.t_end
+
+    def trajectory(self, copy: bool = False) -> Trajectory:
+        """The run so far: views on the store's buffers, or copies of them."""
+        import numpy as np
+
+        read = np.array if copy else np.frombuffer
+        store, live = self.store, self.live
+
+        def nodes(buf):
+            return read(buf).reshape(-1, 3)[:, :live]
+
+        return Trajectory(read(store.ts), nodes(store.us), nodes(store.fs),
+                          nodes(store.ds), store.history, store.tau_M,
+                          self.attempts)
 
 
 # --------------------------------------------------------------------------
@@ -856,6 +895,16 @@ def _check_step_cap(cfg: StepperConfig, tau_m: float) -> None:
             f"use default_stepper() for a compliant config")
 
 
+def start_run(model: ModelSpec, history: HistoryFunction,
+              cfg: StepperConfig) -> Run:
+    """The :class:`Run` that :func:`integrate` advances to cfg.t_end, with
+    the same checks and warnings, not yet advanced."""
+    _check_step_cap(cfg, model.delay.tau_m)
+    history.check_nonnegative(model.delay.tau_M)
+    warn_if_inconsistent(model, history)
+    return _model_run(model, history, cfg)
+
+
 def integrate(model: ModelSpec, history: HistoryFunction,
               cfg: StepperConfig) -> Trajectory:
     """Integrate the three-component system from its history up to cfg.t_end.
@@ -864,18 +913,24 @@ def integrate(model: ModelSpec, history: HistoryFunction,
     Raises :class:`StepSizeUnderflow` / :class:`PositivityViolation` with the
     partial trajectory attached if the stepper cannot proceed.
     """
-    tau_m, tau_M = model.delay.tau_m, model.delay.tau_M
-    _check_step_cap(cfg, tau_m)
-    history.check_nonnegative(tau_M)
+    # start_run's checks, here so that the warning names this one's caller
+    _check_step_cap(cfg, model.delay.tau_m)
+    history.check_nonnegative(model.delay.tau_M)
     warn_if_inconsistent(model, history)
+    run = _model_run(model, history, cfg)
+    run.advance(cfg.t_end)
+    return run.trajectory()
 
+
+def _model_run(model: ModelSpec, history: HistoryFunction,
+               cfg: StepperConfig) -> Run:
     phi1, phi2, phi3 = history.phi1, history.phi2, history.phi3
 
     def history_eval(s: float) -> tuple:
         return (float(phi1(s)), float(phi3(s)), float(phi2(s)))
 
-    return _integrate_core(_make_rhs(model), history_eval, history.state0(),
-                           cfg, tau_M, live=3)
+    return Run(_make_rhs(model), history_eval, history.state0(), cfg,
+               model.delay.tau_M, live=3)
 
 
 def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
@@ -897,9 +952,10 @@ def integrate_scalar_sdtd(rhs_scalar, history_fn, cfg: StepperConfig,
     def history_eval(s: float) -> tuple:
         return (float(history_fn(s)),)
 
-    v0 = float(history_fn(0.0))
-    return _integrate_core(rhs_core, history_eval, (v0, 0.0, 0.0), cfg, tau_M,
-                           live=1)
+    run = Run(rhs_core, history_eval, (float(history_fn(0.0)), 0.0, 0.0), cfg,
+              tau_M, live=1)
+    run.advance(cfg.t_end)
+    return run.trajectory()
 
 
 # --------------------------------------------------------------------------

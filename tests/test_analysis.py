@@ -154,13 +154,112 @@ def test_deep_prey_crash_stays_permanent():
     assert all(rec.liminf_xy > 1e-6 for rec in verdict.records)
 
 
+# The model of job 20 of the dichotomy benchmark's seed 7 (R = 5.385): its
+# coexistence point's abscissa reads +0.0122, so none of its runs can settle,
+# and its records at the benchmark's settings, as read before the probes
+# stopped settled runs
+CYCLING_MODEL = {
+    "params": {"r": 1.3447322944889888, "K": 3.0027556722813733,
+               "n": 0.7901616508294579, "dj": 0.3611624834624159,
+               "d": 0.6239259143938131},
+    "delay": {"kind": "saturating",
+              "coefficients": {"theta": 0.9280105405705013},
+              "tau_m": 0.6023561030448519, "tau_M": 0.8823975706013429},
+    "response": {"kind": "Linear", "coefficients": {"b": 1.7601467581194445}}}
+CYCLING_HISTORY_SEED = 402740295
+CYCLING_RECORDS = (  # label, liminf_xy, terminal_error
+    ("level0.1", 0.4289455144426553, 0.7754127297232802),
+    ("level0.234035", 0.42969255140884816, 0.8494220478255678),
+    ("level0.547723", 0.43704536773017527, 0.7550529861662018),
+    ("level1.28186", 0.42812839212958514, 0.7925063384483164),
+    ("level3", 0.42571274597362346, 0.8535047807361219))
+
+
+def test_runs_that_never_settle_keep_their_full_horizon_records():
+    m = ModelSpec.from_dict(CYCLING_MODEL)
+    horizon = 400.0 / m.params.d
+    verdict = permanence_probe(
+        m, spread_histories(m, n=5, seed=CYCLING_HISTORY_SEED, lo=0.1, hi=3.0),
+        horizon=horizon, cfg=default_stepper(m, horizon, rtol=1e-6,
+                                             atol=(1e-300, 1e-300, 1e-8)))
+    assert verdict.verdict == "permanent"
+    assert verdict.records == tuple(
+        analysis.HistoryRecord(label, liminf, term, True, horizon)
+        for label, liminf, term in CYCLING_RECORDS)
+
+
+def test_settled_runs_stop_early_and_pass_the_check_there():
+    # most runs of both branches settle in a fraction of the horizon (the
+    # R = 2 run from ten times the reference level crashes the prey and
+    # settles at t = 156), and each record's check holds on the run up to
+    # where it stopped
+    for R in (0.5, 2.0):
+        m = linear_family_model(R)
+        verdict = permanence_probe(m, spread_histories(m, n=5, seed=1),
+                                   horizon=200.0)
+        assert verdict.verdict == ("permanent" if R > 1.0 else "extinction")
+        decided = sorted(rec.t_decided for rec in verdict.records)
+        assert all(rec.ok for rec in verdict.records)
+        assert decided[2] < 50.0 and decided[-1] < 200.0
+        # pauses fall every four maximum delays (tau_M = 1), and four
+        # windows are the fewest that show three falls
+        assert decided[0] >= 16.0
+
+
+def test_extinction_on_too_short_a_horizon_stays_inconclusive():
+    # at R = 0.9 the predator decays slowly: by t = 24 two of the five runs
+    # are still more than 1e-3 from (K, 0, 0), so they may not stop early,
+    # and the probe reads inconclusive as it did over the whole horizon
+    m = linear_family_model(0.9)
+    with pytest.raises(InconclusiveError, match="disagree") as exc_info:
+        permanence_probe(m, spread_histories(m, n=5, seed=1), horizon=24.0)
+    failed = [rec for rec in exc_info.value.records if not rec.ok]
+    assert len(failed) == 2
+    for rec in failed:
+        assert rec.terminal_error > 1e-3 and rec.t_decided == 24.0
+
+
+def test_settle_rule_needs_three_falls_at_the_abscissa_rate():
+    rule = analysis._Settling(analysis._predator_envelope, 0.5, cap=1.0)
+    node = (1.0, 0.5, 0.5)
+    assert rule.holds([8.0, 4.0, 2.0, 1.0], node)
+    assert rule.holds([100.0, 8.0, 4.0, 2.0, 1.0], node)
+    assert not rule.holds([4.0, 2.0, 1.0], node)           # two falls only
+    assert not rule.holds([8.0, 4.0, 2.5, 1.0], node)      # one too slow
+    assert not rule.holds([16.0, 8.0, 4.0, 2.0], node)     # above the cap
+    assert not rule.holds([8.0, 4.0, 2.0, math.nan], node)
+    far = analysis._Settling(analysis._predator_envelope, 0.5,
+                             near=lambda x, y, yj: y + yj < 1.0)
+    assert not far.holds([8.0, 4.0, 2.0, 1.0], node)
+
+
+def test_envelopes_are_the_largest_node_distance():
+    # the relative envelope reads only each component's extremes
+    from array import array
+    rng = np.random.default_rng(20261019)
+    eq = solve_coexistence(linear_family_model(2.0))
+    envelope = analysis._relative_envelope(eq)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        nodes = rng.uniform(0.5, 1.5, (n, 3)) * [eq.x_star, eq.y_star, 1.0]
+        us = array("d", [0.0] * 6 + nodes.ravel().tolist() + [9.0] * 3)
+        a, b = 6, 6 + 3 * n
+        assert envelope(us, a, b) == max(
+            max(abs(x / eq.x_star - 1.0), abs(y / eq.y_star - 1.0))
+            for x, y, _ in nodes.tolist())
+        assert analysis._predator_envelope(us, a, b) == max(
+            y + yj for _, y, yj in nodes.tolist())
+
+
 def test_mixed_outcomes_raise_inconclusive():
     # permanent dynamics probed with an extinction-sized horizon floor:
     # force disagreement by lying about R via eps_floor too high
     m = linear_family_model(3.0)
-    with pytest.raises(InconclusiveError):
+    with pytest.raises(InconclusiveError) as exc_info:
         permanence_probe(m, spread_histories(m, n=4, seed=4), horizon=60.0,
                          eps_floor=1e9)
+    # no run stops early on a record that fails its check
+    assert all(rec.t_decided == 60.0 for rec in exc_info.value.records)
 
 
 # --------------------------------------------------------------------------
@@ -388,6 +487,22 @@ def test_forked_permanence_records_equal_serial(forks, monkeypatch):
     run = lambda: permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
     verdict = run()
     assert forks[0] == 1
+    assert verdict == serially(monkeypatch, run)
+    assert forks[0] == 1
+    assert_no_child_left()
+
+
+def test_forked_records_equal_serial_when_some_runs_stop_early(forks,
+                                                               monkeypatch):
+    # at R = 3 and horizon 60 (200 capped steps, so the probe forks) two runs
+    # settle early and three run to the horizon
+    m = linear_family_model(3.0)
+    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
+    run = lambda: permanence_probe(m, hists, horizon=60.0)
+    verdict = run()
+    assert forks[0] == 1
+    decided = [rec.t_decided for rec in verdict.records]
+    assert 0 < sum(t < 60.0 for t in decided) < len(decided)
     assert verdict == serially(monkeypatch, run)
     assert forks[0] == 1
     assert_no_child_left()

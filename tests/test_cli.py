@@ -348,6 +348,72 @@ def test_bad_stride_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "traj.csv").exists()
 
 
+def edit_config(path, section: str, key: str, value):
+    doc = json.loads(path.read_text())
+    doc[section][key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def fail_to_integrate(monkeypatch) -> None:
+    def fail(*args, **kwargs):
+        raise AssertionError("integrated before the config was checked")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+
+
+@pytest.mark.parametrize("section, key, value, name, got", [
+    ("stepper", "t_end", "abc", "stepper.t_end", "'abc'"),
+    ("stepper", "rtol", [1e-8], "stepper.rtol", "[1e-08]"),
+    ("stepper", "h_max", True, "stepper.h_max", "True"),
+    ("stepper", "atol", "1e-10", "stepper.atol", "'1e-10'"),
+    ("stepper", "atol", [1e-10, "x", 1e-8], "stepper.atol[1]", "'x'"),
+    ("outputs", "stride", "0.5", "outputs.stride", "'0.5'"),
+    ("history", "omega", {"w": 2.0}, "history.omega", "{'w': 2.0}"),
+])
+def test_config_numbers_that_are_not_numbers_name_their_key(
+        tmp_path, monkeypatch, capsys, section, key, value, name, got):
+    # read with float(), "abc" exited 2 naming no key and a list exited 1
+    fail_to_integrate(monkeypatch)
+    cfg = edit_config(write_config(tmp_path / "cfg.json"), section, key, value)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {name} must be a number, got {got}\n")
+
+
+@pytest.mark.parametrize("key, value", [("csv", 5), ("svg", ["a.svg"])])
+def test_output_names_must_be_strings(tmp_path, monkeypatch, capsys, key,
+                                      value):
+    # "csv": 5 used to fail with a TypeError (exit 1) after the whole run
+    fail_to_integrate(monkeypatch)
+    cfg = edit_config(write_config(tmp_path / "cfg.json"), "outputs", key,
+                      value)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: outputs.{key} must be a file name, got {value!r}\n")
+
+
+def test_per_component_atol_list_is_read_as_stepper_config_takes_it(
+        tmp_path, monkeypatch, capsys):
+    # a list of three floors used to exit 1 with float()'s TypeError
+    cfg = edit_config(write_config(tmp_path / "cfg.json", t_end=10.0),
+                      "stepper", "atol", [1e-12, 1e-12, 1e-10])
+    assert cli.load_scenario(cfg).stepper.atol == (1e-12, 1e-12, 1e-10)
+    for command in ("simulate", "verify"):
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    fail_to_integrate(monkeypatch)
+    edit_config(cfg, "stepper", "atol", [1e-12, 1e-10])
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: stepper.atol must be a number or a list of 3 numbers, "
+        "got [1e-12, 1e-10]\n")
+
+
 def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json",
                        sweep={"tau_m": [1.0, 0.5], "tau_M": [1.0]})

@@ -652,7 +652,8 @@ LOOP_PINS = {
 }
 
 
-def test_loop_path_bits_are_pinned(bd_model):
+def loop_pin_runs(bd_model) -> dict:
+    """The three runs of LOOP_PINS, by name."""
     # a prey crash to the subnormals under the dichotomy probe's atol: the
     # positivity guard halves the steps that would take x to 0 and clamps
     # the juvenile channel's overshoots
@@ -663,13 +664,18 @@ def test_loop_path_bits_are_pinned(bd_model):
     # laws that carry no text are called, and the lags cross from the
     # history into the store
     called = opaque(bd_model)
-    runs = {"deep_crash": quiet_integrate(crash, hist, default_stepper(
+    return {"deep_crash": quiet_integrate(crash, hist, default_stepper(
                 crash, 10.0, rtol=1e-6, atol=(1e-300, 1e-300, 1e-8))),
             "scalar_tau_m_0.5": run_delay_scalar(
                 0.3, delay=saturating_delay(0.5, 1.0, 1.0), t_end=20.0),
             "called_laws": quiet_integrate(
                 called, consistent_history(bd_model, 2.0, 0.5, amp=0.2),
                 default_stepper(bd_model, 30.0))}
+
+
+def test_loop_path_bits_are_pinned(bd_model):
+    runs = loop_pin_runs(bd_model)
+    called = opaque(bd_model)
     assert runs["deep_crash"].n_attempts > runs["deep_crash"].n_steps
     assert runs["deep_crash"].us[:, 0].min() < 1e-300
     assert runs["deep_crash"].us[:, 2].min() == 0.0
@@ -678,6 +684,61 @@ def test_loop_path_bits_are_pinned(bd_model):
     for name, traj in runs.items():
         got = (_sha256(traj.ts, traj.us, traj.fs, traj.ds), traj.n_attempts)
         assert got == LOOP_PINS[name], name
+
+
+# soft stops as fractions of t_end: the same stop twice, stops a step apart
+# and one near the end
+SOFT_STOPS = (0.1, 0.1, 0.103, 0.37, 0.5, 0.95)
+
+
+def split_at_soft_stops(monkeypatch, stopped: list) -> None:
+    """Make every run pause at SOFT_STOPS on its way to t_end, recording
+    (soft stop, node reached, step cap) at each."""
+    advance = engine.Run.advance
+
+    def in_windows(run, t_stop):
+        for frac in SOFT_STOPS:
+            soft = frac * run.cfg.t_end
+            assert not advance(run, soft)
+            stopped.append((soft, run.store.ts[-1], run.cfg.h_max))
+        return advance(run, t_stop)
+
+    monkeypatch.setattr(engine.Run, "advance", in_windows)
+
+
+def test_loop_pins_hold_when_runs_pause_at_soft_stops(bd_model, monkeypatch):
+    # a run resumed on its store takes the steps of one that never paused
+    stopped = []
+    split_at_soft_stops(monkeypatch, stopped)
+    runs = loop_pin_runs(bd_model)
+    assert len(stopped) == len(runs) * len(SOFT_STOPS)
+    # each pause is at the first node at or past its soft stop
+    for soft, t, h_max in stopped:
+        assert soft <= t < soft + h_max
+    for name, traj in runs.items():
+        got = (_sha256(traj.ts, traj.us, traj.fs, traj.ds), traj.n_attempts)
+        assert got == LOOP_PINS[name], name
+
+
+def test_attempts_count_across_windows(monkeypatch):
+    # the deep-crash run of LOOP_PINS takes 3 044 attempts to t = 10; capped
+    # at 2 500 it fails at t = 3.15, past three pauses, where it fails
+    # unpaused, with the same partial run
+    crash = ModelSpec.from_dict(dict(DEFECT_MODEL, response={
+        "kind": "Linear", "coefficients": {"b": 3.0}}))
+    K = crash.params.K
+    hist = consistent_history(crash, 4.0 * K, 2.0 * K, amp=0.2)
+    cfg = default_stepper(crash, 10.0, rtol=1e-6,
+                          atol=(1e-300, 1e-300, 1e-8), max_steps=2500)
+    with pytest.raises(IntegrationError, match="exceeded 2500") as whole:
+        quiet_integrate(crash, hist, cfg)
+    split_at_soft_stops(monkeypatch, [])
+    with pytest.raises(IntegrationError, match="exceeded 2500") as paused:
+        quiet_integrate(crash, hist, cfg)
+    assert str(paused.value) == str(whole.value)
+    got, want = paused.value.trajectory, whole.value.trajectory
+    assert got.n_attempts == want.n_attempts == 2500
+    assert np.array_equal(got.ts, want.ts) and np.array_equal(got.us, want.us)
 
 
 def test_yj_integral_matches_initial_juvenile_stock(bd_model):
