@@ -8,8 +8,10 @@ equation to its fixed point, and the monotone over/under bracketing scheme
 that pins the coexistence equilibrium.
 
 The two probes that run many histories of one model, :func:`permanence_probe`
-and :func:`global_attraction_probe`, deal them round-robin to ``os.fork()``
-children on POSIX when more than one CPU is usable, through
+and :func:`global_attraction_probe`, run them in order in the calling process
+until one run proves long: it stopped after at least 200 capped steps
+(``t_decided / h_max``).  The histories after it are dealt round-robin to
+``os.fork()`` children on POSIX when more than one CPU is usable, through
 :func:`preydelay._forkmap.fork_map`.  Their records, warnings and exceptions
 are those of a serial run; restricting the CPU affinity to one CPU (for
 example ``taskset -c 0``) forces the serial path.
@@ -118,27 +120,40 @@ def _tail_grid(traj: Trajectory, tail_fraction: float):
 # --------------------------------------------------------------------------
 # histories side by side
 
-# A history whose step cap alone asks for fewer steps than this runs serially:
-# t_end / h_max, a lower bound on its steps.  The default cap grows with rtol
-# above 1e-8 (0.6 to 0.95 tau(0), see engine.default_stepper), so a probe at a
-# coarse rtol counts fewer capped steps for the same horizon.  On a 2-core
-# x86-64 VM a fork, the child's exit and the pickled records cost 2-9 ms.  A
-# 5-history probe split 3 + 2 took 0.8-1.7x its serial time at 50 capped steps
-# per history, 0.7-0.8x at 100, and 0.65-0.72x from 200 on (at 0.6 tau(0)).
+# A probe forks the histories after the first whose run took at least this
+# many capped steps: t_decided / h_max, a lower bound on its steps.  The
+# default cap grows with rtol above 1e-8 (0.6 to 0.95 tau(0), see
+# engine.default_stepper), so a run at a coarse rtol counts fewer capped steps
+# for the same time.  On a 2-core x86-64 VM a fork, the child's exit and the
+# pickled records cost 2-9 ms, and a long first run does not make the runs
+# after it long.  Over 205 of the benchmark's 5-history dichotomy jobs (seeds
+# 20261040-47), forking the rest after the first run took, in the median,
+# 1.25x the all-serial time where that run had 40-100 capped steps, 1.18x at
+# 100-150, 1.11x at 150-200, 1.06x at 200-300, 0.92x at 300-400 and 0.78x
+# from 400 on.  Their total time moved by under 1% for thresholds from 200 to
+# 400; over seeds 20261040-41 it was 2.5% higher at 100 than at 200.  At 200
+# a job whose first run reaches its horizon forks exactly when a rule on the
+# horizon at 200 forked it, so the slowest jobs, whose runs all reach the
+# horizon, keep their split.
 _FORK_MIN_STEPS = 200
 
 
 def _map_histories(fn, histories: list, cfg: StepperConfig) -> list:
     """``[fn(h) for h in histories]``: the same records or exception.
 
-    The histories go through :func:`preydelay._forkmap.fork_map` only when
-    ``cfg`` asks each of them for at least ``_FORK_MIN_STEPS`` steps.
+    The histories run here in order until one's record has ``t_decided``
+    of at least ``_FORK_MIN_STEPS`` capped steps; the ones after it go
+    through :func:`preydelay._forkmap.fork_map`.
     """
-    if cfg.t_end / cfg.h_max < _FORK_MIN_STEPS:
-        return [fn(h) for h in histories]
-    from ._forkmap import fork_map
+    records = []
+    for i, hist in enumerate(histories):
+        records.append(fn(hist))
+        if records[-1].t_decided / cfg.h_max >= _FORK_MIN_STEPS:
+            from ._forkmap import fork_map
 
-    return list(fork_map(fn, histories))
+            records += fork_map(fn, histories[i + 1:])
+            break
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -358,9 +373,9 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     run must exceed ``eps_floor`` for every history.  Extinction branch: the
     terminal state must lie within ``extinction_tol`` (scaled by max(1, K))
     of (K, 0, 0).  Mixed outcomes
-    raise :class:`InconclusiveError` with the per-history data.  The
-    histories run side by side on the usable CPUs, with the records of a
-    serial run.
+    raise :class:`InconclusiveError` with the per-history data.  Once a
+    run has taken 200 capped steps, the histories after it run side by side
+    on the usable CPUs, with the records of a serial run.
 
     ``horizon`` is a cap.  Each run pauses every four maximum delays and
     stops at the first pause where its verdict is settled: on the
@@ -707,8 +722,9 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
     offender), not raised.  By default the attraction conditions must hold;
     pass ``require_conditions=False`` for exploratory runs on models where
     they fail, in which case the report is data with no expectation attached.
-    The histories run side by side on the usable CPUs, with the records of a
-    serial run.  ``horizon`` is a cap, as in :func:`permanence_probe`: a run
+    Once a run has taken 200 capped steps, the histories after it run side
+    by side on the usable CPUs, with the records of a serial run.
+    ``horizon`` is a cap, as in :func:`permanence_probe`: a run
     stops at the first pause where it has converged and the envelope of
     max(|x/x* - 1|, |y/y* - 1|) falls at the rate that the abscissa at
     (x*, y*) sets.

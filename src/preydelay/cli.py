@@ -21,8 +21,8 @@ from .engine import (IntegrationError, LagDomainError, StepperConfig,
 from .equilibria import (_RESIDUAL_TOL, CrossCheckError, Equilibrium,
                          NoConvergenceError, WindingError, boundary_equilibria,
                          solve_coexistence)
-from .model import (ConfigError, HistoryFunction, ModelSpec, check_keys,
-                    consistent_history, constant_history,
+from .model import (ConfigError, HistoryFunction, ModelSpec, _real,
+                    check_keys, consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
                     tabulated_history, validate)
 from .responses import ResponseKind
@@ -58,14 +58,6 @@ class Scenario:
     sweep: dict | None
 
 
-def _real(value, name: str) -> float:
-    """A config value that must be a JSON number, as a float; ``name`` is
-    its dotted location, named in the message."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
 def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
     check_keys(doc, "history", {"kind"},
                 {"x", "y", "yj", "amp", "omega", "phase", "times", "series"})
@@ -93,17 +85,20 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
         check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
         check_keys(series, "history.series", {"x", "y", "yj"}, set())
-        times = doc["times"]
-        for name in ("x", "y", "yj"):
-            values = series[name]
+
+        def column(values, where: str) -> list:
             if not isinstance(values, list):
-                raise ConfigError(f"history.series.{name} must be a list")
-            if isinstance(times, list) and len(values) != len(times):
+                raise ConfigError(f"{where} must be a list")
+            return [_real(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+        times, columns = column(doc["times"], "history.times"), []
+        for name in ("x", "y", "yj"):
+            columns.append(column(series[name], f"history.series.{name}"))
+            if len(columns[-1]) != len(times):
                 raise ConfigError(
-                    f"history.series.{name} has {len(values)} values, "
+                    f"history.series.{name} has {len(columns[-1])} values, "
                     f"history.times {len(times)}")
-        history = tabulated_history(times, series["x"], series["y"],
-                                    series["yj"])
+        history = tabulated_history(times, *columns)
         lo, hi, tau_M = history.knots[0], history.knots[-1], model.delay.tau_M
         tol = 1e-9 * max(1.0, tau_M)
         if lo > -tau_M + tol or hi < -tol:

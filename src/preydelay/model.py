@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -116,15 +117,17 @@ class ModelSpec:
         check_keys(doc, "model", {"params", "delay", "response"})
         pdoc = doc["params"]
         check_keys(pdoc, "model.params", {"r", "K", "n", "dj", "d"})
-        params = ModelParams(**{k: float(pdoc[k]) for k in ("r", "K", "n", "dj", "d")})
+        params = ModelParams(**{k: _real(pdoc[k], f"model.params.{k}")
+                                for k in ("r", "K", "n", "dj", "d")})
         ddoc = doc["delay"]
         check_keys(ddoc, "model.delay", {"kind", "coefficients", "tau_m", "tau_M"})
-        delay = make_delay(ddoc["kind"], float(ddoc["tau_m"]), float(ddoc["tau_M"]),
-                           **{k: float(v) for k, v in ddoc["coefficients"].items()})
+        delay = make_delay(ddoc["kind"], _real(ddoc["tau_m"], "model.delay.tau_m"),
+                           _real(ddoc["tau_M"], "model.delay.tau_M"),
+                           **_coefficients(ddoc, "model.delay"))
         rdoc = doc["response"]
         check_keys(rdoc, "model.response", {"kind", "coefficients"})
         response = make_response(rdoc["kind"],
-                                 **{k: float(v) for k, v in rdoc["coefficients"].items()})
+                                 **_coefficients(rdoc, "model.response"))
         return ModelSpec(params, delay, response)
 
 
@@ -148,6 +151,22 @@ def check_keys(doc: Mapping, path: str, required: set,
     for key in sorted(required):
         if key not in doc:
             raise ConfigError(f"missing key {prefix}{key}")
+
+
+def _real(value, name: str) -> float:
+    """A config value that must be a JSON number, as a float; ``name`` is
+    its dotted location, named in the message."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _coefficients(doc: Mapping, path: str) -> dict:
+    """``doc["coefficients"]``, each read by :func:`_real`."""
+    coeffs = doc["coefficients"]
+    if not isinstance(coeffs, Mapping):
+        raise ConfigError(f"{path}.coefficients must be an object")
+    return {k: _real(v, f"{path}.coefficients.{k}") for k, v in coeffs.items()}
 
 
 # --------------------------------------------------------------------------

@@ -24,9 +24,9 @@ BD_TAUSTAR = 0.68678561861552
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Make every fork map and probe fork as on two CPUs; count the forks."""
-    from preydelay import _forkmap, analysis
+def fork_count(monkeypatch):
+    """Make every fork map fork as on two CPUs; count the forks."""
+    from preydelay import _forkmap
 
     count = [0]
     fork = os.fork
@@ -36,9 +36,18 @@ def forks(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
     monkeypatch.setattr(_forkmap, "_usable_cpus", lambda: 2)
     return count
+
+
+@pytest.fixture
+def forks(fork_count, monkeypatch):
+    """``fork_count``, with every probe forking the histories after its
+    first run."""
+    from preydelay import analysis
+
+    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
+    return fork_count
 
 
 @pytest.fixture(scope="session")

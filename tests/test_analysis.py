@@ -494,8 +494,8 @@ def test_forked_permanence_records_equal_serial(forks, monkeypatch):
 
 def test_forked_records_equal_serial_when_some_runs_stop_early(forks,
                                                                monkeypatch):
-    # at R = 3 and horizon 60 (200 capped steps, so the probe forks) two runs
-    # settle early and three run to the horizon
+    # at R = 3 and horizon 60 two runs settle early and three run to the
+    # horizon; the first run's end forks the other four
     m = linear_family_model(3.0)
     hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
     run = lambda: permanence_probe(m, hists, horizon=60.0)
@@ -518,10 +518,47 @@ def test_forked_attraction_records_equal_serial(forks, monkeypatch, bd_model):
     assert_no_child_left()
 
 
-def test_child_warning_reaches_the_caller(forks):
+def test_probe_whose_runs_settle_early_forks_nothing(fork_count):
+    # a horizon of 2 000 capped steps, and every run settles within 200
     m = linear_family_model(2.0)
-    hists = spread_histories(m, n=2, seed=1)
-    hists[1] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
+    verdict = permanence_probe(
+        m, spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0), horizon=600.0)
+    h_max = default_stepper(m, 600.0).h_max
+    assert all(rec.t_decided / h_max < analysis._FORK_MIN_STEPS
+               for rec in verdict.records)
+    assert fork_count[0] == 0
+
+
+def test_probe_forks_the_histories_after_a_long_run(fork_count,
+                                                    monkeypatch):
+    from preydelay import _forkmap
+
+    mapped = []
+    fork_map = _forkmap.fork_map
+
+    def recording_fork_map(fn, items):
+        mapped.append([h.label for h in items])
+        return fork_map(fn, items)
+
+    monkeypatch.setattr(_forkmap, "fork_map", recording_fork_map)
+    m = linear_family_model(3.0)
+    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)[::-1]
+    run = lambda: permanence_probe(m, hists, horizon=600.0)
+    verdict = run()
+    h_max = default_stepper(m, 600.0).h_max
+    assert verdict.records[0].t_decided / h_max >= analysis._FORK_MIN_STEPS
+    assert fork_count[0] == 1
+    assert mapped == [[h.label for h in hists[1:]]]
+    assert verdict == serially(monkeypatch, run)
+    assert fork_count[0] == 1
+    assert_no_child_left()
+
+
+def test_child_warning_reaches_the_caller(forks):
+    # the first run forks the other two; the child's item is the last
+    m = linear_family_model(2.0)
+    hists = spread_histories(m, n=3, seed=1)
+    hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
     with pytest.warns(HistoryConsistencyWarning, match="juvenile") as caught:
         permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
     assert forks[0] == 1
@@ -531,8 +568,8 @@ def test_child_warning_reaches_the_caller(forks):
 
 def test_child_warning_repeats_show_once_like_serial(forks):
     m = linear_family_model(2.0)
-    hists = spread_histories(m, n=2, seed=1)
-    hists[1] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
+    hists = spread_histories(m, n=3, seed=1)
+    hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         for _ in range(2):
@@ -548,10 +585,10 @@ def test_child_warning_repeats_show_once_like_serial(forks):
 def test_child_integration_error_surfaces_like_a_serial_run(forks,
                                                             monkeypatch):
     # only the deep-crash history (the last level) needs more than 150 steps
-    # to reach t = 20; at index 3 it is the child's second item
+    # to reach t = 20; the first run forks the other four, and the last is
+    # the child's second item
     m = ModelSpec.from_dict(DEFECT_MODEL)
     hists = spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0)
-    hists[3], hists[4] = hists[4], hists[3]
     cfg = default_stepper(m, 20.0, rtol=1e-6, atol=DEFECT_ATOL, max_steps=150)
     run = lambda: permanence_probe(m, hists, horizon=20.0, cfg=cfg)
     with pytest.raises(IntegrationError) as forked:
@@ -567,11 +604,15 @@ def test_child_integration_error_surfaces_like_a_serial_run(forks,
 
 
 def test_parent_failure_stops_the_children(forks):
+    # a run from the steady state reaches t = 4 within 20 attempts and forks
+    # the others, which need more; the parent's first item fails
     m = linear_family_model(2.0)
-    cfg = default_stepper(m, 40.0, max_steps=20)
+    eq = solve_coexistence(m)
+    hists = [consistent_history(m, eq.x_star, eq.y_star, label="steady")]
+    hists += spread_histories(m, n=4, seed=1)
+    cfg = default_stepper(m, 4.0, max_steps=20)
     with pytest.raises(IntegrationError, match="exceeded 20 attempts"):
-        permanence_probe(m, spread_histories(m, n=4, seed=1), horizon=40.0,
-                         cfg=cfg)
+        permanence_probe(m, hists, horizon=4.0, cfg=cfg)
     assert forks[0] == 1
     assert_no_child_left()
 

@@ -382,6 +382,47 @@ def test_config_numbers_that_are_not_numbers_name_their_key(
         f"config error: {name} must be a number, got {got}\n")
 
 
+@pytest.mark.parametrize("path, value, name, got", [
+    (("params", "r"), "abc", "model.params.r", "'abc'"),
+    (("params", "r"), True, "model.params.r", "True"),
+    (("delay", "tau_m"), "x", "model.delay.tau_m", "'x'"),
+    (("delay", "coefficients", "theta"), [1.0],
+     "model.delay.coefficients.theta", "[1.0]"),
+    (("response", "coefficients", "k2"), "10",
+     "model.response.coefficients.k2", "'10'"),
+])
+def test_model_numbers_that_are_not_numbers_name_their_key(
+        tmp_path, monkeypatch, capsys, path, value, name, got):
+    # read with float(), "abc" exited 2 naming no key and true ran as 1.0
+    fail_to_integrate(monkeypatch)
+    cfg = write_config(tmp_path / "cfg.json")
+    doc = json.loads(cfg.read_text())
+    node = doc["model"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    cfg.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {name} must be a number, got {got}\n")
+
+
+@pytest.mark.parametrize("times, message", [
+    ([-1.0, "abc"], "history.times[1] must be a number, got 'abc'"),
+    ([True, 0.0], "history.times[0] must be a number, got True"),
+    ("abc", "history.times must be a list")])
+def test_tabulated_times_that_are_not_numbers_name_their_key(
+        tmp_path, monkeypatch, capsys, times, message):
+    fail_to_integrate(monkeypatch)
+    history = tabulated([-1.0, 0.0])
+    history["times"] = times
+    cfg = write_config(tmp_path / "cfg.json", history=history)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("key, value", [("csv", 5), ("svg", ["a.svg"])])
 def test_output_names_must_be_strings(tmp_path, monkeypatch, capsys, key,
                                       value):
