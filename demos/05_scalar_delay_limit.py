@@ -7,8 +7,15 @@ The single-population building block behind the attraction proof is
 with v_lag = v(t - tau(v)).  Whenever the survival-discounted gain beats the
 mortality a3, every positive history converges to the unique positive root of
 v = (a1 e^{-dj tau(v)} - a3) / (a2 a3); otherwise the population dies out.
+
+The proof compares solutions of such scalar equations.  The last part runs
+that comparison as an experiment: two ordered histories of a forced equation
+with the same delay, and whether their solutions stay ordered.
 """
-from preydelay import saturating_delay, scalar_fixed_point, scalar_limit
+import math
+
+from preydelay import (comparison_probe, saturating_delay, scalar_fixed_point,
+                       scalar_limit)
 
 delay = saturating_delay(tau_m=0.5, tau_M=1.2, theta=1.0)
 
@@ -29,3 +36,12 @@ for start, tail, err in zip((0.3, 2.5), result.tail_estimates,
 res0 = scalar_limit(1.0, 1.0, 2.0, 0.5, delay, [lambda t: 1.0], horizon=80.0)
 print(f"\nnon-viable draw: fixed point = {res0.fixed_point}, "
       f"tail = {res0.tail_estimates[0]:.2e} (dies out)")
+
+# order preservation: v' = (1 - tau'(v) v') e^{-dj tau(v)} F(t - tau(v)) - a3 v
+hi = lambda t: 1.0 + 0.2 * math.cos(t)
+lo = lambda t: 0.5 * hi(t)
+report = comparison_probe(dj, a3, delay,
+                          forcing=lambda s: 1.0 + 0.4 * math.sin(0.7 * s),
+                          pairs=[(hi, lo)], horizon=30.0)
+print(f"\nordered histories stay ordered: {report.held_all} "
+      f"(largest lo - hi: {report.pairs[0].max_violation:.1e})")

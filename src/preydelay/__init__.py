@@ -31,9 +31,9 @@ from .model import (HistoryConsistencyWarning, HistoryFunction, ModelParams,
                     history_consistency_error, reproduction_number,
                     tabulated_history, validate)
 from .responses import (FunctionalResponse, ResponseKind,
-                        beddington_deangelis, crowley_martin, eval_response,
-                        holling1, holling2, holling3, ivlev, linear,
-                        make_response, power_law, saturation)
+                        beddington_deangelis, crowley_martin, holling1,
+                        holling2, holling3, ivlev, linear, make_response,
+                        power_law, saturation)
 
 _LAZY = {
     "stability": ("ConditionReport", "LinearizationCoeffs", "QuasiPolynomial",

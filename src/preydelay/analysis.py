@@ -98,18 +98,21 @@ class ScalarLimitMismatch(AnalysisError):
     """Simulated tail disagrees with the computed fixed point."""
 
 
-# The probes' fixed settings.  The tail they read is the last quarter of a
-# run, sampled at its nodes there and at 512 even times.  A comparison pair
-# stays ordered while lo <= hi + 1e-6, and a scalar tail average must match
-# the fixed point to 1e-4 relative.  The bracketing recursion stops after 400
-# rounds if its over-estimates have not settled.
+# The probes' fixed settings; each probe's docstring states those it uses.
+# The tail they read is the last quarter of a run, sampled at its nodes there
+# and at 512 even times.  The bracketing recursion stops after 400 rounds if
+# its over-estimates have not settled.
 _TAIL_FRACTION, _TAIL_POINTS = 0.25, 512
+_BOUND_TOL = 0.01
+_EPS_FLOOR, _EXTINCTION_TOL = 1e-6, 1e-3
+_ATTRACTION_TOL_XY, _ATTRACTION_TOL_YJ = 1e-4, 1e-3
 _ORDER_TOL, _SCALAR_LIMIT_TOL = 1e-6, 1e-4
 _BRACKET_ITERS = 400
+_BRACKET_EPSILONS = (1e-2, 1e-3, 1e-4)
 
 
-def _tail_grid(traj: Trajectory, tail_fraction: float):
-    t_lo = traj.t_end * (1.0 - tail_fraction)
+def _tail_grid(traj: Trajectory):
+    t_lo = traj.t_end * (1.0 - _TAIL_FRACTION)
     grid = np.linspace(t_lo, traj.t_end, _TAIL_POINTS)
     nodes = traj.ts[(traj.ts >= t_lo) & (traj.ts <= traj.t_end)]
     # np.unique would import numpy.ma on every verify call
@@ -283,40 +286,38 @@ class BoundednessCertificate:
     observed_V_sup: float
     observed_x_sup: float
     tail_start: float
-    tolerance: float
 
     @property
     def v_within_limit(self) -> bool:
-        return self.observed_V_sup <= self.V_limit * (1.0 + self.tolerance)
+        return self.observed_V_sup <= self.V_limit * (1.0 + _BOUND_TOL)
 
     def x_within_capacity(self, K: float) -> bool:
-        return self.observed_x_sup <= K * (1.0 + self.tolerance)
+        return self.observed_x_sup <= K * (1.0 + _BOUND_TOL)
 
 
-def boundedness_certificate(model: ModelSpec, traj: Trajectory,
-                            tail_fraction: float = _TAIL_FRACTION,
-                            tolerance: float = 0.01) -> BoundednessCertificate:
+def boundedness_certificate(model: ModelSpec,
+                            traj: Trajectory) -> BoundednessCertificate:
     """Check the dissipativity bound on the trajectory tail.
 
     V' <= -min(dj, d) V + M along solutions, where M maximizes the concave
-    quadratic n (min(dj,d)+r) x - n r x^2 / K, so the tail supremum of V must
-    not exceed M / min(dj, d) beyond the stated tolerance.  Requires a tail
-    window of at least ten maximum delays.
+    quadratic n (min(dj,d)+r) x - n r x^2 / K, so the supremum of V over the
+    last quarter of the run must not exceed M / min(dj, d) by more than 1%.
+    Requires that quarter to span at least ten maximum delays.
     """
     p = model.params
-    if traj.t_end * tail_fraction < 10.0 * traj.tau_M:
+    if traj.t_end * _TAIL_FRACTION < 10.0 * traj.tau_M:
         raise HorizonError(
-            f"tail window {traj.t_end * tail_fraction:.3g} shorter than "
+            f"tail window {traj.t_end * _TAIL_FRACTION:.3g} shorter than "
             f"10 tau_M = {10.0 * traj.tau_M:.3g}")
     m, M_bound = _dissipation(model)
-    ts = _tail_grid(traj, tail_fraction)
+    ts = _tail_grid(traj)
     vals = traj.sample(ts)
     V = p.n * vals[:, 0] + vals[:, 1] + vals[:, 2]
     return BoundednessCertificate(
         M_bound=M_bound, V_limit=M_bound / m,
         observed_V_sup=float(np.max(V)),
         observed_x_sup=float(np.max(vals[:, 0])),
-        tail_start=float(ts[0]), tolerance=tolerance)
+        tail_start=float(ts[0]))
 
 
 # --------------------------------------------------------------------------
@@ -364,16 +365,15 @@ def spread_histories(model: ModelSpec, n: int = 5, seed: int = 42,
 
 
 def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
-                     horizon: float, eps_floor: float = 1e-6,
-                     extinction_tol: float = 1e-3,
+                     horizon: float,
                      cfg: StepperConfig | None = None) -> DichotomyVerdict:
     """Decide permanence (R > 1) or extinction (R <= 1) from long runs.
 
     Permanent branch: the infimum of min(x, y) over the last quarter of the
-    run must exceed ``eps_floor`` for every history.  Extinction branch: the
-    terminal state must lie within ``extinction_tol`` (scaled by max(1, K))
-    of (K, 0, 0).  Mixed outcomes
-    raise :class:`InconclusiveError` with the per-history data.  Once a
+    run must exceed 1e-6 for every history.  Extinction branch: the
+    terminal state must lie within 1e-3 (scaled by max(1, K)) of (K, 0, 0).
+    Mixed outcomes raise :class:`InconclusiveError` with the per-history
+    data.  Once a
     run has taken 200 capped steps, the histories after it run side by side
     on the usable CPUs, with the records of a serial run.
 
@@ -413,16 +413,16 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     else:
         settling = _settling(
             model, boundary_equilibria(model)[1], _predator_envelope,
-            near=lambda *u: terminal_error(*u) <= extinction_tol)
+            near=lambda *u: terminal_error(*u) <= _EXTINCTION_TOL)
 
     def probe(hist: HistoryFunction) -> HistoryRecord:
         def record(traj: Trajectory) -> tuple[HistoryRecord, bool]:
-            ts = _tail_grid(traj, _TAIL_FRACTION)
+            ts = _tail_grid(traj)
             vals = traj.sample(ts)
             liminf_xy = float(np.min(np.minimum(vals[:, 0], vals[:, 1])))
             term_err = terminal_error(*traj.lookup(traj.t_end))
-            ok = (liminf_xy > eps_floor) if expect_permanent else (
-                term_err <= extinction_tol)
+            ok = (liminf_xy > _EPS_FLOOR) if expect_permanent else (
+                term_err <= _EXTINCTION_TOL)
             return HistoryRecord(hist.label, liminf_xy, term_err, ok,
                                  traj.t_end), ok
 
@@ -469,6 +469,9 @@ def comparison_probe(dj: float, d: float, delay: DelayFunction, forcing,
     assertion, because order preservation is not guaranteed for genuinely
     state-dependent delays.
     """
+    if not pairs:
+        raise ValueError("need at least one pair of histories")
+
     def rhs(t, v, lookup):
         vc = v if v > 0.0 else 0.0
         tau = delay.tau(vc)
@@ -534,6 +537,8 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
     :class:`ScalarLimitMismatch` on disagreement.  In the extinction regime
     the fixed point is 0 and no agreement is asserted.
     """
+    if not histories:
+        raise ValueError("need at least one history")
     vtilde, viable = scalar_fixed_point(a1, a2, a3, dj, delay)
 
     def rhs(t, v, lookup):
@@ -552,7 +557,7 @@ def scalar_limit(a1: float, a2: float, a3: float, dj: float,
         if hist(0.0) <= 0.0:
             raise ValueError("histories must be positive at t = 0")
         traj = integrate_scalar_sdtd(rhs, hist, cfg, delay.tau_m, delay.tau_M)
-        ts = _tail_grid(traj, _TAIL_FRACTION)
+        ts = _tail_grid(traj)
         tail = float(np.mean(traj.sample(ts)[:, 0]))
         tails.append(tail)
         if viable:
@@ -672,15 +677,15 @@ def monotone_bounds(model: ModelSpec, eq: Equilibrium, epsilon: float,
         limits=(xs_o[-1], xs_u[-1], ys_o[-1], ys_u[-1]))
 
 
-def extrapolated_limits(model: ModelSpec, eq: Equilibrium,
-                        epsilons=(1e-2, 1e-3, 1e-4)
+def extrapolated_limits(model: ModelSpec, eq: Equilibrium
                         ) -> tuple[float, float, float, float]:
     """Polynomial extrapolation of the bracket limits to epsilon -> 0.
 
     Each of the four limits is linear in epsilon to leading order, so a
-    degree len(epsilons)-1 fit evaluated at 0 recovers (x*, x*, y*, y*).
+    quadratic through epsilon = 1e-2, 1e-3 and 1e-4 evaluated at 0 recovers
+    (x*, x*, y*, y*).
     """
-    eps = np.asarray(epsilons, dtype=float)
+    eps = np.asarray(_BRACKET_EPSILONS, dtype=float)
     lims = np.array([monotone_bounds(model, eq, float(e)).limits for e in eps])
     out = []
     for j in range(4):
@@ -707,21 +712,18 @@ class AttractionRecord:
 class ConvergenceReport:
     all_converged: bool
     records: tuple[AttractionRecord, ...]
-    worst: AttractionRecord | None
+    worst: AttractionRecord
 
 
 def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
                             n_histories: int = 10, horizon: float | None = None,
-                            seed: int = 42, rel_tol_xy: float = 1e-4,
-                            rel_tol_yj: float = 1e-3,
-                            require_conditions: bool = True) -> ConvergenceReport:
-    """Drive random positive histories to the coexistence point.
+                            seed: int = 42) -> ConvergenceReport:
+    """Drive ``n_histories`` (one or more) random histories to (x*, y*).
 
-    Terminal (x, y) must land within ``rel_tol_xy`` relative of (x*, y*) and
-    yj within ``rel_tol_yj`` of yj*; divergence is reported (with the worst
-    offender), not raised.  By default the attraction conditions must hold;
-    pass ``require_conditions=False`` for exploratory runs on models where
-    they fail, in which case the report is data with no expectation attached.
+    Terminal (x, y) must land within 1e-4 relative of (x*, y*) and yj within
+    1e-3 of yj*; divergence is reported (with the worst offender), not
+    raised.  The attraction conditions must hold, else the probe raises
+    :class:`AnalysisError`.
     Once a run has taken 200 capped steps, the histories after it run side
     by side on the usable CPUs, with the records of a serial run.
     ``horizon`` is a cap, as in :func:`permanence_probe`: a run
@@ -729,8 +731,9 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
     max(|x/x* - 1|, |y/y* - 1|) falls at the rate that the abscissa at
     (x*, y*) sets.
     """
-    cond = check_global_conditions(model, eq)
-    if require_conditions and not cond.overall:
+    if n_histories < 1:
+        raise ValueError("need at least one history")
+    if not check_global_conditions(model, eq).overall:
         raise AnalysisError("attraction conditions fail for this model")
     if horizon is None:
         horizon = 500.0 / model.params.d
@@ -745,7 +748,8 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
                 abs(yj - eq.yj_star) / abs(eq.yj_star))
 
     def converged(err_x: float, err_y: float, err_yj: float) -> bool:
-        return max(err_x, err_y) <= rel_tol_xy and err_yj <= rel_tol_yj
+        return (max(err_x, err_y) <= _ATTRACTION_TOL_XY
+                and err_yj <= _ATTRACTION_TOL_YJ)
 
     settling = _settling(model, eq, _relative_envelope(eq),
                          near=lambda *u: converged(*errors(*u)))
@@ -759,7 +763,6 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
         return _settled_run(model, hist, cfg, settling, record)
 
     records = _map_histories(probe, histories, cfg)
-    worst = max(records, key=lambda r: max(r.err_x, r.err_y, r.err_yj),
-                default=None)
+    worst = max(records, key=lambda r: max(r.err_x, r.err_y, r.err_yj))
     return ConvergenceReport(all(r.converged for r in records),
                              tuple(records), worst)

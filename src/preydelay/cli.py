@@ -109,11 +109,19 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
     raise ConfigError(f"unknown key history.kind value {kind!r}")
 
 
+def _positive(value, name: str) -> float:
+    """A config number that must be positive and finite, as a float."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not 0.0 < value < math.inf):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    return _real(value, name)
+
+
 def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> StepperConfig:
     check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = (float(horizon) if horizon is not None
-             else _real(doc["t_end"], "stepper.t_end"))
+             else _positive(doc["t_end"], "stepper.t_end"))
     opts = {key: _real(doc[key], f"stepper.{key}")
             for key in ("rtol", "h_init", "h_max") if doc.get(key) is not None}
     atol = doc.get("atol")
@@ -153,11 +161,8 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     stepper = _build_stepper(doc.get("stepper", {"t_end": 100.0}), model, horizon)
     odoc = doc.get("outputs", {})
     check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
-    stride = (_real(odoc["stride"], "outputs.stride") if "stride" in odoc
-              else stepper.t_end / 200.0)
-    if not 0.0 < stride < math.inf:
-        raise ConfigError(
-            f"outputs.stride must be positive and finite, got {stride!r}")
+    stride = _positive(odoc.get("stride", stepper.t_end / 200.0),
+                       "outputs.stride")
     for key in ("csv", "svg"):
         if odoc.get(key) is not None and not isinstance(odoc[key], str):
             raise ConfigError(f"outputs.{key} must be a file name, got "
@@ -171,6 +176,8 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
                     isinstance(v, numbers.Real) and not isinstance(v, bool)
                     for v in values)):
                 raise ConfigError(f"sweep.{axis} must be a list of numbers")
+            for i, v in enumerate(values):
+                _real(v, f"sweep.{axis}[{i}]")
     return Scenario(model=model, history=history, stepper=stepper,
                     outputs=outputs, sweep=sweep)
 

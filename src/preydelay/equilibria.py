@@ -82,9 +82,6 @@ class Equilibrium:
     tau_star: float
     residual: float
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x_star, self.y_star, self.yj_star)
-
 
 def _balances(model: ModelSpec, x: float, y: float) -> tuple[float, float]:
     """(prey balance, predator balance) at x > 0, y >= 0; zero at a steady state."""

@@ -13,7 +13,6 @@ y'(t) appears on both sides, the system is resolved in closed form here
 from __future__ import annotations
 
 import heapq
-import json
 import math
 import numbers
 import warnings
@@ -109,9 +108,6 @@ class ModelSpec:
             },
         }
 
-    def to_json(self, **dumps_kwargs) -> str:
-        return json.dumps(self.to_dict(), **dumps_kwargs)
-
     @staticmethod
     def from_dict(doc: Mapping) -> "ModelSpec":
         check_keys(doc, "model", {"params", "delay", "response"})
@@ -154,10 +150,12 @@ def check_keys(doc: Mapping, path: str, required: set,
 
 
 def _real(value, name: str) -> float:
-    """A config value that must be a JSON number, as a float; ``name`` is
-    its dotted location, named in the message."""
+    """A config value that must be a finite JSON number, as a float;
+    ``name`` is its dotted location, named in the message."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -258,8 +256,8 @@ class HistoryFunction:
                     f"history {name} is negative at theta={theta:.6g}: {vals.min():.6g}")
         x0, y0, yj0 = self.state0()
         if not (x0 > 0.0 and y0 > 0.0 and yj0 > 0.0):
-            raise ValueError(
-                f"history values at 0 must be positive, got ({x0}, {yj0}, {y0})")
+            raise ValueError(f"history values at 0 must be positive, got "
+                             f"x={x0}, y={y0}, yj={yj0}")
 
 
 # 7-point Gauss-Legendre rule on [-1, 1], exact for polynomials of degree 13:
@@ -474,20 +472,20 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
-def validate(model: ModelSpec, grid: int = 64) -> ValidationReport:
+def validate(model: ModelSpec) -> ValidationReport:
     """Check the model hypotheses on a sampled grid; never raises on content.
 
     Delay monotonicity/bounds and the consistency of the supplied tau' with
     finite differences of tau, response sign/monotonicity structure, and
     kind-specific coefficient constraints are each reported with a witness
-    point for any failure.  The grid runs y up to the eventual bound for
-    V = n x + y + yj, so that it covers the reachable region.  The positive
-    demographic constants need no check: :class:`ModelParams` refuses others.
+    point for any failure.  The grid has 64 points per axis and runs y up to
+    the eventual bound for V = n x + y + yj, so that it covers the reachable
+    region.  The positive demographic constants need no check:
+    :class:`ModelParams` refuses others.
     """
     import numpy as np
 
-    if grid < 16:
-        raise ValueError("grid must be at least 16 points per axis")
+    grid = 64  # points per axis
     checks: list[CheckResult] = []
     p, delay, resp = model.params, model.delay, model.response
     y_cap = boundedness_limit(model)

@@ -100,17 +100,6 @@ class FunctionalResponse:
         return errs
 
 
-def _check_domain(x: float, y: float) -> None:
-    if x < 0.0 or y < 0.0:
-        raise ValueError(f"response arguments must be nonnegative, got x={x}, y={y}")
-
-
-def eval_response(resp: FunctionalResponse, x: float, y: float) -> float:
-    """Evaluate f(x, y), rejecting negative densities."""
-    _check_domain(x, y)
-    return resp.f(x, y)
-
-
 def linear(b: float) -> FunctionalResponse:
     """f = b x."""
     return FunctionalResponse(

@@ -162,7 +162,8 @@ def _default_box(qp: QuasiPolynomial) -> tuple[float, float, float, float]:
     re_max = max(1.0, bound0)
     re_min = -(1.0 + a0 + math.sqrt(b0) + 1.0 / max(qp.tau, 0.1))
     if qp.tau > 0.0:
-        grow = math.exp(-re_min * qp.tau)
+        # past e^709 the bound below overflows a float and the cap holds
+        grow = math.exp(min(-re_min * qp.tau, 709.0))
         a = abs(qp.H1) + abs(qp.N1) * grow
         b = abs(qp.H2) + abs(qp.N2) * grow
         im_max = 0.5 * (a + math.sqrt(a * a + 4.0 * b)) + 1.0

@@ -79,8 +79,7 @@ def test_c01_threshold_dichotomy():
         refs = ({"x_ref": eq.x_star, "y_ref": eq.y_star} if eq is not None
                 else {})
         histories = spread_histories(m, n=5, seed=42, **refs)
-        verdict = permanence_probe(m, histories, horizon=horizon,
-                                   eps_floor=1e-6, extinction_tol=1e-3)
+        verdict = permanence_probe(m, histories, horizon=horizon)
         R = reproduction_number(m)
         assert R == pytest.approx(R_target, rel=1e-12)
         assert (verdict.verdict == "permanent") == (R > 1.0)
@@ -135,8 +134,7 @@ def test_juvenile_conservation_under_the_rtol_scaled_cap(fixture_scenarios):
 def test_c04_boundedness_certificate(fixture_runs):
     from preydelay import boundedness_certificate
     for m, traj in fixture_runs:
-        cert = boundedness_certificate(m, traj, tail_fraction=0.25,
-                                       tolerance=0.01)
+        cert = boundedness_certificate(m, traj)
         assert cert.v_within_limit, (m.to_dict(), cert)
     announce(4, "boundedness certificate on all fixtures")
 
@@ -250,8 +248,7 @@ def test_c09_global_attraction_and_brackets(bd_model):
     eq = solve_coexistence(bd_model)
     horizon = 500.0 / bd_model.params.d
     report = global_attraction_probe(bd_model, eq, n_histories=10,
-                                     horizon=horizon, seed=42,
-                                     rel_tol_xy=1e-4, rel_tol_yj=1e-3)
+                                     horizon=horizon, seed=42)
     assert report.all_converged, report.worst
 
     for eps in (1e-2, 1e-3, 1e-4):
@@ -263,8 +260,7 @@ def test_c09_global_attraction_and_brackets(bd_model):
         assert np.all((br.x_under <= eq.x_star) & (eq.x_star <= br.x_over))
         assert np.all((br.y_under <= eq.y_star) & (eq.y_star <= br.y_over))
 
-    x_o, x_u, y_o, y_u = extrapolated_limits(bd_model, eq,
-                                             epsilons=(1e-2, 1e-3, 1e-4))
+    x_o, x_u, y_o, y_u = extrapolated_limits(bd_model, eq)
     for got, want in ((x_o, eq.x_star), (x_u, eq.x_star),
                       (y_o, eq.y_star), (y_u, eq.y_star)):
         assert got == pytest.approx(want, abs=1e-6)

@@ -43,7 +43,7 @@ def test_prey_only_tail_reaches_capacity():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", HistoryConsistencyWarning)
         traj = integrate(m, hist, default_stepper(m, 40.0))
-    cert = boundedness_certificate(m, traj, tail_fraction=0.25)
+    cert = boundedness_certificate(m, traj)
     assert cert.observed_x_sup == pytest.approx(2.0, rel=1e-6)
     assert cert.v_within_limit
 
@@ -52,7 +52,7 @@ def test_certificate_requires_long_tail(bd_model):
     hist = consistent_history(bd_model, 2.0, 0.5)
     traj = integrate(bd_model, hist, default_stepper(bd_model, 20.0))
     with pytest.raises(HorizonError):
-        boundedness_certificate(bd_model, traj, tail_fraction=0.25)
+        boundedness_certificate(bd_model, traj)
 
 
 def test_certificate_holds_on_fixture(bd_model):
@@ -126,7 +126,7 @@ def test_dichotomy_on_random_spec_sample():
     assert tested == 50
 
 
-def test_exact_threshold_lands_on_extinction_branch():
+def test_exact_threshold_lands_on_extinction_branch(monkeypatch):
     # tune d to the recruitment gain so R == 1 exactly in floating point
     r, K, n, dj, tau_m = 1.0, 2.0, 1.0, 0.5, 0.5
     b = 0.9
@@ -136,8 +136,9 @@ def test_exact_threshold_lands_on_extinction_branch():
     assert reproduction_number(m) == 1.0
     # at the threshold the predator decays only algebraically, so the
     # terminal tolerance is relaxed relative to the subcritical runs
+    monkeypatch.setattr(analysis, "_EXTINCTION_TOL", 1e-2)
     verdict = permanence_probe(m, spread_histories(m, n=3, seed=3),
-                               horizon=250.0, extinction_tol=1e-2)
+                               horizon=250.0)
     assert verdict.verdict == "extinction"
     assert verdict.boundary_case
 
@@ -251,13 +252,13 @@ def test_envelopes_are_the_largest_node_distance():
             y + yj for _, y, yj in nodes.tolist())
 
 
-def test_mixed_outcomes_raise_inconclusive():
+def test_mixed_outcomes_raise_inconclusive(monkeypatch):
     # permanent dynamics probed with an extinction-sized horizon floor:
-    # force disagreement by lying about R via eps_floor too high
+    # force disagreement by lying about R via a floor too high
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 1e9)
     m = linear_family_model(3.0)
     with pytest.raises(InconclusiveError) as exc_info:
-        permanence_probe(m, spread_histories(m, n=4, seed=4), horizon=60.0,
-                         eps_floor=1e9)
+        permanence_probe(m, spread_histories(m, n=4, seed=4), horizon=60.0)
     # no run stops early on a record that fails its check
     assert all(rec.t_decided == 60.0 for rec in exc_info.value.records)
 
@@ -311,6 +312,13 @@ def test_steep_state_dependence_is_reported_not_asserted():
     assert rep.pairs[0].max_violation is not None
 
 
+def test_comparison_probe_refuses_no_pairs():
+    # with no pair it reported held_all=True, having compared nothing
+    with pytest.raises(ValueError, match="at least one pair"):
+        comparison_probe(dj=0.3, d=1.0, delay=constant_delay(0.7),
+                         forcing=lambda s: 1.0, pairs=[], horizon=5.0)
+
+
 # --------------------------------------------------------------------------
 # scalar limit
 
@@ -360,6 +368,13 @@ def test_scalar_limit_runs_at_a_small_minimum_delay():
                        [lambda t: 0.3, lambda t: 2.5], horizon=30.0)
     assert res.viable
     assert max(res.rel_errors) < 1e-4
+
+
+def test_scalar_limit_refuses_no_histories():
+    # with no history it returned no estimate and raised no mismatch
+    with pytest.raises(ValueError, match="at least one history"):
+        scalar_limit(2.5, 1.2, 0.9, 0.4, saturating_delay(0.5, 1.2, 1.0),
+                     [], horizon=30.0)
 
 
 # --------------------------------------------------------------------------
@@ -471,10 +486,13 @@ def test_probe_requires_conditions_by_default():
     eq = solve_coexistence(m)
     with pytest.raises(AnalysisError):
         global_attraction_probe(m, eq, n_histories=2, horizon=50.0)
-    # exploratory mode returns data with no expectation attached
-    rep = global_attraction_probe(m, eq, n_histories=2, horizon=50.0,
-                                  require_conditions=False)
-    assert len(rep.records) == 2
+
+
+def test_attraction_probe_refuses_no_histories(bd_model):
+    # with no history it reported all_converged=True over no records
+    eq = solve_coexistence(bd_model)
+    with pytest.raises(ValueError, match="at least one history"):
+        global_attraction_probe(bd_model, eq, n_histories=0)
 
 
 # --------------------------------------------------------------------------
@@ -482,9 +500,10 @@ def test_probe_requires_conditions_by_default():
 
 
 def test_forked_permanence_records_equal_serial(forks, monkeypatch):
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     m = linear_family_model(2.0)
     hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
-    run = lambda: permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+    run = lambda: permanence_probe(m, hists, horizon=10.0)
     verdict = run()
     assert forks[0] == 1
     assert verdict == serially(monkeypatch, run)
@@ -554,26 +573,28 @@ def test_probe_forks_the_histories_after_a_long_run(fork_count,
     assert_no_child_left()
 
 
-def test_child_warning_reaches_the_caller(forks):
+def test_child_warning_reaches_the_caller(forks, monkeypatch):
     # the first run forks the other two; the child's item is the last
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     m = linear_family_model(2.0)
     hists = spread_histories(m, n=3, seed=1)
     hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
     with pytest.warns(HistoryConsistencyWarning, match="juvenile") as caught:
-        permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+        permanence_probe(m, hists, horizon=10.0)
     assert forks[0] == 1
     assert sum(w.category is HistoryConsistencyWarning for w in caught) == 1
     assert_no_child_left()
 
 
-def test_child_warning_repeats_show_once_like_serial(forks):
+def test_child_warning_repeats_show_once_like_serial(forks, monkeypatch):
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     m = linear_family_model(2.0)
     hists = spread_histories(m, n=3, seed=1)
     hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         for _ in range(2):
-            permanence_probe(m, hists, horizon=10.0, eps_floor=0.0)
+            permanence_probe(m, hists, horizon=10.0)
     assert forks[0] == 2
     # (Python 3.12 adds its own DeprecationWarning for the fork)
     shown = [w for w in caught if w.category is HistoryConsistencyWarning]
@@ -617,14 +638,14 @@ def test_parent_failure_stops_the_children(forks):
     assert_no_child_left()
 
 
-def test_probe_with_a_live_thread_does_not_fork(forks):
+def test_probe_with_a_live_thread_does_not_fork(forks, monkeypatch):
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30.0,))
     thread.start()
     try:
         m = linear_family_model(2.0)
-        permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0,
-                         eps_floor=0.0)
+        permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0)
     finally:
         release.set()
         thread.join(timeout=30.0)
@@ -640,9 +661,9 @@ def test_one_usable_cpu_runs_serially(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
     monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
+    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     m = linear_family_model(2.0)
-    permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0,
-                     eps_floor=0.0)
+    permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0)
     # 3 001 rows: three blocks, enough to fork on two CPUs
     traj = integrate(m, spread_histories(m, n=1, seed=1)[0],
                      default_stepper(m, 10.0))

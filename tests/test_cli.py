@@ -304,7 +304,9 @@ def test_sweep_of_144_points_is_pinned(tmp_path):
     ({"d": ["a"]}, "sweep.d must be a list of numbers"),
     ({"tau_M": [1.0, None]}, "sweep.tau_M must be a list of numbers"),
     ({"tau_m": [True]}, "sweep.tau_m must be a list of numbers"),
-    ({"k2": [2.0], "horizon": 50.0}, "unknown key sweep.horizon")])
+    ({"k2": [2.0], "horizon": 50.0}, "unknown key sweep.horizon"),
+    # a NaN reached the coexistence solver's bracket and named no key
+    ({"d": [0.45, math.nan]}, "sweep.d[1] must be finite, got nan")])
 def test_sweep_config_errors_name_their_key(tmp_path, capsys, sweep, message):
     cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
     assert main(["sweep", "--config", str(cfg),
@@ -355,6 +357,16 @@ def edit_config(path, section: str, key: str, value):
     return path
 
 
+def edit_model(path, keys: tuple, value):
+    doc = json.loads(path.read_text())
+    node = doc["model"]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def fail_to_integrate(monkeypatch) -> None:
     def fail(*args, **kwargs):
         raise AssertionError("integrated before the config was checked")
@@ -395,17 +407,28 @@ def test_model_numbers_that_are_not_numbers_name_their_key(
         tmp_path, monkeypatch, capsys, path, value, name, got):
     # read with float(), "abc" exited 2 naming no key and true ran as 1.0
     fail_to_integrate(monkeypatch)
-    cfg = write_config(tmp_path / "cfg.json")
-    doc = json.loads(cfg.read_text())
-    node = doc["model"]
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
-    cfg.write_text(json.dumps(doc))
+    cfg = edit_model(write_config(tmp_path / "cfg.json"), path, value)
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         f"config error: {name} must be a number, got {got}\n")
+
+
+@pytest.mark.parametrize("path, value, name, got", [
+    (("response", "coefficients", "b"), math.nan,
+     "model.response.coefficients.b", "nan"),
+    (("delay", "tau_M"), math.inf, "model.delay.tau_M", "inf"),
+])
+def test_non_finite_model_numbers_name_their_key(
+        tmp_path, monkeypatch, capsys, path, value, name, got):
+    # a NaN b ran the history quadrature to its panel cap and then named no
+    # key, and an infinite tau_M exited with "math domain error"
+    fail_to_integrate(monkeypatch)
+    cfg = edit_model(write_config(tmp_path / "cfg.json"), path, value)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {name} must be finite, got {got}\n")
 
 
 @pytest.mark.parametrize("times, message", [

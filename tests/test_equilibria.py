@@ -31,7 +31,8 @@ def test_boundary_equilibria_are_exact():
     m = example_model()
     e0, e1 = boundary_equilibria(m)
     assert e0.kind == EquilibriumKind.TRIVIAL
-    assert e0.as_tuple() == (0.0, 0.0, 0.0) and e0.residual == 0.0
+    assert (e0.x_star, e0.y_star, e0.yj_star) == (0.0, 0.0, 0.0)
+    assert e0.residual == 0.0
     assert e1.kind == EquilibriumKind.PREDATOR_EXTINCTION
     assert e1.x_star == 10.0 and e1.y_star == 0.0 and e1.yj_star == 0.0
 

@@ -101,11 +101,6 @@ def test_validate_cross_checks_supplied_derivative():
     assert any("finite differences" in c.name for c in report.failures)
 
 
-def test_validate_rejects_coarse_grid():
-    with pytest.raises(ValueError):
-        validate(model(), grid=8)
-
-
 # --------------------------------------------------------------------------
 # reproduction number
 
@@ -266,6 +261,13 @@ def test_history_nonnegativity_enforced():
         bad.check_nonnegative(tau_M=1.0)
 
 
+def test_history_values_at_zero_are_labelled():
+    # the values were printed unlabelled, in (x, yj, y) order
+    hist = constant_history(1.0, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"got x=1\.0, y=0\.5, yj=0\.0$"):
+        hist.check_nonnegative(tau_M=1.0)
+
+
 @pytest.mark.parametrize("series", ["x", "y", "yj"])
 def test_tabulated_history_refuses_series_unlike_times(series):
     # refused when built, not when numpy first interpolates it
@@ -289,7 +291,7 @@ def test_json_round_trip():
     m = ModelSpec(ModelParams(1.5, 10.0, 0.8, 0.3, 0.6),
                   saturating_delay(0.4, 1.1, 2.0),
                   holling2(b=2.0, h=0.5))
-    doc = json.loads(m.to_json())
+    doc = json.loads(json.dumps(m.to_dict()))
     m2 = ModelSpec.from_dict(doc)
     assert m2.params == m.params
     assert m2.delay.kind == "saturating"

@@ -328,6 +328,16 @@ def test_rightmost_abscissae_return_a_winding_error_in_its_place():
     assert repr(second) == repr(rightmost_abscissa(good))
 
 
+def test_default_box_past_the_exponent_range_is_a_winding_error():
+    # -re_min tau > log(DBL_MAX): the box's e^(-re_min tau) raised a bare
+    # OverflowError; the imaginary cap max(40, 12 pi / tau) bounds it instead
+    qp = QuasiPolynomial(0.5, 0.1, -0.3, 0.05, tau=400.0)
+    assert stability._default_box(qp)[3] == 40.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(WindingError):
+            rightmost_abscissa(qp)
+
+
 def counted_contours(monkeypatch):
     """Record every rectangle the spectral search counts."""
     counted = []

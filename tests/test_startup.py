@@ -30,7 +30,7 @@ beddington_deangelis boundary_equilibria boundedness_certificate
 boundedness_limit characteristic_eval check_global_conditions
 classify_equilibrium comparison_probe consistent_history constant_delay
 constant_history constant_plus_sine_history correction_factor crowley_martin
-default_stepper delays engine equilibria eval_response exp_delay export_csv
+default_stepper delays engine equilibria exp_delay export_csv
 extrapolated_limits global_attraction_probe history_consistency_error holling1
 holling2 holling3 imaginary_crossings integrate integrate_scalar_sdtd ivlev
 lag_times linear linearize_at make_delay make_response model
