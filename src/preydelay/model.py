@@ -110,6 +110,15 @@ class ModelSpec:
 
     @staticmethod
     def from_dict(doc: Mapping) -> "ModelSpec":
+        """The model of a config document.
+
+        A law coefficient outside the paper's hypotheses is a
+        :class:`ConfigError` naming its dotted key: the response's
+        :meth:`~FunctionalResponse.coefficient_errors`, and for the delay
+        0 <= tau_m <= tau_M and a positive theta or lam.  The law factories
+        take any value, so :func:`validate` can report a bad model built in
+        code.
+        """
         check_keys(doc, "model", {"params", "delay", "response"})
         pdoc = doc["params"]
         check_keys(pdoc, "model.params", {"r", "K", "n", "dj", "d"})
@@ -120,10 +129,22 @@ class ModelSpec:
         delay = make_delay(ddoc["kind"], _real(ddoc["tau_m"], "model.delay.tau_m"),
                            _real(ddoc["tau_M"], "model.delay.tau_M"),
                            **_coefficients(ddoc, "model.delay"))
+        if not delay.tau_m >= 0.0:
+            raise _out_of_range("model.delay.tau_m", delay.tau_m, "must be >= 0")
+        if not delay.tau_M >= delay.tau_m:
+            raise _out_of_range("model.delay.tau_M", delay.tau_M,
+                                f"must be >= model.delay.tau_m = {delay.tau_m!r}")
+        for name, value in delay.coefficients.items():
+            if not value > 0.0:
+                raise _out_of_range(f"model.delay.coefficients.{name}", value,
+                                    "must be > 0")
         rdoc = doc["response"]
         check_keys(rdoc, "model.response", {"kind", "coefficients"})
         response = make_response(rdoc["kind"],
                                  **_coefficients(rdoc, "model.response"))
+        for name, err in response.coefficient_errors():
+            raise _out_of_range(f"model.response.coefficients.{name}",
+                                response.coefficients[name], err)
         return ModelSpec(params, delay, response)
 
 
@@ -157,6 +178,10 @@ def _real(value, name: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _out_of_range(name: str, value: float, requirement: str) -> ConfigError:
+    return ConfigError(f"{name} = {value!r} is out of range ({requirement})")
 
 
 def _coefficients(doc: Mapping, path: str) -> dict:
@@ -285,9 +310,9 @@ def _gauss_legendre(fn: Callable[[float], float], a: float, b: float) -> float:
                              for x, w in zip(GL_NODES, GL_WEIGHTS))
 
 
-# A sine history over a constant delay of 2000 needs 1 691 panels (0.2 s on a
-# 2-core x86-64 VM); time grows as panels squared, to 0.7 s at the budget.
+# A sine history over a constant delay of 2000 needs 1 691 panels.
 _MAX_PANELS = 4000
+_EPS = math.ulp(1.0)
 
 
 def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
@@ -301,6 +326,11 @@ def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
     RuntimeWarning.  Adaptivity (rather than a fixed composite rule) matters
     for piecewise-linear histories, whose kinks only the panels around them
     need resolve.
+
+    The sums are kept running and re-summed left to right in heap order
+    only where the running ones come within their rounding of the stop or
+    the budget is reached.  The stop is decided on the re-sums, so the
+    panels and the result do not depend on the running sums' rounding.
     """
     def panel(lo: float, hi: float, whole: float) -> tuple:
         mid = 0.5 * (lo + hi)
@@ -308,24 +338,40 @@ def _adaptive_gauss_legendre(fn: Callable[[float], float], a: float,
         return (-abs(left + right - whole), lo, hi, left, right)
 
     heap = [panel(a, b, _gauss_legendre(fn, a, b))]
+    # running sums of the error estimates, the integrals and their sizes;
+    # drift bounds their rounding since the last re-sum, and the heap-order
+    # re-sum rounds by at most len(heap) eps times the sizes
+    error, total = -heap[0][0], heap[0][3] + heap[0][4]
+    size, drift = abs(total), 0.0
     while True:
-        error = total = 0.0
-        for pn in heap:  # both left to right, in heap order
-            error -= pn[0]
-            total += pn[3] + pn[4]
-        if error <= epsrel * abs(total):
-            return total
-        if len(heap) >= _MAX_PANELS:
-            warnings.warn(
-                f"quadrature stopped at {_MAX_PANELS} panels with estimated "
-                f"error {error:.2g} on an integral of {total:.6g} "
-                f"(epsrel={epsrel:g})",
-                RuntimeWarning, stacklevel=2)
-            return total
-        _, lo, hi, left, right = heapq.heappop(heap)
+        slack = drift + 2.0 * len(heap) * _EPS * (error + epsrel * size)
+        if error - epsrel * abs(total) <= slack or len(heap) >= _MAX_PANELS:
+            error = total = 0.0
+            for pn in heap:  # both left to right, in heap order
+                error -= pn[0]
+                total += pn[3] + pn[4]
+            if error <= epsrel * abs(total):
+                return total
+            if len(heap) >= _MAX_PANELS:
+                warnings.warn(
+                    f"quadrature stopped at {_MAX_PANELS} panels with "
+                    f"estimated error {error:.2g} on an integral of "
+                    f"{total:.6g} (epsrel={epsrel:g})",
+                    RuntimeWarning, stacklevel=2)
+                return total
+            drift = 0.0
+        popped = heapq.heappop(heap)
+        _, lo, hi, left, right = popped
         mid = 0.5 * (lo + hi)
-        heapq.heappush(heap, panel(lo, mid, left))
-        heapq.heappush(heap, panel(mid, hi, right))
+        halves = panel(lo, mid, left), panel(mid, hi, right)
+        for sign, pn in ((-1.0, popped), (1.0, halves[0]), (1.0, halves[1])):
+            part = pn[3] + pn[4]
+            error -= sign * pn[0]
+            total += sign * part
+            size += sign * abs(part)
+            drift += _EPS * (error + epsrel * size)
+        for pn in halves:
+            heapq.heappush(heap, pn)
 
 
 def _implied_juvenile_stock(model: ModelSpec, history: HistoryFunction,
@@ -529,7 +575,7 @@ def validate(model: ModelSpec) -> ValidationReport:
                               fd_ok, witness=fd_witness))
 
     # (A3) response structure
-    for err in resp.coefficient_errors():
+    for _, err in resp.coefficient_errors():
         checks.append(CheckResult(f"response coefficients: {err}", False, detail=err))
     if not resp.coefficient_errors():
         checks.append(CheckResult("response coefficient constraints", True))

@@ -60,20 +60,21 @@ class FunctionalResponse:
     f_x: Callable[[float, float], float] = field(repr=False)
     f_y: Callable[[float, float], float] = field(repr=False)
 
-    def coefficient_errors(self) -> list[str]:
-        """Kind-specific constraint violations (empty when consistent)."""
+    def coefficient_errors(self) -> list[tuple[str, str]]:
+        """Kind-specific constraint violations as (coefficient, message)
+        pairs (empty when consistent)."""
         c = self.coefficients
         errs = []
 
         def positive(*names):
             for nm in names:
                 if not c.get(nm, 0.0) > 0.0:
-                    errs.append(f"{self.kind}: coefficient {nm!r} must be > 0")
+                    errs.append((nm, f"{self.kind}: coefficient {nm!r} must be > 0"))
 
         def nonnegative(*names):
             for nm in names:
                 if c.get(nm, 0.0) < 0.0:
-                    errs.append(f"{self.kind}: coefficient {nm!r} must be >= 0")
+                    errs.append((nm, f"{self.kind}: coefficient {nm!r} must be >= 0"))
 
         k = self.kind
         if k == ResponseKind.LINEAR:
@@ -81,7 +82,7 @@ class FunctionalResponse:
         elif k == ResponseKind.POWER_LAW:
             positive("b")
             if not c.get("k", 0.0) > 1.0:
-                errs.append("PowerLaw: exponent 'k' must be > 1")
+                errs.append(("k", "PowerLaw: exponent 'k' must be > 1"))
         elif k == ResponseKind.HOLLING_I:
             positive("a", "b")
         elif k in (ResponseKind.HOLLING_II, ResponseKind.HOLLING_III):
@@ -89,14 +90,14 @@ class FunctionalResponse:
         elif k == ResponseKind.SATURATION:
             positive("b", "h")
             if not c.get("k", 0.0) > 1.0:
-                errs.append("Saturation: exponent 'k' must be > 1")
+                errs.append(("k", "Saturation: exponent 'k' must be > 1"))
         elif k == ResponseKind.IVLEV:
             positive("b", "c")
         elif k in (ResponseKind.BEDDINGTON_DEANGELIS, ResponseKind.CROWLEY_MARTIN):
             positive("b")
             nonnegative("k1", "k2")
         else:
-            errs.append(f"unknown response kind {k!r}")
+            errs.append(("kind", f"unknown response kind {k!r}"))
         return errs
 
 

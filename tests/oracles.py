@@ -184,10 +184,16 @@ def cheb_collocation_abscissa(A, B, C, D, eta, d, tau, n_nodes=48):
     """Rightmost eigenvalue of the linearized delayed system by Chebyshev
     collocation of the solution operator's generator on [-tau, 0].
 
-    Independent cross-check of the winding-count root finder: discretizes
-    u'(t) = L0 u(t) + L1 u(t - tau) and returns the largest real part over
-    the pseudospectral eigenvalues (accurate for the dominant roots).
+    Independent cross-check of the winding-count root finder: the largest
+    real part over :func:`cheb_collocation_eigenvalues`.
     """
+    return float(np.max(cheb_collocation_eigenvalues(
+        A, B, C, D, eta, d, tau, n_nodes).real))
+
+
+def cheb_collocation_eigenvalues(A, B, C, D, eta, d, tau, n_nodes=48):
+    """The pseudospectral eigenvalues of u'(t) = L0 u(t) + L1 u(t - tau)
+    (accurate for the dominant roots)."""
     L0 = np.array([[A, -B], [0.0, eta - d]])
     L1 = np.array([[0.0, 0.0], [C, D]])
     m = 2
@@ -207,5 +213,4 @@ def cheb_collocation_abscissa(A, B, C, D, eta, d, tau, n_nodes=48):
     An[:m, :] = 0.0
     An[:m, :m] = L0
     An[:m, -m:] = L1
-    eig = np.linalg.eigvals(An)
-    return float(np.max(eig.real))
+    return np.linalg.eigvals(An)

@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from preydelay import cli, stability
+from preydelay import cli, power_law, stability
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
                            EXIT_OK, main)
 from preydelay.engine import LagDomainError, default_stepper
-from preydelay.model import HistoryConsistencyWarning
+from preydelay.model import HistoryConsistencyWarning, ModelSpec
 from preydelay.equilibria import NoConvergenceError, WindingError
 
 from forking import assert_no_child_left, serially
@@ -614,15 +614,20 @@ def test_verify_failure_exits_1(tmp_path):
                      "--out", str(tmp_path)]) == EXIT_CHECK_FAILURE
 
 
-def test_verify_writes_its_reports_when_the_run_fails(tmp_path, capsys):
+def test_verify_writes_its_reports_when_the_run_fails(tmp_path, monkeypatch,
+                                                      capsys):
     # a power law with k < 1 fails validation and empties the prey in
-    # finite time, so the run ends in the positivity guard
-    doc = json.loads(DEMO_CONFIG.read_text())
-    doc["model"]["response"] = {"kind": "PowerLaw",
-                                "coefficients": {"b": 1.5, "k": 0.5}}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(doc))
-    assert main(["verify", "--config", str(cfg),
+    # finite time, so the run ends in the positivity guard; a config refuses
+    # that k, so the demo config's model takes it in code
+    from_dict = ModelSpec.from_dict
+
+    def with_bad_power_law(doc):
+        return dataclasses.replace(from_dict(doc),
+                                   response=power_law(b=1.5, k=0.5))
+
+    monkeypatch.setattr(ModelSpec, "from_dict",
+                        staticmethod(with_bad_power_law))
+    assert main(["verify", "--config", str(DEMO_CONFIG),
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL
     assert "positivity guard kept rejecting steps" in capsys.readouterr().err
     suite = ET.parse(tmp_path / "verify.xml").getroot()
@@ -657,6 +662,67 @@ def test_wrong_law_coefficients_are_a_config_error(tmp_path, capsys, section,
     err = capsys.readouterr().err
     assert err.startswith("config error") and named in err
     assert "Traceback" not in err
+
+
+OUT_OF_RANGE = [  # (edits of the demo config's model, the message's tail)
+    ([(("delay", "coefficients", "theta"), 0)],
+     "model.delay.coefficients.theta = 0.0 is out of range (must be > 0)"),
+    ([(("response", "coefficients", "b"), 0)],
+     "model.response.coefficients.b = 0.0 is out of range "
+     "(BeddingtonDeAngelis: coefficient 'b' must be > 0)"),
+    ([(("response", "coefficients", "k2"), -1)],
+     "model.response.coefficients.k2 = -1.0 is out of range "
+     "(BeddingtonDeAngelis: coefficient 'k2' must be >= 0)"),
+    ([(("delay", "tau_m"), 2), (("delay", "tau_M"), 1)],
+     "model.delay.tau_M = 1.0 is out of range "
+     "(must be >= model.delay.tau_m = 2.0)"),
+    ([(("delay", "tau_m"), -0.5)],
+     "model.delay.tau_m = -0.5 is out of range (must be >= 0)"),
+]
+
+
+def demo_with(tmp_path, edits):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(DEMO_CONFIG.read_text())
+    for keys, value in edits:
+        edit_model(cfg, keys, value)
+    return cfg
+
+
+@pytest.mark.parametrize("edits, message", OUT_OF_RANGE, ids=[
+    "theta=0", "b=0", "k2=-1", "tau_m>tau_M", "tau_m<0"])
+def test_out_of_range_law_coefficients_are_a_config_error(tmp_path, capsys,
+                                                          edits, message):
+    # theta = 0 ended in a ZeroDivisionError traceback (exit 1); the others
+    # exited 0 with a report on a model outside the paper's hypotheses
+    cfg = demo_with(tmp_path, edits)
+    assert main(["equilibria", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "equilibria.json").exists()
+
+
+def test_negative_minimum_delay_is_a_config_error_for_stability(tmp_path,
+                                                                capsys):
+    # it exited 2 with "g has the same sign at both ends of [-0.45, ...]",
+    # which named no key
+    edits, message = OUT_OF_RANGE[-1]
+    cfg = demo_with(tmp_path, edits)
+    assert main(["stability", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_out_of_range_sweep_value_is_a_config_error_at_its_point(tmp_path,
+                                                                 capsys):
+    cfg = write_config(tmp_path / "cfg.json",
+                       sweep={"k2": [10.0, -1.0], "d": [0.45]})
+    assert main(["sweep", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: model.response.coefficients.k2 = -1.0 is out of "
+        "range (BeddingtonDeAngelis: coefficient 'k2' must be >= 0)\n")
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_lag_domain_error_exits_3(tmp_path, monkeypatch, capsys):

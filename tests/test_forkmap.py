@@ -2,6 +2,8 @@
 exceptions, with no child left behind."""
 import os
 import signal
+import threading
+import time
 import warnings
 
 import pytest
@@ -72,6 +74,55 @@ def test_a_map_left_early_stops_its_child(forks):
     results.close()
     assert forks[0] == 1
     assert_no_child_left()
+
+
+def test_a_child_warning_repeat_shows_once(forks):
+    # the child's items are the odd ones; only they warn, from one line
+    def fn(i):
+        if i % 2:
+            warnings.warn("odd item", UserWarning)
+        return i
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            assert list(fork_map(fn, range(4))) == list(range(4))
+    assert forks[0] == 2
+    # (Python 3.12 adds its own DeprecationWarning for the fork)
+    shown = [w for w in caught if w.category is UserWarning]
+    assert len(shown) == 1
+    assert shown[0].filename == __file__
+    assert_no_child_left()
+
+
+def test_a_failure_in_the_callers_item_stops_the_child(forks):
+    # item 0 is the caller's; the child's items would outlast the test
+    def fn(i):
+        if i == 0:
+            raise ValueError("the caller's item")
+        time.sleep(30.0)
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the caller's item"):
+        list(fork_map(fn, range(4)))
+    assert time.perf_counter() - start < 10.0
+    assert forks[0] == 1
+    assert_no_child_left()
+
+
+def test_a_live_thread_keeps_the_map_serial(forks):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30.0,))
+    thread.start()
+    try:
+        assert list(fork_map(lambda i: i * i, range(7))) == [
+            i * i for i in range(7)]
+    finally:
+        release.set()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert forks[0] == 0
 
 
 # --------------------------------------------------------------------------

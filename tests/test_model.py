@@ -317,6 +317,8 @@ RESPONSE_COEFFICIENTS = {
 }
 DELAY_COEFFICIENTS = {"constant": (), "saturating": ("theta",), "exp": ("lam",)}
 positive = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+# a config refuses the exponent k of PowerLaw and Saturation unless k > 1
+above_one = st.floats(min_value=1.0, max_value=1e6, exclude_min=True)
 
 
 @st.composite
@@ -330,7 +332,8 @@ def model_specs(draw):
     response_kind = draw(st.sampled_from(sorted(RESPONSE_COEFFICIENTS)))
     response = make_response(
         response_kind,
-        **{c: draw(positive) for c in RESPONSE_COEFFICIENTS[response_kind]})
+        **{c: draw(above_one if c == "k" else positive)
+           for c in RESPONSE_COEFFICIENTS[response_kind]})
     return ModelSpec(params, delay, response)
 
 
