@@ -7,16 +7,17 @@ and constants ride along as the function's ``law`` attribute (a
 :class:`LawText`); the integration engine reads it to write the law into its
 generated stepping loop instead of calling it (see :mod:`preydelay.engine`).
 The compiled maker is cached by its text, so only the first law of a kind
-compiles anything.  :func:`check_coefficients` checks the coefficient names
-handed to a catalog factory by kind.
+compiles anything.  A catalog is one table, kind -> (factory, {coefficient:
+:class:`Bound`}), that :func:`make` builds laws from.
 """
 from __future__ import annotations
 
 import ast
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
-__all__ = ["LawText", "law", "check_coefficients"]
+__all__ = ["LawText", "law", "Bound", "POSITIVE", "NONNEGATIVE", "make",
+           "range_errors"]
 
 
 class LawText(NamedTuple):
@@ -63,18 +64,50 @@ def _compile_maker(args: tuple[str, ...], text: str,
     return namespace["maker"]
 
 
-def check_coefficients(kind: str, factory: Callable, given, skip: int = 0) -> None:
-    """Raise ValueError unless ``given`` names exactly ``factory``'s coefficients.
+class Bound(NamedTuple):
+    """The admissible range ``x op value``, ``op`` ">" or ">=".  Its text is
+    the requirement a message states, "must be > 0"; ``of`` names the key
+    whose value ``value`` is and ``subject`` what must lie in the range."""
 
-    The coefficients are the factory's parameters after its first ``skip``,
-    read off its code.
-    """
-    code = factory.__code__
-    expected = code.co_varnames[skip:code.co_argcount]
-    found = [("unknown", [c for c in given if c not in expected]),
-             ("missing", [c for c in expected if c not in given])]
-    problems = "; ".join(f"{label} {', '.join(map(repr, names))}"
-                         for label, names in found if names)
+    op: str
+    value: float
+    of: str = ""
+    subject: str = ""
+
+    def admits(self, x: float) -> bool:
+        return x > self.value if self.op == ">" else x >= self.value
+
+    def __str__(self) -> str:
+        value = f"{self.of} = {self.value!r}" if self.of else f"{self.value:g}"
+        return f"{self.subject} must be {self.op} {value}".lstrip()
+
+
+POSITIVE = Bound(">", 0.0)
+NONNEGATIVE = Bound(">=", 0.0)
+
+
+def range_errors(values: Mapping[str, float],
+                 ranges: Mapping[str, Bound]) -> list[tuple[str, str]]:
+    """(name, requirement) of each of ``values`` outside its range, in the
+    order of ``ranges``; a name that ``values`` lacks reads as 0."""
+    return [(name, str(bound)) for name, bound in ranges.items()
+            if not bound.admits(values.get(name, 0.0))]
+
+
+def make(catalog: Mapping, what: str, label: str, kind: str, /, *args,
+         **coefficients: float):
+    """``catalog[kind]``'s factory on ``args`` and ``coefficients``, which
+    must be the kind's; ``what`` and ``label`` name the catalog and kind."""
+    try:
+        factory, ranges = catalog[kind]
+    except (KeyError, TypeError):  # TypeError: a JSON list or object
+        raise ValueError(f"unknown {what} kind {kind!r}; expected one of "
+                         f"{tuple(catalog)}") from None
+    found = [("unknown", [c for c in coefficients if c not in ranges]),
+             ("missing", [c for c in ranges if c not in coefficients])]
+    problems = "; ".join(f"{word} {', '.join(map(repr, names))}"
+                         for word, names in found if names)
     if problems:
-        raise ValueError(f"{kind}: {problems}; expected coefficients "
-                         f"{', '.join(map(repr, expected)) or 'none'}")
+        raise ValueError(f"{label}: {problems}; expected coefficients "
+                         f"{', '.join(map(repr, ranges)) or 'none'}")
+    return factory(*args, **coefficients)

@@ -21,11 +21,13 @@ from .engine import (IntegrationError, LagDomainError, StepperConfig,
 from .equilibria import (_RESIDUAL_TOL, CrossCheckError, Equilibrium,
                          NoConvergenceError, WindingError, boundary_equilibria,
                          solve_coexistence)
-from .model import (ConfigError, HistoryFunction, ModelSpec, _real,
+from ._law import POSITIVE
+from .model import (_DELAY_RANGES, _PARAM_RANGES, ConfigError,
+                    HistoryFunction, ModelSpec, _out_of_range, _real,
                     check_keys, consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
                     tabulated_history, validate)
-from .responses import ResponseKind
+from .responses import RESPONSE_CATALOG, ResponseKind
 
 # Start-up rule: a module that only some subcommands run (NumPy, stability,
 # analysis, svg) is imported inside those subcommands.
@@ -122,7 +124,7 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = (float(horizon) if horizon is not None
              else _positive(doc["t_end"], "stepper.t_end"))
-    opts = {key: _real(doc[key], f"stepper.{key}")
+    opts = {key: _real(doc[key], f"stepper.{key}", POSITIVE)
             for key in ("rtol", "h_init", "h_max") if doc.get(key) is not None}
     atol = doc.get("atol")
     if isinstance(atol, list):
@@ -130,10 +132,10 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
         if len(atol) != 3:
             raise ConfigError("stepper.atol must be a number or a list of 3 "
                               f"numbers, got {atol!r}")
-        opts["atol"] = tuple(_real(v, f"stepper.atol[{i}]")
+        opts["atol"] = tuple(_real(v, f"stepper.atol[{i}]", POSITIVE)
                              for i, v in enumerate(atol))
     elif atol is not None:
-        opts["atol"] = _real(atol, "stepper.atol")
+        opts["atol"] = _real(atol, "stepper.atol", POSITIVE)
     guard = doc.get("positivity_guard", StepperConfig.positivity_guard)
     if not isinstance(guard, bool):
         raise ConfigError("stepper.positivity_guard must be true or false")
@@ -407,8 +409,6 @@ def _sweep_point(model: ModelSpec, k2: float, d: float, tau_m: float,
     base["response"]["coefficients"]["k2"] = k2
     base["delay"]["tau_m"] = tau_m
     base["delay"]["tau_M"] = tau_M
-    if base["delay"]["kind"] == "constant" and tau_m != tau_M:
-        raise ConfigError("constant delay cannot sweep tau_m != tau_M")
     point = ModelSpec.from_dict(base)
     R = reproduction_number(point)
     thm7 = thm8 = False
@@ -466,6 +466,14 @@ def _cmd_sweep(scn: Scenario, outdir: Path) -> int:
     tMs = [float(v) for v in scn.sweep.get("tau_M", [delay.tau_M])]
     points = [(k2, d, tm, tM) for k2 in k2s for d in ds for tm in tms
               for tM in tMs if tm <= tM]
+    # a swept value out of range fails, named by its axis, before any solve
+    swept = {"k2": RESPONSE_CATALOG[scn.model.response.kind][1]["k2"],
+             "d": _PARAM_RANGES["d"], "tau_m": _DELAY_RANGES["tau_m"]}
+    for point in points:
+        for (axis, bound), value in zip(swept.items(), point):
+            if not bound.admits(value):
+                i = scn.sweep[axis].index(value)
+                raise _out_of_range(f"sweep.{axis}[{i}]", value, bound)
     rows = _sweep_rows(scn.model, points)
     csv_path = outdir / "sweep.csv"
     header = "k2,d,tau_m,tau_M,R,coexists,thm7_pass,thm8_pass,rightmost_re"

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ._law import check_coefficients, law
+from ._law import POSITIVE, Bound, law, make
 
 __all__ = [
     "DelayFunction",
@@ -23,7 +23,7 @@ __all__ = [
     "saturating_delay",
     "exp_delay",
     "make_delay",
-    "DELAY_KINDS",
+    "DELAY_CATALOG",
 ]
 
 
@@ -51,7 +51,6 @@ def constant_delay(value: float) -> DelayFunction:
         tau_m=value,
         tau_M=value,
         kind="constant",
-        coefficients={},
     )
 
 
@@ -91,28 +90,18 @@ def _constant(tau_m: float, tau_M: float) -> DelayFunction:
     return constant_delay(tau_m)
 
 
-_FACTORIES: dict[str, Callable] = {
-    "constant": _constant,
-    "saturating": saturating_delay,
-    "exp": exp_delay,
+# kind -> (factory of tau_m, tau_M, coefficients; {coefficient: admissible range})
+DELAY_CATALOG: dict[str, tuple[Callable, dict[str, Bound]]] = {
+    "constant": (_constant, {}),
+    "saturating": (saturating_delay, {"theta": POSITIVE}),
+    "exp": (exp_delay, {"lam": POSITIVE}),
 }
-
-DELAY_KINDS = tuple(_FACTORIES)
 
 
 def make_delay(kind: str, tau_m: float, tau_M: float, /,
                **coefficients: float) -> DelayFunction:
-    """Build a built-in delay law by kind name.
-
-    "constant" requires tau_m == tau_M and takes no coefficients; "saturating"
-    takes theta; "exp" takes lam.  A missing or unknown coefficient raises
-    ValueError.
-    """
-    try:
-        factory = _FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown delay kind {kind!r}; expected one of {DELAY_KINDS}"
-        ) from None
-    check_coefficients(f"{kind} delay", factory, coefficients, skip=2)
-    return factory(tau_m, tau_M, **coefficients)
+    """Build a built-in delay law by kind name, with the coefficients of its
+    :data:`DELAY_CATALOG` entry; "constant" requires tau_m == tau_M.  A
+    missing or unknown coefficient raises ValueError."""
+    return make(DELAY_CATALOG, "delay", f"{kind} delay", kind, tau_m, tau_M,
+                **coefficients)

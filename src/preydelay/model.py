@@ -19,8 +19,9 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .delays import DelayFunction, make_delay
-from .responses import FunctionalResponse, make_response
+from ._law import NONNEGATIVE, POSITIVE, Bound, range_errors
+from .delays import DELAY_CATALOG, DelayFunction, make_delay
+from .responses import RESPONSE_CATALOG, FunctionalResponse, make_response
 
 __all__ = [
     "ModelParams",
@@ -59,9 +60,14 @@ class ModelParams:
     d: float
 
     def __post_init__(self):
-        for name in ("r", "K", "n", "dj", "d"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"parameter {name} must be strictly positive")
+        for name, requirement in range_errors(vars(self), _PARAM_RANGES):
+            raise ValueError(f"parameter {name} = {getattr(self, name)!r} "
+                             f"is out of range ({requirement})")
+
+
+# ranges besides the laws' coefficients' (and tau_M >= tau_m, in from_dict)
+_PARAM_RANGES = dict.fromkeys(("r", "K", "n", "dj", "d"), POSITIVE)
+_DELAY_RANGES = {"tau_m": NONNEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -112,40 +118,35 @@ class ModelSpec:
     def from_dict(doc: Mapping) -> "ModelSpec":
         """The model of a config document.
 
-        A law coefficient outside the paper's hypotheses is a
-        :class:`ConfigError` naming its dotted key: the response's
-        :meth:`~FunctionalResponse.coefficient_errors`, and for the delay
-        0 <= tau_m <= tau_M and a positive theta or lam.  The law factories
-        take any value, so :func:`validate` can report a bad model built in
-        code.
+        A number outside the paper's hypotheses is a :class:`ConfigError`
+        naming its dotted key.  The law factories take any value, so
+        :func:`validate` can report a bad model built in code.
         """
         check_keys(doc, "model", {"params", "delay", "response"})
         pdoc = doc["params"]
-        check_keys(pdoc, "model.params", {"r", "K", "n", "dj", "d"})
-        params = ModelParams(**{k: _real(pdoc[k], f"model.params.{k}")
-                                for k in ("r", "K", "n", "dj", "d")})
+        check_keys(pdoc, "model.params", set(_PARAM_RANGES))
+        params = {k: _real(pdoc[k], f"model.params.{k}") for k in _PARAM_RANGES}
         ddoc = doc["delay"]
         check_keys(ddoc, "model.delay", {"kind", "coefficients", "tau_m", "tau_M"})
         delay = make_delay(ddoc["kind"], _real(ddoc["tau_m"], "model.delay.tau_m"),
                            _real(ddoc["tau_M"], "model.delay.tau_M"),
                            **_coefficients(ddoc, "model.delay"))
-        if not delay.tau_m >= 0.0:
-            raise _out_of_range("model.delay.tau_m", delay.tau_m, "must be >= 0")
-        if not delay.tau_M >= delay.tau_m:
-            raise _out_of_range("model.delay.tau_M", delay.tau_M,
-                                f"must be >= model.delay.tau_m = {delay.tau_m!r}")
-        for name, value in delay.coefficients.items():
-            if not value > 0.0:
-                raise _out_of_range(f"model.delay.coefficients.{name}", value,
-                                    "must be > 0")
         rdoc = doc["response"]
         check_keys(rdoc, "model.response", {"kind", "coefficients"})
         response = make_response(rdoc["kind"],
                                  **_coefficients(rdoc, "model.response"))
-        for name, err in response.coefficient_errors():
-            raise _out_of_range(f"model.response.coefficients.{name}",
-                                response.coefficients[name], err)
-        return ModelSpec(params, delay, response)
+        tau_M = Bound(">=", delay.tau_m, of="model.delay.tau_m")
+        for path, values, ranges in (
+                ("model.params", params, _PARAM_RANGES),
+                ("model.delay", {"tau_m": delay.tau_m, "tau_M": delay.tau_M},
+                 {**_DELAY_RANGES, "tau_M": tau_M}),
+                ("model.delay.coefficients", delay.coefficients,
+                 DELAY_CATALOG[delay.kind][1]),
+                ("model.response.coefficients", response.coefficients,
+                 RESPONSE_CATALOG[response.kind][1])):
+            for key, requirement in range_errors(values, ranges):
+                raise _out_of_range(f"{path}.{key}", values[key], requirement)
+        return ModelSpec(ModelParams(**params), delay, response)
 
 
 class ConfigError(ValueError):
@@ -170,13 +171,15 @@ def check_keys(doc: Mapping, path: str, required: set,
             raise ConfigError(f"missing key {prefix}{key}")
 
 
-def _real(value, name: str) -> float:
-    """A config value that must be a finite JSON number, as a float;
-    ``name`` is its dotted location, named in the message."""
+def _real(value, name: str, bound: Bound | None = None) -> float:
+    """A config value that must be a finite JSON number, in ``bound`` if
+    given, as a float; ``name`` is its dotted location, named in the message."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    if bound is not None and not bound.admits(value):
+        raise _out_of_range(name, float(value), bound)
     return float(value)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from ._law import check_coefficients, law
+from ._law import NONNEGATIVE, POSITIVE, Bound, law, make, range_errors
 
 __all__ = [
     "FunctionalResponse",
@@ -29,7 +29,7 @@ __all__ = [
     "ivlev",
     "beddington_deangelis",
     "crowley_martin",
-    "RESPONSE_KINDS",
+    "RESPONSE_CATALOG",
 ]
 
 
@@ -49,56 +49,25 @@ class ResponseKind:
 class FunctionalResponse:
     """A consumption-rate law with its partial derivatives.
 
-    ``f``, ``f_x`` and ``f_y`` are scalar callables of (x, y).  ``coefficients``
-    records the named constants so the response can be serialized and its
-    kind-specific constraints re-checked.
+    ``f``, ``f_x`` and ``f_y`` are scalar callables of (x, y); ``f_y`` is 0
+    unless given, as for every form of x alone.  ``coefficients`` records the
+    named constants so the response can be serialized and its kind-specific
+    constraints re-checked.
     """
 
     kind: str
     coefficients: Mapping[str, float]
     f: Callable[[float, float], float] = field(repr=False)
     f_x: Callable[[float, float], float] = field(repr=False)
-    f_y: Callable[[float, float], float] = field(repr=False)
+    f_y: Callable[[float, float], float] = field(default=law("x, y", "0.0"),
+                                                 repr=False)
 
     def coefficient_errors(self) -> list[tuple[str, str]]:
         """Kind-specific constraint violations as (coefficient, message)
         pairs (empty when consistent)."""
-        c = self.coefficients
-        errs = []
-
-        def positive(*names):
-            for nm in names:
-                if not c.get(nm, 0.0) > 0.0:
-                    errs.append((nm, f"{self.kind}: coefficient {nm!r} must be > 0"))
-
-        def nonnegative(*names):
-            for nm in names:
-                if c.get(nm, 0.0) < 0.0:
-                    errs.append((nm, f"{self.kind}: coefficient {nm!r} must be >= 0"))
-
-        k = self.kind
-        if k == ResponseKind.LINEAR:
-            positive("b")
-        elif k == ResponseKind.POWER_LAW:
-            positive("b")
-            if not c.get("k", 0.0) > 1.0:
-                errs.append(("k", "PowerLaw: exponent 'k' must be > 1"))
-        elif k == ResponseKind.HOLLING_I:
-            positive("a", "b")
-        elif k in (ResponseKind.HOLLING_II, ResponseKind.HOLLING_III):
-            positive("b", "h")
-        elif k == ResponseKind.SATURATION:
-            positive("b", "h")
-            if not c.get("k", 0.0) > 1.0:
-                errs.append(("k", "Saturation: exponent 'k' must be > 1"))
-        elif k == ResponseKind.IVLEV:
-            positive("b", "c")
-        elif k in (ResponseKind.BEDDINGTON_DEANGELIS, ResponseKind.CROWLEY_MARTIN):
-            positive("b")
-            nonnegative("k1", "k2")
-        else:
-            errs.append(("kind", f"unknown response kind {k!r}"))
-        return errs
+        if self.kind not in RESPONSE_CATALOG:
+            return [("kind", f"unknown response kind {self.kind!r}")]
+        return range_errors(self.coefficients, RESPONSE_CATALOG[self.kind][1])
 
 
 def linear(b: float) -> FunctionalResponse:
@@ -107,7 +76,6 @@ def linear(b: float) -> FunctionalResponse:
         ResponseKind.LINEAR, {"b": b},
         f=law("x, y", "b * x", b=b),
         f_x=law("x, y", "b", b=b),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -117,7 +85,6 @@ def power_law(b: float, k: float) -> FunctionalResponse:
         ResponseKind.POWER_LAW, {"b": b, "k": k},
         f=law("x, y", "b * x ** k", b=b, k=k),
         f_x=law("x, y", "b * k * x ** (k - 1.0) if x > 0.0 else 0.0", b=b, k=k),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -131,7 +98,6 @@ def holling1(a: float, b: float) -> FunctionalResponse:
         ResponseKind.HOLLING_I, {"a": a, "b": b},
         f=law("x, y", "a * x if x <= b else a * b", a=a, b=b),
         f_x=law("x, y", "a if x <= b else 0.0", a=a, b=b),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -141,7 +107,6 @@ def holling2(b: float, h: float) -> FunctionalResponse:
         ResponseKind.HOLLING_II, {"b": b, "h": h},
         f=law("x, y", "b * x / (1.0 + b * h * x)", b=b, h=h),
         f_x=law("x, y", "b / (1.0 + b * h * x) ** 2", b=b, h=h),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -151,7 +116,6 @@ def holling3(b: float, h: float) -> FunctionalResponse:
         ResponseKind.HOLLING_III, {"b": b, "h": h},
         f=law("x, y", "b * x * x / (1.0 + b * h * x * x)", b=b, h=h),
         f_x=law("x, y", "2.0 * b * x / (1.0 + b * h * x * x) ** 2", b=b, h=h),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -162,7 +126,6 @@ def saturation(b: float, h: float, k: float) -> FunctionalResponse:
         f=law("x, y", "b * x ** k / (1.0 + b * h * x ** k)", b=b, h=h, k=k),
         f_x=law("x, y", "b * k * x ** (k - 1.0) / (1.0 + b * h * x ** k) ** 2"
                 " if x > 0.0 else 0.0", b=b, h=h, k=k),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -172,7 +135,6 @@ def ivlev(b: float, c: float) -> FunctionalResponse:
         ResponseKind.IVLEV, {"b": b, "c": c},
         f=law("x, y", "b * -math.expm1(-c * x)", b=b, c=c),
         f_x=law("x, y", "b * c * math.exp(-c * x)", b=b, c=c),
-        f_y=law("x, y", "0.0"),
     )
 
 
@@ -201,19 +163,29 @@ def crowley_martin(b: float, k1: float, k2: float) -> FunctionalResponse:
     )
 
 
-_FACTORIES: dict[str, Callable[..., FunctionalResponse]] = {
-    ResponseKind.LINEAR: linear,
-    ResponseKind.POWER_LAW: power_law,
-    ResponseKind.HOLLING_I: holling1,
-    ResponseKind.HOLLING_II: holling2,
-    ResponseKind.HOLLING_III: holling3,
-    ResponseKind.SATURATION: saturation,
-    ResponseKind.IVLEV: ivlev,
-    ResponseKind.BEDDINGTON_DEANGELIS: beddington_deangelis,
-    ResponseKind.CROWLEY_MARTIN: crowley_martin,
-}
+_EXPONENT = Bound(">", 1.0, subject="exponent")
 
-RESPONSE_KINDS = tuple(_FACTORIES)
+# kind -> (factory, {coefficient: admissible range})
+RESPONSE_CATALOG: dict[str, tuple[Callable[..., FunctionalResponse],
+                                  dict[str, Bound]]] = {
+    ResponseKind.LINEAR: (linear, {"b": POSITIVE}),
+    ResponseKind.POWER_LAW: (power_law, {"b": POSITIVE, "k": _EXPONENT}),
+    ResponseKind.HOLLING_I: (holling1, {"a": POSITIVE, "b": POSITIVE}),
+    ResponseKind.HOLLING_II: (holling2, {"b": POSITIVE, "h": POSITIVE}),
+    ResponseKind.HOLLING_III: (holling3, {"b": POSITIVE, "h": POSITIVE}),
+    ResponseKind.SATURATION: (saturation, {"b": POSITIVE, "h": POSITIVE,
+                                           "k": _EXPONENT}),
+    ResponseKind.IVLEV: (ivlev, {"b": POSITIVE, "c": POSITIVE}),
+    ResponseKind.BEDDINGTON_DEANGELIS: (beddington_deangelis, {
+        "b": POSITIVE, "k1": NONNEGATIVE, "k2": NONNEGATIVE}),
+    ResponseKind.CROWLEY_MARTIN: (crowley_martin, {
+        "b": POSITIVE, "k1": NONNEGATIVE, "k2": NONNEGATIVE}),
+}
+# each requirement names its kind and coefficient: "Ivlev: coefficient 'c' ..."
+RESPONSE_CATALOG = {kind: (factory, {name: bound._replace(
+    subject=f"{kind}: {bound.subject or 'coefficient'} {name!r}")
+    for name, bound in ranges.items()})
+    for kind, (factory, ranges) in RESPONSE_CATALOG.items()}
 
 
 def make_response(kind: str, /, **coefficients: float) -> FunctionalResponse:
@@ -221,11 +193,4 @@ def make_response(kind: str, /, **coefficients: float) -> FunctionalResponse:
 
     A missing or unknown coefficient raises ValueError.
     """
-    try:
-        factory = _FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown response kind {kind!r}; expected one of {RESPONSE_KINDS}"
-        ) from None
-    check_coefficients(kind, factory, coefficients)
-    return factory(**coefficients)
+    return make(RESPONSE_CATALOG, "response", kind, kind, **coefficients)

@@ -306,8 +306,17 @@ def test_sweep_of_144_points_is_pinned(tmp_path):
     ({"tau_m": [True]}, "sweep.tau_m must be a list of numbers"),
     ({"k2": [2.0], "horizon": 50.0}, "unknown key sweep.horizon"),
     # a NaN reached the coexistence solver's bracket and named no key
-    ({"d": [0.45, math.nan]}, "sweep.d[1] must be finite, got nan")])
-def test_sweep_config_errors_name_their_key(tmp_path, capsys, sweep, message):
+    ({"d": [0.45, math.nan]}, "sweep.d[1] must be finite, got nan"),
+    # read "parameter d must be strictly positive" after a point was solved
+    ({"d": [0.45, -2.0]}, "sweep.d[1] = -2.0 is out of range (must be > 0)"),
+    ({"tau_m": [-0.5, 0.5]},
+     "sweep.tau_m[0] = -0.5 is out of range (must be >= 0)")])
+def test_sweep_config_errors_name_their_key(tmp_path, monkeypatch, capsys,
+                                            sweep, message):
+    def fail(model):
+        raise AssertionError("a point was solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "solve_coexistence", fail)
     cfg = write_config(tmp_path / "cfg.json", sweep=sweep)
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -486,7 +495,7 @@ def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
                              "tau_m": 1.0, "tau_M": 1.0}
     cfg.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "constant delay cannot sweep" in capsys.readouterr().err
+    assert "constant delay requires tau_m == tau_M" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -665,6 +674,8 @@ def test_wrong_law_coefficients_are_a_config_error(tmp_path, capsys, section,
 
 
 OUT_OF_RANGE = [  # (edits of the demo config's model, the message's tail)
+    ([(("params", "d"), -1)],
+     "model.params.d = -1.0 is out of range (must be > 0)"),
     ([(("delay", "coefficients", "theta"), 0)],
      "model.delay.coefficients.theta = 0.0 is out of range (must be > 0)"),
     ([(("response", "coefficients", "b"), 0)],
@@ -690,7 +701,7 @@ def demo_with(tmp_path, edits):
 
 
 @pytest.mark.parametrize("edits, message", OUT_OF_RANGE, ids=[
-    "theta=0", "b=0", "k2=-1", "tau_m>tau_M", "tau_m<0"])
+    "d=-1", "theta=0", "b=0", "k2=-1", "tau_m>tau_M", "tau_m<0"])
 def test_out_of_range_law_coefficients_are_a_config_error(tmp_path, capsys,
                                                           edits, message):
     # theta = 0 ended in a ZeroDivisionError traceback (exit 1); the others
@@ -720,9 +731,26 @@ def test_out_of_range_sweep_value_is_a_config_error_at_its_point(tmp_path,
     assert main(["sweep", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        "config error: model.response.coefficients.k2 = -1.0 is out of "
-        "range (BeddingtonDeAngelis: coefficient 'k2' must be >= 0)\n")
+        "config error: sweep.k2[1] = -1.0 is out of range "
+        "(BeddingtonDeAngelis: coefficient 'k2' must be >= 0)\n")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("rtol", 0, "stepper.rtol = 0.0 is out of range (must be > 0)"),
+    ("atol", -1e-10, "stepper.atol = -1e-10 is out of range (must be > 0)"),
+    ("atol", [1e-12, 0, 1e-10],
+     "stepper.atol[1] = 0.0 is out of range (must be > 0)"),
+    ("h_max", -1, "stepper.h_max = -1.0 is out of range (must be > 0)"),
+    ("h_init", 0, "stepper.h_init = 0.0 is out of range (must be > 0)"),
+], ids=["rtol=0", "atol<0", "atol[1]=0", "h_max<0", "h_init=0"])
+def test_out_of_range_stepper_settings_are_a_config_error(tmp_path, capsys,
+                                                          key, value, message):
+    # each exited 2 with a message that named no key
+    cfg = edit_config(demo_with(tmp_path, []), "stepper", key, value)
+    assert main(["equilibria", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_lag_domain_error_exits_3(tmp_path, monkeypatch, capsys):

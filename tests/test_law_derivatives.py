@@ -19,8 +19,8 @@ import sympy
 from preydelay import (beddington_deangelis, constant_delay, crowley_martin,
                        exp_delay, holling1, holling2, holling3, ivlev, linear,
                        power_law, saturating_delay, saturation)
-from preydelay.delays import DELAY_KINDS
-from preydelay.responses import RESPONSE_KINDS
+from preydelay.delays import DELAY_CATALOG
+from preydelay.responses import RESPONSE_CATALOG
 
 RESPONSES = [linear(0.8), power_law(0.6, 1.5), holling1(1.0, 1.2),
              holling2(1.5, 0.5), holling3(1.5, 0.5), saturation(1.5, 0.5, 1.5),
@@ -71,18 +71,18 @@ def assert_exact_derivative(text, derivative_text, arg):
 
 
 def test_the_cases_cover_the_catalog():
-    assert [r.kind for r in RESPONSES] == list(RESPONSE_KINDS)
-    assert [d.kind for d in DELAYS] == list(DELAY_KINDS)
+    assert [r.kind for r in RESPONSES] == list(RESPONSE_CATALOG)
+    assert [d.kind for d in DELAYS] == list(DELAY_CATALOG)
 
 
-@pytest.mark.parametrize("response", RESPONSES, ids=RESPONSE_KINDS)
+@pytest.mark.parametrize("response", RESPONSES, ids=list(RESPONSE_CATALOG))
 def test_response_partials_are_exact(response):
     assert response.f.law.args == ("x", "y")
     assert_exact_derivative(response.f.law.text, response.f_x.law.text, "x")
     assert_exact_derivative(response.f.law.text, response.f_y.law.text, "y")
 
 
-@pytest.mark.parametrize("delay", DELAYS, ids=DELAY_KINDS)
+@pytest.mark.parametrize("delay", DELAYS, ids=list(DELAY_CATALOG))
 def test_delay_derivative_is_exact(delay):
     assert delay.tau.law.args == ("y",)
     assert_exact_derivative(delay.tau.law.text, delay.tau_prime.law.text, "y")

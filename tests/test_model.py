@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -15,10 +16,10 @@ from preydelay import (DelayFunction, ModelParams, ModelSpec,
                        holling2, linear, make_delay, make_response, power_law,
                        reproduction_number, saturating_delay,
                        tabulated_history, validate)
-from preydelay.delays import DELAY_KINDS
+from preydelay.delays import DELAY_CATALOG
 from preydelay.model import (GL_NODES, GL_WEIGHTS, HistoryConsistencyWarning,
                              _implied_juvenile_stock, warn_if_inconsistent)
-from preydelay.responses import RESPONSE_KINDS
+from preydelay.responses import RESPONSE_CATALOG
 
 from oracles import implicit_rate_solution
 
@@ -63,6 +64,41 @@ def test_make_delay_constant_requires_equal_bounds():
         make_delay("constant", 0.5, 1.0)
     d = make_delay("saturating", 0.5, 1.0, theta=2.0)
     assert d.tau(1e9) == pytest.approx(1.0, rel=1e-6)
+
+
+def test_catalog_coefficients_are_the_factory_parameters():
+    # a delay factory takes tau_m and tau_M before its coefficients
+    for catalog, skip in ((RESPONSE_CATALOG, 0), (DELAY_CATALOG, 2)):
+        for kind, (factory, ranges) in catalog.items():
+            params = list(inspect.signature(factory).parameters)[skip:]
+            assert list(ranges) == params, kind
+
+
+@pytest.mark.parametrize("make, args, coefficients, message", [
+    (make_response, ("NoSuchForm",), {"b": 1.0},
+     "unknown response kind 'NoSuchForm'; expected one of ('Linear', "
+     "'PowerLaw', 'HollingI', 'HollingII', 'HollingIII', 'Saturation', "
+     "'Ivlev', 'BeddingtonDeAngelis', 'CrowleyMartin')"),
+    (make_delay, ("spline", 0.5, 1.0), {},
+     "unknown delay kind 'spline'; expected one of ('constant', "
+     "'saturating', 'exp')"),
+    # a JSON list as the kind was an untyped TypeError (exit 1)
+    (make_delay, (["exp"], 0.5, 1.0), {},
+     "unknown delay kind ['exp']; expected one of ('constant', "
+     "'saturating', 'exp')"),
+    (make_response, ("HollingII",), {"b": 1.0, "c": 2.0},
+     "HollingII: unknown 'c'; missing 'h'; expected coefficients 'b', 'h'"),
+    (make_delay, ("saturating", 0.5, 1.0), {},
+     "saturating delay: missing 'theta'; expected coefficients 'theta'"),
+    (make_delay, ("constant", 1.0, 1.0), {"theta": 1.0},
+     "constant delay: unknown 'theta'; expected coefficients none"),
+], ids=["response kind", "delay kind", "list as kind",
+        "response coefficients", "missing delay coefficient",
+        "unknown delay coefficient"])
+def test_catalog_lookup_messages(make, args, coefficients, message):
+    with pytest.raises(ValueError) as info:
+        make(*args, **coefficients)
+    assert str(info.value) == message
 
 
 # --------------------------------------------------------------------------
@@ -338,8 +374,8 @@ def model_specs(draw):
 
 
 def test_round_trip_strategy_covers_every_kind():
-    assert set(RESPONSE_COEFFICIENTS) == set(RESPONSE_KINDS)
-    assert set(DELAY_COEFFICIENTS) == set(DELAY_KINDS)
+    assert set(RESPONSE_COEFFICIENTS) == set(RESPONSE_CATALOG)
+    assert set(DELAY_COEFFICIENTS) == set(DELAY_CATALOG)
 
 
 @given(model_specs())

@@ -26,9 +26,9 @@ from preydelay import (ModelParams, ModelSpec,
                        ivlev, linear, power_law, saturating_delay, saturation)
 import preydelay
 from preydelay import _law, cli, engine
-from preydelay.delays import DELAY_KINDS
+from preydelay.delays import DELAY_CATALOG
 from preydelay.model import HistoryConsistencyWarning
-from preydelay.responses import RESPONSE_KINDS
+from preydelay.responses import RESPONSE_CATALOG
 
 from conftest import opaque
 
@@ -69,8 +69,8 @@ def assert_same_bits(a, b):
 
 
 def test_the_cases_cover_the_catalog():
-    assert set(RESPONSES) == set(RESPONSE_KINDS)
-    assert set(DELAYS) == set(DELAY_KINDS)
+    assert set(RESPONSES) == set(RESPONSE_CATALOG)
+    assert set(DELAYS) == set(DELAY_CATALOG)
     for kind, laws in (*RESPONSES.items(), *DELAYS.items()):
         assert laws.kind == kind
 
