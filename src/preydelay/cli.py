@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -22,8 +21,9 @@ from .equilibria import (_RESIDUAL_TOL, CrossCheckError, Equilibrium,
                          NoConvergenceError, WindingError, boundary_equilibria,
                          solve_coexistence)
 from ._law import POSITIVE
+from .delays import make_delay
 from .model import (_DELAY_RANGES, _PARAM_RANGES, ConfigError,
-                    HistoryFunction, ModelSpec, _out_of_range, _real,
+                    HistoryFunction, ModelSpec, _out_of_range, _real, _reals,
                     check_keys, consistent_history, constant_history,
                     constant_plus_sine_history, reproduction_number,
                     tabulated_history, validate)
@@ -77,25 +77,24 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
         check_keys(doc, "history", {"kind", "x", "y", "amp", "omega"},
                     {"yj", "phase"})
         phase = num("phase") if "phase" in doc else 0.0
-        if "yj" in doc:
-            return constant_plus_sine_history(
-                num("x"), num("y"), num("yj"), amp=num("amp"),
-                omega=num("omega"), phase=phase)
-        return consistent_history(model, num("x"), num("y"), amp=num("amp"),
-                                  omega=num("omega"), phase=phase)
+        x, y = num("x"), num("y")
+        yj = num("yj") if "yj" in doc else None
+        amp, omega = num("amp"), num("omega")
+        try:
+            if yj is not None:
+                return constant_plus_sine_history(x, y, yj, amp=amp,
+                                                  omega=omega, phase=phase)
+            return consistent_history(model, x, y, amp=amp, omega=omega,
+                                      phase=phase)
+        except ValueError as exc:  # the amplitude's range is all they check
+            raise _out_of_range("history.amp", amp, str(exc)) from None
     if kind == "tabulated":
         check_keys(doc, "history", {"kind", "times", "series"}, set())
         series = doc["series"]
         check_keys(series, "history.series", {"x", "y", "yj"}, set())
-
-        def column(values, where: str) -> list:
-            if not isinstance(values, list):
-                raise ConfigError(f"{where} must be a list")
-            return [_real(v, f"{where}[{i}]") for i, v in enumerate(values)]
-
-        times, columns = column(doc["times"], "history.times"), []
+        times, columns = _reals(doc["times"], "history.times"), []
         for name in ("x", "y", "yj"):
-            columns.append(column(series[name], f"history.series.{name}"))
+            columns.append(_reals(series[name], f"history.series.{name}"))
             if len(columns[-1]) != len(times):
                 raise ConfigError(
                     f"history.series.{name} has {len(columns[-1])} values, "
@@ -111,19 +110,11 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
     raise ConfigError(f"unknown key history.kind value {kind!r}")
 
 
-def _positive(value, name: str) -> float:
-    """A config number that must be positive and finite, as a float."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not 0.0 < value < math.inf):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    return _real(value, name)
-
-
 def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> StepperConfig:
     check_keys(doc, "stepper", {"t_end"},
                 {"rtol", "atol", "h_init", "h_max", "positivity_guard"})
     t_end = (float(horizon) if horizon is not None
-             else _positive(doc["t_end"], "stepper.t_end"))
+             else _real(doc["t_end"], "stepper.t_end", POSITIVE))
     opts = {key: _real(doc[key], f"stepper.{key}", POSITIVE)
             for key in ("rtol", "h_init", "h_max") if doc.get(key) is not None}
     atol = doc.get("atol")
@@ -132,14 +123,21 @@ def _build_stepper(doc: dict, model: ModelSpec, horizon: float | None) -> Steppe
         if len(atol) != 3:
             raise ConfigError("stepper.atol must be a number or a list of 3 "
                               f"numbers, got {atol!r}")
-        opts["atol"] = tuple(_real(v, f"stepper.atol[{i}]", POSITIVE)
-                             for i, v in enumerate(atol))
+        opts["atol"] = tuple(_reals(atol, "stepper.atol", POSITIVE))
     elif atol is not None:
         opts["atol"] = _real(atol, "stepper.atol", POSITIVE)
     guard = doc.get("positivity_guard", StepperConfig.positivity_guard)
     if not isinstance(guard, bool):
         raise ConfigError("stepper.positivity_guard must be true or false")
-    return default_stepper(model, t_end, positivity_guard=guard, **opts)
+    h_init = opts.pop("h_init", None)
+    cfg = default_stepper(model, t_end, positivity_guard=guard, **opts)
+    if h_init is None:
+        return cfg
+    if h_init > cfg.h_max:
+        cap = "stepper.h_max" if "h_max" in opts else "the model's default step cap"
+        raise _out_of_range("stepper.h_init", h_init,
+                            f"must be <= {cap} = {cfg.h_max!r}")
+    return dataclasses.replace(cfg, h_init=h_init)
 
 
 def load_scenario(path, horizon: float | None = None) -> Scenario:
@@ -163,8 +161,8 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     stepper = _build_stepper(doc.get("stepper", {"t_end": 100.0}), model, horizon)
     odoc = doc.get("outputs", {})
     check_keys(odoc, "outputs", set(), {"stride", "csv", "svg"})
-    stride = _positive(odoc.get("stride", stepper.t_end / 200.0),
-                       "outputs.stride")
+    stride = _real(odoc.get("stride", stepper.t_end / 200.0), "outputs.stride",
+                   POSITIVE)
     for key in ("csv", "svg"):
         if odoc.get(key) is not None and not isinstance(odoc[key], str):
             raise ConfigError(f"outputs.{key} must be a file name, got "
@@ -173,13 +171,8 @@ def load_scenario(path, horizon: float | None = None) -> Scenario:
     sweep = doc.get("sweep")
     if sweep is not None:
         check_keys(sweep, "sweep", set(), {"k2", "d", "tau_m", "tau_M"})
-        for axis, values in sweep.items():
-            if not (isinstance(values, list) and all(
-                    isinstance(v, numbers.Real) and not isinstance(v, bool)
-                    for v in values)):
-                raise ConfigError(f"sweep.{axis} must be a list of numbers")
-            for i, v in enumerate(values):
-                _real(v, f"sweep.{axis}[{i}]")
+        sweep = {axis: _reals(values, f"sweep.{axis}")
+                 for axis, values in sweep.items()}
     return Scenario(model=model, history=history, stepper=stepper,
                     outputs=outputs, sweep=sweep)
 
@@ -458,23 +451,32 @@ def _cmd_sweep(scn: Scenario, outdir: Path) -> int:
     if scn.model.response.kind != ResponseKind.BEDDINGTON_DEANGELIS:
         raise ConfigError("sweep varies k2 and is defined for the "
                           "BeddingtonDeAngelis response")
-    c = scn.model.response.coefficients
-    delay = scn.model.delay
-    k2s = [float(v) for v in scn.sweep.get("k2", [c["k2"]])]
-    ds = [float(v) for v in scn.sweep.get("d", [scn.model.params.d])]
-    tms = [float(v) for v in scn.sweep.get("tau_m", [delay.tau_m])]
-    tMs = [float(v) for v in scn.sweep.get("tau_M", [delay.tau_M])]
-    points = [(k2, d, tm, tM) for k2 in k2s for d in ds for tm in tms
-              for tM in tMs if tm <= tM]
-    # a swept value out of range fails, named by its axis, before any solve
-    swept = {"k2": RESPONSE_CATALOG[scn.model.response.kind][1]["k2"],
-             "d": _PARAM_RANGES["d"], "tau_m": _DELAY_RANGES["tau_m"]}
-    for point in points:
-        for (axis, bound), value in zip(swept.items(), point):
+    model, delay = scn.model, scn.model.delay
+    axes = {"k2": [model.response.coefficients["k2"]], "d": [model.params.d],
+            "tau_m": [delay.tau_m], "tau_M": [delay.tau_M], **scn.sweep}
+    # a swept value out of range, or a (tau_m, tau_M) pair that makes no
+    # delay of the model's kind, fails, named by its entries, before any solve
+    for axis, bound in (("k2", RESPONSE_CATALOG[model.response.kind][1]["k2"]),
+                        ("d", _PARAM_RANGES["d"]),
+                        ("tau_m", _DELAY_RANGES["tau_m"])):
+        for i, value in enumerate(axes[axis]):
             if not bound.admits(value):
-                i = scn.sweep[axis].index(value)
                 raise _out_of_range(f"sweep.{axis}[{i}]", value, bound)
-    rows = _sweep_rows(scn.model, points)
+
+    def entry(axis: str, i: int) -> str:
+        return f"sweep.{axis}[{i}]" if axis in scn.sweep else f"model.delay.{axis}"
+
+    pairs = [(i, tm, j, tM) for i, tm in enumerate(axes["tau_m"])
+             for j, tM in enumerate(axes["tau_M"]) if tm <= tM]
+    for i, tm, j, tM in pairs:
+        try:
+            make_delay(delay.kind, tm, tM, **delay.coefficients)
+        except ValueError as exc:
+            raise ConfigError(f"{entry('tau_m', i)} = {tm!r} and "
+                              f"{entry('tau_M', j)} = {tM!r}: {exc}") from None
+    points = [(k2, d, tm, tM) for k2 in axes["k2"] for d in axes["d"]
+              for _, tm, _, tM in pairs]
+    rows = _sweep_rows(model, points)
     csv_path = outdir / "sweep.csv"
     header = "k2,d,tau_m,tau_M,R,coexists,thm7_pass,thm8_pass,rightmost_re"
     csv_path.write_text("\n".join([header] + rows) + "\n")

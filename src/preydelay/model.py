@@ -17,7 +17,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ._law import NONNEGATIVE, POSITIVE, Bound, range_errors
 from .delays import DELAY_CATALOG, DelayFunction, make_delay
@@ -181,6 +181,13 @@ def _real(value, name: str, bound: Bound | None = None) -> float:
     if bound is not None and not bound.admits(value):
         raise _out_of_range(name, float(value), bound)
     return float(value)
+
+
+def _reals(value, name: str, bound: Bound | None = None) -> list[float]:
+    """A config list of numbers, each read by :func:`_real` as ``name[i]``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list")
+    return [_real(v, f"{name}[{i}]", bound) for i, v in enumerate(value)]
 
 
 def _out_of_range(name: str, value: float, requirement: str) -> ConfigError:
@@ -521,101 +528,81 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _scan(name: str, points: Iterable[tuple], fails: Callable[..., bool],
+          witness: Callable = lambda *point: point,
+          detail: Callable = lambda *point: "") -> CheckResult:
+    """The check ``name``: failed at the first of ``points`` where
+    ``fails(*point)`` holds, with witness and detail read off that point."""
+    bad = next((point for point in points if fails(*point)), None)
+    if bad is None:
+        return CheckResult(name, True)
+    return CheckResult(name, False, witness(*bad), detail(*bad))
+
+
 def validate(model: ModelSpec) -> ValidationReport:
-    """Check the model hypotheses on a sampled grid; never raises on content.
+    """Check the model hypotheses on a sampled grid; a failed hypothesis is
+    a report row, not an exception.
 
     Delay monotonicity/bounds and the consistency of the supplied tau' with
     finite differences of tau, response sign/monotonicity structure, and
     kind-specific coefficient constraints are each reported with a witness
-    point for any failure.  The grid has 64 points per axis and runs y up to
-    the eventual bound for V = n x + y + yj, so that it covers the reachable
-    region.  The positive demographic constants need no check:
+    for any failure: the first failing grid point, x outer and y inner.  The
+    grid has 64 points per axis and runs y up to the eventual bound for
+    V = n x + y + yj, so that it covers the reachable region.  The laws are
+    called on Python floats, so one that overflows or divides by zero on the
+    grid raises.  The positive demographic constants need no check:
     :class:`ModelParams` refuses others.
     """
-    import numpy as np
-
-    grid = 64  # points per axis
-    checks: list[CheckResult] = []
     p, delay, resp = model.params, model.delay, model.response
     y_cap = boundedness_limit(model)
-
-    ys = np.linspace(0.0, y_cap, grid)
-    xs = np.linspace(0.0, p.K, grid)
+    # 64 points per axis: the values of numpy.linspace(0, top, 64)
+    ys, xs = ([i * (top / 63) for i in range(63)] + [top] for top in (y_cap, p.K))
 
     # (A2) delay structure
-    tau_vals = np.array([delay.tau(y) for y in ys])
-    tp_vals = np.array([delay.tau_prime(y) for y in ys])
-    bad = np.nonzero(tp_vals < 0.0)[0]
-    checks.append(CheckResult(
-        "delay.tau_prime >= 0", bad.size == 0,
-        witness=None if bad.size == 0 else (ys[bad[0]], tp_vals[bad[0]])))
-    bad = np.nonzero((tau_vals < delay.tau_m - 1e-12) |
-                     (tau_vals > delay.tau_M + 1e-12))[0]
-    checks.append(CheckResult(
-        "delay bounds tau_m <= tau(y) <= tau_M", bad.size == 0,
-        witness=None if bad.size == 0 else (ys[bad[0]], tau_vals[bad[0]]),
-        detail="" if bad.size == 0 else
-        f"tau({ys[bad[0]]:.6g}) = {tau_vals[bad[0]]:.6g} outside "
-        f"[{delay.tau_m:.6g}, {delay.tau_M:.6g}]"))
-    checks.append(CheckResult(
-        "delay.tau(0) == tau_m",
-        abs(delay.tau(0.0) - delay.tau_m) <= 1e-9 * max(1.0, abs(delay.tau_m)),
-        witness=delay.tau(0.0)))
-    diffs = np.diff(tau_vals)
-    bad = np.nonzero(diffs < -1e-12)[0]
-    checks.append(CheckResult(
-        "delay nondecreasing on grid", bad.size == 0,
-        witness=None if bad.size == 0 else ys[bad[0]]))
-    # supplied derivative vs central differences of tau
-    hgrid = max(y_cap, 1.0) * 1e-6
-    fd_ok, fd_witness = True, None
-    for y in ys[1:-1]:
-        fd = (delay.tau(y + hgrid) - delay.tau(y - hgrid)) / (2.0 * hgrid)
-        if abs(fd - delay.tau_prime(y)) > 1e-5 * max(1.0, abs(fd)):
-            fd_ok, fd_witness = False, (y, fd, delay.tau_prime(y))
-            break
-    checks.append(CheckResult("delay.tau_prime matches finite differences",
-                              fd_ok, witness=fd_witness))
+    taus = [(y, delay.tau(y), delay.tau_prime(y)) for y in ys]
+    lo, hi = delay.tau_m - 1e-12, delay.tau_M + 1e-12
+    tau0 = delay.tau(0.0)
+    h = max(y_cap, 1.0) * 1e-6  # step of the central differences of tau
+    checks = [
+        _scan("delay.tau_prime >= 0", taus, lambda y, tau, tp: tp < 0.0,
+              lambda y, tau, tp: (y, tp)),
+        _scan("delay bounds tau_m <= tau(y) <= tau_M", taus,
+              lambda y, tau, tp: tau < lo or tau > hi,
+              lambda y, tau, tp: (y, tau),
+              lambda y, tau, tp: f"tau({y:.6g}) = {tau:.6g} outside "
+                                 f"[{delay.tau_m:.6g}, {delay.tau_M:.6g}]"),
+        CheckResult("delay.tau(0) == tau_m",
+                    abs(tau0 - delay.tau_m) <= 1e-9 * max(1.0, abs(delay.tau_m)),
+                    witness=tau0),
+        _scan("delay nondecreasing on grid",
+              ((y, b - a) for (y, a, _), (_, b, _) in zip(taus, taus[1:])),
+              lambda y, step: step < -1e-12, lambda y, step: y),
+        _scan("delay.tau_prime matches finite differences",
+              ((y, (delay.tau(y + h) - delay.tau(y - h)) / (2.0 * h), tp)
+               for y, _, tp in taus[1:-1]),
+              lambda y, fd, tp: abs(fd - tp) > 1e-5 * max(1.0, abs(fd)))]
 
     # (A3) response structure
-    for _, err in resp.coefficient_errors():
-        checks.append(CheckResult(f"response coefficients: {err}", False, detail=err))
-    if not resp.coefficient_errors():
-        checks.append(CheckResult("response coefficient constraints", True))
-
-    zero_ok, zero_witness = True, None
-    for y in ys:
-        if resp.f(0.0, y) != 0.0:
-            zero_ok, zero_witness = False, (0.0, y, resp.f(0.0, y))
-            break
-    checks.append(CheckResult("response f(0, y) == 0", zero_ok, witness=zero_witness))
-
-    pos_ok, pos_witness = True, None
-    mono_x_ok, mono_x_witness = True, None
-    mono_y_ok, mono_y_witness = True, None
-    F = np.empty((grid, grid))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            F[i, j] = resp.f(x, y)
-    interior = F[1:, :]
-    if np.any(interior <= 0.0):
-        i, j = np.argwhere(interior <= 0.0)[0]
-        pos_ok, pos_witness = False, (xs[i + 1], ys[j], interior[i, j])
-    dx = np.diff(F, axis=0)
-    if np.any(dx < -1e-12):
-        i, j = np.argwhere(dx < -1e-12)[0]
-        mono_x_ok, mono_x_witness = False, (xs[i], ys[j])
-    dy = np.diff(F, axis=1)
-    if np.any(dy > 1e-12):
-        i, j = np.argwhere(dy > 1e-12)[0]
-        mono_y_ok, mono_y_witness = False, (xs[i], ys[j])
-    checks.append(CheckResult("response f > 0 for x, y > 0", pos_ok, witness=pos_witness))
-    checks.append(CheckResult("response nondecreasing in x", mono_x_ok,
-                              witness=mono_x_witness))
-    checks.append(CheckResult("response nonincreasing in y", mono_y_ok,
-                              witness=mono_y_witness))
+    checks += [CheckResult(f"response coefficients: {err}", False, detail=err)
+               for _, err in resp.coefficient_errors()
+               ] or [CheckResult("response coefficient constraints", True)]
+    checks.append(_scan("response f(0, y) == 0",
+                        ((0.0, y, resp.f(0.0, y)) for y in ys),
+                        lambda x, y, f: f != 0.0))
+    F = [[resp.f(x, y) for y in ys] for x in xs]
     fx00 = resp.f_x(0.0, 0.0)
-    checks.append(CheckResult("response |f_x(0,0)| finite", math.isfinite(fx00),
-                              witness=fx00))
-
+    checks += [
+        _scan("response f > 0 for x, y > 0",
+              ((x, y, f) for x, row in zip(xs[1:], F[1:]) for y, f in zip(ys, row)),
+              lambda x, y, f: f <= 0.0),
+        _scan("response nondecreasing in x",
+              ((x, y, b - a) for x, row, next_row in zip(xs, F, F[1:])
+               for y, a, b in zip(ys, row, next_row)),
+              lambda x, y, step: step < -1e-12, lambda x, y, step: (x, y)),
+        _scan("response nonincreasing in y",
+              ((x, y, b - a) for x, row in zip(xs, F)
+               for y, a, b in zip(ys, row, row[1:])),
+              lambda x, y, step: step > 1e-12, lambda x, y, step: (x, y)),
+        CheckResult("response |f_x(0,0)| finite", math.isfinite(fx00),
+                    witness=fx00)]
     return ValidationReport(tuple(checks))

@@ -12,6 +12,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from preydelay import cli, power_law, stability
 from preydelay.cli import (EXIT_CHECK_FAILURE, EXIT_CONFIG, EXIT_NUMERICAL,
@@ -299,11 +300,17 @@ def test_sweep_of_144_points_is_pinned(tmp_path):
     assert hashlib.sha256(data).hexdigest() == SWEEP_144_SHA256
 
 
+# the first four ids name the rule their case breaks
 @pytest.mark.parametrize("sweep, message", [
-    ({"k2": 5.0}, "sweep.k2 must be a list of numbers"),
-    ({"d": ["a"]}, "sweep.d must be a list of numbers"),
-    ({"tau_M": [1.0, None]}, "sweep.tau_M must be a list of numbers"),
-    ({"tau_m": [True]}, "sweep.tau_m must be a list of numbers"),
+    pytest.param({"k2": 5.0}, "sweep.k2 must be a list",
+                 id="sweep0-sweep.k2 must be a list of numbers"),
+    pytest.param({"d": ["a"]}, "sweep.d[0] must be a number, got 'a'",
+                 id="sweep1-sweep.d must be a list of numbers"),
+    pytest.param({"tau_M": [1.0, None]},
+                 "sweep.tau_M[1] must be a number, got None",
+                 id="sweep2-sweep.tau_M must be a list of numbers"),
+    pytest.param({"tau_m": [True]}, "sweep.tau_m[0] must be a number, got True",
+                 id="sweep3-sweep.tau_m must be a list of numbers"),
     ({"k2": [2.0], "horizon": 50.0}, "unknown key sweep.horizon"),
     # a NaN reached the coexistence solver's bracket and named no key
     ({"d": [0.45, math.nan]}, "sweep.d[1] must be finite, got nan"),
@@ -353,9 +360,9 @@ def test_bad_stride_exits_2_before_integrating(tmp_path, monkeypatch, capsys,
     cfg.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == (
-        f"config error: outputs.stride must be positive and finite, "
-        f"got {stride!r}\n")
+    message = (f"must be finite, got {stride!r}" if not math.isfinite(stride)
+               else f"= {stride!r} is out of range (must be > 0)")
+    assert capsys.readouterr().err == f"config error: outputs.stride {message}\n"
     assert not (tmp_path / "traj.csv").exists()
 
 
@@ -468,6 +475,19 @@ def test_output_names_must_be_strings(tmp_path, monkeypatch, capsys, key,
         f"config error: outputs.{key} must be a file name, got {value!r}\n")
 
 
+@pytest.mark.parametrize("amp", [-0.2, 1.0])
+def test_sine_history_amplitude_out_of_range_names_its_key(tmp_path, capsys,
+                                                           amp):
+    # read "relative amplitude must lie in [0, 1)", which named no key
+    cfg = edit_config(write_config(tmp_path / "cfg.json"), "history", "amp",
+                      amp)
+    assert main(["equilibria", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: history.amp = {amp!r} is out of range (relative "
+        "amplitude must lie in [0, 1))\n")
+
+
 def test_per_component_atol_list_is_read_as_stepper_config_takes_it(
         tmp_path, monkeypatch, capsys):
     # a list of three floors used to exit 1 with float()'s TypeError
@@ -487,7 +507,11 @@ def test_per_component_atol_list_is_read_as_stepper_config_takes_it(
         "got [1e-12, 1e-10]\n")
 
 
-def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
+def test_sweep_reports_the_first_failing_point(tmp_path, monkeypatch, capsys):
+    def fail(model):
+        raise AssertionError("a point was solved before the grid was checked")
+
+    monkeypatch.setattr(cli, "solve_coexistence", fail)
     cfg = write_config(tmp_path / "cfg.json",
                        sweep={"tau_m": [1.0, 0.5], "tau_M": [1.0]})
     doc = json.loads(cfg.read_text())
@@ -495,7 +519,9 @@ def test_sweep_reports_the_first_failing_point(tmp_path, capsys):
                              "tau_m": 1.0, "tau_M": 1.0}
     cfg.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
-    assert "constant delay requires tau_m == tau_M" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: sweep.tau_m[1] = 0.5 and sweep.tau_M[0] = 1.0: "
+        "constant delay requires tau_m == tau_M\n")
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -553,7 +579,10 @@ def test_infinite_horizon_is_a_config_error(tmp_path, capsys, horizon, t_end):
     if horizon is not None:
         argv += ["--horizon", horizon]
     assert main(argv) == EXIT_CONFIG
-    assert "t_end must be positive and finite" in capsys.readouterr().err
+    # the flag is checked by StepperConfig, the config key as a config number
+    assert (("t_end must be positive and finite" if horizon
+             else "stepper.t_end must be finite, got inf")
+            in capsys.readouterr().err)
     assert not (tmp_path / "traj.csv").exists()
 
 
@@ -736,18 +765,26 @@ def test_out_of_range_sweep_value_is_a_config_error_at_its_point(tmp_path,
     assert not (tmp_path / "sweep.csv").exists()
 
 
-@pytest.mark.parametrize("key, value, message", [
-    ("rtol", 0, "stepper.rtol = 0.0 is out of range (must be > 0)"),
-    ("atol", -1e-10, "stepper.atol = -1e-10 is out of range (must be > 0)"),
-    ("atol", [1e-12, 0, 1e-10],
+@pytest.mark.parametrize("stepper, message", [
+    ({"rtol": 0}, "stepper.rtol = 0.0 is out of range (must be > 0)"),
+    ({"atol": -1e-10}, "stepper.atol = -1e-10 is out of range (must be > 0)"),
+    ({"atol": [1e-12, 0, 1e-10]},
      "stepper.atol[1] = 0.0 is out of range (must be > 0)"),
-    ("h_max", -1, "stepper.h_max = -1.0 is out of range (must be > 0)"),
-    ("h_init", 0, "stepper.h_init = 0.0 is out of range (must be > 0)"),
-], ids=["rtol=0", "atol<0", "atol[1]=0", "h_max<0", "h_init=0"])
+    ({"h_max": -1}, "stepper.h_max = -1.0 is out of range (must be > 0)"),
+    ({"h_init": 0}, "stepper.h_init = 0.0 is out of range (must be > 0)"),
+    # the demo's cap is 0.6 tau(0) = 0.3
+    ({"h_init": 0.5}, "stepper.h_init = 0.5 is out of range "
+     "(must be <= the model's default step cap = 0.3)"),
+    ({"h_init": 0.5, "h_max": 0.1}, "stepper.h_init = 0.5 is out of range "
+     "(must be <= stepper.h_max = 0.1)"),
+], ids=["rtol=0", "atol<0", "atol[1]=0", "h_max<0", "h_init=0",
+        "h_init>default cap", "h_init>h_max"])
 def test_out_of_range_stepper_settings_are_a_config_error(tmp_path, capsys,
-                                                          key, value, message):
+                                                          stepper, message):
     # each exited 2 with a message that named no key
-    cfg = edit_config(demo_with(tmp_path, []), "stepper", key, value)
+    cfg = demo_with(tmp_path, [])
+    for key, value in stepper.items():
+        edit_config(cfg, "stepper", key, value)
     assert main(["equilibria", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -831,3 +868,62 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def config_nodes(doc, path=""):
+    """(dotted path, value) of every object, list and value below ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        where = f"{path}[{key}]" if isinstance(doc, list) else (
+            f"{path}.{key}" if path else key)
+        yield where, value
+        yield from config_nodes(value, where)
+
+
+DEMO_NODES = list(config_nodes(json.loads(DEMO_CONFIG.read_text())))
+
+
+def set_node(doc, path: str, value) -> None:
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+@st.composite
+def mutated_demo(draw):
+    """The demo config with one node changed: (doc, path, numeric)."""
+    path, value = draw(st.sampled_from(DEMO_NODES))
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    options = [draw(st.sampled_from([other for other in ("x", True, None, {}, [], 5.0)
+                                     if type(other) is not type(value)]))]
+    if numeric:
+        options += [math.nan, math.inf, -math.inf, -value, [value, value]]
+    if isinstance(value, list):
+        options += [value[:-1], value + value[:1]]
+    if isinstance(value, dict):
+        options.append(dict(value, bogus=1.0))
+    if path.endswith(".kind"):
+        options.append("NoSuchKind")
+    doc = json.loads(DEMO_CONFIG.read_text())
+    set_node(doc, path, draw(st.sampled_from(options)))
+    return doc, path, numeric
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_demo())
+def test_a_mutated_demo_config_is_run_or_named_as_a_config_error(
+        tmp_path, capsys, case):
+    # never exit 1, the untyped failure; every refusal is one line, and a
+    # changed number is named by its key
+    doc, path, numeric = case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = main(["equilibria", "--config", str(cfg), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc in (EXIT_OK, EXIT_CONFIG), err
+    if rc == EXIT_CONFIG:
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not numeric or path in err, err

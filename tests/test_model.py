@@ -137,6 +137,67 @@ def test_validate_cross_checks_supplied_derivative():
     assert any("finite differences" in c.name for c in report.failures)
 
 
+def custom_delay(tau, tau_prime, tau_m=1.0, tau_M=1.0):
+    return model(delay=DelayFunction(tau=tau, tau_prime=tau_prime,
+                                     tau_m=tau_m, tau_M=tau_M))
+
+
+def custom_response(f, f_x=None):
+    # the Linear kind's coefficients, so only the law itself can fail
+    base = linear(1.0)
+    return model(response=dataclasses.replace(base, f=f, f_x=f_x or base.f_x))
+
+
+# y_cap = 2.25 on the default model: the grid's y step is 2.25 / 63 and its
+# x step 2 / 63, scanned x outer, y inner
+@pytest.mark.parametrize("spec, failures", [
+    (custom_delay(lambda y: 1.0, lambda y: -y), [
+        ("delay.tau_prime >= 0", (0.03571428571428571, -0.03571428571428571),
+         ""),
+        ("delay.tau_prime matches finite differences",
+         (0.03571428571428571, 0.0, -0.03571428571428571), "")]),
+    (custom_delay(lambda y: 1.0 - math.exp(-y), lambda y: math.exp(-y),
+                  tau_m=0.0, tau_M=0.5), [
+        ("delay bounds tau_m <= tau(y) <= tau_M",
+         (0.7142857142857142, 0.5104583404430468),
+         "tau(0.714286) = 0.510458 outside [0, 0.5]")]),
+    (custom_delay(lambda y: 1.0, lambda y: 0.0, tau_m=0.9),
+     [("delay.tau(0) == tau_m", 1.0, "")]),
+    (custom_delay(lambda y: 1.0 + 0.5 * (y - 1.0) ** 2,
+                  lambda y: abs(y - 1.0), tau_m=1.5, tau_M=1.5), [
+        ("delay bounds tau_m <= tau(y) <= tau_M",
+         (0.03571428571428571, 1.464923469387755),
+         "tau(0.0357143) = 1.46492 outside [1.5, 1.5]"),
+        ("delay nondecreasing on grid", 0.0, ""),
+        ("delay.tau_prime matches finite differences",
+         (0.03571428571428571, -0.964285714290093, 0.9642857142857143), "")]),
+    (custom_delay(lambda y: 0.5 + 0.1 * y / (1 + y), lambda y: 0.0,
+                  tau_m=0.5, tau_M=0.6), [
+        ("delay.tau_prime matches finite differences",
+         (0.03571428571428571, 0.0932223543544571, 0.0), "")]),
+    (model(response=power_law(b=1.0, k=1.0)), [
+        ("response coefficients: PowerLaw: exponent 'k' must be > 1", None,
+         "PowerLaw: exponent 'k' must be > 1")]),
+    (custom_response(lambda x, y: 1.0 + x),
+     [("response f(0, y) == 0", (0.0, 0.0, 1.0), "")]),
+    (custom_response(lambda x, y: x * (1.0 - y)), [
+        ("response f > 0 for x, y > 0", (0.031746031746031744, 1.0, 0.0), ""),
+        ("response nondecreasing in x", (0.0, 1.0357142857142856), "")]),
+    (custom_response(lambda x, y: x * math.exp(-x)),
+     [("response nondecreasing in x", (1.0158730158730158, 0.0), "")]),
+    (custom_response(lambda x, y: x * (1.0 + y)),
+     [("response nonincreasing in y", (0.031746031746031744, 0.0), "")]),
+    (custom_response(lambda x, y: x, lambda x, y: math.inf),
+     [("response |f_x(0,0)| finite", math.inf, "")]),
+], ids=["tau_prime<0", "bounds", "tau(0)!=tau_m", "decreasing",
+        "finite differences", "coefficient range", "f(0,y)!=0", "f<=0",
+        "decreasing in x", "increasing in y", "f_x(0,0) infinite"])
+def test_validate_reports_the_first_failing_grid_point(spec, failures):
+    report = validate(spec)
+    assert [(c.name, c.witness, c.detail) for c in report.failures] == failures
+    assert len(report.checks) == 11
+
+
 # --------------------------------------------------------------------------
 # reproduction number
 
