@@ -68,17 +68,22 @@ def _build_history(doc: dict, model: ModelSpec) -> HistoryFunction:
     def num(key: str) -> float:
         return _real(doc[key], f"history.{key}")
 
+    def level(key: str) -> float:
+        # a level of a constant or sine history, positive at every theta
+        return _real(doc[key], f"history.{key}", POSITIVE)
+
     if kind == "constant":
         check_keys(doc, "history", {"kind", "x", "y"}, {"yj"})
+        x, y = level("x"), level("y")
         if "yj" in doc:
-            return constant_history(num("x"), num("y"), num("yj"))
-        return consistent_history(model, num("x"), num("y"))
+            return constant_history(x, y, level("yj"))
+        return consistent_history(model, x, y)
     if kind == "constant_plus_sine":
         check_keys(doc, "history", {"kind", "x", "y", "amp", "omega"},
                     {"yj", "phase"})
         phase = num("phase") if "phase" in doc else 0.0
-        x, y = num("x"), num("y")
-        yj = num("yj") if "yj" in doc else None
+        x, y = level("x"), level("y")
+        yj = level("yj") if "yj" in doc else None
         amp, omega = num("amp"), num("omega")
         try:
             if yj is not None:
@@ -537,7 +542,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrationError, LagDomainError, NoConvergenceError,
-            WindingError, CrossCheckError) as exc:
+            WindingError, CrossCheckError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -21,7 +21,7 @@ the cap, not the tolerance, sets many of the probes' steps.  The stages then
 read their lags straight from the solution store, and a lag past the last
 accepted node (a delay law that falls below tau(0)) raises
 :class:`LagDomainError`.  The store's flat buffers of nodes, slopes and d
-are the run's only record: the trajectory views them, and a lag is read off
+are the run's only record: the trajectory reads them, and a lag is read off
 the quartic segment built from them for the step it falls in.  With a
 vanishing minimum delay :func:`_overlap_step` instead repeats the step, its
 lookups fixed-point iterated against a provisional segment.
@@ -66,6 +66,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import closing
 from dataclasses import dataclass
+from functools import cached_property
 from struct import Struct
 from typing import Callable, Sequence
 
@@ -219,21 +220,27 @@ _MAX_OVERLAP_ITERS = 5
 _OVERLAP_TOL = 1e-10
 
 
-# The lagged pair's quartic in theta over one step, written once: a segment
-# tuple (t0, dt, c0..c4 of x, c0..c4 of y) off the step's start (t0, x0, y0),
-# slopes (k1x, k1y), end (x, y) at t0 + dt, end slopes (k7x, k7y) and d.  The
-# value at s is c0 + theta (c1 + theta (c2 + theta (c3 + theta c4))) with
-# theta = (s - t0) / dt; Trajectory.sample does the same arithmetic on arrays.
-# _seg_at is this text reading a step of the store's buffers, _segment the
-# same text over tuples (the overlap iteration's provisional segment).
-_SEGMENT = """
-hx, hx1, dux = dt * k1x, dt * k7x, x - x0
-hy, hy1, duy = dt * k1y, dt * k7y, y - y0
-seg = (t0, dt, x0, hx, 3.0 * dux - 2.0 * hx - hx1 + dx,
-       hx + hx1 - 2.0 * dux - 2.0 * dx, dx,
-       y0, hy, 3.0 * duy - 2.0 * hy - hy1 + dy,
-       hy + hy1 - 2.0 * duy - 2.0 * dy, dy)
-"""
+def _segment_text(names: str) -> str:
+    """The quartic in theta over one step, written once: lines that bind a
+    segment tuple (t0, dt, c0..c4 of each component named in ``names``) off
+    the step's start t0 and length dt and, for a component v, its start v0,
+    slope k1v, end v at t0 + dt, end slope k7v and d dv.  The value at s is
+    c0 + theta (c1 + theta (c2 + theta (c3 + theta c4))) with
+    theta = (s - t0) / dt; Trajectory.sample does the same arithmetic on
+    arrays."""
+    return "".join(
+        f"h{v}, h{v}1, du{v} = dt * k1{v}, dt * k7{v}, {v} - {v}0\n"
+        for v in names) + "seg = (t0, dt, " + ",\n       ".join(
+        f"{v}0, h{v}, 3.0 * du{v} - 2.0 * h{v} - h{v}1 + d{v},\n"
+        f"       h{v} + h{v}1 - 2.0 * du{v} - 2.0 * d{v}, d{v}"
+        for v in names) + ")\n"
+
+
+# The lagged pair's segment: (t0, dt, c0..c4 of x, c0..c4 of y).  _seg_at is
+# this text reading a step of the store's buffers, _segment the same text
+# over tuples (the overlap iteration's provisional segment); _read extends it
+# to the third component.
+_SEGMENT = _segment_text("xy")
 
 
 def _exec(source: str, name: str):
@@ -243,6 +250,13 @@ def _exec(source: str, name: str):
     return namespace[name]
 
 
+def _place(source: str, marker: str, block: str) -> str:
+    """``source`` with the line ``marker`` replaced by ``block``, indented alike."""
+    return re.sub(rf"^( *){marker}\n",
+                  lambda line: textwrap.indent(block.lstrip("\n"), line[1]),
+                  source, flags=re.M)
+
+
 _segment = _exec(
     "def _segment(t0, dt, u0, f0, u1, f1, d):\n"
     "    x0, y0, _ = u0\n    k1x, k1y, _ = f0\n    x, y, _ = u1\n"
@@ -250,9 +264,12 @@ _segment = _exec(
     + textwrap.indent(_SEGMENT, "    ") + "    return seg\n", "_segment")
 
 # floats off the store's buffers at a byte offset: two (a step's t0 and t1,
-# or its d for x and y), or five (x, y of a node's u or f, then the next's)
+# or its d for x and y), three (its d), five (x, y of a node's u or f, then
+# the next's) or six (all of a node's u or f, then the next's)
 _TWO = Struct("2d").unpack_from
+_THREE = Struct("3d").unpack_from
 _FIVE = Struct("5d").unpack_from
+_SIX = Struct("6d").unpack_from
 
 # (i, t1, seg) for the step of the buffers ts, us, fs, ds that starts at the
 # last node at or before s, 0 < s < ts[-1]: step i if s lies in it, else the
@@ -276,6 +293,51 @@ def _quartic(seg: tuple, s: float) -> tuple:
             y0 + th * (y1 + th * (y2 + th * (y3 + th * y4))))
 
 
+# what a read of a trajectory outside [-tau_M, t_end] raises, in both readers
+_BEFORE = "time {:.6g} precedes the history interval"
+_PAST = "time {:.6g} exceeds the integrated horizon {:.6g}"
+
+# Trajectory's reader without NumPy: the rows (x, y, yj) at ``times`` of the
+# first n nodes of the buffers ts, us, fs, ds, bit for bit Trajectory.sample's
+# rows.  A time strictly inside the last segment built is read off it; another
+# inside the record off the segment of the step that starts at the last node
+# at or before it (the next step tried first, as _seg_at does).  Times at or
+# before 0 read the history, and times at or past the last node that node.
+_read = _exec(_place("""
+def _read(ts, us, fs, ds, n, history, tau_M, times):
+    t_end = ts[n - 1]
+    lo, hi = -tau_M - 1e-9 * max(1.0, tau_M), t_end + 1e-9 * max(1.0, t_end)
+    last = tuple(us[3 * n - 3:3 * n])
+    rows, i, t0, t1 = [], -1, 0.0, 0.0
+    for s in times:
+        if not t0 < s < t1:
+            if not 0.0 < s < t_end:
+                if s < lo:
+                    raise LagDomainError(_BEFORE.format(s))
+                if s > hi:
+                    raise LagDomainError(_PAST.format(s, t_end))
+                rows.append(last if s > 0.0
+                            else history(s if s >= -tau_M else -tau_M))
+                continue
+            i += 1
+            if not ts[i] <= s < ts[i + 1]:
+                i = bisect_right(ts, s, 0, n) - 1
+            t0, t1 = _TWO(ts, 8 * i)
+            dt, j = t1 - t0, 24 * i
+            x0, y0, z0, x, y, z = _SIX(us, j)
+            k1x, k1y, k1z, k7x, k7y, k7z = _SIX(fs, j)
+            dx, dy, dz = _THREE(ds, j)
+            SEGMENT
+            (_, _, cx0, cx1, cx2, cx3, cx4, cy0, cy1, cy2, cy3, cy4,
+             cz0, cz1, cz2, cz3, cz4) = seg
+        th = (s - t0) / dt
+        rows.append((cx0 + th * (cx1 + th * (cx2 + th * (cx3 + th * cx4))),
+                     cy0 + th * (cy1 + th * (cy2 + th * (cy3 + th * cy4))),
+                     cz0 + th * (cz1 + th * (cz2 + th * (cz3 + th * cz4)))))
+    return rows
+""", "SEGMENT", _segment_text("xyz")), "_read")
+
+
 class _SolutionStore:
     """Accepted nodes plus the initial history; serves the stepper's lagged lookups.
 
@@ -283,7 +345,7 @@ class _SolutionStore:
     ``array('d')`` buffers: one float a node in ``ts``, three in ``us`` and
     ``fs``, three a step in ``ds`` (each step's d), 80 bytes a step in all.
     The stepping loop appends its accepted steps to them; the trajectory
-    views them.  A lag 0 < s < ``ts[-1]`` is read off the quartic segment
+    reads them.  A lag 0 < s < ``ts[-1]`` is read off the quartic segment
     that :func:`_seg_at` builds from the buffers, and the last one built is
     kept for the next read.
     """
@@ -342,36 +404,59 @@ class Trajectory:
 
     Values and derivatives at accepted nodes, and each step's d, define the
     step's DOPRI5 continuous extension (see :func:`_segment`); reads at
-    s <= 0 fall through to the initial history.  The record is immutable
-    once built and safe for concurrent reads.  ``n_attempts`` counts the
-    trial steps the stepper took, accepted and rejected.
+    s <= 0 fall through to the initial history.  The record is the first
+    ``n`` nodes of a run's flat ``array('d')`` buffers (three floats a node
+    in ``us`` and ``fs``, three a step in ``ds``), of which it reads the
+    first ``live`` components.  :meth:`lookup` reads them in Python; the
+    NumPy views ``ts``, ``us``, ``fs`` and ``ds`` (and so :meth:`sample`)
+    are built on first use.  The record is immutable once built and safe
+    for concurrent reads.  ``n_attempts`` counts the trial steps the stepper
+    took, accepted and rejected.
     """
 
-    def __init__(self, ts: Sequence[float], us: Sequence[tuple],
-                 fs: Sequence[tuple], ds: Sequence[tuple],
-                 history: Callable[[float], tuple], tau_M: float,
+    def __init__(self, ts: array, us: array, fs: array, ds: array, n: int,
+                 live: int, history: Callable[[float], tuple], tau_M: float,
                  n_attempts: int):
-        import numpy as np
-
-        self.ts = np.asarray(ts, dtype=float)
-        self.us = np.asarray(us, dtype=float)
-        self.fs = np.asarray(fs, dtype=float)
-        self.ds = np.asarray(ds, dtype=float)
+        self._buffers = (ts, us, fs, ds)
+        self._n, self._live = n, live
         self._history = history
         self.tau_M = float(tau_M)
         self._n_attempts = n_attempts
 
+    def _nodes(self, buf: array, count: int) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(buf, count=3 * count).reshape(-1, 3)[:, :self._live]
+
+    @cached_property
+    def ts(self) -> np.ndarray:
+        import numpy as np
+
+        return np.frombuffer(self._buffers[0], count=self._n)
+
+    @cached_property
+    def us(self) -> np.ndarray:
+        return self._nodes(self._buffers[1], self._n)
+
+    @cached_property
+    def fs(self) -> np.ndarray:
+        return self._nodes(self._buffers[2], self._n)
+
+    @cached_property
+    def ds(self) -> np.ndarray:
+        return self._nodes(self._buffers[3], self._n - 1)
+
     @property
     def t_end(self) -> float:
-        return float(self.ts[-1])
+        return self._buffers[0][self._n - 1]
 
     @property
     def dim(self) -> int:
-        return self.us.shape[1]
+        return self._live
 
     @property
     def n_steps(self) -> int:
-        return len(self.ts) - 1
+        return self._n - 1
 
     @property
     def n_attempts(self) -> int:
@@ -379,7 +464,15 @@ class Trajectory:
 
     def lookup(self, s: float) -> tuple:
         """Solution value at any s in [-tau_M, t_end]."""
-        return tuple(self.sample((s,))[0].tolist())
+        return self._rows((float(s),))[0]
+
+    def _rows(self, times: Sequence[float]) -> list[tuple]:
+        """:meth:`sample`'s rows as tuples, read in Python (see :func:`_read`)
+        without NumPy: about 2.5 us a time on a 2-core x86-64 VM, where the
+        NumPy import that :meth:`sample` needs takes about 0.085 s."""
+        rows = _read(*self._buffers, self._n, self._history, self.tau_M, times)
+        live = self._live
+        return rows if live == 3 else [row[:live] for row in rows]
 
     def sample(self, times: Sequence[float]) -> np.ndarray:
         """Solution values at ``times``, an array of shape (len(times), dim).
@@ -399,9 +492,8 @@ class Trajectory:
         if bad.size:
             v = s[bad[0]]
             if below[bad[0]]:
-                raise LagDomainError(f"time {v:.6g} precedes the history interval")
-            raise LagDomainError(
-                f"time {v:.6g} exceeds the integrated horizon {t_end:.6g}")
+                raise LagDomainError(_BEFORE.format(v))
+            raise LagDomainError(_PAST.format(v, t_end))
         out = np.empty((s.size, self.dim))
         past = s <= 0.0
         for k in np.flatnonzero(past):
@@ -733,13 +825,6 @@ class _Writer(ast.NodeTransformer):
         return _Writer(names).visit(ast.parse(law.text, mode="eval").body)
 
 
-def _place(source: str, marker: str, block: str) -> str:
-    """``source`` with the line ``marker`` replaced by ``block``, indented alike."""
-    return re.sub(rf"^( *){marker}\n",
-                  lambda line: textwrap.indent(block.lstrip("\n"), line[1]),
-                  source, flags=re.M)
-
-
 def _fill(source: str, stage) -> str:
     """``source`` with each slot replaced by the lines ``stage(kx, ky, kz)``."""
     def sub(slot):
@@ -833,10 +918,10 @@ class Run:
     advanced there at once; ``max_steps`` counts across windows.  Between
     windows a caller reads the run off the store's flat buffers
     (``store.ts``, ``store.us``, three floats a node) and must hold no view
-    on them, which would stop them from growing.  ``trajectory()`` views the
-    buffers once the run is over; ``trajectory(copy=True)`` copies them, so
-    that the run can go on.  The trajectory holds the first ``live``
-    components only.
+    on them, which would stop them from growing.  ``trajectory()`` reads the
+    buffers once the run is over (its NumPy views, once built, are such
+    views); ``trajectory(copy=True)`` reads copies of them, so that the run
+    can go on.  The trajectory holds the first ``live`` components only.
     """
 
     __slots__ = ("rhs_core", "store", "cfg", "atol", "live", "h", "attempts")
@@ -869,18 +954,13 @@ class Run:
         return t == cfg.t_end
 
     def trajectory(self, copy: bool = False) -> Trajectory:
-        """The run so far: views on the store's buffers, or copies of them."""
-        import numpy as np
-
-        read = np.array if copy else np.frombuffer
-        store, live = self.store, self.live
-
-        def nodes(buf):
-            return read(buf).reshape(-1, 3)[:, :live]
-
-        return Trajectory(read(store.ts), nodes(store.us), nodes(store.fs),
-                          nodes(store.ds), store.history, store.tau_M,
-                          self.attempts)
+        """The run so far: on the store's buffers, or on copies of them."""
+        store = self.store
+        buffers = (store.ts, store.us, store.fs, store.ds)
+        if copy:
+            buffers = [buf[:] for buf in buffers]
+        return Trajectory(*buffers, len(store.ts), self.live, store.history,
+                          store.tau_M, self.attempts)
 
 
 # --------------------------------------------------------------------------
@@ -1040,9 +1120,10 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     Floats are written in full round-trip precision so identical runs produce
     byte-identical files.  Rows are built in blocks of ``_CSV_BLOCK`` and
     written in order, so the memory used does not grow with the horizon.
-    From ``_CSV_FORK_MIN_BLOCKS`` blocks on, the blocks are built on every
-    usable CPU through :func:`preydelay._forkmap.fork_map`; the bytes are
-    the same.
+    A file of one block reads the trajectory in Python (``Trajectory._rows``,
+    no NumPy); a longer one reads it through :meth:`Trajectory.sample`, and
+    from ``_CSV_FORK_MIN_BLOCKS`` blocks on builds the blocks on every usable
+    CPU through :func:`preydelay._forkmap.fork_map`.  The bytes are the same.
     """
     if stride <= 0.0:
         raise ValueError("stride must be positive")
@@ -1050,18 +1131,23 @@ def export_csv(model: ModelSpec, traj: Trajectory, path, stride: float) -> None:
     # the last row falls short of t_end: add a row at t_end itself
     short = (n_rows - 1) * stride < traj.t_end - 1e-9 * max(1.0, traj.t_end)
     tau = model.delay.tau
+    if n_rows <= _CSV_BLOCK:
+        read = traj._rows
+    else:
+        def read(times):
+            return traj.sample(times).tolist()
 
     def block(start: int) -> str:
         stop = min(start + _CSV_BLOCK, n_rows)
         times = [i * stride for i in range(start, stop)]
         if short and stop == n_rows:
             times.append(traj.t_end)
-        now = traj.sample(times).tolist()
+        now = read(times)
         taus = [tau(max(y, 0.0)) for _, y, _ in now]
         lags = [t - tau_t for t, tau_t in zip(times, taus)]
-        lagged = traj.sample(lags)[:, :2].tolist()
+        lagged = read(lags)
         lines = []
-        for t, (x, y, yj), tau_t, s, (x_lag, y_lag) in zip(
+        for t, (x, y, yj), tau_t, s, (x_lag, y_lag, _) in zip(
                 times, now, taus, lags, lagged):
             y_lag = max(y_lag, 0.0)
             N = model.maturation_gain(tau_t, max(x_lag, 0.0), y_lag) * y_lag

@@ -202,6 +202,13 @@ def _coefficients(doc: Mapping, path: str) -> dict:
     return {k: _real(v, f"{path}.coefficients.{k}") for k, v in coeffs.items()}
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """The values of ``numpy.linspace(start, stop, num)``, num >= 2, as
+    Python floats: i * step + start, with stop itself as the last."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 # --------------------------------------------------------------------------
 # scalar operations
 
@@ -280,15 +287,14 @@ class HistoryFunction:
         return (float(self.phi1(0.0)), float(self.phi3(0.0)), float(self.phi2(0.0)))
 
     def check_nonnegative(self, tau_M: float) -> None:
-        import numpy as np
-
-        thetas = np.linspace(-tau_M, 0.0, 64)
+        thetas = _linspace(-tau_M, 0.0, 64)
         for name, fn in (("phi1", self.phi1), ("phi2", self.phi2), ("phi3", self.phi3)):
-            vals = np.array([fn(t) for t in thetas], dtype=float)
-            if np.any(vals < 0.0):
-                theta = thetas[int(np.argmin(vals))]
+            vals = [float(fn(t)) for t in thetas]
+            low = min(vals)
+            if low < 0.0:
+                theta = thetas[vals.index(low)]
                 raise ValueError(
-                    f"history {name} is negative at theta={theta:.6g}: {vals.min():.6g}")
+                    f"history {name} is negative at theta={theta:.6g}: {low:.6g}")
         x0, y0, yj0 = self.state0()
         if not (x0 > 0.0 and y0 > 0.0 and yj0 > 0.0):
             raise ValueError(f"history values at 0 must be positive, got "
@@ -555,8 +561,7 @@ def validate(model: ModelSpec) -> ValidationReport:
     """
     p, delay, resp = model.params, model.delay, model.response
     y_cap = boundedness_limit(model)
-    # 64 points per axis: the values of numpy.linspace(0, top, 64)
-    ys, xs = ([i * (top / 63) for i in range(63)] + [top] for top in (y_cap, p.K))
+    ys, xs = (_linspace(0.0, top, 64) for top in (y_cap, p.K))
 
     # (A2) delay structure
     taus = [(y, delay.tau(y), delay.tau_prime(y)) for y in ys]

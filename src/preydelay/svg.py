@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .model import _linspace
+
 __all__ = ["Series", "stacked_chart", "trajectory_chart"]
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -135,14 +137,11 @@ def trajectory_chart(model, traj, path, stride: float) -> None:
     at most two per pixel column of the plot area, so the chart's size
     does not grow with the horizon.
     """
-    import numpy as np
-
     if stride <= 0.0:
         raise ValueError("stride must be positive")
     n = min(max(int(traj.t_end / stride + 1e-9) + 1, 2), _TRAJECTORY_POINTS)
-    ts = np.linspace(0.0, traj.t_end, n)
-    x, y, yj = traj.sample(ts).T.tolist()
-    ts = ts.tolist()
+    ts = _linspace(0.0, traj.t_end, n)
+    x, y, yj = map(list, zip(*traj._rows(ts)))
     taus = [model.delay.tau(max(v, 0.0)) for v in y]
     stacked_chart(
         [([Series("x", ts, x), Series("y", ts, y), Series("yj", ts, yj)],

@@ -27,8 +27,9 @@ DEFERRED = {
     "equilibria": _AT_START,
     "stability": _NEVER,
     "sweep": _NEVER,
-    # the SVG chart is drawn when the config asks for one
-    "simulate": ("preydelay.stability", "preydelay.analysis", *_ANY),
+    # the SVG chart is drawn when the config asks for one; NumPy loads only
+    # for a tabulated history or an export of more than one block
+    "simulate": ("numpy", "preydelay.stability", "preydelay.analysis", *_ANY),
     "verify": ("preydelay.svg", *_ANY),
 }
 

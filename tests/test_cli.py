@@ -488,6 +488,46 @@ def test_sine_history_amplitude_out_of_range_names_its_key(tmp_path, capsys,
         "amplitude must lie in [0, 1))\n")
 
 
+SINE = {"kind": "constant_plus_sine", "amp": 0.2, "omega": 2.0}
+
+
+@pytest.mark.parametrize("command", ["simulate", "equilibria", "stability",
+                                     "verify", "sweep"])
+@pytest.mark.parametrize("history, key", [
+    ({"kind": "constant", "x": -2.0, "y": 0.4}, "x"),
+    ({"kind": "constant", "x": 2.0, "y": 0.0}, "y"),
+    ({"kind": "constant", "x": 2.0, "y": 0.4, "yj": -0.1}, "yj"),
+    ({**SINE, "x": -2.0, "y": 0.4}, "x"),
+    ({**SINE, "x": 2.0, "y": -0.4}, "y"),
+    ({**SINE, "x": 2.0, "y": 0.4, "yj": 0.0}, "yj"),
+], ids=["constant.x<0", "constant.y=0", "constant.yj<0", "sine.x<0",
+        "sine.y<0", "sine.yj=0"])
+def test_non_positive_history_level_names_its_key(tmp_path, capsys, command,
+                                                  history, key):
+    # x = -2 loaded: equilibria exited 0, and simulate exited 2 naming phi1
+    cfg = write_config(tmp_path / "cfg.json", history=history)
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: history.{key} = {history[key]!r} is out of range "
+        "(must be > 0)\n")
+
+
+@pytest.mark.parametrize("command", ["equilibria", "stability", "verify"])
+def test_an_overflowing_law_is_a_numerical_failure(tmp_path, capsys,
+                                                   command):
+    # every coefficient in its catalog range, but K ** k = 50 ** 200
+    # overflows a float: it exited 1 with an OverflowError traceback
+    cfg = demo_with(tmp_path, [
+        (("params", "K"), 50.0),
+        (("response",), {"kind": "Saturation",
+                         "coefficients": {"b": 1.0, "h": 0.5, "k": 200.0}})])
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
 def test_per_component_atol_list_is_read_as_stepper_config_takes_it(
         tmp_path, monkeypatch, capsys):
     # a list of three floors used to exit 1 with float()'s TypeError

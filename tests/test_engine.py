@@ -19,6 +19,7 @@ from preydelay import (DelayFunction, IntegrationError, LagDomainError,
 from preydelay import cli, engine
 from preydelay.model import HistoryConsistencyWarning
 
+from forking import serially
 from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
                       linear_family_model, opaque)
 from oracles import RK4StepsOracle, implicit_rate_solution
@@ -555,6 +556,107 @@ def test_sample_rejects_times_outside_the_record(bd_traj):
             bd_traj.sample([0.5, s])
         with pytest.raises(LagDomainError):
             bd_traj.lookup(s)
+
+
+@pytest.fixture(scope="module")
+def long_demo():
+    """The demo config at a horizon of 2560: an export of 5 121 rows, six
+    blocks, read through sample; (scenario, trajectory)."""
+    scn = cli.load_scenario(DEMO_CONFIG, horizon=2560.0)
+    return scn, integrate(scn.model, scn.history, scn.stepper)
+
+
+def assert_python_rows_equal_sample(traj, times):
+    # the same bits, -0.0 included
+    got = [[v.hex() for v in row] for row in traj._rows(times)]
+    assert got == [[v.hex() for v in row] for row in traj.sample(times).tolist()]
+
+
+def test_python_reader_equals_sample_bit_for_bit(long_demo):
+    # the reader that short exports, the chart and lookup use against the
+    # arrays that long exports use: every CSV time of the long export and
+    # its lag, history times, node times and t_end, in order (segment to
+    # segment), shuffled (bisecting) and backward
+    scn, traj = long_demo
+    stride = scn.outputs.stride
+    assert traj.n_steps > 8000
+    times = [i * stride for i in range(int(traj.t_end / stride + 1e-9) + 1)]
+    assert len(times) > 5 * engine._CSV_BLOCK
+    ys = [y for _, y, _ in traj._rows(times)]
+    lags = [t - scn.model.delay.tau(max(y, 0.0)) for t, y in zip(times, ys)]
+    assert min(lags) < 0.0
+    history = [*np.linspace(-traj.tau_M, 0.0, 17).tolist(), -0.0,
+               -traj.tau_M * (1.0 + 1e-12)]
+    ends = [traj.t_end, traj.t_end * (1.0 + 1e-12),
+            float(np.nextafter(traj.t_end, 0.0))]
+    for grid in (times, lags, history, traj.ts.tolist(), ends):
+        assert_python_rows_equal_sample(traj, grid)
+    everything = [*times, *lags, *history, *traj.ts.tolist(), *ends]
+    rng = np.random.default_rng(20261020)
+    shuffled = rng.permutation(everything).tolist()
+    assert_python_rows_equal_sample(traj, shuffled)
+    assert_python_rows_equal_sample(traj, shuffled[::-1])
+    for s in shuffled[:200]:
+        assert traj.lookup(s) == tuple(traj.sample([s])[0].tolist())
+
+
+def test_python_reader_of_a_scalar_run_equals_sample():
+    # live = 1: the reader computes the padded components and drops them
+    cfg = StepperConfig(t_end=20.0, h_init=0.01, h_max=0.4)
+    traj = integrate_scalar_sdtd(
+        lambda t, v, lookup: 1.5 * v * (1.0 - lookup(t - 0.5)),
+        lambda s: 0.5 + 0.1 * math.sin(3.0 * s), cfg, 0.5, 0.5)
+    assert traj.dim == 1
+    grid = [*np.linspace(-0.5, 20.0, 413).tolist(), *traj.ts.tolist()]
+    assert_python_rows_equal_sample(traj, grid)
+    assert all(len(row) == 1 for row in traj._rows(grid))
+
+
+def test_python_reader_refuses_what_sample_refuses(long_demo):
+    _, traj = long_demo
+    for s in (-traj.tau_M * 1.01, traj.t_end * 1.01, -math.inf, math.inf):
+        with pytest.raises(LagDomainError) as want:
+            traj.sample([0.5, -0.5, s, 1.0])
+        for read in (lambda: traj._rows([0.5, -0.5, s, 1.0]),
+                     lambda: traj.lookup(s)):
+            with pytest.raises(LagDomainError) as got:
+                read()
+            assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("horizon, block, in_python", [
+    (None, 100, "default"), (2560.0, 8192, "other")])
+def test_both_export_paths_write_the_same_bytes(long_demo, tmp_path,
+                                                monkeypatch, horizon, block,
+                                                in_python):
+    # the demo's 161 rows are one block, read in Python; with blocks of 100
+    # they read through sample.  The long run's six blocks read through
+    # sample; as one block, in Python.
+    if horizon is None:
+        scn = cli.load_scenario(DEMO_CONFIG)
+        traj = integrate(scn.model, scn.history, scn.stepper)
+    else:
+        scn, traj = long_demo
+    stride = scn.outputs.stride
+    sampled = []
+    sample = engine.Trajectory.sample
+
+    def counting_sample(self, times):
+        sampled.append(len(times))
+        return sample(self, times)
+
+    monkeypatch.setattr(engine.Trajectory, "sample", counting_sample)
+    paths = {}
+    for name, size in (("default", engine._CSV_BLOCK), ("other", block)):
+        monkeypatch.setattr(engine, "_CSV_BLOCK", size)
+        paths[name] = tmp_path / f"{name}.csv"
+        del sampled[:]
+        serially(monkeypatch, lambda: export_csv(scn.model, traj,
+                                                 paths[name], stride))
+        assert (not sampled) == (name == in_python)
+    default = paths["default"].read_bytes()
+    assert default == paths["other"].read_bytes()
+    assert default.count(b"\n") == 1 + int(traj.t_end / stride + 1e-9) + 1
 
 
 VANISHING_DELAY = exp_delay(0.0, 0.8, 1.5)

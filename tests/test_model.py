@@ -18,7 +18,8 @@ from preydelay import (DelayFunction, ModelParams, ModelSpec,
                        tabulated_history, validate)
 from preydelay.delays import DELAY_CATALOG
 from preydelay.model import (GL_NODES, GL_WEIGHTS, HistoryConsistencyWarning,
-                             _implied_juvenile_stock, warn_if_inconsistent)
+                             _implied_juvenile_stock, _linspace,
+                             warn_if_inconsistent)
 from preydelay.responses import RESPONSE_CATALOG
 
 from oracles import implicit_rate_solution
@@ -354,8 +355,18 @@ def test_inconsistent_history_warns():
 def test_history_nonnegativity_enforced():
     bad = tabulated_history([-1.0, 0.0], x=[1.0, 1.0], y=[-0.2, 0.5],
                             yj=[0.1, 0.1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^history phi3 is negative at theta=-1: -0\.2$"):
         bad.check_nonnegative(tau_M=1.0)
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (0.0, 1.0, 2), (-1.0, 0.0, 2), (-1.5, 0.0, 64), (0.0, 7.3, 64),
+    (-2.0, 3.7, 161), (0.0, 80.0, 161), (0.0, 2560.0, 1260), (3.0, -0.1, 7)])
+def test_linspace_helper_is_numpys_linspace(start, stop, num):
+    got = _linspace(start, stop, num)
+    assert [v.hex() for v in got] == [
+        v.hex() for v in np.linspace(start, stop, num).tolist()]
 
 
 def test_history_values_at_zero_are_labelled():

@@ -91,11 +91,11 @@ def test_every_startup_case_is_checked():
     checked = {"preydelay", "preydelay.cli", "equilibria", *SPECTRAL_REPORTS,
                *OTHER_REPORTS}
     assert set(DEFERRED) == checked
-    for case in ("preydelay", "preydelay.cli", "equilibria"):
+    for case in ("preydelay", "preydelay.cli", "equilibria", "simulate"):
         assert "numpy" in DEFERRED[case]
     for case in SPECTRAL_REPORTS:
         assert {"preydelay.analysis", "preydelay.svg", "xml.sax"} <= set(DEFERRED[case])
-    assert {"preydelay.stability", "preydelay.analysis", "xml.sax",
+    assert {"numpy", "preydelay.stability", "preydelay.analysis", "xml.sax",
             "concurrent.futures", "numpy.polynomial", "numpy.ma",
             "scipy", "preydelay._forkmap"} == set(DEFERRED["simulate"])
     assert {"preydelay.svg", "xml.sax", "concurrent.futures",

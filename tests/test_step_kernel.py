@@ -174,9 +174,12 @@ def test_sweep_compiles_each_law_text_once_and_no_step(tmp_path, monkeypatch):
 
 
 # the outputs of the demo config at the commit before the step was generated
+# (the chart's at the commit before it was drawn without NumPy)
 DEMO_SHA256 = {
     "trajectory.csv":
         "2f76df2da48320d11b6770ba0243c859d28bd61dd95105e9e6a573b9937be22d",
+    "trajectory.svg":
+        "65476496cf703d3803a48946b761dc22eec68b983423bed878b13d62d96f9230",
     "equilibria.json":
         "7509e184f77cec86507ad2975f29801fa6c4cb93d5d53a4b630e9405d47f06e0",
     "stability.json":
