@@ -10,8 +10,9 @@ order.  If a child dies, the caller's process computes the items that child
 did not deliver, so the caller sees exactly what a serial map returns or
 raises.
 
-Imported only by the calls that fork, so that ``import preydelay`` does not
-pay for it.
+Its callers, :func:`preydelay.analysis._map_histories` and
+:func:`preydelay.engine.export_csv`, import it only when they fork, so that
+``import preydelay`` does not pay for it.
 """
 from __future__ import annotations
 

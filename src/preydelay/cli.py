@@ -513,9 +513,23 @@ def _parser() -> argparse.ArgumentParser:
         if name == "sweep":
             p.add_argument("--threads", type=int, default=1,
                            help="accepted for compatibility and ignored; "
-                           "the grid's points are shared among the usable "
-                           "CPUs")
+                           "the grid is searched in this process")
     return ap
+
+
+def _overflowing_response(exc: Exception, scn: Scenario | None) -> str:
+    """"the <kind> response (<coefficients>) overflows: " when ``exc`` is an
+    OverflowError raised in a law of the scenario's response, else ""."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    resp = scn.model.response if scn else None
+    if not isinstance(exc, OverflowError) or resp is None or (
+            tb.tb_frame.f_code not in (resp.f.__code__, resp.f_x.__code__,
+                                       resp.f_y.__code__)):
+        return ""
+    coeffs = ", ".join(f"{k} = {v!r}" for k, v in resp.coefficients.items())
+    return f"the {resp.kind} response ({coeffs}) overflows: "
 
 
 def main(argv=None) -> int:
@@ -523,6 +537,7 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    scn = None
     try:
         scn = load_scenario(args.config, horizon=args.horizon)
         outdir = Path(args.out)
@@ -543,7 +558,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (IntegrationError, LagDomainError, NoConvergenceError,
             WindingError, CrossCheckError, OverflowError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        print(f"numerical failure: {_overflowing_response(exc, scn)}{exc}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .model import ModelSpec, boundedness_limit, reproduction_number
+from .model import (ModelSpec, _linspace, boundedness_limit,
+                    reproduction_number)
 
 __all__ = [
     "Equilibrium",
@@ -238,12 +239,6 @@ def _plateau_point(model: ModelSpec, lo: float, hi: float,
     return 0.5 * p.K * (1.0 + math.sqrt(disc)), y
 
 
-def _scan_points(y_top: float) -> list[float]:
-    """The 64 nonzero points of a uniform 65-point grid on [0, y_top]: the
-    values of ``numpy.linspace(0, y_top, 65)[1:]``, without numpy."""
-    return [i * (y_top / 64) for i in range(1, 64)] + [y_top]
-
-
 def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     """Coexistence equilibrium, or None when the reproduction number is <= 1.
 
@@ -286,7 +281,7 @@ def solve_coexistence(model: ModelSpec) -> Equilibrium | None:
     y_top = max(boundedness_limit(model), p.r * p.K / (4.0 * f_min) + 1.0)
     lo, hi = 0.0, None
     if prey_balance(0.0) > 0.0:
-        for yv in _scan_points(y_top):
+        for yv in _linspace(0.0, y_top, 65)[1:]:
             if prey_balance(yv) <= 0.0:
                 hi = yv
                 break

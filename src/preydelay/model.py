@@ -534,15 +534,31 @@ class ValidationReport:
         return "\n".join(str(c) for c in self.checks)
 
 
+def _grid(points: Iterable[tuple], law: Callable) -> tuple[list, tuple | None]:
+    """``(*point, law(*point))`` at each of ``points`` in order, up to the
+    first where ``law`` divides by zero or overflows; beside the list, that
+    point (the bare value of a 1-tuple) and the error's text, or None."""
+    values = []
+    for point in points:
+        try:
+            values.append((*point, law(*point)))
+        except (ZeroDivisionError, OverflowError) as exc:
+            return values, (point if len(point) > 1 else point[0], str(exc))
+    return values, None
+
+
 def _scan(name: str, points: Iterable[tuple], fails: Callable[..., bool],
           witness: Callable = lambda *point: point,
-          detail: Callable = lambda *point: "") -> CheckResult:
+          detail: Callable = lambda *point: "",
+          raised: tuple | None = None) -> CheckResult:
     """The check ``name``: failed at the first of ``points`` where
-    ``fails(*point)`` holds, with witness and detail read off that point."""
+    ``fails(*point)`` holds, with witness and detail read off that point, or
+    else with the witness and detail that a law ``raised`` (see :func:`_grid`)
+    on the grid ``points`` read."""
     bad = next((point for point in points if fails(*point)), None)
-    if bad is None:
-        return CheckResult(name, True)
-    return CheckResult(name, False, witness(*bad), detail(*bad))
+    if bad is not None:
+        return CheckResult(name, False, witness(*bad), detail(*bad))
+    return CheckResult(name, False, *raised) if raised else CheckResult(name, True)
 
 
 def validate(model: ModelSpec) -> ValidationReport:
@@ -554,60 +570,69 @@ def validate(model: ModelSpec) -> ValidationReport:
     kind-specific coefficient constraints are each reported with a witness
     for any failure: the first failing grid point, x outer and y inner.  The
     grid has 64 points per axis and runs y up to the eventual bound for
-    V = n x + y + yj, so that it covers the reachable region.  The laws are
-    called on Python floats, so one that overflows or divides by zero on the
-    grid raises.  The positive demographic constants need no check:
-    :class:`ModelParams` refuses others.
+    V = n x + y + yj, so that it covers the reachable region.  A law that
+    divides by zero or overflows at a grid point fails each check that reads
+    it there, unless the check failed at a point before it: the witness is
+    that grid point and the detail the error's text.  The positive
+    demographic constants need no check: :class:`ModelParams` refuses others.
     """
     p, delay, resp = model.params, model.delay, model.response
     y_cap = boundedness_limit(model)
     ys, xs = (_linspace(0.0, top, 64) for top in (y_cap, p.K))
 
     # (A2) delay structure
-    taus = [(y, delay.tau(y), delay.tau_prime(y)) for y in ys]
+    taus, tau_raised = _grid([(y,) for y in ys], delay.tau)
+    tps, tp_raised = _grid([(y,) for y in ys], delay.tau_prime)
     lo, hi = delay.tau_m - 1e-12, delay.tau_M + 1e-12
-    tau0 = delay.tau(0.0)
     h = max(y_cap, 1.0) * 1e-6  # step of the central differences of tau
+    fds, fd_raised = _grid([(y,) for y, _ in tps[1:63]], lambda y: (
+        delay.tau(y + h) - delay.tau(y - h)) / (2.0 * h))
     checks = [
-        _scan("delay.tau_prime >= 0", taus, lambda y, tau, tp: tp < 0.0,
-              lambda y, tau, tp: (y, tp)),
+        _scan("delay.tau_prime >= 0", tps, lambda y, tp: tp < 0.0,
+              raised=tp_raised),
         _scan("delay bounds tau_m <= tau(y) <= tau_M", taus,
-              lambda y, tau, tp: tau < lo or tau > hi,
-              lambda y, tau, tp: (y, tau),
-              lambda y, tau, tp: f"tau({y:.6g}) = {tau:.6g} outside "
-                                 f"[{delay.tau_m:.6g}, {delay.tau_M:.6g}]"),
-        CheckResult("delay.tau(0) == tau_m",
-                    abs(tau0 - delay.tau_m) <= 1e-9 * max(1.0, abs(delay.tau_m)),
-                    witness=tau0),
+              lambda y, tau: tau < lo or tau > hi,
+              detail=lambda y, tau: f"tau({y:.6g}) = {tau:.6g} outside "
+                                    f"[{delay.tau_m:.6g}, {delay.tau_M:.6g}]",
+              raised=tau_raised),
+        # the first grid value; a law that raised further on does not count
+        _scan("delay.tau(0) == tau_m", taus[:1], lambda y, tau: not abs(
+                  tau - delay.tau_m) <= 1e-9 * max(1.0, abs(delay.tau_m)),
+              lambda y, tau: tau, raised=None if taus else tau_raised),
         _scan("delay nondecreasing on grid",
-              ((y, b - a) for (y, a, _), (_, b, _) in zip(taus, taus[1:])),
-              lambda y, step: step < -1e-12, lambda y, step: y),
+              ((y, b - a) for (y, a), (_, b) in zip(taus, taus[1:])),
+              lambda y, step: step < -1e-12, lambda y, step: y,
+              raised=tau_raised),
         _scan("delay.tau_prime matches finite differences",
-              ((y, (delay.tau(y + h) - delay.tau(y - h)) / (2.0 * h), tp)
-               for y, _, tp in taus[1:-1]),
-              lambda y, fd, tp: abs(fd - tp) > 1e-5 * max(1.0, abs(fd)))]
+              ((y, fd, tp) for (y, fd), (_, tp) in zip(fds, tps[1:])),
+              lambda y, fd, tp: abs(fd - tp) > 1e-5 * max(1.0, abs(fd)),
+              raised=fd_raised or tp_raised)]
 
     # (A3) response structure
     checks += [CheckResult(f"response coefficients: {err}", False, detail=err)
                for _, err in resp.coefficient_errors()
                ] or [CheckResult("response coefficient constraints", True)]
-    checks.append(_scan("response f(0, y) == 0",
-                        ((0.0, y, resp.f(0.0, y)) for y in ys),
-                        lambda x, y, f: f != 0.0))
-    F = [[resp.f(x, y) for y in ys] for x in xs]
-    fx00 = resp.f_x(0.0, 0.0)
+    # f on the grid: its row x = 0, then the rows x > 0
+    f0, f0_raised = _grid([(0.0, y) for y in ys], resp.f)
+    fp, fp_raised = _grid([(x, y) for x in xs[1:] for y in ys], resp.f)
+    F, F_raised = (f0, f0_raised) if f0_raised else (f0 + fp, fp_raised)
+    fx00, fx00_raised = _grid([(0.0, 0.0)], resp.f_x)
     checks += [
-        _scan("response f > 0 for x, y > 0",
-              ((x, y, f) for x, row in zip(xs[1:], F[1:]) for y, f in zip(ys, row)),
-              lambda x, y, f: f <= 0.0),
+        _scan("response f(0, y) == 0", f0, lambda x, y, f: f != 0.0,
+              raised=f0_raised),
+        _scan("response f > 0 for x, y > 0", fp, lambda x, y, f: f <= 0.0,
+              raised=fp_raised),
         _scan("response nondecreasing in x",
-              ((x, y, b - a) for x, row, next_row in zip(xs, F, F[1:])
-               for y, a, b in zip(ys, row, next_row)),
-              lambda x, y, step: step < -1e-12, lambda x, y, step: (x, y)),
+              ((x, y, b - a) for (x, y, a), (_, _, b) in zip(F, F[64:])),
+              lambda x, y, step: step < -1e-12, lambda x, y, step: (x, y),
+              raised=F_raised),
         _scan("response nonincreasing in y",
-              ((x, y, b - a) for x, row in zip(xs, F)
-               for y, a, b in zip(ys, row, row[1:])),
-              lambda x, y, step: step > 1e-12, lambda x, y, step: (x, y)),
-        CheckResult("response |f_x(0,0)| finite", math.isfinite(fx00),
-                    witness=fx00)]
+              # (a pair across two rows ends at y = 0)
+              ((x, y, b - a) for (x, y, a), (_, y1, b) in zip(F, F[1:])
+               if y1 != 0.0),
+              lambda x, y, step: step > 1e-12, lambda x, y, step: (x, y),
+              raised=F_raised),
+        _scan("response |f_x(0,0)| finite", fx00,
+              lambda x, y, fx: not math.isfinite(fx), lambda x, y, fx: fx,
+              raised=fx00_raised)]
     return ValidationReport(tuple(checks))

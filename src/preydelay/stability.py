@@ -480,15 +480,6 @@ def _predator_free_abscissa(d: float, coeffs: LinearizationCoeffs
     return rm, complex(rm, 0.0)
 
 
-# The searches of one spectral_abscissae call are shared among the usable
-# CPUs from this many on.  On a 2-core x86-64 VM, searching the first n of
-# the 108 coexistence points of the 144-point grid in tests/working_set.py
-# took, forked, a median 5x its serial time at n = 8-12, 1.0x at 48,
-# 0.91-0.97x at 64-72, 0.75x at 80 and 0.62x at 96-108 (25 alternating
-# pairs each); a fork_map of two trivial items took 2.6 ms.
-_FORK_MIN_SEARCHES = 80
-
-
 def spectral_abscissae(points) -> list:
     """(abscissa, rightmost root or None) of each linearization, or the
     :class:`WindingError` its search raised, in its place.
@@ -497,9 +488,7 @@ def spectral_abscissae(points) -> list:
     (C = eta = 0 and D >= 0: the origin and the predator-free state) takes
     the closed form of :func:`_predator_free_abscissa`.  The others are
     searched in one :func:`rightmost_abscissae` batch on their
-    :func:`_classification_box`; from ``_FORK_MIN_SEARCHES`` searches on,
-    every n-th search goes to each of the n usable CPUs through
-    :func:`preydelay._forkmap.fork_map`, and the results are the same.
+    :func:`_classification_box`.
     """
     results: list = []
     slots, qps, boxes = [], [], []
@@ -513,20 +502,7 @@ def spectral_abscissae(points) -> list:
             boxes.append(_classification_box(d, coeffs))
     if not qps:
         return results
-    if len(qps) < _FORK_MIN_SEARCHES:
-        found = rightmost_abscissae(qps, boxes)
-    else:
-        from ._forkmap import _usable_cpus, fork_map
-
-        # every n-th search to each CPU, so that each gets a share of the
-        # whole batch and the shares cost alike
-        n = _usable_cpus()
-        found = [None] * len(qps)
-        shares = fork_map(lambda w: rightmost_abscissae(qps[w::n], boxes[w::n]),
-                          range(n))
-        for w, share in enumerate(shares):
-            found[w::n] = share
-    for i, result in zip(slots, found):
+    for i, result in zip(slots, rightmost_abscissae(qps, boxes)):
         results[i] = (result if isinstance(result, WindingError)
                       else (result[0], result[1][0] if result[1] else None))
     return results

@@ -21,8 +21,6 @@ from preydelay.engine import LagDomainError, default_stepper
 from preydelay.model import HistoryConsistencyWarning, ModelSpec
 from preydelay.equilibria import NoConvergenceError, WindingError
 
-from forking import assert_no_child_left, serially
-
 DEMO_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config_example.json"
 
 
@@ -221,27 +219,10 @@ def test_sweep_rows_match_one_point_at_a_time(tmp_path):
         assert row.split(",")[-1] == repr(float(want))
 
 
-def test_forked_sweep_writes_the_serial_bytes(forks, monkeypatch, tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
-    argv = ["sweep", "--config", str(cfg), "--out"]
-    assert main(argv + [str(tmp_path / "short")]) == EXIT_OK
-    assert forks[0] == 0  # fewer searches than the fork needs
-    monkeypatch.setattr(stability, "_FORK_MIN_SEARCHES", 2)
-    assert main(argv + [str(tmp_path / "forked")]) == EXIT_OK
-    assert forks[0] == 1
-    assert serially(monkeypatch, lambda: main(
-        argv + [str(tmp_path / "serial")])) == EXIT_OK
-    assert forks[0] == 1
-    csvs = [(tmp_path / run / "sweep.csv").read_bytes()
-            for run in ("short", "forked", "serial")]
-    assert csvs[0] == csvs[1] == csvs[2]
-    assert_no_child_left()
-
-
-def test_forked_sweep_raises_the_first_failing_point(forks, monkeypatch,
-                                                    tmp_path, capsys):
-    # the coexistence points' quasi-polynomials in grid order; the search of
-    # the second (a child's share) and the third (the caller's) fails
+def test_sweep_raises_its_first_failing_search(monkeypatch, tmp_path,
+                                               capsys):
+    # the coexistence points' quasi-polynomials in grid order; the searches
+    # of the second and the third fail
     cfg = write_config(tmp_path / "cfg.json", sweep=SWEEP_18)
     model = cli.load_scenario(cfg).model
     points = [(d, cli._sweep_point(model, k2, d, tau_m, tau_M)[1])
@@ -258,15 +239,10 @@ def test_forked_sweep_raises_the_first_failing_point(forks, monkeypatch,
                 for qp, result in zip(qps, search(qps, boxes))]
 
     monkeypatch.setattr(stability, "rightmost_abscissae", failing_search)
-    monkeypatch.setattr(stability, "_FORK_MIN_SEARCHES", 2)
     argv = ["sweep", "--config", str(cfg), "--out", str(tmp_path)]
     assert main(argv) == EXIT_NUMERICAL
-    assert forks[0] == 1
-    assert serially(monkeypatch, lambda: main(argv)) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err == "numerical failure: search 0 failed\n" * 2
+    assert capsys.readouterr().err == "numerical failure: search 0 failed\n"
     assert not (tmp_path / "sweep.csv").exists()
-    assert_no_child_left()
 
 
 def test_sweep_runs_no_contour_search_where_nothing_coexists(tmp_path,
@@ -288,7 +264,7 @@ SWEEP_144_SHA256 = (
 
 def test_sweep_of_144_points_is_pinned(tmp_path):
     # the grid of tests/working_set.py on the demo model: 108 coexistence
-    # searches, enough to be shared among the CPUs, and 36 closed forms
+    # searches and 36 closed forms
     from working_set import SWEEP_GRID
 
     cfg = tmp_path / "cfg.json"
@@ -517,7 +493,8 @@ def test_non_positive_history_level_names_its_key(tmp_path, capsys, command,
 def test_an_overflowing_law_is_a_numerical_failure(tmp_path, capsys,
                                                    command):
     # every coefficient in its catalog range, but K ** k = 50 ** 200
-    # overflows a float: it exited 1 with an OverflowError traceback
+    # overflows a float: it exited 1 with an OverflowError traceback, then 3
+    # with the bare error text
     cfg = demo_with(tmp_path, [
         (("params", "K"), 50.0),
         (("response",), {"kind": "Saturation",
@@ -525,7 +502,9 @@ def test_an_overflowing_law_is_a_numerical_failure(tmp_path, capsys,
     assert main([command, "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    assert err.startswith(
+        "numerical failure: the Saturation response (b = 1.0, h = 0.5, "
+        "k = 200.0) overflows: ") and err.count("\n") == 1, err
 
 
 def test_per_component_atol_list_is_read_as_stepper_config_takes_it(

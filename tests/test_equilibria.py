@@ -11,7 +11,8 @@ from preydelay import (EquilibriumKind, ModelParams, ModelSpec,
                        reproduction_number, saturating_delay,
                        solve_coexistence, steady_state_residual, yj_star)
 from preydelay.equilibria import (_balance_jacobian, _balances,
-                                  _bracketed_root, _scan_points)
+                                  _bracketed_root)
+from preydelay.model import _linspace
 from conftest import BD_TAUSTAR, BD_XSTAR, BD_YJSTAR, BD_YSTAR
 
 from oracles import coexistence_point, steady_recruitment_integral
@@ -177,13 +178,15 @@ def test_threshold_equivalence_random_bd_specs():
 
 
 def test_scan_points_are_the_linspace_values():
-    # the solver scans these without numpy; they must be linspace's values
-    # to the bit, or every solve's bracket and root could move
+    # the solver scans _linspace(0, y_top, 65)[1:] without numpy; they must
+    # be linspace's values to the bit, or every solve's bracket and root
+    # could move
     rng = np.random.default_rng(3)
     y_tops = [1.0, 3.0, 0.1, 7.3, 64.0, 1e-9, 123456.789, 2.0 ** 60 / 3.0,
               *rng.uniform(0.0, 50.0, 50), *np.exp(rng.uniform(-20, 20, 50))]
     for y_top in map(float, y_tops):
-        assert _scan_points(y_top) == np.linspace(0.0, y_top, 65)[1:].tolist()
+        assert [v.hex() for v in _linspace(0.0, y_top, 65)[1:]] == [
+            v.hex() for v in np.linspace(0.0, y_top, 65)[1:].tolist()]
 
 
 def oracle_pieces(kind, coefficients):

@@ -199,6 +199,47 @@ def test_validate_reports_the_first_failing_grid_point(spec, failures):
     assert len(report.checks) == 11
 
 
+def _error_text(fn):
+    try:
+        fn()
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+# x steps by 50 / 63 on the K = 50 grid; x ** 200 overflows from x = 34.9 on
+X_OVER = 44 * (50.0 / 63)
+DIVIDE = "float division by zero"
+NEGATIVE_POWER = _error_text(lambda: 0.0 ** -1.0)
+OVERFLOW = _error_text(lambda: X_OVER ** 200.0)
+
+
+@pytest.mark.parametrize("spec, failures", [
+    # tau(0) = tau_m + span * 0 / (0 + 0), and tau'(0) too
+    (model(delay=saturating_delay(0.5, 1.0, 0.0)), [
+        (name, 0.0, DIVIDE) for name in (
+            "delay.tau_prime >= 0", "delay bounds tau_m <= tau(y) <= tau_M",
+            "delay.tau(0) == tau_m", "delay nondecreasing on grid",
+            "delay.tau_prime matches finite differences")]),
+    # f(0, y) = 0 ** -1; f > 0 reads only the rows x > 0
+    (model(response=power_law(1.0, -1.0)), [
+        ("response coefficients: PowerLaw: exponent 'k' must be > 1", None,
+         "PowerLaw: exponent 'k' must be > 1")] + [
+        (name, (0.0, 0.0), NEGATIVE_POWER) for name in (
+            "response f(0, y) == 0", "response nondecreasing in x",
+            "response nonincreasing in y")]),
+    (model(K=50.0, response=make_response("Saturation", b=1.0, h=0.5,
+                                          k=200.0)), [
+        (name, (X_OVER, 0.0), OVERFLOW) for name in (
+            "response f > 0 for x, y > 0", "response nondecreasing in x",
+            "response nonincreasing in y")]),
+], ids=["divides by zero", "negative power of zero", "overflows"])
+def test_a_law_that_raises_on_the_grid_is_a_failed_row(spec, failures):
+    # it raised out of validate, though its rows exist to report such laws
+    report = validate(spec)
+    assert [(c.name, c.witness, c.detail) for c in report.failures] == failures
+    assert len(report.checks) == 11
+
+
 # --------------------------------------------------------------------------
 # reproduction number
 

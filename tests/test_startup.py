@@ -1,5 +1,6 @@
 """CLI start-up contract and the package namespace with its lazily loaded names."""
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -85,6 +86,18 @@ def test_simulate_and_verify_defer_other_subcommands_modules(command, tmp_path):
     run = run_startup_check(command, "--config", DEMO_CONFIG, "--out", tmp_path)
     assert run.returncode == 0, f"loaded by the call: {run.stdout}{run.stderr}"
     assert (tmp_path / OTHER_REPORTS[command]).is_file()
+
+
+def test_the_144_point_sweep_forks_nothing(tmp_path):
+    # its 108 contour searches run in the calling process
+    from working_set import SWEEP_GRID
+
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(dict(json.loads(DEMO_CONFIG.read_text()),
+                                   sweep=SWEEP_GRID)))
+    run = run_startup_check("sweep", "--config", cfg, "--out", tmp_path)
+    assert run.returncode == 0, f"loaded by the call: {run.stdout}{run.stderr}"
+    assert (tmp_path / "sweep.csv").is_file()
 
 
 def test_every_startup_case_is_checked():

@@ -197,6 +197,21 @@ def test_demo_outputs_are_byte_identical(tmp_path):
         assert got == digest, name
 
 
+# the demo config's trajectory.csv at horizon 2560: 5 121 rows in five blocks,
+# read through Trajectory.sample and shared among the usable CPUs; the same
+# bytes are written on one CPU
+TRAJECTORY_2560_SHA256 = (
+    "674a3216b1e67768a7886f8fa20f75ac41afd830399cb6a9fbacf1b47fbdb9a7")
+
+
+def test_a_long_export_is_pinned(tmp_path):
+    assert cli.main(["simulate", "--config", str(DEMO_CONFIG), "--horizon",
+                     "2560", "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "trajectory.csv").read_bytes()
+    assert data.count(b"\n") == 5122
+    assert hashlib.sha256(data).hexdigest() == TRAJECTORY_2560_SHA256
+
+
 # The peak of the allocations made while generating the benchmark's long_run
 # loop, in a fresh process: 1.36 MB on x86-64 Linux with Python 3.11, against
 # 0.83 MB for the straight-line step that the loop replaced.
