@@ -5,7 +5,11 @@ offspring of one predator in a prey-saturated world.  Sweeping the capture
 rate b moves R through 1: below it every run collapses to (K, 0, 0), above
 it prey and predator persist together, from tiny or huge starting stocks
 alike.  The horizon 200/d is a cap: each run stops once its verdict has
-settled, and `t_decided` says where.
+settled, and `t_decided` says where.  Here every run settles on the decay
+of its distance from the steady state it approaches.  A permanent run whose
+coexistence point is unstable, so that it approaches a cycle, settles
+instead once the troughs of x and of y stop falling (none of the last three
+changes between troughs a fall of more than 0.1%) and stay above 1e-6.
 """
 import math
 

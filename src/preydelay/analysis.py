@@ -21,13 +21,17 @@ delays and stops at the first pause where its verdict is settled: the
 envelope of its distance from the steady state over each of the last three
 windows has fallen at least at half the rate that the state's spectral
 abscissa sets (which must lie below -1e-8), and the probe's own check holds
-on the run so far.  Its record is read off the run up to there, and
-``t_decided`` says where that was; a run that never settles, on a cycle say,
-goes on to the horizon and keeps a fixed-length run's record.
+on the run so far.  A permanence run whose coexistence point has no such
+rate, as on the way to a cycle, settles instead once the last three changes
+between its troughs of x and of y fall by no more than 0.1%.  Its record is
+read off the run up to there, and ``t_decided`` says where that was; a run
+that never settles goes on to the horizon and keeps a fixed-length run's
+record.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import add
 from typing import Callable
@@ -175,6 +179,15 @@ _WINDOW_TAU = 4.0
 _SETTLE_FALLS = 3
 _SETTLE_ABSCISSA = -1e-8
 _SETTLE_DISTANCE = 1e-2
+# A permanent run with no such rule (its coexistence point has an abscissa at
+# or above _SETTLE_ABSCISSA, so it may approach a cycle, or no point was
+# found) settles on its troughs, the node minima us[i-1] > us[i] <= us[i+1]
+# of x and of y: permanence is uniform persistence (Hutson & Schmitt, Math.
+# Biosci. 111 (1992)), minima that stop falling and stay positive.  It has
+# settled at a window end once each of x and y has shown _SETTLE_FALLS
+# trough-to-trough changes, the last ones, none falling by more than
+# _TROUGH_SLACK relative, and the record check holds on the run so far.
+_TROUGH_SLACK = 1e-3
 
 
 def _anywhere(x: float, y: float, yj: float) -> bool:
@@ -204,6 +217,60 @@ class _Settling:
         return (len(last) > _SETTLE_FALLS and last[-1] <= self.cap
                 and all(b <= self.factor * a for a, b in zip(last, last[1:]))
                 and self.near(*node))
+
+    def watch(self) -> Callable:
+        """A fresh test of one run's solution store at its window ends:
+        whether the run so far has settled."""
+        envelopes, start = [], 0
+
+        def settled(store) -> bool:
+            nonlocal start
+            us = store.us
+            if len(us) == start:  # a step longer than the window
+                return False
+            envelopes.append(self.envelope(us, start, len(us)))
+            start = len(us)
+            return self.holds(envelopes, us[-3:])
+        return settled
+
+
+class _Troughs:
+    """The trough rule of a permanent run that no :class:`_Settling` fits.
+
+    Its ``near`` test asks the node minimum of min(x, y) over the last
+    quarter of the run to exceed _EPS_FLOOR, which the permanent record
+    check implies.
+    """
+
+    @staticmethod
+    def holds(troughs: list) -> bool:
+        """Whether the troughs so far, oldest first, have stopped falling."""
+        last = troughs[-_SETTLE_FALLS - 1:]
+        return len(last) > _SETTLE_FALLS and all(
+            b >= (1.0 - _TROUGH_SLACK) * a for a, b in zip(last, last[1:]))
+
+    @staticmethod
+    def near(ts, us) -> bool:
+        i = bisect_left(ts, ts[-1] * (1.0 - _TAIL_FRACTION))
+        return min(min(us[3 * i::3]), min(us[3 * i + 1::3])) > _EPS_FLOOR
+
+    def watch(self) -> Callable:
+        """As :meth:`_Settling.watch`; each call reads only the nodes
+        accepted since the last."""
+        troughs, start = ([], []), 1  # start: the first node not yet tested
+
+        def settled(store) -> bool:
+            nonlocal start
+            us = store.us
+            for c, found in enumerate(troughs):
+                vals = us[3 * (start - 1) + c::3]
+                found += [b for a, b, e in zip(vals, vals[1:], vals[2:])
+                          if a > b <= e]
+                del found[:-_SETTLE_FALLS - 1]
+            start = len(store.ts) - 1
+            return (all(map(self.holds, troughs))
+                    and self.near(store.ts, us))
+        return settled
 
 
 def _settling(model: ModelSpec, eq: Equilibrium | None, envelope,
@@ -245,7 +312,7 @@ def _predator_envelope(us, a: int, b: int) -> float:
 
 
 def _settled_run(model: ModelSpec, hist: HistoryFunction, cfg: StepperConfig,
-                 settling: _Settling | None, record):
+                 settling: _Settling | _Troughs | None, record):
     """``record(trajectory)``'s record of ``hist``'s run: over the run so far
     at the first window end where ``settling`` holds and the record's ok
     flag does too, else over the whole run to cfg.t_end.
@@ -255,16 +322,12 @@ def _settled_run(model: ModelSpec, hist: HistoryFunction, cfg: StepperConfig,
     :class:`preydelay.engine.Run`).
     """
     run = start_run(model, hist, cfg)
-    if settling is not None:
-        window, us = _WINDOW_TAU * model.delay.tau_M, run.store.us
-        envelopes, start, k = [], 0, 1
+    window = _WINDOW_TAU * model.delay.tau_M
+    if settling is not None and window > 0.0:
+        settled, k = settling.watch(), 1
         while not run.advance(k * window):
             k += 1
-            if len(us) == start:  # a step longer than the window
-                continue
-            envelopes.append(settling.envelope(us, start, len(us)))
-            start = len(us)
-            if settling.holds(envelopes, us[-3:]):
+            if settled(run.store):
                 rec, ok = record(run.trajectory(copy=True))
                 if ok:
                     return rec
@@ -384,9 +447,15 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     (K, 0, 0), W the window); on the permanent branch, the envelope of
     max(|x/x* - 1|, |y/y* - 1|) is within 1e-2 and falls likewise at the
     coexistence point's abscissa.  Neither rule applies where that abscissa
-    is not below -1e-8.  The record is checked on the run so far, and a run
-    stops only where it holds; ``t_decided`` is where the run stopped, the
-    horizon for one that never settled.
+    is not below -1e-8.  A permanent-branch run with no rule then settles on
+    its troughs, the node values below both neighbours, of x and of y: each
+    has had at least four, and none of the last three changes between them
+    is a fall of more than 0.1% (b >= 0.999 a), while the run's last
+    quarter keeps min(x, y) above 1e-6 at every node.  Minima that stop
+    falling and stay positive are what permanence, uniform persistence,
+    asks; the run may be approaching a cycle.  The record is checked on the
+    run so far, and a run stops only where it holds; ``t_decided`` is where
+    the run stopped, the horizon for one that never settled.
     """
     if len(histories) < 2:
         raise ValueError("need several histories spanning magnitudes")
@@ -409,7 +478,7 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
         except NoConvergenceError:
             eq = None
         settling = _settling(model, eq, eq and _relative_envelope(eq),
-                             cap=_SETTLE_DISTANCE)
+                             cap=_SETTLE_DISTANCE) or _Troughs()
     else:
         settling = _settling(
             model, boundary_equilibria(model)[1], _predator_envelope,

@@ -176,11 +176,16 @@ def _real(value, name: str, bound: Bound | None = None) -> float:
     given, as a float; ``name`` is its dotted location, named in the message."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        real = float(value)
+    except OverflowError:  # an integer beyond the largest float
+        raise ConfigError(f"{name} must be finite, got an integer of "
+                          f"{len(str(abs(value)))} digits") from None
+    if not math.isfinite(real):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if bound is not None and not bound.admits(value):
-        raise _out_of_range(name, float(value), bound)
-    return float(value)
+        raise _out_of_range(name, real, bound)
+    return real
 
 
 def _reals(value, name: str, bound: Bound | None = None) -> list[float]:
@@ -573,11 +578,20 @@ def validate(model: ModelSpec) -> ValidationReport:
     V = n x + y + yj, so that it covers the reachable region.  A law that
     divides by zero or overflows at a grid point fails each check that reads
     it there, unless the check failed at a point before it: the witness is
-    that grid point and the detail the error's text.  The positive
-    demographic constants need no check: :class:`ModelParams` refuses others.
+    that grid point and the detail the error's text.  Where that bound
+    overflows or is infinite there is no grid, and the report is one failed
+    row that says so.  The positive demographic constants need no check:
+    :class:`ModelParams` refuses others.
     """
     p, delay, resp = model.params, model.delay, model.response
-    y_cap = boundedness_limit(model)
+    try:
+        y_cap = boundedness_limit(model)
+        no_grid = None if math.isfinite(y_cap) else f"M / m = {y_cap!r}"
+    except OverflowError as exc:
+        no_grid = str(exc)
+    if no_grid is not None:
+        return ValidationReport((CheckResult(
+            "eventual bound M / m of V finite", False, detail=no_grid),))
     ys, xs = (_linspace(0.0, top, 64) for top in (y_cap, p.K))
 
     # (A2) delay structure

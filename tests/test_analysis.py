@@ -156,9 +156,9 @@ def test_deep_prey_crash_stays_permanent():
 
 
 # The model of job 20 of the dichotomy benchmark's seed 7 (R = 5.385): its
-# coexistence point's abscissa reads +0.0122, so none of its runs can settle,
-# and its records at the benchmark's settings, as read before the probes
-# stopped settled runs
+# coexistence point's abscissa reads +0.0122, so no envelope rule fits it and
+# its runs approach a cycle; its records at the benchmark's settings over the
+# whole horizon 400/d, as read before the probes stopped any run early
 CYCLING_MODEL = {
     "params": {"r": 1.3447322944889888, "K": 3.0027556722813733,
                "n": 0.7901616508294579, "dj": 0.3611624834624159,
@@ -176,7 +176,9 @@ CYCLING_RECORDS = (  # label, liminf_xy, terminal_error
     ("level3", 0.42571274597362346, 0.8535047807361219))
 
 
-def test_runs_that_never_settle_keep_their_full_horizon_records():
+def test_runs_that_approach_a_cycle_stop_once_their_troughs_stop_falling():
+    # the trough rule stops each run within a tenth of the horizon, and the
+    # tail minimum read there is at most the full-horizon one (1% allowed)
     m = ModelSpec.from_dict(CYCLING_MODEL)
     horizon = 400.0 / m.params.d
     verdict = permanence_probe(
@@ -184,9 +186,112 @@ def test_runs_that_never_settle_keep_their_full_horizon_records():
         horizon=horizon, cfg=default_stepper(m, horizon, rtol=1e-6,
                                              atol=(1e-300, 1e-300, 1e-8)))
     assert verdict.verdict == "permanent"
+    assert [rec.label for rec in verdict.records] == [
+        label for label, _, _ in CYCLING_RECORDS]
+    for rec, (_, liminf, _) in zip(verdict.records, CYCLING_RECORDS):
+        assert rec.ok and rec.t_decided < 0.1 * horizon
+        assert 1e-6 < rec.liminf_xy <= 1.01 * liminf
+
+
+def _trough_settle(xs, ys, every: int):
+    """The index of the node at whose window end the trough rule first
+    settles nodes (t, x, y) = (i, xs[i], ys[i]) paused every ``every``
+    nodes, or None."""
+    from array import array
+    from types import SimpleNamespace
+    store = SimpleNamespace(ts=array("d"), us=array("d"))
+    settled = analysis._Troughs().watch()
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        store.ts.append(float(i))
+        store.us.extend((x, y, 0.0))
+        if i % every == every - 1 and settled(store):
+            return i
+    return None
+
+
+def test_trough_rule_settles_minima_that_stop_falling():
+    holds = analysis._Troughs.holds
+    assert holds([1.0, 1.0, 1.0, 1.0])
+    assert holds([0.5, 1.0, 1.5, 2.0])
+    assert holds([5.0, 1.0, 0.9995, 0.999, 0.9985])   # within the slack
+    assert not holds([1.0, 1.0, 1.0])                   # two changes only
+    assert not holds([1.0, 0.99, 0.98, 0.97])
+    assert not holds([1.0, 1.0, 0.998, 1.0])            # one fall too many
+    assert not holds([1.0, 0.5, 1.0, 0.5, 1.0])
+    # node-level troughs of oscillations, 32 nodes a period
+    t = np.arange(2000) * (2.0 * math.pi / 32.0)
+    wave = 1.5 + np.sin(t)
+    shapes = {"flat": wave, "rising": wave * (2.0 - np.exp(-0.01 * t)),
+              "falling": wave * np.exp(-0.01 * t),
+              "period 2": wave * (1.0 + 0.2 * np.cos(0.5 * t)),
+              "below the floor": 1e-7 * wave}
+    for every in (1, 7, 50):
+        found = {name: _trough_settle(xs.tolist(), wave.tolist(), every)
+                 for name, xs in shapes.items()}
+        assert found["falling"] is found["period 2"] is None
+        assert found["below the floor"] is None
+        # the fourth trough of each is at node 24 + 3 * 32 = 120, and shows
+        # once node 121 is in; a rule paused at every node settles there, one
+        # paused less often at the first window end after it
+        for name in ("flat", "rising"):
+            assert found[name] == 121 + (-122) % every, (name, every)
+        # and y alone falling keeps the run going
+        assert _trough_settle(wave.tolist(), shapes["falling"].tolist(),
+                              every) is None
+
+
+# The records of demo 02's four models and of the linear family's probes at
+# R = 0.5 and 2: every run settles by an envelope rule, and the records are
+# those read before the trough rule, in every bit
+SETTLED_RECORDS = {
+    ("demo", 0.5): (
+        ("level0.05", 4.87141881509441e-06, 6.333900949506699e-06, 16.0900121212929),
+        ("level0.158114", 1.9875562339271735e-05, 1.2064205737294387e-05, 16.07153041456179),
+        ("level0.5", 0.00016097277415460934, 8.535014003474561e-05, 16.114527672922737),
+        ("level1.58114", 0.0007544464563458122, 0.00039887465580812353, 16.033609098366735),
+        ("level5", 0.0006901927718070559, 0.00036486712967609414, 20.000677072731257)),
+    ("demo", 0.9): (
+        ("level0.05", 0.00029453371150092034, 0.00018663036683486123, 16.07388528720404),
+        ("level0.158114", 0.0015378082710818574, 0.0009565702649427799, 16.105202141089144),
+        ("level0.5", 0.001546325689599825, 0.0009602592081374706, 48.055689898476416),
+        ("level1.58114", 0.0012738433990295754, 0.0007909079662204999, 64.23108087210838),
+        ("level5", 0.0012836764256155058, 0.0007970182640001378, 52.18124397209221)),
+    ("demo", 1.5): (
+        ("level0.05", 0.2865345330228021, 0.2946802484295161, 40.04675146406917),
+        ("level0.158114", 0.2942047789384377, 0.29510003217274505, 32.28148774957782),
+        ("level0.5", 0.30452142721240777, 0.2932692365383104, 48.01657601721306),
+        ("level1.58114", 0.30292733351196044, 0.2937489327761913, 20.251628896681833),
+        ("level5", 0.30442917386225543, 0.29326923182598397, 84.2120485913144)),
+    ("demo", 3.0): (
+        ("level0.05", 0.32843154391487506, 0.6442968147580159, 60.159972350574655),
+        ("level0.158114", 0.3286568904656684, 0.6431664712443537, 60.140606138831686),
+        ("level0.5", 0.33174084828487727, 0.644468276011227, 48.24390324630252),
+        ("level1.58114", 0.32972199870939856, 0.644553270786872, 60.185762013526684),
+        ("level5", 0.289992033156817, 0.6432112066326957, 136.18733931417782)),
+    ("family", 0.5): (
+        ("level0.01", 2.8930399584420297e-07, 2.1030623331919074e-05, 16.135189327142342),
+        ("level0.0562341", 4.721571564654834e-06, 6.368404625312074e-06, 16.0808455143968),
+        ("level0.316228", 9.6182226386858e-05, 5.13125913980117e-05, 16.097216358818304),
+        ("level1.77828", 0.0013701244837707122, 0.0007251200551549042, 16.059493872271734),
+        ("level10", 0.00043962024473022626, 0.0002328051800951636, 20.1102648480842)),
+    ("family", 2.0): (
+        ("level0.01", 0.3525228810843723, 0.46492253747867474, 48.17188967806999),
+        ("level0.0562341", 0.3615320980759249, 0.46493224337340056, 40.044612284535454),
+        ("level0.316228", 0.3616063875858418, 0.46490802625401895, 32.11235153015685),
+        ("level1.77828", 0.3616347802503126, 0.46500157794116037, 36.169750026576985),
+        ("level10", 0.00042389622248685863, 0.4647640131069931, 156.19488585366443))}
+
+
+@pytest.mark.parametrize("source,R", sorted(SETTLED_RECORDS))
+def test_runs_with_an_envelope_rule_keep_their_records(source, R):
+    # demos/02_threshold_dichotomy.py probes the same family
+    m = linear_family_model(R)
+    histories = (spread_histories(m, n=5, seed=42, lo=0.05, hi=5.0)
+                 if source == "demo" else spread_histories(m, n=5, seed=1))
+    verdict = permanence_probe(m, histories, horizon=200.0)
     assert verdict.records == tuple(
-        analysis.HistoryRecord(label, liminf, term, True, horizon)
-        for label, liminf, term in CYCLING_RECORDS)
+        analysis.HistoryRecord(label, liminf, term, True, t)
+        for label, liminf, term, t in SETTLED_RECORDS[source, R])
 
 
 def test_settled_runs_stop_early_and_pass_the_check_there():

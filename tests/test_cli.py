@@ -423,6 +423,22 @@ def test_non_finite_model_numbers_name_their_key(
         f"config error: {name} must be finite, got {got}\n")
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda cfg: edit_model(cfg, ("params", "r"), 10**400), "model.params.r"),
+    (lambda cfg: edit_config(cfg, "stepper", "t_end", -10**400),
+     "stepper.t_end")])
+def test_integers_too_large_for_a_float_name_their_key(tmp_path, capsys,
+                                                       edit, name):
+    # float() of the integer raised OverflowError: exit 3 with "int too large
+    # to convert to float", naming no key
+    cfg = edit(write_config(tmp_path / "cfg.json"))
+    assert main(["equilibria", "--config", str(cfg),
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: {name} must be finite, got an integer of 401 "
+        f"digits\n")
+
+
 @pytest.mark.parametrize("times, message", [
     ([-1.0, "abc"], "history.times[1] must be a number, got 'abc'"),
     ([True, 0.0], "history.times[0] must be a number, got True"),

@@ -240,6 +240,17 @@ def test_a_law_that_raises_on_the_grid_is_a_failed_row(spec, failures):
     assert len(report.checks) == 11
 
 
+@pytest.mark.parametrize("r, K, detail", [
+    (1e200, 1.0, "(34, 'Numerical result out of range')"),  # (m + r) ** 2
+    (1e150, 1e300, "M / m = inf")])
+def test_a_bound_that_overflows_is_one_failed_row(r, K, detail):
+    # r = 1e200 raised OverflowError out of validate; K = 1e300 read a grid
+    # of NaNs and infinities, and failed "response nonincreasing in y" there
+    report = validate(model(r=r, K=K))
+    assert [(c.name, c.passed, c.witness, c.detail) for c in report.checks] == [
+        ("eventual bound M / m of V finite", False, None, detail)]
+
+
 # --------------------------------------------------------------------------
 # reproduction number
 
