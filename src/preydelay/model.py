@@ -178,9 +178,9 @@ def _real(value, name: str, bound: Bound | None = None) -> float:
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
         real = float(value)
-    except OverflowError:  # an integer beyond the largest float
-        raise ConfigError(f"{name} must be finite, got an integer of "
-                          f"{len(str(abs(value)))} digits") from None
+    except OverflowError:
+        raise ConfigError(f"{name} must be finite, got an integer too large "
+                          f"for a float") from None
     if not math.isfinite(real):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     if bound is not None and not bound.admits(value):

@@ -238,6 +238,8 @@ def test_trough_rule_settles_minima_that_stop_falling():
         # and y alone falling keeps the run going
         assert _trough_settle(wave.tolist(), shapes["falling"].tolist(),
                               every) is None
+        # a trough is below its left neighbour: a constant run shows none
+        assert _trough_settle([1.0] * 200, [1.0] * 200, every) is None
 
 
 # The records of demo 02's four models and of the linear family's probes at

@@ -435,8 +435,8 @@ def test_integers_too_large_for_a_float_name_their_key(tmp_path, capsys,
     assert main(["equilibria", "--config", str(cfg),
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
-        f"config error: {name} must be finite, got an integer of 401 "
-        f"digits\n")
+        f"config error: {name} must be finite, got an integer too large for "
+        f"a float\n")
 
 
 @pytest.mark.parametrize("times, message", [
