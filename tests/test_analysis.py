@@ -216,7 +216,7 @@ def test_trough_rule_settles_minima_that_stop_falling():
     assert holds([5.0, 1.0, 0.9995, 0.999, 0.9985])   # within the slack
     assert not holds([1.0, 1.0, 1.0])                   # two changes only
     assert not holds([1.0, 0.99, 0.98, 0.97])
-    assert not holds([1.0, 1.0, 0.998, 1.0])            # one fall too many
+    assert not holds([1.0, 1.0, 0.998, 1.0])            # one fall too steep
     assert not holds([1.0, 0.5, 1.0, 0.5, 1.0])
     # node-level troughs of oscillations, 32 nodes a period
     t = np.arange(2000) * (2.0 * math.pi / 32.0)
