@@ -8,25 +8,19 @@ equation to its fixed point, and the monotone over/under bracketing scheme
 that pins the coexistence equilibrium.
 
 The two probes that run many histories of one model, :func:`permanence_probe`
-and :func:`global_attraction_probe`, run them in order in the calling process
-until one run proves long: it stopped after at least 200 capped steps
-(``t_decided / h_max``).  The histories after it are dealt round-robin to
-``os.fork()`` children on POSIX when more than one CPU is usable, through
-:func:`preydelay._forkmap.fork_map`.  Their records, warnings and exceptions
-are those of a serial run; restricting the CPU affinity to one CPU (for
-example ``taskset -c 0``) forces the serial path.
+and :func:`global_attraction_probe`, run them in order in the calling process.
 
 The horizon of those two probes is a cap.  A run pauses every four maximum
 delays and stops at the first pause where its verdict is settled: the
 envelope of its distance from the steady state over each of the last three
 windows has fallen at least at half the rate that the state's spectral
-abscissa sets (which must lie below -1e-8), and the probe's own check holds
-on the run so far.  A permanence run whose coexistence point has no such
-rate, as on the way to a cycle, settles instead once the last three changes
-between its troughs of x and of y fall by no more than 0.1%.  Its record is
-read off the run up to there, and ``t_decided`` says where that was; a run
-that never settles goes on to the horizon and keeps a fixed-length run's
-record.
+abscissa sets (which must lie below -1e-8), or no node of the last window
+moved x or y, and the probe's own check holds on the run so far.  A
+permanence run also settles, with or without such a rate, as on the way to a
+cycle, once the last three changes between its troughs of x and of y fall
+by no more than 0.1%.  Its record is read off the run up to there, and
+``t_decided`` says where that was; a run that never settles goes on to the
+horizon and keeps a fixed-length run's record.
 """
 from __future__ import annotations
 
@@ -125,45 +119,6 @@ def _tail_grid(traj: Trajectory):
 
 
 # --------------------------------------------------------------------------
-# histories side by side
-
-# A probe forks the histories after the first whose run took at least this
-# many capped steps: t_decided / h_max, a lower bound on its steps.  The
-# default cap grows with rtol above 1e-8 (0.6 to 0.95 tau(0), see
-# engine.default_stepper), so a run at a coarse rtol counts fewer capped steps
-# for the same time.  On a 2-core x86-64 VM a fork, the child's exit and the
-# pickled records cost 2-9 ms, and a long first run does not make the runs
-# after it long.  Over 205 of the benchmark's 5-history dichotomy jobs (seeds
-# 20261040-47), forking the rest after the first run took, in the median,
-# 1.25x the all-serial time where that run had 40-100 capped steps, 1.18x at
-# 100-150, 1.11x at 150-200, 1.06x at 200-300, 0.92x at 300-400 and 0.78x
-# from 400 on.  Their total time moved by under 1% for thresholds from 200 to
-# 400; over seeds 20261040-41 it was 2.5% higher at 100 than at 200.  At 200
-# a job whose first run reaches its horizon forks exactly when a rule on the
-# horizon at 200 forked it, so the slowest jobs, whose runs all reach the
-# horizon, keep their split.
-_FORK_MIN_STEPS = 200
-
-
-def _map_histories(fn, histories: list, cfg: StepperConfig) -> list:
-    """``[fn(h) for h in histories]``: the same records or exception.
-
-    The histories run here in order until one's record has ``t_decided``
-    of at least ``_FORK_MIN_STEPS`` capped steps; the ones after it go
-    through :func:`preydelay._forkmap.fork_map`.
-    """
-    records = []
-    for i, hist in enumerate(histories):
-        records.append(fn(hist))
-        if records[-1].t_decided / cfg.h_max >= _FORK_MIN_STEPS:
-            from ._forkmap import fork_map
-
-            records += fork_map(fn, histories[i + 1:])
-            break
-    return records
-
-
-# --------------------------------------------------------------------------
 # runs that stop once their verdict is settled
 
 # A probe's run pauses every _WINDOW_TAU maximum delays.  A window's envelope
@@ -171,22 +126,27 @@ def _map_histories(fn, histories: list, cfg: StepperConfig) -> list:
 # accepted.  The run has settled on the state at a window end once each of
 # the last _SETTLE_FALLS envelopes is at most e^(lambda W / 2) times the one
 # before (lambda the state's spectral abscissa, below _SETTLE_ABSCISSA; W the
-# window), the last one is within the rule's cap, and the probe's own record
-# check holds on the run so far.  A pause costs a re-entry of the stepping
-# loop and an envelope, about 8 us on a 2-core x86-64 VM, against 4-12 steps
-# of 20-60 us each in a window: about 1% of the dichotomy benchmark's jobs.
+# window), or no node of the last window moved x or y (a run that has
+# converged to rounding shows no fall), the last envelope is within the
+# rule's cap, and the probe's own record check holds on the run so far.  A
+# pause costs a re-entry of the stepping loop and an envelope, about 8 us on
+# a 2-core x86-64 VM, against 4-12 steps of 20-60 us each in a window: about
+# 1% of the dichotomy benchmark's jobs.
 _WINDOW_TAU = 4.0
 _SETTLE_FALLS = 3
 _SETTLE_ABSCISSA = -1e-8
 _SETTLE_DISTANCE = 1e-2
-# A permanent run with no such rule (its coexistence point has an abscissa at
-# or above _SETTLE_ABSCISSA, so it may approach a cycle, or no point was
-# found) settles on its troughs, the node minima us[i-1] > us[i] <= us[i+1]
-# of x and of y: permanence is uniform persistence (Hutson & Schmitt, Math.
-# Biosci. 111 (1992)), minima that stop falling and stay positive.  It has
-# settled at a window end once each of x and y has shown _SETTLE_FALLS
-# trough-to-trough changes, the last ones, none falling by more than
-# _TROUGH_SLACK relative, and the record check holds on the run so far.
+# A permanent run also settles on its troughs, with or without such a rule
+# (its coexistence point may have an abscissa at or above _SETTLE_ABSCISSA,
+# so that it approaches a cycle, or its approach may be slower than the rate
+# asks): permanence is uniform persistence (Hutson & Schmitt, Math. Biosci.
+# 111 (1992)), minima that stop falling and stay positive.  A trough is the
+# vertex of the parabola through a node minimum us[i-1] > us[i] <= us[i+1]
+# of x or of y and its two neighbours; the node value itself moves with where
+# the nodes fall, by about 0.3% on a cycle.  The run has settled at a window
+# end once each of x and y has shown _SETTLE_FALLS trough-to-trough changes,
+# the last ones, none falling by more than _TROUGH_SLACK relative, and the
+# record check holds on the run so far.
 _TROUGH_SLACK = 1e-3
 
 
@@ -210,12 +170,14 @@ class _Settling:
     cap: float = math.inf
     near: Callable[[float, float, float], bool] = _anywhere
 
-    def holds(self, envelopes: list, node) -> bool:
+    def holds(self, envelopes: list, node, still: bool) -> bool:
         """Whether the envelopes so far, oldest first, and the last node
-        settle the run."""
+        settle the run; ``still`` says that no node of the last window moved
+        x or y, which stands in for the falls."""
         last = envelopes[-_SETTLE_FALLS - 1:]
-        return (len(last) > _SETTLE_FALLS and last[-1] <= self.cap
-                and all(b <= self.factor * a for a, b in zip(last, last[1:]))
+        return (last[-1] <= self.cap
+                and (still or len(last) > _SETTLE_FALLS and all(
+                    b <= self.factor * a for a, b in zip(last, last[1:])))
                 and self.near(*node))
 
     def watch(self) -> Callable:
@@ -229,14 +191,34 @@ class _Settling:
             if len(us) == start:  # a step longer than the window
                 return False
             envelopes.append(self.envelope(us, start, len(us)))
+            still = _still(us[max(start - 3, 0):])
             start = len(us)
-            return self.holds(envelopes, us[-3:])
+            return self.holds(envelopes, us[-3:], still)
         return settled
 
 
-class _Troughs:
-    """The trough rule of a permanent run that no :class:`_Settling` fits.
+def _still(us) -> bool:
+    """Whether every node of us (three floats a node) has the first one's x
+    and y."""
+    xs, ys = us[::3], us[1::3]
+    return xs.count(xs[0]) == len(xs) and ys.count(ys[0]) == len(ys)
 
+
+def _vertex(t0: float, t1: float, t2: float,
+            a: float, b: float, e: float) -> float:
+    """The lowest value of the parabola through (t0, a), (t1, b) and
+    (t2, e), where a > b <= e."""
+    s0 = (b - a) / (t1 - t0)
+    c = ((e - b) / (t2 - t1) - s0) / (t2 - t0)
+    slope = s0 + c * (t1 - t0)  # at t1
+    return b - slope * slope / (4.0 * c)
+
+
+class _Troughs:
+    """The trough rule of a permanent run, beside its :class:`_Settling`
+    rule if it has one.
+
+    Its troughs are the parabola vertices at the node minima of x and of y.
     Its ``near`` test asks the node minimum of min(x, y) over the last
     quarter of the run to exceed _EPS_FLOOR, which the permanent record
     check implies.
@@ -261,15 +243,16 @@ class _Troughs:
 
         def settled(store) -> bool:
             nonlocal start
-            us = store.us
+            ts = store.ts[start - 1:]
             for c, found in enumerate(troughs):
-                vals = us[3 * (start - 1) + c::3]
-                found += [b for a, b, e in zip(vals, vals[1:], vals[2:])
-                          if a > b <= e]
+                us = store.us[3 * (start - 1) + c::3]
+                found += [_vertex(*ts[i - 1:i + 2], *us[i - 1:i + 2])
+                          for i in range(1, len(us) - 1)
+                          if us[i - 1] > us[i] <= us[i + 1]]
                 del found[:-_SETTLE_FALLS - 1]
             start = len(store.ts) - 1
             return (all(map(self.holds, troughs))
-                    and self.near(store.ts, us))
+                    and self.near(store.ts, store.us))
         return settled
 
 
@@ -312,10 +295,11 @@ def _predator_envelope(us, a: int, b: int) -> float:
 
 
 def _settled_run(model: ModelSpec, hist: HistoryFunction, cfg: StepperConfig,
-                 settling: _Settling | _Troughs | None, record):
+                 rules: tuple, record):
     """``record(trajectory)``'s record of ``hist``'s run: over the run so far
-    at the first window end where ``settling`` holds and the record's ok
-    flag does too, else over the whole run to cfg.t_end.
+    at the first window end where one of ``rules`` (each a
+    :class:`_Settling`, a :class:`_Troughs` or None) holds and the record's
+    ok flag does too, else over the whole run to cfg.t_end.
 
     ``record`` returns (record, ok).  The run's steps and bits up to where
     it stops are those of an uninterrupted run (see
@@ -323,11 +307,13 @@ def _settled_run(model: ModelSpec, hist: HistoryFunction, cfg: StepperConfig,
     """
     run = start_run(model, hist, cfg)
     window = _WINDOW_TAU * model.delay.tau_M
-    if settling is not None and window > 0.0:
-        settled, k = settling.watch(), 1
+    watches = [rule.watch() for rule in rules if rule is not None]
+    if watches and window > 0.0:
+        k = 1
         while not run.advance(k * window):
             k += 1
-            if settled(run.store):
+            # a trough watch that this skips reads the skipped nodes next time
+            if any(settled(run.store) for settled in watches):
                 rec, ok = record(run.trajectory(copy=True))
                 if ok:
                     return rec
@@ -436,9 +422,7 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     run must exceed 1e-6 for every history.  Extinction branch: the
     terminal state must lie within 1e-3 (scaled by max(1, K)) of (K, 0, 0).
     Mixed outcomes raise :class:`InconclusiveError` with the per-history
-    data.  Once a
-    run has taken 200 capped steps, the histories after it run side by side
-    on the usable CPUs, with the records of a serial run.
+    data.  The histories run in order in the calling process.
 
     ``horizon`` is a cap.  Each run pauses every four maximum delays and
     stops at the first pause where its verdict is settled: on the
@@ -447,15 +431,18 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
     (K, 0, 0), W the window); on the permanent branch, the envelope of
     max(|x/x* - 1|, |y/y* - 1|) is within 1e-2 and falls likewise at the
     coexistence point's abscissa.  Neither rule applies where that abscissa
-    is not below -1e-8.  A permanent-branch run with no rule then settles on
-    its troughs, the node values below both neighbours, of x and of y: each
-    has had at least four, and none of the last three changes between them
-    is a fall of more than 0.1% (b >= 0.999 a), while the run's last
-    quarter keeps min(x, y) above 1e-6 at every node.  Minima that stop
-    falling and stay positive are what permanence, uniform persistence,
-    asks; the run may be approaching a cycle.  The record is checked on the
-    run so far, and a run stops only where it holds; ``t_decided`` is where
-    the run stopped, the horizon for one that never settled.
+    is not below -1e-8.  A window in which no node moved x or y stands in
+    for the falls, within the same cap and near test.  A permanent-branch
+    run, with or without that rule, also settles on its troughs of x and of
+    y, each the vertex of the parabola through a node below both neighbours
+    and those neighbours: each has had at least four, and none of the last
+    three changes between them is a fall of more than 0.1%
+    (b >= 0.999 a), while the run's last quarter keeps min(x, y) above 1e-6
+    at every node.  Minima that stop falling and stay positive are what
+    permanence, uniform persistence, asks; the run may be approaching a
+    cycle.  The record is checked on the run so far, and a run stops only
+    where it holds; ``t_decided`` is where the run stopped, the horizon for
+    one that never settled.
     """
     if len(histories) < 2:
         raise ValueError("need several histories spanning magnitudes")
@@ -477,12 +464,12 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
             eq = solve_coexistence(model)
         except NoConvergenceError:
             eq = None
-        settling = _settling(model, eq, eq and _relative_envelope(eq),
-                             cap=_SETTLE_DISTANCE) or _Troughs()
+        rules = (_settling(model, eq, eq and _relative_envelope(eq),
+                           cap=_SETTLE_DISTANCE), _Troughs())
     else:
-        settling = _settling(
+        rules = (_settling(
             model, boundary_equilibria(model)[1], _predator_envelope,
-            near=lambda *u: terminal_error(*u) <= _EXTINCTION_TOL)
+            near=lambda *u: terminal_error(*u) <= _EXTINCTION_TOL),)
 
     def probe(hist: HistoryFunction) -> HistoryRecord:
         def record(traj: Trajectory) -> tuple[HistoryRecord, bool]:
@@ -495,9 +482,9 @@ def permanence_probe(model: ModelSpec, histories: list[HistoryFunction],
             return HistoryRecord(hist.label, liminf_xy, term_err, ok,
                                  traj.t_end), ok
 
-        return _settled_run(model, hist, cfg, settling, record)
+        return _settled_run(model, hist, cfg, rules, record)
 
-    records = _map_histories(probe, histories, cfg)
+    records = [probe(hist) for hist in histories]
     if not all(rec.ok for rec in records):
         if any(rec.ok for rec in records):
             raise InconclusiveError(
@@ -792,13 +779,11 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
     Terminal (x, y) must land within 1e-4 relative of (x*, y*) and yj within
     1e-3 of yj*; divergence is reported (with the worst offender), not
     raised.  The attraction conditions must hold, else the probe raises
-    :class:`AnalysisError`.
-    Once a run has taken 200 capped steps, the histories after it run side
-    by side on the usable CPUs, with the records of a serial run.
-    ``horizon`` is a cap, as in :func:`permanence_probe`: a run
+    :class:`AnalysisError`.  The histories run in order in the calling
+    process.  ``horizon`` is a cap, as in :func:`permanence_probe`: a run
     stops at the first pause where it has converged and the envelope of
     max(|x/x* - 1|, |y/y* - 1|) falls at the rate that the abscissa at
-    (x*, y*) sets.
+    (x*, y*) sets, or no node of the last window moved x or y.
     """
     if n_histories < 1:
         raise ValueError("need at least one history")
@@ -820,8 +805,8 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
         return (max(err_x, err_y) <= _ATTRACTION_TOL_XY
                 and err_yj <= _ATTRACTION_TOL_YJ)
 
-    settling = _settling(model, eq, _relative_envelope(eq),
-                         near=lambda *u: converged(*errors(*u)))
+    rules = (_settling(model, eq, _relative_envelope(eq),
+                       near=lambda *u: converged(*errors(*u))),)
 
     def probe(hist: HistoryFunction) -> AttractionRecord:
         def record(traj: Trajectory) -> tuple[AttractionRecord, bool]:
@@ -829,9 +814,9 @@ def global_attraction_probe(model: ModelSpec, eq: Equilibrium,
             ok = converged(*errs)
             return AttractionRecord(hist.label, *errs, ok, traj.t_end), ok
 
-        return _settled_run(model, hist, cfg, settling, record)
+        return _settled_run(model, hist, cfg, rules, record)
 
-    records = _map_histories(probe, histories, cfg)
+    records = [probe(hist) for hist in histories]
     worst = max(records, key=lambda r: max(r.err_x, r.err_y, r.err_yj))
     return ConvergenceReport(all(r.converged for r in records),
                              tuple(records), worst)

@@ -331,15 +331,6 @@ def _cmd_verify(scn: Scenario, outdir: Path) -> int:
                     f"limits={tuple(round(v, 8) for v in br.limits)}")
             except analysis.BracketNestingError as exc:
                 add("bracket_containment", False, str(exc))
-            # zero-state delay variant: reported, not asserted (containment
-            # cannot hold when the delay genuinely varies with the state)
-            try:
-                br0 = analysis.monotone_bounds(model, coex, 1e-4, tau_hat="zero")
-                add("bracket_limits_zero_delay_variant", True,
-                    f"limits={tuple(round(v, 8) for v in br0.limits)}")
-            except analysis.BracketNestingError as exc:
-                add("bracket_limits_zero_delay_variant", True,
-                    f"variant does not bracket the equilibrium: {exc}")
 
     n_fail = sum(1 for _, ok, _, _ in checks if not ok)
     _write_junit(outdir / "verify.xml", checks)

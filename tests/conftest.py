@@ -40,16 +40,6 @@ def fork_count(monkeypatch):
     return count
 
 
-@pytest.fixture
-def forks(fork_count, monkeypatch):
-    """``fork_count``, with every probe forking the histories after its
-    first run."""
-    from preydelay import analysis
-
-    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
-    return fork_count
-
-
 @pytest.fixture(scope="session")
 def bd_model():
     return ModelSpec(ModelParams(r=1.0, K=5.0, n=1.0, dj=0.55, d=0.45),

@@ -1,13 +1,12 @@
 import math
 import os
-import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from preydelay import (BracketSequences, InconclusiveError, IntegrationError,
-                       ModelParams, ModelSpec, beddington_deangelis,
+from preydelay import (BracketSequences, InconclusiveError, ModelParams,
+                       ModelSpec, beddington_deangelis,
                        boundedness_limit, comparison_probe, constant_delay,
                        consistent_history, constant_history, default_stepper,
                        exp_delay, export_csv, extrapolated_limits,
@@ -22,7 +21,6 @@ from preydelay.model import HistoryConsistencyWarning
 
 from conftest import (DEFECT_ATOL, DEFECT_HISTORY_SEED, DEFECT_MODEL,
                       linear_family_model)
-from forking import assert_no_child_left, serially
 
 
 # --------------------------------------------------------------------------
@@ -209,6 +207,14 @@ def _trough_settle(xs, ys, every: int):
     return None
 
 
+def test_troughs_are_parabola_vertices():
+    # 2 (t - 1.25)^2 + 0.5 at t = 0, 1 and 3
+    assert analysis._vertex(0.0, 1.0, 3.0, 3.625, 0.625, 6.625) == \
+        pytest.approx(0.5, rel=1e-14)
+    # a minimum between even nodes: the vertex lies below the node value
+    assert analysis._vertex(0.0, 1.0, 2.0, 1.0, 0.0, 0.5) < 0.0
+
+
 def test_trough_rule_settles_minima_that_stop_falling():
     holds = analysis._Troughs.holds
     assert holds([1.0, 1.0, 1.0, 1.0])
@@ -264,12 +270,6 @@ SETTLED_RECORDS = {
         ("level0.5", 0.30452142721240777, 0.2932692365383104, 48.01657601721306),
         ("level1.58114", 0.30292733351196044, 0.2937489327761913, 20.251628896681833),
         ("level5", 0.30442917386225543, 0.29326923182598397, 84.2120485913144)),
-    ("demo", 3.0): (
-        ("level0.05", 0.32843154391487506, 0.6442968147580159, 60.159972350574655),
-        ("level0.158114", 0.3286568904656684, 0.6431664712443537, 60.140606138831686),
-        ("level0.5", 0.33174084828487727, 0.644468276011227, 48.24390324630252),
-        ("level1.58114", 0.32972199870939856, 0.644553270786872, 60.185762013526684),
-        ("level5", 0.289992033156817, 0.6432112066326957, 136.18733931417782)),
     ("family", 0.5): (
         ("level0.01", 2.8930399584420297e-07, 2.1030623331919074e-05, 16.135189327142342),
         ("level0.0562341", 4.721571564654834e-06, 6.368404625312074e-06, 16.0808455143968),
@@ -294,6 +294,86 @@ def test_runs_with_an_envelope_rule_keep_their_records(source, R):
     assert verdict.records == tuple(
         analysis.HistoryRecord(label, liminf, term, True, t)
         for label, liminf, term, t in SETTLED_RECORDS[source, R])
+
+
+# demo 02's runs at R = 3 have an envelope rule, but their troughs stop
+# falling first; the records in every bit.  By the envelope rule alone they
+# stopped at t = 60.16, 60.14, 48.24, 60.19 and 136.19.
+TROUGH_FIRST_RECORDS = (
+    ("level0.05", 0.3178744771808561, 0.6494799054906227, 48.16142201184363),
+    ("level0.158114", 0.3184642745180156, 0.6537343268435346, 44.06653841466873),
+    ("level0.5", 0.32654961076234335, 0.6438330928949436, 44.11268596551038),
+    ("level1.58114", 0.30839815941191034, 0.6358483819892393, 40.03194720551869),
+    ("level5", 0.2172929233240362, 0.6297837943790029, 116.17203004088542))
+
+
+def test_runs_with_an_envelope_rule_settle_on_troughs_that_stop_first():
+    m = linear_family_model(3.0)
+    verdict = permanence_probe(
+        m, spread_histories(m, n=5, seed=42, lo=0.05, hi=5.0), horizon=200.0)
+    assert verdict.records == tuple(
+        analysis.HistoryRecord(label, liminf, term, True, t)
+        for label, liminf, term, t in TROUGH_FIRST_RECORDS)
+
+
+# The model of job 28 of the dichotomy benchmark's seed 20261018 (R = 8.85):
+# its coexistence point's abscissa reads +0.036, and its runs approach a
+# cycle on which the node minima move by about 0.3% with where the nodes fall
+SLOW_CYCLE_MODEL = {
+    "params": {"r": 0.6749307165864156, "K": 3.958060017524873,
+               "n": 1.4815446003911101, "dj": 0.7686741213438906,
+               "d": 0.6878403117767146},
+    "delay": {"kind": "saturating",
+              "coefficients": {"theta": 1.7437812751553181},
+              "tau_m": 0.6113162826889864, "tau_M": 0.9936019636222194},
+    "response": {"kind": "Linear", "coefficients": {"b": 1.66074280742865}}}
+SLOW_CYCLE_HISTORY_SEED = 1393270813
+# The model of job 53 of seed 20261024 (R = 2.26): its runs reach E* to
+# rounding by t = 145 and then stay there in every bit, while its envelope
+# rule asks for a fall at the contour search's abscissa of -0.594
+STILL_MODEL = {
+    "params": {"r": 0.8423117183341619, "K": 3.2954949877003616,
+               "n": 1.4174861300614756, "dj": 0.6335971130495965,
+               "d": 0.5014269964143976},
+    "delay": {"kind": "saturating",
+              "coefficients": {"theta": 1.99824207342559},
+              "tau_m": 0.7307172521491712, "tau_M": 1.131949774450326},
+    "response": {"kind": "BeddingtonDeAngelis",
+                 "coefficients": {"b": 0.39457355812930783,
+                                  "k1": 0.006781401964391165,
+                                  "k2": 1.2978908789172436}}}
+STILL_HISTORY_SEED = 1144593922
+
+
+def _benchmark_probe(doc: dict, history_seed: int):
+    """The dichotomy benchmark's probe of the model ``doc``, and its
+    horizon."""
+    m = ModelSpec.from_dict(doc)
+    horizon = 400.0 / m.params.d
+    return permanence_probe(
+        m, spread_histories(m, n=5, seed=history_seed, lo=0.1, hi=3.0),
+        horizon=horizon, cfg=default_stepper(m, horizon, rtol=1e-6,
+                                             atol=(1e-300, 1e-300, 1e-8))
+    ), horizon
+
+
+def test_runs_on_a_cycle_settle_on_the_parabola_troughs(monkeypatch):
+    verdict, horizon = _benchmark_probe(SLOW_CYCLE_MODEL,
+                                        SLOW_CYCLE_HISTORY_SEED)
+    assert verdict.verdict == "permanent"
+    assert all(rec.ok and rec.t_decided < horizon
+               for rec in verdict.records)
+    # on the node minima three of the runs never settle
+    monkeypatch.setattr(analysis, "_vertex", lambda t0, t1, t2, a, b, e: b)
+    verdict, _ = _benchmark_probe(SLOW_CYCLE_MODEL, SLOW_CYCLE_HISTORY_SEED)
+    assert sum(rec.t_decided == horizon for rec in verdict.records) == 3
+
+
+def test_runs_that_stop_moving_settle():
+    verdict, horizon = _benchmark_probe(STILL_MODEL, STILL_HISTORY_SEED)
+    assert verdict.verdict == "permanent"
+    assert all(rec.ok and rec.t_decided < 0.25 * horizon
+               for rec in verdict.records)
 
 
 def test_settled_runs_stop_early_and_pass_the_check_there():
@@ -330,15 +410,20 @@ def test_extinction_on_too_short_a_horizon_stays_inconclusive():
 def test_settle_rule_needs_three_falls_at_the_abscissa_rate():
     rule = analysis._Settling(analysis._predator_envelope, 0.5, cap=1.0)
     node = (1.0, 0.5, 0.5)
-    assert rule.holds([8.0, 4.0, 2.0, 1.0], node)
-    assert rule.holds([100.0, 8.0, 4.0, 2.0, 1.0], node)
-    assert not rule.holds([4.0, 2.0, 1.0], node)           # two falls only
-    assert not rule.holds([8.0, 4.0, 2.5, 1.0], node)      # one too slow
-    assert not rule.holds([16.0, 8.0, 4.0, 2.0], node)     # above the cap
-    assert not rule.holds([8.0, 4.0, 2.0, math.nan], node)
+    assert rule.holds([8.0, 4.0, 2.0, 1.0], node, False)
+    assert rule.holds([100.0, 8.0, 4.0, 2.0, 1.0], node, False)
+    assert not rule.holds([4.0, 2.0, 1.0], node, False)    # two falls only
+    assert not rule.holds([8.0, 4.0, 2.5, 1.0], node, False)  # one too slow
+    assert not rule.holds([16.0, 8.0, 4.0, 2.0], node, False)  # above the cap
+    assert not rule.holds([8.0, 4.0, 2.0, math.nan], node, False)
     far = analysis._Settling(analysis._predator_envelope, 0.5,
                              near=lambda x, y, yj: y + yj < 1.0)
-    assert not far.holds([8.0, 4.0, 2.0, 1.0], node)
+    assert not far.holds([8.0, 4.0, 2.0, 1.0], node, False)
+    # a window that moved no node stands in for the falls, within the cap
+    # and the near test
+    assert rule.holds([1.0], node, True)
+    assert not rule.holds([2.0], node, True)
+    assert not far.holds([0.5], node, True)
 
 
 def test_envelopes_are_the_largest_node_distance():
@@ -603,45 +688,7 @@ def test_attraction_probe_refuses_no_histories(bd_model):
 
 
 # --------------------------------------------------------------------------
-# histories run side by side
-
-
-def test_forked_permanence_records_equal_serial(forks, monkeypatch):
-    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
-    m = linear_family_model(2.0)
-    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
-    run = lambda: permanence_probe(m, hists, horizon=10.0)
-    verdict = run()
-    assert forks[0] == 1
-    assert verdict == serially(monkeypatch, run)
-    assert forks[0] == 1
-    assert_no_child_left()
-
-
-def test_forked_records_equal_serial_when_some_runs_stop_early(forks,
-                                                               monkeypatch):
-    # at R = 3 and horizon 60 two runs settle early and three run to the
-    # horizon; the first run's end forks the other four
-    m = linear_family_model(3.0)
-    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)
-    run = lambda: permanence_probe(m, hists, horizon=60.0)
-    verdict = run()
-    assert forks[0] == 1
-    decided = [rec.t_decided for rec in verdict.records]
-    assert 0 < sum(t < 60.0 for t in decided) < len(decided)
-    assert verdict == serially(monkeypatch, run)
-    assert forks[0] == 1
-    assert_no_child_left()
-
-
-def test_forked_attraction_records_equal_serial(forks, monkeypatch, bd_model):
-    eq = solve_coexistence(bd_model)
-    run = lambda: global_attraction_probe(bd_model, eq, n_histories=5,
-                                          horizon=30.0, seed=9)
-    report = run()
-    assert forks[0] == 1
-    assert report == serially(monkeypatch, run)
-    assert_no_child_left()
+# the probes fork nothing
 
 
 def test_probe_whose_runs_settle_early_forks_nothing(fork_count):
@@ -650,114 +697,8 @@ def test_probe_whose_runs_settle_early_forks_nothing(fork_count):
     verdict = permanence_probe(
         m, spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0), horizon=600.0)
     h_max = default_stepper(m, 600.0).h_max
-    assert all(rec.t_decided / h_max < analysis._FORK_MIN_STEPS
-               for rec in verdict.records)
+    assert all(rec.t_decided / h_max < 200.0 for rec in verdict.records)
     assert fork_count[0] == 0
-
-
-def test_probe_forks_the_histories_after_a_long_run(fork_count,
-                                                    monkeypatch):
-    from preydelay import _forkmap
-
-    mapped = []
-    fork_map = _forkmap.fork_map
-
-    def recording_fork_map(fn, items):
-        mapped.append([h.label for h in items])
-        return fork_map(fn, items)
-
-    monkeypatch.setattr(_forkmap, "fork_map", recording_fork_map)
-    m = linear_family_model(3.0)
-    hists = spread_histories(m, n=5, seed=1, lo=0.1, hi=3.0)[::-1]
-    run = lambda: permanence_probe(m, hists, horizon=600.0)
-    verdict = run()
-    h_max = default_stepper(m, 600.0).h_max
-    assert verdict.records[0].t_decided / h_max >= analysis._FORK_MIN_STEPS
-    assert fork_count[0] == 1
-    assert mapped == [[h.label for h in hists[1:]]]
-    assert verdict == serially(monkeypatch, run)
-    assert fork_count[0] == 1
-    assert_no_child_left()
-
-
-def test_child_warning_reaches_the_caller(forks, monkeypatch):
-    # the first run forks the other two; the child's item is the last
-    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
-    m = linear_family_model(2.0)
-    hists = spread_histories(m, n=3, seed=1)
-    hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
-    with pytest.warns(HistoryConsistencyWarning, match="juvenile") as caught:
-        permanence_probe(m, hists, horizon=10.0)
-    assert forks[0] == 1
-    assert sum(w.category is HistoryConsistencyWarning for w in caught) == 1
-    assert_no_child_left()
-
-
-def test_child_warning_repeats_show_once_like_serial(forks, monkeypatch):
-    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
-    m = linear_family_model(2.0)
-    hists = spread_histories(m, n=3, seed=1)
-    hists[2] = constant_history(1.0, 0.5, 1e-3, label="inconsistent")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")
-        for _ in range(2):
-            permanence_probe(m, hists, horizon=10.0)
-    assert forks[0] == 2
-    # (Python 3.12 adds its own DeprecationWarning for the fork)
-    shown = [w for w in caught if w.category is HistoryConsistencyWarning]
-    assert len(shown) == 1
-    assert shown[0].filename == analysis.__file__
-    assert_no_child_left()
-
-
-def test_child_integration_error_surfaces_like_a_serial_run(forks,
-                                                            monkeypatch):
-    # only the deep-crash history (the last level) needs more than 150 steps
-    # to reach t = 20; the first run forks the other four, and the last is
-    # the child's second item
-    m = ModelSpec.from_dict(DEFECT_MODEL)
-    hists = spread_histories(m, n=5, seed=DEFECT_HISTORY_SEED, lo=0.1, hi=3.0)
-    cfg = default_stepper(m, 20.0, rtol=1e-6, atol=DEFECT_ATOL, max_steps=150)
-    run = lambda: permanence_probe(m, hists, horizon=20.0, cfg=cfg)
-    with pytest.raises(IntegrationError) as forked:
-        run()
-    assert forks[0] == 1
-    assert_no_child_left()
-    with pytest.raises(IntegrationError) as serial:
-        serially(monkeypatch, run)
-    assert type(forked.value) is type(serial.value)
-    assert str(forked.value) == str(serial.value)
-    got, want = forked.value.trajectory, serial.value.trajectory
-    assert np.array_equal(got.ts, want.ts) and np.array_equal(got.us, want.us)
-
-
-def test_parent_failure_stops_the_children(forks):
-    # a run from the steady state reaches t = 4 within 20 attempts and forks
-    # the others, which need more; the parent's first item fails
-    m = linear_family_model(2.0)
-    eq = solve_coexistence(m)
-    hists = [consistent_history(m, eq.x_star, eq.y_star, label="steady")]
-    hists += spread_histories(m, n=4, seed=1)
-    cfg = default_stepper(m, 4.0, max_steps=20)
-    with pytest.raises(IntegrationError, match="exceeded 20 attempts"):
-        permanence_probe(m, hists, horizon=4.0, cfg=cfg)
-    assert forks[0] == 1
-    assert_no_child_left()
-
-
-def test_probe_with_a_live_thread_does_not_fork(forks, monkeypatch):
-    monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait, args=(30.0,))
-    thread.start()
-    try:
-        m = linear_family_model(2.0)
-        permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0)
-    finally:
-        release.set()
-        thread.join(timeout=30.0)
-    assert not thread.is_alive()
-    assert forks[0] == 0
 
 
 def test_one_usable_cpu_runs_serially(monkeypatch, tmp_path):
@@ -767,7 +708,6 @@ def test_one_usable_cpu_runs_serially(monkeypatch, tmp_path):
     monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                         raising=False)
-    monkeypatch.setattr(analysis, "_FORK_MIN_STEPS", 0)
     monkeypatch.setattr(analysis, "_EPS_FLOOR", 0.0)
     m = linear_family_model(2.0)
     permanence_probe(m, spread_histories(m, n=3, seed=1), horizon=10.0)

@@ -183,6 +183,21 @@ def test_verify_suite_passes_on_fixture(tmp_path):
     assert "np." not in (tmp_path / "verify_checks.csv").read_text()
 
 
+def test_verify_lists_only_checks_that_can_fail(tmp_path, capsys):
+    # the zero-state delay variant of the bracketing passed in both of its
+    # branches, so its row asserted nothing; bracket_containment asserts the
+    # bracketing
+    assert main(["verify", "--config", str(DEMO_CONFIG),
+                 "--out", str(tmp_path)]) == EXIT_OK
+    rows = list(csv.DictReader(
+        (tmp_path / "verify_checks.csv").read_text().splitlines()))
+    assert [row["check"] for row in rows] == [
+        "model_validation", "threshold_consistency", "coexistence_residual",
+        "boundedness_certificate", "yj_conservation", "lag_monotonic",
+        "boundary_residuals", "spectral_consistency", "bracket_containment"]
+    assert "9/9 checks passed" in capsys.readouterr().out
+
+
 def test_sweep_writes_mandated_header(tmp_path):
     cfg = write_config(tmp_path / "cfg.json",
                        sweep={"k2": [2.0, 10.0], "d": [0.45, 1.0]})

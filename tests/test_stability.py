@@ -707,6 +707,49 @@ def test_conditions_all_pass_on_fixture(bd_model):
     assert all(v > 0.0 for v in cond.margins.values())
 
 
+def _bd_draw(rng) -> ModelSpec:
+    """A Beddington-DeAngelis model with parameters, a delay of a random
+    kind and a log-uniform k2 drawn from ``rng``."""
+    params = ModelParams(r=rng.uniform(0.3, 3.0), K=rng.uniform(1.0, 10.0),
+                         n=rng.uniform(0.5, 3.0), dj=rng.uniform(0.05, 1.5),
+                         d=rng.uniform(0.05, 1.5))
+    tau_m = rng.uniform(0.05, 2.0)
+    tau_M = tau_m * rng.uniform(1.0, 3.0)
+    kind = rng.integers(3)
+    delay = (constant_delay(tau_m) if kind == 0
+             else saturating_delay(tau_m, tau_M, rng.uniform(0.1, 5.0))
+             if kind == 1 else exp_delay(tau_m, tau_M, rng.uniform(0.1, 5.0)))
+    return ModelSpec(params, delay, beddington_deangelis(
+        b=rng.uniform(0.2, 3.0), k1=rng.uniform(0.0, 2.0),
+        k2=math.exp(rng.uniform(math.log(0.1), math.log(200.0)))))
+
+
+def test_local_conditions_imply_a_stable_coexistence_point():
+    # the paper's local-stability claim over 200 coexistence points: wherever
+    # the explicit conditions hold, the collocation oracle's rightmost root
+    # lies in the left half-plane
+    rng = np.random.default_rng(20261020)
+    points = held = 0
+    while points < 200:
+        m = _bd_draw(rng)
+        try:
+            eq = solve_coexistence(m)
+        except NoConvergenceError:
+            continue
+        if eq is None:
+            continue
+        points += 1
+        if not check_global_conditions(m, eq).local_ok:
+            continue
+        held += 1
+        co = linearize_at(m, eq)
+        abscissa = cheb_collocation_abscissa(co.A, co.B, co.C, co.D, co.eta,
+                                             m.params.d, co.tau_star,
+                                             n_nodes=64)
+        assert abscissa < 0.0, m.to_dict()
+    assert held >= 40
+
+
 def test_spectral_verdict_consistency_random_specs():
     # threshold-classified extinction points: the numerical abscissa must
     # agree in sign with the algebraic verdict
